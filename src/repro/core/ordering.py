@@ -20,9 +20,12 @@ time and ``O(m)`` space.
 
 The paper realises the ordering with two passes of counting sort over the
 edge set (bins indexed by coreness).  We express the identical permutation
-with one ``numpy.lexsort`` over the arc list, which sorts arcs by
-``(target vertex, rank of source)``; grouping by target then yields every
-adjacency list already ordered by source rank.
+with one in-place sort of the int64 arc keys ``v * n + rank(u)``, which
+groups arcs by row and each row by neighbour rank.  Coreness is monotone in
+rank, so each tag is one ``searchsorted`` of a per-row threshold key into
+the sorted keys.  The builder is the one behind the generalised
+:func:`repro.engine.levels.level_ordering`; :func:`order_vertices` passes
+it the decomposition's vertex order, so nothing is sorted twice.
 """
 
 from __future__ import annotations
@@ -31,6 +34,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine.levels import _rank_order_arcs
 from ..graph.csr import Graph
 from .decomposition import CoreDecomposition, core_decomposition
 
@@ -138,52 +142,15 @@ def order_vertices(
         A precomputed :func:`core_decomposition` result; computed on the fly
         when omitted.
 
-    Complexity: ``O(m)`` time (two counting-sort passes in the paper; a
-    single arc-list sort here), ``O(m)`` space.
+    Complexity: ``O(m)`` space; the paper's two counting-sort passes are
+    ``O(m)`` time, the one arc-key sort here ``O(m log m)``.
     """
     if decomposition is None:
         decomposition = core_decomposition(graph)
-    coreness = decomposition.coreness
-    n = graph.num_vertices
-
-    # rank is the inverse permutation of the coreness-stable vertex order.
-    rank = np.empty(n, dtype=np.int64)
-    rank[decomposition.order] = np.arange(n, dtype=np.int64)
-
-    degrees = graph.degrees()
-    dst = np.repeat(np.arange(n, dtype=np.int64), degrees)  # arc target
-    src = graph.indices  # arc source (the neighbour to be placed)
-    # Sort arcs by (target, rank of neighbour): each adjacency slice ends up
-    # ordered by ascending neighbour rank.  Equivalent to the two bin passes
-    # of Algorithm 1.
-    perm = np.lexsort((rank[src], dst))
-    indices = np.ascontiguousarray(src[perm])
-
-    # Position tags via per-row counts (vectorised "one scan of the edge set").
-    rows = dst[perm]
-    nbr_core = coreness[indices]
-    own_core = coreness[rows]
-    same = _tag_counts(rows, nbr_core < own_core, n)
-    plus = _tag_counts(rows, nbr_core <= own_core, n)
-    high = _tag_counts(rows, rank[indices] < rank[rows], n)
-
     return OrderedGraph(
         graph=graph,
         decomposition=decomposition,
-        rank=rank,
-        indptr=graph.indptr.copy(),
-        indices=indices,
-        same=same,
-        plus=plus,
-        high=high,
+        **_rank_order_arcs(
+            graph, decomposition.coreness, decomposition.order, decomposition.shell_start
+        ),
     )
-
-
-def _tag_counts(rows: np.ndarray, mask: np.ndarray, n: int) -> np.ndarray:
-    """Count, per row, how many adjacency entries satisfy ``mask``.
-
-    Because each slice is sorted by rank, the count of entries *below* a
-    rank/coreness threshold equals the offset of the first entry at or above
-    it — exactly the position-tag semantics of Table II.
-    """
-    return np.bincount(rows[mask], minlength=n).astype(np.int64)

@@ -25,6 +25,7 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import GraphDeltaError
+from ..graph.csr import sorted_arc_keys
 
 __all__ = ["GraphDelta", "edges_from_file"]
 
@@ -42,13 +43,13 @@ def _canonical(edges, role: str) -> np.ndarray:
         raise GraphDeltaError(f"{role} edges contain a negative vertex id")
     if (pairs[:, 0] == pairs[:, 1]).any():
         raise GraphDeltaError(f"{role} edges contain a self loop")
-    lo = np.minimum(pairs[:, 0], pairs[:, 1])
     hi = np.maximum(pairs[:, 0], pairs[:, 1])
-    order = np.lexsort((hi, lo))
-    lo, hi = lo[order], hi[order]
-    keep = np.ones(len(lo), dtype=bool)
-    keep[1:] = (lo[1:] != lo[:-1]) | (hi[1:] != hi[:-1])
-    out = np.ascontiguousarray(np.column_stack([lo[keep], hi[keep]]))
+    n = int(hi.max()) + 1
+    keys = sorted_arc_keys(np.minimum(pairs[:, 0], pairs[:, 1]), hi, n)
+    keep = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=keep[1:])
+    keys = keys[keep]
+    out = np.ascontiguousarray(np.column_stack([keys // n, keys % n]))
     out.setflags(write=False)
     return out
 

@@ -31,7 +31,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..graph.csr import Graph
+from ..graph.csr import Graph, sorted_arc_keys
 from .metrics import Metric
 from .primary import GraphTotals, PrimaryValues
 from .triangles import triangles_by_min_rank_vertex, triplet_group_deltas
@@ -88,38 +88,49 @@ def level_ordering(graph: Graph, levels: np.ndarray) -> LevelOrdering:
         raise ValueError("levels must be non-negative")
 
     order = np.argsort(levels, kind="stable").astype(np.int64)
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n, dtype=np.int64)
-
     max_level = int(levels.max()) if n else 0
     counts = np.bincount(levels, minlength=max_level + 1) if n else np.zeros(1, np.int64)
     level_start = np.zeros(max_level + 2, dtype=np.int64)
     np.cumsum(counts, out=level_start[1:])
 
-    degrees = graph.degrees()
-    dst = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    src = graph.indices
-    perm = np.lexsort((rank[src], dst))
-    indices = np.ascontiguousarray(src[perm])
-    rows = dst[perm]
-    nbr_level = levels[indices]
-    own_level = levels[rows]
-
-    def tag(mask: np.ndarray) -> np.ndarray:
-        return np.bincount(rows[mask], minlength=n).astype(np.int64)
-
     return LevelOrdering(
-        graph=graph,
-        levels=levels,
-        rank=rank,
-        indptr=graph.indptr.copy(),
-        indices=indices,
-        same=tag(nbr_level < own_level),
-        plus=tag(nbr_level <= own_level),
-        high=tag(rank[indices] < rank[rows]),
-        order=order,
-        level_start=level_start,
+        graph=graph, levels=levels, order=order, level_start=level_start,
+        **_rank_order_arcs(graph, levels, order, level_start),
     )
+
+
+def _rank_order_arcs(
+    graph: Graph, levels: np.ndarray, order: np.ndarray, level_start: np.ndarray
+) -> dict[str, np.ndarray]:
+    """Algorithm 1 proper: rank-ordered adjacency plus the position tags.
+
+    The one builder behind :func:`level_ordering` and
+    :func:`repro.core.ordering.order_vertices`.  ``order`` lists the
+    vertices by ``(level, id)``, so rank is position in it.  One sort of the
+    arc keys ``row * n + rank[nbr]`` orders every slice by rank; level is
+    monotone in rank, so each tag is the insertion point of the row's
+    threshold key ``level_start[level[v]]`` (``same``),
+    ``level_start[level[v] + 1]`` (``plus``) or ``rank[v]`` (``high``).
+    """
+    n = graph.num_vertices
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n, dtype=np.int64)
+
+    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    keys = sorted_arc_keys(rows, rank[graph.indices], n)
+    base = np.arange(n, dtype=np.int64) * n
+    row_start = graph.indptr[:-1]
+
+    def tag(threshold: np.ndarray) -> np.ndarray:
+        return np.searchsorted(keys, base + threshold) - row_start
+
+    same = tag(level_start[levels])
+    plus = tag(level_start[levels + 1])
+    high = tag(rank)
+    rows *= n
+    keys -= rows
+    return dict(rank=rank, indptr=graph.indptr.copy(), indices=order[keys],
+                same=same, plus=plus, high=high)
 
 
 @dataclass(frozen=True)

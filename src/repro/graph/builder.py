@@ -26,7 +26,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .csr import Graph
+from .csr import Graph, sorted_arc_keys
 
 __all__ = ["GraphBuilder"]
 
@@ -111,10 +111,10 @@ class GraphBuilder:
         self.num_self_loops_dropped = int(loops.sum())
         src, dst = src[~loops], dst[~loops]
         # Canonical orientation (u < v) then deduplicate.
-        lo = np.minimum(src, dst)
-        hi = np.maximum(src, dst)
-        keys = lo * np.int64(n) + hi
-        unique_keys = np.unique(keys)
+        keys = sorted_arc_keys(np.minimum(src, dst), np.maximum(src, dst), n)
+        first = np.ones(len(keys), dtype=bool)
+        np.not_equal(keys[1:], keys[:-1], out=first[1:])
+        unique_keys = keys[first]
         self.num_duplicates_dropped = int(len(keys) - len(unique_keys))
         lo = unique_keys // n
         hi = unique_keys % n

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import GraphFormatError
 
-__all__ = ["Graph"]
+__all__ = ["Graph", "arc_csr", "sorted_arc_keys"]
 
 
 class Graph:
@@ -99,7 +99,7 @@ class Graph:
             Total vertex count; defaults to ``max endpoint + 1``.  Vertices
             with no incident edge are allowed (they are isolated).
         """
-        pairs = np.asarray(list(edges), dtype=np.int64)
+        pairs = np.asarray(edges if isinstance(edges, np.ndarray) else list(edges), dtype=np.int64)
         if pairs.size == 0:
             n = int(num_vertices or 0)
             return cls(np.zeros(n + 1, dtype=np.int64), np.empty(0, dtype=np.int64), validate=False)
@@ -117,16 +117,10 @@ class Graph:
         # Symmetrise: every undirected edge appears in both directions.
         src = np.concatenate([pairs[:, 0], pairs[:, 1]])
         dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        order = np.lexsort((dst, src))
-        src = src[order]
-        dst = dst[order]
-        dup = (src[1:] == src[:-1]) & (dst[1:] == dst[:-1])
-        if dup.any():
+        indptr, indices, keys = arc_csr(src, dst, n)
+        if (keys[1:] == keys[:-1]).any():
             raise GraphFormatError("duplicate edges found; use GraphBuilder to deduplicate")
-        indptr = np.zeros(n + 1, dtype=np.int64)
-        np.add.at(indptr, src + 1, 1)
-        np.cumsum(indptr, out=indptr)
-        return cls(indptr, dst, validate=False)
+        return cls(indptr, indices, validate=False)
 
     @classmethod
     def from_arrays(
@@ -264,6 +258,34 @@ class Graph:
 
     def __repr__(self) -> str:
         return f"Graph(n={self.num_vertices}, m={self.num_edges})"
+
+
+def sorted_arc_keys(src: np.ndarray, dst: np.ndarray, n: int) -> np.ndarray:
+    """The arc keys ``src * n + dst``, sorted: arcs ordered by ``(src, dst)``.
+
+    Every whole-graph arc sort in the package is this one in-place sort.
+    For ids in ``[0, n)`` the int64 key is collision-free while
+    ``n * n < 2**63``, i.e. ``n < 3.03e9``: the bound the ``owner * n +
+    value`` keys of :mod:`repro.kernels.numpy_backend` already rely on.
+    """
+    keys = src * np.int64(n)
+    keys += dst
+    keys.sort()
+    return keys
+
+
+def arc_csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Group the arcs ``src -> dst`` into CSR rows, each sorted by ``dst``.
+
+    Returns ``(indptr, indices, keys)``; adjacent equal ``keys`` (the
+    :func:`sorted_arc_keys` the rows were cut from) are duplicate arcs.
+    """
+    keys = sorted_arc_keys(src, dst, n)
+    counts = np.bincount(src, minlength=n)
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(counts, out=indptr[1:])
+    indices = keys - np.repeat(np.arange(n, dtype=np.int64) * n, counts)
+    return indptr, indices, keys
 
 
 def _check_shape(indptr: np.ndarray, indices: np.ndarray) -> None:

@@ -13,7 +13,7 @@ from typing import Iterable, Sequence
 import numpy as np
 
 from ..kernels import KernelBackend, get_backend
-from .csr import Graph
+from .csr import Graph, arc_csr
 
 __all__ = [
     "induced_subgraph",
@@ -53,13 +53,8 @@ def induced_subgraph(graph: Graph, vertices: Iterable[int]) -> tuple[Graph, np.n
     keep = mask[src] & mask[dst]
     src, dst = new_id[src[keep]], new_id[dst[keep]]
     # Each undirected edge survives in both directions; build CSR directly.
-    n_sub = len(original_ids)
-    order = np.lexsort((dst, src))
-    src, dst = src[order], dst[order]
-    indptr = np.zeros(n_sub + 1, dtype=np.int64)
-    np.add.at(indptr, src + 1, 1)
-    np.cumsum(indptr, out=indptr)
-    return Graph(indptr, dst, validate=False), original_ids
+    indptr, indices, _ = arc_csr(src, dst, len(original_ids))
+    return Graph(indptr, indices, validate=False), original_ids
 
 
 def subgraph_counts(graph: Graph, vertices: Iterable[int]) -> tuple[int, int, int]:

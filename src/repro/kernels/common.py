@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import Graph
+from ..graph.csr import Graph, arc_csr
 
 __all__ = ["concat_ranges", "exact_peel", "rank_forward_adjacency"]
 
@@ -102,16 +102,12 @@ def rank_forward_adjacency(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     n = graph.num_vertices
     degrees = graph.degrees()
+    by_order = np.argsort(degrees, kind="stable")
     order_val = np.empty(n, dtype=np.int64)
-    order_val[np.lexsort((np.arange(n), degrees))] = np.arange(n, dtype=np.int64)
+    order_val[by_order] = np.arange(n, dtype=np.int64)
 
     src = np.repeat(np.arange(n, dtype=np.int64), degrees)
-    dst = graph.indices
-    keep = order_val[src] < order_val[dst]
-    src, dst = src[keep], dst[keep]
-    perm = np.lexsort((order_val[dst], src))
-    src, dst = src[perm], dst[perm]
-    out_ptr = np.zeros(n + 1, dtype=np.int64)
-    np.add.at(out_ptr, src + 1, 1)
-    np.cumsum(out_ptr, out=out_ptr)
-    return out_ptr, dst, order_val
+    dst_val = order_val[graph.indices]
+    keep = order_val[src] < dst_val
+    out_ptr, out_val, _ = arc_csr(src[keep], dst_val[keep], n)
+    return out_ptr, by_order[out_val], order_val

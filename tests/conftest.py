@@ -86,6 +86,19 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     return Graph.from_edges(sorted(chosen), num_vertices=n)
 
 
+def reference_csr(edges, num_vertices: int) -> tuple[list[int], list[int]]:
+    """``(indptr, indices)`` of a clean edge list via sorted neighbour sets."""
+    adjacency: list[set[int]] = [set() for _ in range(num_vertices)]
+    for u, v in edges:
+        adjacency[int(u)].add(int(v))
+        adjacency[int(v)].add(int(u))
+    indptr, indices = [0], []
+    for nbrs in adjacency:
+        indices.extend(sorted(nbrs))
+        indptr.append(len(indices))
+    return indptr, indices
+
+
 def small_graph_zoo() -> list[tuple[str, Graph]]:
     """Named small graphs covering the structural corner cases."""
     zoo = [

@@ -5,6 +5,7 @@ import pytest
 
 from repro.errors import GraphFormatError
 from repro.graph import Graph, validate_graph
+from conftest import reference_csr
 
 
 class TestConstruction:
@@ -63,6 +64,69 @@ class TestConstruction:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(GraphFormatError):
             Graph(np.array([0, 1, 2]), np.array([5, 0]))
+
+
+def shuffled_edges(n: int, m: int, seed: int) -> np.ndarray:
+    """``m`` distinct edges on ``n`` vertices, shuffled and randomly oriented."""
+    rng = np.random.default_rng(seed)
+    pairs = {tuple(sorted(map(int, rng.choice(n, 2, replace=False)))) for _ in range(m)}
+    edges = rng.permutation(np.array(sorted(pairs), dtype=np.int64))
+    flip = rng.random(len(edges)) < 0.5
+    edges[flip] = edges[flip][:, ::-1]
+    return edges
+
+
+#: Every input form ``from_edges`` accepts, built from one ``(k, 2)`` array.
+INPUT_FORMS = {
+    "list": lambda a: [tuple(map(int, e)) for e in a],
+    "generator": lambda a: ((int(u), int(v)) for u, v in a),
+    "ndarray": lambda a: a,
+    "non-contiguous-ndarray": lambda a: np.asfortranarray(a),
+}
+
+
+@pytest.mark.parametrize("form", INPUT_FORMS)
+class TestFromEdgesAgainstReference:
+    """``from_edges`` equals a sorted-set CSR for every input form."""
+
+    def check(self, form, edges, num_vertices=None):
+        g = Graph.from_edges(INPUT_FORMS[form](edges), num_vertices=num_vertices)
+        n = num_vertices if num_vertices is not None else int(edges.max()) + 1 if len(edges) else 0
+        indptr, indices = reference_csr(edges, n)
+        assert g.indptr.tolist() == indptr
+        assert g.indices.tolist() == indices
+        assert g.indptr.dtype == np.int64 and g.indices.dtype == np.int64
+        validate_graph(g)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_shuffled(self, form, seed):
+        self.check(form, shuffled_edges(60, 200, seed))
+
+    def test_trailing_isolated_vertices(self, form):
+        self.check(form, shuffled_edges(20, 40, 7), num_vertices=26)
+
+    def test_empty(self, form):
+        self.check(form, np.empty((0, 2), dtype=np.int64), num_vertices=4)
+        self.check(form, np.empty((0, 2), dtype=np.int64))
+
+    def test_both_orientations_rejected(self, form):
+        edges = shuffled_edges(30, 50, 1)
+        doubled = np.vstack([edges, edges[3:4, ::-1]])
+        with pytest.raises(GraphFormatError, match="duplicate"):
+            Graph.from_edges(INPUT_FORMS[form](doubled))
+
+    @pytest.mark.parametrize("bad,match", [
+        ([(0, 1), (0, 1)], "duplicate"),
+        ([(0, 1), (2, 2)], "self loop"),
+        ([(0, 1), (-1, 2)], "non-negative"),
+    ])
+    def test_invalid_rejected(self, form, bad, match):
+        with pytest.raises(GraphFormatError, match=match):
+            Graph.from_edges(INPUT_FORMS[form](np.array(bad, dtype=np.int64)))
+
+    def test_small_num_vertices_rejected(self, form):
+        with pytest.raises(GraphFormatError, match="smaller than max endpoint"):
+            Graph.from_edges(INPUT_FORMS[form](shuffled_edges(10, 20, 2)), num_vertices=5)
 
 
 class TestAccessors:
