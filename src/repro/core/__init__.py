@@ -4,15 +4,30 @@ Submodules
 ----------
 ``decomposition``   Batagelj–Zaversnik core decomposition (Section II-A)
 ``ordering``        Algorithm 1: rank-ordered adjacency + position tags
-``primary``         primary values n, m, b, triangles, triplets (Section II-C)
-``metrics``         the community scoring metric registry
-``triangles``       exact + incremental triangle/triplet counting
 ``bestk_set``       Problem 1: baseline + Algorithms 2 and 3
 ``forest``          Algorithm 4 (LCPS) core forest + union-find cross-check
 ``bestk_core``      Problem 2: baseline + Algorithm 5
 ``naive``           slow definitional oracles for the test suite
+
+The metric registry, primary values (Section II-C) and triangle/triplet
+counting are shared by every family and live in :mod:`repro.engine`;
+their names are re-exported here for convenience.
 """
 
+from ..engine import (
+    PAPER_METRICS,
+    GraphTotals,
+    Metric,
+    PrimaryValues,
+    available_metrics,
+    count_triangles,
+    count_triangles_and_triplets,
+    count_triplets,
+    get_metric,
+    graph_totals,
+    primary_values,
+    register_metric,
+)
 from .bestk_core import (
     BestCoreResult,
     KCoreScores,
@@ -29,20 +44,9 @@ from .bestk_set import (
 )
 from .combine import CombinedBestK, combined_kcore_scores, combined_kcore_set_scores
 from .decomposition import ENGINES, CoreDecomposition, core_decomposition, resolve_engine
-from .dynamic import DynamicCoreness
 from .family import CoreFamily, core_level_view
-from .iterative import core_decomposition_hindex, semi_external_core_decomposition
 from .forest import CoreForest, CoreNode, build_core_forest, build_core_forest_union_find
-from .metrics import (
-    PAPER_METRICS,
-    Metric,
-    available_metrics,
-    get_metric,
-    register_metric,
-)
 from .ordering import OrderedGraph, order_vertices
-from .primary import GraphTotals, PrimaryValues, graph_totals, primary_values
-from .triangles import count_triangles, count_triangles_and_triplets, count_triplets
 
 __all__ = [
     "BestCoreResult",
@@ -52,7 +56,6 @@ __all__ = [
     "CoreFamily",
     "CoreForest",
     "CoreNode",
-    "DynamicCoreness",
     "ENGINES",
     "GraphTotals",
     "KCoreScores",
@@ -71,7 +74,6 @@ __all__ = [
     "combined_kcore_scores",
     "combined_kcore_set_scores",
     "core_decomposition",
-    "core_decomposition_hindex",
     "core_level_view",
     "count_triangles",
     "count_triangles_and_triplets",
@@ -84,5 +86,4 @@ __all__ = [
     "primary_values",
     "register_metric",
     "resolve_engine",
-    "semi_external_core_decomposition",
 ]

@@ -23,12 +23,19 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine import (
+    GraphTotals,
+    Metric,
+    PrimaryValues,
+    get_metric,
+    graph_totals,
+    primary_values,
+    triangles_by_min_rank_vertex,
+    triplet_group_deltas,
+)
 from ..graph.csr import Graph
 from .forest import CoreForest, build_core_forest
-from .metrics import Metric, get_metric
 from .ordering import OrderedGraph, order_vertices
-from .primary import GraphTotals, PrimaryValues, graph_totals, primary_values
-from .triangles import triangles_by_min_rank_vertex, triplet_group_deltas
 
 __all__ = [
     "KCoreScores",

@@ -37,10 +37,10 @@ from ..engine.levels import (
     triangle_level_increments,
     unweighted_level_charges,
 )
+from ..engine.metrics import Metric, get_metric
 from ..graph.csr import Graph
 from .decomposition import CoreDecomposition
 from .family import core_level_view
-from .metrics import Metric, get_metric
 from .ordering import OrderedGraph
 
 __all__ = [

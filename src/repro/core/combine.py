@@ -23,11 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..engine import Metric, get_metric
 from ..graph.csr import Graph
 from .bestk_core import KCoreScores, kcore_scores
 from .bestk_set import kcore_set_scores
 from .forest import CoreForest
-from .metrics import Metric, get_metric
 from .ordering import OrderedGraph, order_vertices
 
 __all__ = ["CombinedBestK", "combined_kcore_set_scores", "combined_kcore_scores"]

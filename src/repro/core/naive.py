@@ -23,8 +23,7 @@ import numpy as np
 
 from ..graph.adjacency import AdjacencyGraph
 from ..graph.csr import Graph
-from .metrics import Metric, get_metric
-from .primary import GraphTotals, PrimaryValues
+from ..engine import GraphTotals, Metric, PrimaryValues, get_metric
 
 __all__ = [
     "coreness_naive",

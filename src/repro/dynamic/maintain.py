@@ -272,8 +272,7 @@ def _batched_repair(
 
 
 # ----------------------------------------------------------------------
-# Per-edge subcore repairs (ports of repro.core.dynamic.DynamicCoreness,
-# re-expressed over the copy-on-write CSR overlay).
+# Per-edge subcore repairs over the copy-on-write CSR overlay.
 # ----------------------------------------------------------------------
 
 def _subcore(adj: _OverlayAdjacency, core: np.ndarray, root: int, level: int, limit: int) -> set[int]:

@@ -20,9 +20,6 @@ k-truss, weighted s-core, k-ECC, and anything registered later):
   loop anywhere in the package);
 * :func:`level_set_scores` — the raw-levels entry point, itself expressed
   through the generic family machinery.
-
-Historic import path: this machinery originally lived in
-``repro.truss.levels``; that module remains as a deprecation re-export.
 """
 
 from __future__ import annotations

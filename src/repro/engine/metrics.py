@@ -1,6 +1,6 @@
 """Community scoring metrics — paper Section II-C.
 
-Every metric is a function of the :class:`~repro.core.primary.PrimaryValues`
+Every metric is a function of the :class:`~repro.engine.primary.PrimaryValues`
 of the subgraph under evaluation plus the :class:`GraphTotals` of the host
 graph.  That factoring is the paper's central extensibility claim: any metric
 expressible over the five primary values plugs into the optimal algorithms

@@ -1,5 +1,6 @@
 """k-truss extension (paper Section VI-B): decomposition + best-k scoring."""
 
+from ..engine import LevelOrdering, LevelSetScores, level_ordering, level_set_scores
 from .bestk import (
     BestTrussResult,
     baseline_ktruss_set_scores,
@@ -15,7 +16,6 @@ from .forest import (
     best_single_ktruss,
     build_truss_forest,
 )
-from .levels import LevelOrdering, LevelSetScores, level_ordering, level_set_scores
 
 __all__ = [
     "BestSingleTrussResult",

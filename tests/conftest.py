@@ -5,6 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.core import core_decomposition
+from repro.dynamic import GraphDelta, VersionedGraph, incremental_core_numbers
 from repro.graph import Graph
 
 
@@ -84,6 +86,49 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
         if u != v:
             chosen.add((min(int(u), int(v)), max(int(u), int(v))))
     return Graph.from_edges(sorted(chosen), num_vertices=n)
+
+
+#: every strategy ``incremental_core_numbers(plan=)`` can be forced into
+MAINTENANCE_PLANS = ("edge", "batched", "rebuild")
+
+
+class CorenessStream:
+    """A :class:`~repro.dynamic.VersionedGraph` plus its maintained coreness.
+
+    Each :meth:`apply` advances one epoch (strict, so no-op edges raise)
+    and repairs the coreness through ``incremental_core_numbers`` forced
+    into ``plan``.
+    """
+
+    def __init__(self, graph: Graph, plan: str):
+        self.versioned = VersionedGraph(graph)
+        self.coreness = core_decomposition(graph).coreness
+        self.plan = plan
+
+    @property
+    def graph(self) -> Graph:
+        return self.versioned.graph
+
+    def apply(self, delta) -> None:
+        nxt = self.versioned.apply(delta)
+        self.coreness = incremental_core_numbers(
+            self.graph, self.coreness, nxt.applied,
+            new_graph=nxt.graph, plan=self.plan,
+        ).coreness
+        self.versioned = nxt
+
+    def insert(self, u: int, v: int) -> None:
+        self.apply(GraphDelta.from_edges(insert=[(u, v)]))
+
+    def delete(self, u: int, v: int) -> None:
+        self.apply(GraphDelta.from_edges(delete=[(u, v)]))
+
+    def assert_exact(self) -> None:
+        """The maintained array must equal a fresh recomputation."""
+        np.testing.assert_array_equal(
+            self.coreness, core_decomposition(self.graph).coreness,
+            err_msg=f"plan={self.plan}",
+        )
 
 
 def reference_csr(edges, num_vertices: int) -> tuple[list[int], list[int]]:

@@ -226,12 +226,6 @@ class TestToyFamilyEndToEnd:
 
 
 class TestShims:
-    def test_truss_levels_reexports(self):
-        from repro.engine.levels import LevelOrdering as engine_cls
-        from repro.truss.levels import LevelOrdering as shim_cls
-
-        assert shim_cls is engine_cls
-
     def test_historic_entry_points_delegate(self, graph, weights):
         from repro.core import best_kcore_set, kcore_set_scores
         from repro.ecc import best_kecc_set

@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import core_decomposition, order_vertices
 from repro.core.naive import coreness_naive
-from repro.core.triangles import count_triplets
+from repro.engine import count_triplets
 from repro.errors import UnknownBackendError
 from repro.graph import Graph, connected_components
 from repro.kernels import (

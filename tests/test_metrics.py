@@ -5,8 +5,7 @@ import math
 import pytest
 
 from repro.core import PAPER_METRICS, available_metrics, get_metric, register_metric
-from repro.core.metrics import Metric
-from repro.core.primary import GraphTotals, PrimaryValues
+from repro.engine import GraphTotals, Metric, PrimaryValues
 from repro.errors import MetricRequirementError, UnknownMetricError
 
 TOTALS = GraphTotals(num_vertices=100, num_edges=400)
@@ -58,7 +57,7 @@ class TestRegistry:
             assert get_metric("tom") is metric
             assert metric.score(values(), TOTALS) == 20.0
         finally:
-            from repro.core import metrics as metrics_module
+            from repro.engine import metrics as metrics_module
             metrics_module._REGISTRY.pop("test_only_metric")
             metrics_module._REGISTRY.pop("tom")
 

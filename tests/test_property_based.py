@@ -24,9 +24,10 @@ from repro.core import (
     order_vertices,
 )
 from repro.core.naive import coreness_naive, kcore_set_vertices_naive
-from repro.core.triangles import count_triangles, count_triplets
+from repro.engine import count_triangles, count_triplets
 from repro.graph import Graph, GraphBuilder, validate_graph
 from repro.truss import level_set_scores, truss_decomposition, ktruss_set_scores, baseline_ktruss_set_scores
+from conftest import MAINTENANCE_PLANS, CorenessStream
 
 SETTINGS = settings(
     max_examples=40,
@@ -214,27 +215,23 @@ class TestTrussInvariants:
 
 class TestDynamicInvariants:
     @SETTINGS
-    @given(graphs(max_vertices=14, max_edges=30))
-    def test_incremental_build_matches_static(self, g):
-        from repro.core.dynamic import DynamicCoreness
-        dyn = DynamicCoreness(Graph.empty(g.num_vertices))
+    @given(graphs(max_vertices=14, max_edges=30), st.sampled_from(MAINTENANCE_PLANS))
+    def test_incremental_build_matches_static(self, g, plan):
+        stream = CorenessStream(Graph.empty(g.num_vertices), plan)
         for u, v in g.edges():
-            dyn.insert_edge(u, v)
+            stream.insert(u, v)
         np.testing.assert_array_equal(
-            dyn.coreness(), core_decomposition(g).coreness
+            stream.coreness, core_decomposition(g).coreness
         )
 
     @SETTINGS
-    @given(graphs(max_vertices=14, max_edges=30))
-    def test_full_teardown_matches_static(self, g):
-        from repro.core.dynamic import DynamicCoreness
-        dyn = DynamicCoreness(g)
+    @given(graphs(max_vertices=14, max_edges=30), st.sampled_from(MAINTENANCE_PLANS))
+    def test_full_teardown_matches_static(self, g, plan):
+        stream = CorenessStream(g, plan)
         edges = list(g.edges())
         for u, v in edges[: len(edges) // 2]:
-            dyn.remove_edge(u, v)
-        np.testing.assert_array_equal(
-            dyn.coreness(), dyn.decomposition().coreness
-        )
+            stream.delete(u, v)
+        stream.assert_exact()
 
 
 class TestCombinedInvariants:

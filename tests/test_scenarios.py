@@ -149,7 +149,7 @@ class TestCustomMetricThroughWholePipeline:
             assert len(core_result.vertices) == 4
             assert set_result.k == 3
         finally:
-            from repro.core import metrics as metrics_module
+            from repro.engine import metrics as metrics_module
             metrics_module._REGISTRY.pop("scenario_size_penalised")
 
     def test_triangle_metric_routes_through_algorithm3(self, figure2):
@@ -162,7 +162,7 @@ class TestCustomMetricThroughWholePipeline:
             result = best_kcore_set(figure2, "scenario_triangle_share")
             assert result.scores.values[result.k].num_triangles is not None
         finally:
-            from repro.core import metrics as metrics_module
+            from repro.engine import metrics as metrics_module
             metrics_module._REGISTRY.pop("scenario_triangle_share")
 
 

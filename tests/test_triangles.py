@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core import core_decomposition, order_vertices
-from repro.core.triangles import (
+from repro.engine import (
     count_triangles,
     count_triangles_and_triplets,
     count_triplets,

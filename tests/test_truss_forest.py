@@ -143,8 +143,7 @@ class TestBestSingleTruss:
 
     @pytest.mark.parametrize("metric", ("ad", "den", "cc", "con"))
     def test_best_is_argmax_over_enumeration(self, figure2, metric):
-        from repro.core.metrics import get_metric
-        from repro.core.primary import graph_totals, primary_values
+        from repro.engine import get_metric, graph_totals, primary_values
         forest = build_truss_forest(figure2)
         m = get_metric(metric)
         totals = graph_totals(figure2)
