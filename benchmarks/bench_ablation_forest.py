@@ -1,4 +1,4 @@
-"""Ablation A2: LCPS vs union-find core forest construction."""
+"""Ablation A2: LCPS vs shell sweep core forest construction."""
 
 from repro.bench import workloads
 from conftest import run_once

@@ -20,7 +20,7 @@ Figure 8  runtime, best single k-core                 :func:`fig8_runtime_core`
 Table 8   densest subgraph + max clique               :func:`table8_densest_clique`
 Table 9   size-constrained k-core hit rates           :func:`table9_sized_core`
 A1        ablation: position tags vs rescanning       :func:`ablation_ordering`
-A2        ablation: LCPS vs union-find forest         :func:`ablation_forest`
+A2        ablation: LCPS vs shell sweep forest        :func:`ablation_forest`
 A3        ablation: index reuse across metrics        :func:`ablation_index_reuse`
 E1        extension: best k-truss set                 :func:`extension_truss`
 ========  ==========================================  =======================
@@ -38,7 +38,7 @@ from ..core import (
     best_kcore_set,
     best_single_kcore,
     build_core_forest,
-    build_core_forest_union_find,
+    build_core_forest_lcps,
     core_decomposition,
     get_metric,
     kcore_set_scores,
@@ -199,8 +199,7 @@ def fig6_core_scores(
         for metric_name in metrics:
             scored = index.core_scores(metric_name)
             metric = get_metric(metric_name)
-            ks = np.asarray([node.k for node in forest.nodes])
-            order = np.lexsort((scored.scores, ks))
+            order = np.lexsort((scored.scores, forest.k))
             sorted_scores = scored.scores[order]
             window = FIG6_WINDOWS.get(key, 5)
             smooth = windowed_average(sorted_scores, window)
@@ -520,18 +519,19 @@ def ablation_ordering(
 def ablation_forest(
     *, scale: float | None = None, datasets: tuple[str, ...] = ALL_DATASET_KEYS
 ) -> TextTable:
-    """A2: LCPS (Algorithm 4) vs the union-find forest construction."""
+    """A2: LCPS (Algorithm 4) vs the vectorised shell-sweep forest construction."""
     table = TextTable(
-        "Ablation A2: core forest construction, LCPS vs union-find",
-        ["Dataset", "LCPS", "union-find", "nodes"],
+        "Ablation A2: core forest construction, LCPS vs shell sweep",
+        ["Dataset", "LCPS", "shell sweep", "nodes"],
     )
     for key in datasets:
         graph = load_dataset(key, scale=scale)
         decomp = core_decomposition(graph)
-        lcps, lcps_t = time_call(build_core_forest, graph, decomp)
-        uf, uf_t = time_call(build_core_forest_union_find, graph, decomp)
-        assert lcps.num_nodes == uf.num_nodes
-        table.add_row(key, format_seconds(lcps_t), format_seconds(uf_t), lcps.num_nodes)
+        lcps, lcps_t = time_call(build_core_forest_lcps, graph, decomp)
+        sweep, sweep_t = time_call(build_core_forest, graph, decomp)
+        for field in ("k", "parent", "vert_ptr", "vertices"):
+            assert np.array_equal(getattr(lcps, field), getattr(sweep, field)), field
+        table.add_row(key, format_seconds(lcps_t), format_seconds(sweep_t), sweep.num_nodes)
     return table
 
 

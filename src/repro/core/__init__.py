@@ -5,7 +5,7 @@ Submodules
 ``decomposition``   Batagelj–Zaversnik core decomposition (Section II-A)
 ``ordering``        Algorithm 1: rank-ordered adjacency + position tags
 ``bestk_set``       Problem 1: baseline + Algorithms 2 and 3
-``forest``          Algorithm 4 (LCPS) core forest + union-find cross-check
+``forest``          core forest: shell-sweep builder + Algorithm 4 (LCPS) reference
 ``bestk_core``      Problem 2: baseline + Algorithm 5
 ``naive``           slow definitional oracles for the test suite
 
@@ -45,7 +45,7 @@ from .bestk_set import (
 from .combine import CombinedBestK, combined_kcore_scores, combined_kcore_set_scores
 from .decomposition import ENGINES, CoreDecomposition, core_decomposition, resolve_engine
 from .family import CoreFamily, core_level_view
-from .forest import CoreForest, CoreNode, build_core_forest, build_core_forest_union_find
+from .forest import CoreForest, CoreNode, build_core_forest, build_core_forest_lcps
 from .ordering import OrderedGraph, order_vertices
 
 __all__ = [
@@ -70,7 +70,7 @@ __all__ = [
     "best_kcore_set",
     "best_single_kcore",
     "build_core_forest",
-    "build_core_forest_union_find",
+    "build_core_forest_lcps",
     "combined_kcore_scores",
     "combined_kcore_set_scores",
     "core_decomposition",

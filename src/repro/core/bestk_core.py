@@ -13,8 +13,9 @@ exactly the nodes of the core forest.  Two paths:
   shell).
 
 Both return :class:`KCoreScores`; :func:`best_single_kcore` picks the
-winner, with ties broken towards the largest k (then the smallest node id,
-for determinism).
+winner, with ties broken towards the largest k, then the lowest node id —
+the core with the smallest shell vertex, as the forest numbers nodes
+canonically (:class:`~repro.core.forest.CoreForest`).
 """
 
 from __future__ import annotations
@@ -62,16 +63,13 @@ class KCoreScores:
     values: tuple[PrimaryValues, ...]
 
     def best_node(self) -> int:
-        """Node id of the best core; ties towards largest k, then lowest id."""
-        scores = self.scores
-        finite = ~np.isnan(scores)
-        if not finite.any():
-            raise ValueError("no candidate k-core to choose from")
-        best = np.nanmax(scores)
-        candidates = np.flatnonzero(finite & (scores == best))
-        ks = np.asarray([self.forest.nodes[int(i)].k for i in candidates])
-        winners = candidates[ks == ks.max()]
-        return int(winners.min())
+        """Node id of the best core; ties towards largest k, then lowest id.
+
+        Node ids are canonical (descending k, then smallest shell vertex),
+        so among equal-score cores of one k the one holding the smallest
+        vertex wins, whichever builder or store state produced the forest.
+        """
+        return self.forest.best_node(self.scores)
 
     def ranked_nodes(self) -> np.ndarray:
         """Node ids sorted by descending score (nan last)."""
@@ -111,28 +109,11 @@ def _node_shell_deltas(
     n_gt = deg - ordered.plus
     twice_in_contrib = 2 * n_gt + n_eq
     out_contrib = n_lt - n_gt
-
-    count = forest.num_nodes
-    twice_in = np.zeros(count, dtype=np.int64)
-    out = np.zeros(count, dtype=np.int64)
-    num = np.zeros(count, dtype=np.int64)
-    for node in forest.nodes:
-        members = node.vertices
-        twice_in[node.node_id] = int(twice_in_contrib[members].sum())
-        out[node.node_id] = int(out_contrib[members].sum())
-        num[node.node_id] = len(members)
-    return twice_in, out, num
-
-
-def _aggregate_children(forest: CoreForest, *arrays: np.ndarray) -> None:
-    """Add each node's children totals into the node, in place.
-
-    Children precede parents (descending-k storage): one forward scan.
-    """
-    for node in forest.nodes:
-        for child in node.children:
-            for arr in arrays:
-                arr[node.node_id] += arr[child]
+    return (
+        forest.node_sums(twice_in_contrib.astype(np.int64, copy=False)),
+        forest.node_sums(out_contrib.astype(np.int64, copy=False)),
+        np.diff(forest.vert_ptr),
+    )
 
 
 def forest_base_totals(
@@ -140,7 +121,7 @@ def forest_base_totals(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Aggregated ``(2*in, out, num)`` totals of every forest node's core."""
     twice_in, out, num = _node_shell_deltas(ordered, forest)
-    _aggregate_children(forest, twice_in, out, num)
+    forest.aggregate_children(twice_in, out, num)
     return twice_in, out, num
 
 
@@ -158,14 +139,9 @@ def forest_triangle_totals(
     """
     if charges is None:
         charges = triangles_by_min_rank_vertex(ordered, backend=backend)
-    tri = np.zeros(forest.num_nodes, dtype=np.int64)
-    for node in forest.nodes:
-        if len(node.vertices):
-            tri[node.node_id] = int(charges[node.vertices].sum())
-    trip = triplet_group_deltas(
-        ordered, [node.vertices for node in forest.nodes], backend=backend
-    )
-    _aggregate_children(forest, tri, trip)
+    tri = forest.node_sums(np.asarray(charges, dtype=np.int64))
+    trip = triplet_group_deltas(ordered, forest.node_vertex_groups(), backend=backend)
+    forest.aggregate_children(tri, trip)
     return tri, trip
 
 
@@ -187,8 +163,7 @@ def scores_from_forest_totals(
     """
     values = []
     scores = np.full(forest.num_nodes, np.nan)
-    for node in forest.nodes:
-        i = node.node_id
+    for i in range(forest.num_nodes):
         pv = PrimaryValues(
             num_vertices=int(num[i]),
             num_edges=int(twice_in[i]) // 2,
@@ -253,11 +228,11 @@ def baseline_kcore_scores(
     totals = graph_totals(graph)
     values = []
     scores = np.full(forest.num_nodes, np.nan)
-    for node in forest.nodes:
-        members = forest.core_vertices(node.node_id)
+    for i in range(forest.num_nodes):
+        members = forest.core_vertices(i)
         pv = primary_values(graph, members, count_triangles=metric.requires_triangles)
         values.append(pv)
-        scores[node.node_id] = metric.score(pv, totals)
+        scores[i] = metric.score(pv, totals)
     return KCoreScores(metric, totals, forest, scores, tuple(values))
 
 
@@ -294,10 +269,9 @@ def best_single_kcore(
         else:
             scored = kcore_scores(graph, metric, ordered=ordered, forest=forest)
     node_id = scored.best_node()
-    node = forest.nodes[node_id]
     return BestCoreResult(
         metric_name=metric.name,
-        k=node.k,
+        k=int(forest.k[node_id]),
         score=float(scored.scores[node_id]),
         node_id=node_id,
         scores=scored,

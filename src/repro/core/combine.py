@@ -129,16 +129,10 @@ def combined_kcore_scores(
         term = _normalise(scored.scores) * (weight / total_weight)
         combined = term if combined is None else combined + term
     assert combined is not None and scored_ref is not None
-    finite = ~np.isnan(combined)
-    if not finite.any():
-        raise ValueError("no candidate k-core to choose from")
-    best = np.nanmax(combined)
-    candidates = np.flatnonzero(finite & (combined == best))
-    ks = np.asarray([scored_ref.forest.nodes[int(i)].k for i in candidates])
-    node_id = int(candidates[ks == ks.max()].min())
+    node_id = scored_ref.forest.best_node(combined)
     return CombinedBestK(
-        k=scored_ref.forest.nodes[node_id].k,
-        score=float(best),
+        k=int(scored_ref.forest.k[node_id]),
+        score=float(combined[node_id]),
         combined=combined,
         profiles=profiles,
         node_id=node_id,

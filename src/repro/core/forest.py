@@ -7,85 +7,58 @@ forest with one tree per connected component of the graph, storable in O(n).
 
 Two independent constructions are provided:
 
-* :func:`build_core_forest` — the paper's LCPS (Level Component Priority
-  Search [42]) with a bucket priority queue, O(m) time.  Traversal expands
-  the highest-priority frontier vertex, where an edge ``(v, w)`` enqueues
-  ``w`` at priority ``min(c(v), c(w))`` — the level at which that edge
-  becomes internal.
-* :func:`build_core_forest_union_find` — a bottom-up union-find sweep over
-  the shells from ``kmax`` downward.  Same forest, entirely different
-  mechanics; the test suite checks the two agree node-for-node.
+* :func:`build_core_forest` — the vectorised shell sweep of
+  :func:`repro.engine.forest.shell_sweep` over the coreness: edges sorted
+  once by ``min(c(u), c(v))``, then a numpy union-find per shell from
+  ``kmax`` down, O(m) numpy work plus a sort.  Every caller uses this one.
+* :func:`build_core_forest_lcps` — the paper's LCPS (Level Component
+  Priority Search [42]) with a bucket priority queue, O(m) time in a
+  Python loop.  Traversal expands the highest-priority frontier vertex,
+  where an edge ``(v, w)`` enqueues ``w`` at priority ``min(c(v), c(w))`` —
+  the level at which that edge becomes internal.  It is kept as the
+  paper's algorithm and the reference the tests compare the sweep with.
 
 Both apply the paper's post-processing: nodes that store no vertices are
 compressed away and the surviving nodes are sorted by descending coreness
-(the array ``T`` consumed by Algorithm 5).
+(the array ``T`` consumed by Algorithm 5), ties by smallest shell vertex,
+so the two yield identical arrays.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
+from ..engine.forest import LevelForest, LevelNode, shell_sweep
 from ..graph.csr import Graph
 from .decomposition import CoreDecomposition, core_decomposition
 
-__all__ = ["CoreNode", "CoreForest", "build_core_forest", "build_core_forest_union_find"]
+__all__ = ["CoreNode", "CoreForest", "build_core_forest", "build_core_forest_lcps"]
 
 
-@dataclass(frozen=True)
-class CoreNode:
+class CoreNode(LevelNode):
     """One k-core in the forest.
 
-    ``vertices`` holds only the core's coreness-k members (its k-shell part);
-    the full core is those plus every descendant's vertices
+    ``k`` is the order of the k-core; ``vertices`` holds only the core's
+    coreness-k members (its k-shell part, sorted ascending); the full core
+    is those plus every descendant's vertices
     (:meth:`CoreForest.core_vertices`).
     """
 
-    node_id: int
-    #: The order k of the k-core this node represents.
-    k: int
-    #: Vertices of the core with coreness exactly k (sorted ascending).
-    vertices: np.ndarray
-    #: Parent node id, or -1 for a root.
-    parent: int
-    #: Child node ids (cores nested immediately inside this one).
-    children: tuple[int, ...]
 
-    def __repr__(self) -> str:
-        return f"CoreNode(id={self.node_id}, k={self.k}, |shell|={len(self.vertices)})"
+class CoreForest(LevelForest):
+    """The compressed forest of all k-cores, in the flat layout of
+    :class:`~repro.engine.forest.LevelForest`.
 
-
-class CoreForest:
-    """The compressed forest of all k-cores, nodes sorted by descending k.
-
-    Node ids are positions in :attr:`nodes`; because the list is sorted by
-    descending coreness, every child has a *smaller* id than its parent,
-    which lets Algorithm 5 aggregate primary values in a single forward
-    scan.
+    Node ids are canonical: descending k, then ascending smallest shell
+    vertex; children are listed in ascending id order.  Every child thus
+    has a *smaller* id than its parent, which lets Algorithm 5 aggregate
+    primary values in a single forward scan, and every builder and a
+    store-hydrated copy agree array for array — so the lowest-id
+    tie-break of :meth:`~repro.core.KCoreScores.best_node` is the same
+    core whichever way the forest was obtained.
     """
 
-    def __init__(self, nodes: list[CoreNode], num_vertices: int):
-        self.nodes: tuple[CoreNode, ...] = tuple(nodes)
-        self._vertex_node = np.full(num_vertices, -1, dtype=np.int64)
-        for node in nodes:
-            self._vertex_node[node.vertices] = node.node_id
-        self._vertex_node.setflags(write=False)
-
-    # ------------------------------------------------------------------
-    @property
-    def num_nodes(self) -> int:
-        """Number of k-cores in the hierarchy."""
-        return len(self.nodes)
-
-    @property
-    def roots(self) -> tuple[int, ...]:
-        """Node ids of the tree roots (one per connected component)."""
-        return tuple(n.node_id for n in self.nodes if n.parent == -1)
-
-    def node_of_vertex(self, v: int) -> int:
-        """Id of the node holding ``v`` (every vertex is in exactly one)."""
-        return int(self._vertex_node[v])
+    node_type = CoreNode
 
     def core_vertices(self, node_id: int) -> np.ndarray:
         """Full vertex set of the k-core represented by ``node_id``.
@@ -93,13 +66,7 @@ class CoreForest:
         Reconstructed recursively from the node and its descendants, as in
         the paper's Example 6; O(size of the core).
         """
-        out: list[np.ndarray] = []
-        stack = [node_id]
-        while stack:
-            node = self.nodes[stack.pop()]
-            out.append(node.vertices)
-            stack.extend(node.children)
-        return np.sort(np.concatenate(out)) if out else np.empty(0, dtype=np.int64)
+        return self.component_vertices(node_id)
 
     def core_containing(self, v: int, k: int) -> int:
         """Node id of the k-core containing ``v`` (requires ``k <= c(v)``).
@@ -109,17 +76,22 @@ class CoreForest:
         level ``>= k`` (cores at skipped levels have identical vertex sets).
         """
         node_id = self.node_of_vertex(v)
-        if self.nodes[node_id].k < k:
-            raise ValueError(f"vertex {v} has coreness {self.nodes[node_id].k} < k={k}")
+        if self.k[node_id] < k:
+            raise ValueError(f"vertex {v} has coreness {self.k[node_id]} < k={k}")
         while True:
-            node = self.nodes[node_id]
-            parent = node.parent
-            if node.k == k or parent == -1 or self.nodes[parent].k < k:
+            parent = int(self.parent[node_id])
+            if self.k[node_id] == k or parent == -1 or self.k[parent] < k:
                 return node_id
             node_id = parent
 
-    def __repr__(self) -> str:
-        return f"CoreForest(nodes={self.num_nodes}, roots={len(self.roots)})"
+
+def build_core_forest(
+    graph: Graph, decomposition: CoreDecomposition | None = None
+) -> CoreForest:
+    """Construct the core forest with the vectorised shell sweep."""
+    if decomposition is None:
+        decomposition = core_decomposition(graph)
+    return CoreForest(*shell_sweep(graph, decomposition.coreness), graph.num_vertices)
 
 
 # ----------------------------------------------------------------------
@@ -140,7 +112,7 @@ class _RawNode:
             parent.children.append(self)
 
 
-def build_core_forest(
+def build_core_forest_lcps(
     graph: Graph, decomposition: CoreDecomposition | None = None
 ) -> CoreForest:
     """Construct the core forest with LCPS (Algorithm 4), O(m).
@@ -222,7 +194,7 @@ def build_core_forest(
 
 
 def _compress(raw_roots: list[_RawNode], num_vertices: int) -> CoreForest:
-    """Drop empty nodes, renumber by descending coreness, build CoreForest."""
+    """Drop empty nodes, number them canonically, build the CoreForest."""
     # Collect surviving nodes with their effective parent (nearest non-empty
     # ancestor).
     survivors: list[tuple[_RawNode, _RawNode | None]] = []
@@ -231,111 +203,19 @@ def _compress(raw_roots: list[_RawNode], num_vertices: int) -> CoreForest:
         node, eff_parent = stack.pop()
         keep = bool(node.vertices)
         if keep:
+            node.vertices.sort()
             survivors.append((node, eff_parent))
         next_parent = node if keep else eff_parent
         stack.extend((c, next_parent) for c in node.children)
 
-    # Sort by descending coreness; stable on discovery order for ties.
-    survivors.sort(key=lambda pair: -pair[0].level)
+    survivors.sort(key=lambda pair: (-pair[0].level, pair[0].vertices[0]))
     ids: dict[int, int] = {id(node): i for i, (node, _) in enumerate(survivors)}
-    children: list[list[int]] = [[] for _ in survivors]
-    parents: list[int] = []
-    for i, (node, eff_parent) in enumerate(survivors):
-        pid = -1 if eff_parent is None else ids[id(eff_parent)]
-        parents.append(pid)
-        if pid != -1:
-            children[pid].append(i)
-    nodes = [
-        CoreNode(
-            node_id=i,
-            k=node.level,
-            vertices=np.asarray(sorted(node.vertices), dtype=np.int64),
-            parent=parents[i],
-            children=tuple(children[i]),
-        )
-        for i, (node, _) in enumerate(survivors)
-    ]
-    return CoreForest(nodes, num_vertices)
-
-
-# ----------------------------------------------------------------------
-# Union-find cross-check builder
-# ----------------------------------------------------------------------
-
-def build_core_forest_union_find(
-    graph: Graph, decomposition: CoreDecomposition | None = None
-) -> CoreForest:
-    """Construct the same forest bottom-up with union-find.
-
-    Shells are activated from ``kmax`` downward; edges whose both endpoints
-    are active are unioned.  After shell k, every union-find component is
-    exactly one connected k-core; each component that gained coreness-k
-    vertices becomes a node whose children are the component's previous top
-    nodes.  O(m α(n)).
-    """
-    if decomposition is None:
-        decomposition = core_decomposition(graph)
-    coreness = decomposition.coreness
-    n = graph.num_vertices
-    kmax = decomposition.kmax
-    indptr, indices = graph.indptr, graph.indices
-
-    parent_uf = np.arange(n, dtype=np.int64)
-
-    def find(x: int) -> int:
-        root = x
-        while parent_uf[root] != root:
-            root = parent_uf[root]
-        while parent_uf[x] != root:
-            parent_uf[x], x = root, parent_uf[x]
-        return root
-
-    # pending[root] = top node ids currently representing that component.
-    pending: dict[int, list[int]] = {}
-    node_levels: list[int] = []
-    node_vertices: list[np.ndarray] = []
-    node_children: list[list[int]] = []
-
-    active = np.zeros(n, dtype=bool)
-    for k in range(kmax, -1, -1):
-        shell = decomposition.shell(k)
-        if len(shell) == 0:
-            continue
-        active[shell] = True
-        for v in shell.tolist():
-            for j in range(indptr[v], indptr[v + 1]):
-                w = int(indices[j])
-                if active[w]:
-                    rv, rw = find(v), find(w)
-                    if rv != rw:
-                        parent_uf[rw] = rv
-                        merged = pending.pop(rv, []) + pending.pop(rw, [])
-                        if merged:
-                            pending[rv] = merged
-        # Group the shell by component and emit one node per component.
-        by_root: dict[int, list[int]] = {}
-        for v in shell.tolist():
-            by_root.setdefault(find(v), []).append(v)
-        for root, members in by_root.items():
-            nid = len(node_levels)
-            node_levels.append(k)
-            node_vertices.append(np.asarray(sorted(members), dtype=np.int64))
-            node_children.append(pending.get(root, []))
-            pending[root] = [nid]
-
-    # Nodes were emitted in descending-k order already; wire parents.
-    parents = [-1] * len(node_levels)
-    for nid, kids in enumerate(node_children):
-        for child in kids:
-            parents[child] = nid
-    nodes = [
-        CoreNode(
-            node_id=nid,
-            k=node_levels[nid],
-            vertices=node_vertices[nid],
-            parent=parents[nid],
-            children=tuple(node_children[nid]),
-        )
-        for nid in range(len(node_levels))
-    ]
-    return CoreForest(nodes, n)
+    parent = [-1 if p is None else ids[id(p)] for _, p in survivors]
+    sizes = [len(node.vertices) for node, _ in survivors]
+    return CoreForest(
+        [node.level for node, _ in survivors],
+        parent,
+        np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+        [v for node, _ in survivors for v in node.vertices],
+        num_vertices,
+    )

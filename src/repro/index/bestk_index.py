@@ -818,10 +818,9 @@ class BestKIndex:
         metric = get_metric(metric)
         scored = self.core_scores(metric)
         node_id = scored.best_node()
-        node = self.forest.nodes[node_id]
         return BestCoreResult(
             metric_name=metric.name,
-            k=node.k,
+            k=int(self.forest.k[node_id]),
             score=float(scored.scores[node_id]),
             node_id=node_id,
             scores=scored,

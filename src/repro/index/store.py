@@ -51,7 +51,7 @@ import numpy as np
 
 from .. import obs
 from ..core.decomposition import CoreDecomposition
-from ..core.forest import CoreForest, CoreNode
+from ..core.forest import CoreForest
 from ..core.ordering import OrderedGraph
 from ..dynamic.versioned import VersionedGraph, stamp_epoch_digest
 from ..engine.family import HierarchyFamily
@@ -68,7 +68,9 @@ __all__ = [
     "resolve_store",
 ]
 
-FORMAT_VERSION = 1
+#: Version 2: forest nodes are numbered canonically (descending k, then
+#: smallest shell vertex), which node ids and their tie-breaks depend on.
+FORMAT_VERSION = 2
 
 logger = logging.getLogger(__name__)
 
@@ -86,6 +88,7 @@ _ORDERING_FIELDS = (
     "order", "level_start",
 )
 _ORDER_FIELDS = ("rank", "indptr", "indices", "same", "plus", "high")
+_FOREST_FIELDS = ("k", "parent", "vert_ptr", "vertices")
 
 #: Artifact names persisted for a non-core family with / without triangle
 #: support.  ``levels`` and ``totals`` are O(n) recomputations from the
@@ -125,7 +128,7 @@ def dump_artifact(fam: HierarchyFamily, name: str, value) -> dict[str, np.ndarra
     if name == "order":
         return {field: getattr(value, field) for field in _ORDER_FIELDS}
     if name == "forest":
-        return _dump_forest(value)
+        return {field: getattr(value, field) for field in _FOREST_FIELDS}
     if name == "level_totals":
         num_k, twice_in_k, out_k = value
         return {"num_k": num_k, "twice_in_k": twice_in_k, "out_k": out_k}
@@ -143,44 +146,6 @@ def dump_artifact(fam: HierarchyFamily, name: str, value) -> dict[str, np.ndarra
     return None
 
 
-def _dump_forest(forest: CoreForest) -> dict[str, np.ndarray]:
-    nodes = forest.nodes
-    k = np.asarray([node.k for node in nodes], dtype=np.int64)
-    parent = np.asarray([node.parent for node in nodes], dtype=np.int64)
-    vert_ptr = np.zeros(len(nodes) + 1, dtype=np.int64)
-    for i, node in enumerate(nodes):
-        vert_ptr[i + 1] = vert_ptr[i] + len(node.vertices)
-    vertices = (
-        np.concatenate([node.vertices for node in nodes])
-        if nodes else np.empty(0, dtype=np.int64)
-    )
-    return {"k": k, "parent": parent, "vert_ptr": vert_ptr, "vertices": vertices}
-
-
-def _load_forest(graph: Graph, fields: dict[str, np.ndarray]) -> CoreForest:
-    k = np.asarray(fields["k"])
-    parent = np.asarray(fields["parent"])
-    vert_ptr = np.asarray(fields["vert_ptr"])
-    vertices = np.asarray(fields["vertices"])
-    children: list[list[int]] = [[] for _ in range(len(k))]
-    # Nodes are stored (and rebuilt) in descending-k id order, so child ids
-    # ascend within each parent exactly as the builders produce them.
-    for i, p in enumerate(parent.tolist()):
-        if p >= 0:
-            children[p].append(i)
-    nodes = [
-        CoreNode(
-            node_id=i,
-            k=int(k[i]),
-            vertices=vertices[vert_ptr[i]:vert_ptr[i + 1]],
-            parent=int(parent[i]),
-            children=tuple(children[i]),
-        )
-        for i in range(len(k))
-    ]
-    return CoreForest(nodes, graph.num_vertices)
-
-
 def _load_artifact(graph, fam, name, fields, *, decomposition, params):
     if name == "decompose":
         return fam.load_decomposition(graph, fields, **params)
@@ -195,7 +160,7 @@ def _load_artifact(graph, fam, name, fields, *, decomposition, params):
             **{f: np.asarray(fields[f]) for f in _ORDER_FIELDS},
         )
     if name == "forest":
-        return _load_forest(graph, fields)
+        return CoreForest(*(fields[f] for f in _FOREST_FIELDS), graph.num_vertices)
     if name == "level_totals":
         return tuple(np.asarray(fields[f]) for f in ("num_k", "twice_in_k", "out_k"))
     if name == "triangles":

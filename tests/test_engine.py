@@ -24,10 +24,12 @@ from repro.engine import (
     RAW_LEVELS,
     HierarchyFamily,
     available_families,
+    baseline_family_node_scores,
     baseline_family_set_scores,
     best_connected_level_set,
     best_level_set,
     build_level_forest,
+    family_node_scores,
     family_set_scores,
     get_family,
     level_ordering,
@@ -110,6 +112,21 @@ class TestGenericEquivalence:
             assert generic.k == classic.k
             assert generic.score == pytest.approx(classic.score)
             assert np.array_equal(np.sort(generic.vertices), np.sort(classic.vertices))
+
+    @pytest.mark.parametrize("family", ["truss", "weighted"])
+    def test_node_scores_match_baseline(self, graph, weights, family):
+        # Per-node sums run as one reduceat over the flat forest layout;
+        # float charges (weighted) may differ from the baseline in the
+        # last bits only.
+        fam = get_family(family)
+        params = {"edge_weights": weights, "num_levels": 16} if family == "weighted" else {}
+        decomposition = fam.decompose(graph, **params)
+        for metric in fam.batch_metrics:
+            fast = family_node_scores(graph, fam, metric, decomposition=decomposition, **params)
+            slow = baseline_family_node_scores(
+                graph, fam, metric, decomposition=decomposition, **params
+            )
+            np.testing.assert_allclose(fast.scores, slow.scores, equal_nan=True, atol=1e-9)
 
     def test_raw_levels_entry_point(self, graph):
         from repro.core import core_decomposition

@@ -1,44 +1,221 @@
-"""Tests for the core forest (Algorithm 4 LCPS + union-find cross-check)."""
+"""Tests for the core forest: the shell sweep against LCPS (Algorithm 4)
+and against a definitional BFS oracle for any level function."""
+
+from collections import deque
 
 import numpy as np
 import pytest
 
 from repro.core import (
+    best_single_kcore,
     build_core_forest,
-    build_core_forest_union_find,
+    build_core_forest_lcps,
     core_decomposition,
 )
 from repro.core.naive import all_kcores_naive, coreness_naive
+from repro.engine import build_level_forest, get_family
 from repro.graph import Graph
+from repro.index import ArtifactStore, BestKIndex
 from conftest import random_graph, zoo_params
 
+FOREST_ARRAYS = ("k", "parent", "vert_ptr", "vertices")
 
-def canonical(forest):
-    """Order-independent forest signature: (k, shell vertices, parent shell)."""
-    out = []
-    for node in forest.nodes:
-        parent = forest.nodes[node.parent] if node.parent != -1 else None
-        out.append((
-            node.k,
-            tuple(node.vertices.tolist()),
-            None if parent is None else (parent.k, tuple(parent.vertices.tolist())),
-        ))
-    return sorted(out)
+
+def assert_same_arrays(expected, actual):
+    """Two forests are equal array for array, numbering included."""
+    for field in FOREST_ARRAYS:
+        np.testing.assert_array_equal(
+            getattr(actual, field), getattr(expected, field), err_msg=field
+        )
+
+
+def oracle_forest_arrays(graph, levels):
+    """Definitional level forest, canonically numbered.
+
+    One node per BFS component of ``G[level >= k]`` that holds a level-k
+    vertex; its parent is the node of the deepest lower level whose
+    component contains it.
+    """
+    levels = np.asarray(levels)
+    found = []  # (k, shell, component)
+    for k in sorted(set(levels.tolist()), reverse=True):
+        seen = set()
+        for start in np.flatnonzero(levels >= k).tolist():
+            if start in seen:
+                continue
+            seen.add(start)
+            component, queue = {start}, deque([start])
+            while queue:
+                v = queue.popleft()
+                for w in graph.neighbors(v).tolist():
+                    if levels[w] >= k and w not in seen:
+                        seen.add(w)
+                        component.add(w)
+                        queue.append(w)
+            shell = sorted(v for v in component if levels[v] == k)
+            if shell:
+                found.append((k, shell, component))
+    found.sort(key=lambda node: (-node[0], node[1][0]))
+    parent = []
+    for k, shell, component in found:
+        outer = [
+            (kk, -i) for i, (kk, _, comp) in enumerate(found)
+            if kk < k and component <= comp
+        ]
+        parent.append(-max(outer)[1] if outer else -1)
+    sizes = [len(shell) for _, shell, _ in found]
+    return {
+        "k": np.asarray([k for k, _, _ in found], dtype=np.int64),
+        "parent": np.asarray(parent, dtype=np.int64),
+        "vert_ptr": np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),
+        "vertices": np.asarray([v for _, shell, _ in found for v in shell], dtype=np.int64),
+    }
+
+
+def assert_matches_oracle(graph, levels):
+    forest = build_level_forest(graph, levels)
+    expected = oracle_forest_arrays(graph, levels)
+    for field in FOREST_ARRAYS:
+        np.testing.assert_array_equal(getattr(forest, field), expected[field], err_msg=field)
 
 
 class TestAgainstEachOther:
     @zoo_params()
     def test_lcps_equals_union_find(self, graph):
-        assert canonical(build_core_forest(graph)) == canonical(
-            build_core_forest_union_find(graph)
-        )
+        assert_same_arrays(build_core_forest_lcps(graph), build_core_forest(graph))
 
     @pytest.mark.parametrize("seed", range(10))
     def test_lcps_equals_union_find_random(self, seed):
         g = random_graph(30 + 5 * seed, 70 + 15 * seed, seed)
-        assert canonical(build_core_forest(g)) == canonical(
-            build_core_forest_union_find(g)
+        assert_same_arrays(build_core_forest_lcps(g), build_core_forest(g))
+
+    @zoo_params()
+    def test_sweep_equals_oracle(self, graph):
+        assert_matches_oracle(graph, core_decomposition(graph).coreness)
+
+
+class TestLevelForestOracle:
+    """The sweep on non-core levels against the BFS definition."""
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_truss_levels(self, seed):
+        g = random_graph(40, 140 + 20 * seed, seed)
+        fam = get_family("truss")
+        assert_matches_oracle(g, fam.levels(fam.decompose(g)))
+
+    @pytest.mark.parametrize("seed", range(6))
+    def test_weighted_levels(self, seed):
+        g = random_graph(40, 120 + 20 * seed, seed)
+        fam = get_family("weighted")
+        weights = np.random.default_rng(seed).lognormal(sigma=0.75, size=g.num_edges)
+        levels = fam.levels(fam.decompose(g, edge_weights=weights), num_levels=8)
+        assert_matches_oracle(g, levels)
+
+    def test_level_gap(self):
+        # Triangle {0,1,2} at level 5 and edge {3,4} at level 4, joined
+        # through vertex 5 at level 1: no component gains a vertex at
+        # levels 2-3, and the level-1 node adopts both deeper nodes.
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (2, 5), (5, 3)])
+        levels = np.array([5, 5, 5, 4, 4, 1])
+        forest = build_level_forest(g, levels)
+        assert forest.k.tolist() == [5, 4, 1]
+        assert forest.parent.tolist() == [2, 2, -1]
+        assert forest.children == ((), (), (0, 1))
+        assert_matches_oracle(g, levels)
+
+    def test_same_level_nodes_ordered_by_smallest_shell_vertex(self):
+        # Component {0, 1, 2, 9} holds the smallest vertex overall, but its
+        # level-1 shell {9} sorts after the other component's shell {5, 6}.
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 9), (5, 6)], num_vertices=10)
+        forest = build_core_forest(g)
+        assert forest.k.tolist() == [2, 1, 1, 0, 0, 0, 0]
+        assert forest.vertices.tolist() == [0, 1, 2, 5, 6, 9, 3, 4, 7, 8]
+        assert forest.parent.tolist() == [2, -1, -1, -1, -1, -1, -1]
+        assert_same_arrays(build_core_forest_lcps(g), forest)
+        assert_matches_oracle(g, core_decomposition(g).coreness)
+
+    def test_empty_graph(self, empty_graph):
+        forest = build_level_forest(empty_graph, np.empty(0, dtype=np.int64))
+        assert forest.num_nodes == 0
+        assert forest.vert_ptr.tolist() == [0]
+        assert_same_arrays(build_core_forest_lcps(empty_graph), build_core_forest(empty_graph))
+
+    def test_isolated_vertices_only(self, isolated_vertices):
+        forest = build_core_forest(isolated_vertices)
+        assert forest.k.tolist() == [0] * 5
+        assert forest.parent.tolist() == [-1] * 5
+        assert forest.vertices.tolist() == [0, 1, 2, 3, 4]
+        assert_same_arrays(build_core_forest_lcps(isolated_vertices), forest)
+
+    def test_rejects_bad_levels(self, triangle):
+        with pytest.raises(ValueError):
+            build_level_forest(triangle, np.array([1, 1]))
+        with pytest.raises(ValueError):
+            build_level_forest(triangle, np.array([1, -1, 1]))
+
+
+def twin_k5s(bridge: bool) -> Graph:
+    """Two K5s on interleaved ids {1,3,5,7,9} and {0,2,4,6,8}, optionally
+    joined through a path 9-10-0, so every metric ties between them."""
+    odd, even = [1, 3, 5, 7, 9], [0, 2, 4, 6, 8]
+    edges = [(a, b) for part in (odd, even) for i, a in enumerate(part) for b in part[i + 1:]]
+    if bridge:
+        edges += [(9, 10), (10, 0)]
+    return Graph.from_edges(edges, num_vertices=11)
+
+
+class TestCanonicalTieBreak:
+    """Equal-score cores resolve to the one holding the smallest vertex."""
+
+    METRICS = ("average_degree", "internal_density", "clustering_coefficient")
+
+    @pytest.mark.parametrize("bridge", [False, True])
+    @pytest.mark.parametrize("builder", [build_core_forest, build_core_forest_lcps])
+    def test_every_builder(self, bridge, builder):
+        g = twin_k5s(bridge)
+        for metric in self.METRICS:
+            result = best_single_kcore(g, metric, forest=builder(g))
+            assert result.k == 4
+            assert result.vertices.tolist() == [0, 2, 4, 6, 8]
+
+    @pytest.mark.parametrize("bridge", [False, True])
+    def test_every_store_state(self, bridge, tmp_path):
+        g = twin_k5s(bridge)
+        store = ArtifactStore(tmp_path / "cache")
+        states = [BestKIndex(g, store=False)]
+        states.append(BestKIndex(g, store=store))  # cold: builds and persists
+        states.append(BestKIndex(g, store=store))  # warm: hydrates the forest
+        for index in states:
+            for metric in self.METRICS:
+                result = index.best_core(metric)
+                assert (result.k, result.node_id) == (4, 0)
+                assert result.vertices.tolist() == [0, 2, 4, 6, 8]
+        assert states[-1].build_seconds["core:forest"] == 0.0  # hydrated, not built
+        assert_same_arrays(states[0].forest, states[-1].forest)
+
+    def test_twin_pendant_triangles_pinned(self, tmp_path):
+        """Two copies of a triangle with a pendant vertex: every metric ties
+        between the copies, and the copy holding vertex 0 answers — for
+        cut_ratio and conductance the whole k=1 component."""
+        g = Graph.from_edges(
+            [(0, 1), (1, 2), (0, 2), (2, 3), (4, 5), (5, 6), (4, 6), (6, 7)],
+            num_vertices=8,
         )
+        expected = {
+            "cut_ratio": (1, [0, 1, 2, 3]),
+            "conductance": (1, [0, 1, 2, 3]),
+            "internal_density": (2, [0, 1, 2]),
+        }
+        store = ArtifactStore(tmp_path / "cache")
+        indexes = [BestKIndex(g, store=False)]
+        indexes += [BestKIndex(g, store=store) for _ in range(2)]  # cold, then warm
+        for metric, (k, vertices) in expected.items():
+            for builder in (build_core_forest, build_core_forest_lcps):
+                result = best_single_kcore(g, metric, forest=builder(g))
+                assert (result.k, result.vertices.tolist()) == (k, vertices)
+            for index in indexes:
+                result = index.best_core(metric)
+                assert (result.k, result.vertices.tolist()) == (k, vertices)
 
 
 class TestStructuralInvariants:

@@ -16,7 +16,7 @@ from repro.core import (
     baseline_kcore_set_scores,
     best_kcore_set,
     build_core_forest,
-    build_core_forest_union_find,
+    build_core_forest_lcps,
     core_decomposition,
     kcore_scores,
     baseline_kcore_scores,
@@ -154,16 +154,9 @@ class TestForestInvariants:
     @SETTINGS
     @given(graphs())
     def test_builders_agree(self, g):
-        def canon(forest):
-            return sorted(
-                (
-                    (n.k, tuple(n.vertices.tolist()),
-                     -1 if n.parent == -1 else tuple(forest.nodes[n.parent].vertices.tolist()))
-                    for n in forest.nodes
-                ),
-                key=lambda t: (t[0], t[1]),
-            )
-        assert canon(build_core_forest(g)) == canon(build_core_forest_union_find(g))
+        lcps, sweep = build_core_forest_lcps(g), build_core_forest(g)
+        for field in ("k", "parent", "vert_ptr", "vertices"):
+            np.testing.assert_array_equal(getattr(sweep, field), getattr(lcps, field))
 
     @SETTINGS
     @given(graphs())
