@@ -21,6 +21,7 @@ canonically (:class:`~repro.core.forest.CoreForest`).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -46,6 +47,7 @@ __all__ = [
     "best_single_kcore",
     "forest_base_totals",
     "forest_triangle_totals",
+    "forest_node_values",
     "scores_from_forest_totals",
 ]
 
@@ -145,35 +147,45 @@ def forest_triangle_totals(
     return tri, trip
 
 
-def scores_from_forest_totals(
-    metric: Metric,
-    totals: GraphTotals,
-    forest: CoreForest,
+def forest_node_values(
     twice_in: np.ndarray,
     out: np.ndarray,
     num: np.ndarray,
     tri: np.ndarray | None = None,
     trip: np.ndarray | None = None,
+) -> tuple[PrimaryValues, ...]:
+    """Every forest node's :class:`PrimaryValues`, from its aggregated totals.
+
+    Metric-independent, so the shared :class:`~repro.index.BestKIndex`
+    builds it once (with or without triangle counts) and every metric's
+    :class:`KCoreScores` shares the tuple.
+    """
+    return tuple(map(
+        PrimaryValues,
+        num.tolist(),
+        (twice_in // 2).tolist(),
+        out.tolist(),
+        repeat(None) if tri is None else tri.tolist(),
+        repeat(None) if trip is None else trip.tolist(),
+    ))
+
+
+def scores_from_forest_totals(
+    metric: Metric,
+    totals: GraphTotals,
+    forest: CoreForest,
+    values: tuple[PrimaryValues, ...],
 ) -> KCoreScores:
-    """Assemble :class:`KCoreScores` from precomputed per-node totals.
+    """Assemble :class:`KCoreScores` from the per-node primary values.
 
     The O(#nodes) scoring tail of Algorithm 5, split out so the shared
-    :class:`~repro.index.BestKIndex` can reuse one aggregation across every
-    metric.
+    :class:`~repro.index.BestKIndex` can reuse one aggregation (and one
+    :func:`forest_node_values` tuple) across every metric.
     """
-    values = []
-    scores = np.full(forest.num_nodes, np.nan)
-    for i in range(forest.num_nodes):
-        pv = PrimaryValues(
-            num_vertices=int(num[i]),
-            num_edges=int(twice_in[i]) // 2,
-            num_boundary=int(out[i]),
-            num_triangles=None if tri is None else int(tri[i]),
-            num_triplets=None if trip is None else int(trip[i]),
-        )
-        values.append(pv)
-        scores[i] = metric.score(pv, totals)
-    return KCoreScores(metric, totals, forest, scores, tuple(values))
+    scores = np.fromiter(
+        (metric.score(pv, totals) for pv in values), dtype=np.float64, count=len(values)
+    )
+    return KCoreScores(metric, totals, forest, scores, values)
 
 
 def kcore_scores(
@@ -207,7 +219,8 @@ def kcore_scores(
     tri = trip = None
     if metric.requires_triangles:
         tri, trip = forest_triangle_totals(ordered, forest)
-    return scores_from_forest_totals(metric, totals, forest, twice_in, out, num, tri, trip)
+    values = forest_node_values(twice_in, out, num, tri, trip)
+    return scores_from_forest_totals(metric, totals, forest, values)
 
 
 def baseline_kcore_scores(

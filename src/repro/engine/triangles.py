@@ -93,10 +93,13 @@ def triplet_group_deltas(
     """Incremental triplet counts per vertex group (Algorithm 3, lines 13-22).
 
     ``groups`` must be ordered by non-increasing coreness, and groups of
-    equal coreness must be vertex-disjoint and mutually non-adjacent (true
-    for shells and for forest nodes alike).  ``result[i]`` is the number of
-    triplets that appear when group ``i``'s vertices join the already-seen
-    region:
+    equal coreness must be vertex-disjoint, mutually non-adjacent and
+    never share a neighbour of higher coreness (true for shells and for
+    forest nodes alike: such a neighbour would join them into one
+    component).  The numpy kernel's one-pass run-length form relies on the
+    last condition; the python and native loops are its oracle.
+    ``result[i]`` is the number of triplets that appear when group ``i``'s
+    vertices join the already-seen region:
 
     * centres inside the group: any two neighbours within the group's own
       k-core set form a new triplet;

@@ -68,6 +68,7 @@ from ..core.bestk_core import (
     BestCoreResult,
     KCoreScores,
     forest_base_totals,
+    forest_node_values,
     forest_triangle_totals,
     scores_from_forest_totals,
 )
@@ -89,7 +90,7 @@ from ..engine.levels import (
     triangle_level_increments,
 )
 from ..engine.metrics import PAPER_METRICS, Metric, get_metric
-from ..engine.primary import GraphTotals, graph_totals
+from ..engine.primary import GraphTotals, PrimaryValues, graph_totals
 from ..engine.triangles import triangles_by_min_rank_vertex
 from ..dynamic import GraphDelta, VersionedGraph, incremental_core_numbers
 from ..errors import MetricRequirementError, ReproError
@@ -231,6 +232,8 @@ class BestKIndex:
         self._scores: dict[tuple[str, str], LevelSetScores] = {}
         #: Memoized per-metric core-forest scores (Problem 2).
         self._core_scores: dict[str, KCoreScores] = {}
+        #: Per-forest-node primary values, keyed by "with triangle counts".
+        self._core_values: dict[bool, tuple[PrimaryValues, ...]] = {}
         #: Last-seen :meth:`HierarchyFamily.cache_token` per family.
         self._tokens: dict[str, object] = {}
 
@@ -758,6 +761,15 @@ class BestKIndex:
             persist=(get_family("core"), {}),
         )
 
+    def _node_values(self, with_triangles: bool) -> tuple[PrimaryValues, ...]:
+        """Per-node primary values, built once and shared by every metric."""
+        values = self._core_values.get(with_triangles)
+        if values is None:
+            tri_trip = self._node_triangles() if with_triangles else ()
+            values = forest_node_values(*self._node_totals(), *tri_trip)
+            self._core_values[with_triangles] = values
+        return values
+
     # ------------------------------------------------------------------
     # Problem 1, core vocabulary: best k-core set
     # ------------------------------------------------------------------
@@ -799,12 +811,9 @@ class BestKIndex:
             problem=2,
         ):
             score_start = time.perf_counter()
-            twice_in, out, num = self._node_totals()
-            tri = trip = None
-            if metric.requires_triangles:
-                tri, trip = self._node_triangles()
             result = scores_from_forest_totals(
-                metric, self.totals, self.forest, twice_in, out, num, tri, trip
+                metric, self.totals, self.forest,
+                self._node_values(metric.requires_triangles),
             )
             obs.observe(
                 "index.score_seconds", time.perf_counter() - score_start,
@@ -963,6 +972,7 @@ class BestKIndex:
                     else:
                         invalidated.append(name)
                 self._core_scores.clear()
+                self._core_values.clear()
             # The new snapshot's stamped digest keys different bundles, so
             # every family must be re-probed (and re-persisted) against it.
             self._hydrated.clear()

@@ -117,10 +117,10 @@ class KernelBackend:
         """Incremental triplet counts per vertex group (Algorithm 3).
 
         ``groups`` must be ordered by non-increasing coreness/level, with
-        equal-level groups vertex-disjoint and mutually non-adjacent (true
-        for shells and core-forest nodes alike).  ``result[i]`` is the
-        number of triplets that appear when group ``i``'s vertices join the
-        already-seen higher-level region.
+        equal-level groups vertex-disjoint, mutually non-adjacent and never
+        sharing a higher-level neighbour (true for shells and forest nodes
+        alike).  ``result[i]`` is the number of triplets that appear when
+        group ``i``'s vertices join the already-seen higher-level region.
         """
         raise NotImplementedError
 

@@ -199,34 +199,32 @@ class NumpyBackend(KernelBackend):
 
     def triplet_group_deltas(self, ordered, groups: list[np.ndarray]) -> np.ndarray:
         n = ordered.graph.num_vertices
-        indptr, indices = ordered.indptr, ordered.indices
-        deg = indptr[1:] - indptr[:-1]
-        n_ge = deg - ordered.same
-        f_ge = np.zeros(n, dtype=np.int64)
+        indptr, indices, same = ordered.indptr, ordered.indices, ordered.same
+        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
+        if not sizes.sum():
+            return np.zeros(len(groups), dtype=np.int64)
+        members = np.concatenate(groups).astype(np.int64, copy=False)
+        group_of = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
+        gid = np.full(n, -1, dtype=np.int64)
+        gid[members] = group_of
+        # Centres inside a group: any two of a member's >=-level neighbours.
+        # Sums are exact int64 ``add.at`` segment sums, never float weights.
+        ge = indptr[members + 1] - indptr[members] - same[members]
         deltas = np.zeros(len(groups), dtype=np.int64)
-        for i, members in enumerate(groups):
-            if len(members) == 0:
-                continue
-            members = np.asarray(members, dtype=np.int64)
-            ge = n_ge[members]
-            delta = int((ge * (ge - 1) // 2).sum())
-            # Frontier: neighbours of the group with strictly greater level.
-            gt_starts = indptr[members] + ordered.plus[members]
-            gt_stops = indptr[members + 1]
-            frontier = np.unique(concat_ranges(indices, gt_starts, gt_stops))
-            f_gt_vals = f_ge[frontier].copy()
-            all_nbrs = concat_ranges(indices, indptr[members], indptr[members + 1])
-            # Same bincount/unique crossover as the peel: one counting pass
-            # applies all of this group's frontier increments at once.
-            if all_nbrs.size * 8 >= n:
-                f_ge += np.bincount(all_nbrs, minlength=n)
-            else:
-                touched, inc = np.unique(all_nbrs, return_counts=True)
-                f_ge[touched] += inc
-            eq = f_ge[frontier] - f_gt_vals
-            gt = f_gt_vals
-            delta += int((eq * (eq - 1) // 2 + gt * eq).sum())
-            deltas[i] = delta
+        np.add.at(deltas, group_of, ge * (ge - 1) // 2)
+        # Centres x of higher level.  x's lower-level prefix is rank-sorted,
+        # so level-sorted, and meets at most one group per level (two would
+        # share x and so be one component): group g's neighbours form one
+        # run of length eq, and every grouped neighbour after it has a
+        # greater level (gt of them).  Charging each run arc the grouped
+        # arcs after it in the row sums to C(eq, 2) + gt * eq per run.
+        after = np.zeros(len(indices) + 1, dtype=np.int64)
+        np.cumsum((gid >= 0)[indices], out=after[1:])
+        lo, hi = indptr[:-1], indptr[:-1] + same
+        target = gid[concat_ranges(indices, lo, hi)]
+        tail = np.repeat(after[indptr[1:]], same) - concat_ranges(after[1:], lo, hi)
+        run = target >= 0
+        np.add.at(deltas, target[run], tail[run])
         return deltas
 
     # ------------------------------------------------------------------

@@ -13,7 +13,7 @@ from repro.core import (
     core_decomposition,
 )
 from repro.core.naive import all_kcores_naive, coreness_naive
-from repro.engine import build_level_forest, get_family
+from repro.engine import LevelForest, build_level_forest, get_family
 from repro.graph import Graph
 from repro.index import ArtifactStore, BestKIndex
 from conftest import random_graph, zoo_params
@@ -284,6 +284,58 @@ class TestStructuralInvariants:
         forest = build_core_forest(two_components)
         # triangle component, path component, and the isolated vertex
         assert len(forest.roots) == 3
+
+
+def shared_higher_neighbours(graph, levels, forest):
+    """Vertices adjacent to two distinct equal-level nodes of lower level."""
+    levels = np.asarray(levels)
+    node_of = np.empty(graph.num_vertices, dtype=np.int64)
+    node_of[forest.vertices] = np.repeat(np.arange(forest.num_nodes), np.diff(forest.vert_ptr))
+    edges = graph.edge_array()
+    if len(edges) == 0:
+        return []
+    u, v = edges[:, 0], edges[:, 1]
+    high = np.where(levels[u] > levels[v], u, v)
+    low = np.where(levels[u] > levels[v], v, u)
+    keep = levels[high] != levels[low]
+    pairs = np.unique(np.stack([high[keep], node_of[low[keep]]], axis=1), axis=0)
+    centre_level = np.stack([pairs[:, 0], forest.k[pairs[:, 1]]], axis=1)
+    seen, counts = np.unique(centre_level, axis=0, return_counts=True)
+    return seen[counts > 1, 0].tolist()
+
+
+class TestTripletPrecondition:
+    """What the numpy ``triplet_group_deltas`` pass relies on.
+
+    No two equal-level forest nodes share a neighbour of higher level
+    (it would join them into one component).  If a forest change ever
+    breaks this, the run-length triplet pass would miscount silently.
+    """
+
+    @zoo_params()
+    @pytest.mark.parametrize("family", ["core", "truss"])
+    def test_zoo(self, graph, family):
+        fam = get_family(family)
+        levels = fam.levels(fam.decompose(graph))
+        forest = build_level_forest(graph, levels)
+        assert shared_higher_neighbours(graph, levels, forest) == []
+
+    @pytest.mark.parametrize("seed", range(6))
+    @pytest.mark.parametrize("family", ["core", "truss"])
+    def test_random(self, seed, family):
+        g = random_graph(40 + 10 * seed, 90 + 30 * seed, seed)
+        fam = get_family(family)
+        levels = fam.levels(fam.decompose(g))
+        assert shared_higher_neighbours(g, levels, build_level_forest(g, levels)) == []
+
+    def test_detects_a_violation(self):
+        # Two level-1 pendants on one level-2 triangle vertex: as two
+        # separate nodes (an invalid forest) they share that vertex.
+        g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (0, 3), (0, 4)])
+        levels = np.array([2, 2, 2, 1, 1])
+        split = LevelForest([2, 1, 1], [-1, -1, -1], [0, 3, 4, 5], [0, 1, 2, 3, 4], 5)
+        assert shared_higher_neighbours(g, levels, split) == [0]
+        assert shared_higher_neighbours(g, levels, build_level_forest(g, levels)) == []
 
 
 class TestQueries:

@@ -180,6 +180,17 @@ class TestLaziness:
         index.core_scores("clustering_coefficient")
         assert len(tri_calls) == 1
 
+    def test_core_metrics_share_one_values_tuple(self, graph):
+        # Problem 2 builds each node's PrimaryValues once per index: one
+        # tuple without triangle counts, one with them.
+        index = BestKIndex(graph, jobs=1, store=False)
+        scored = index.score_cores_all_metrics(PAPER_METRICS)
+        plain = {id(s.values) for s in scored.values() if not s.metric.requires_triangles}
+        assert len(plain) == 1
+        assert scored["clustering_coefficient"].values is not scored["average_degree"].values
+        assert scored["clustering_coefficient"].values[0].has_triangles
+        assert index.core_scores("modularity").values is scored["average_degree"].values
+
     def test_set_queries_never_build_forest(self, graph):
         index = BestKIndex(graph, jobs=1, store=False)
         index.score_set_all_metrics(PAPER_METRICS)

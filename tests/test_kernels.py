@@ -15,7 +15,7 @@ import pytest
 
 from repro.core import core_decomposition, order_vertices
 from repro.core.naive import coreness_naive
-from repro.engine import count_triplets
+from repro.engine import build_level_forest, count_triplets, get_family, level_ordering
 from repro.errors import UnknownBackendError
 from repro.graph import Graph, connected_components
 from repro.kernels import (
@@ -216,6 +216,89 @@ class TestChargeKernelEquivalence:
         )
 
 
+def _family_levels(graph, family):
+    fam = get_family(family)
+    params = {}
+    if family == "weighted":
+        params["edge_weights"] = np.random.default_rng(graph.num_edges).random(graph.num_edges)
+    return fam.levels(fam.decompose(graph, **params), **params)
+
+
+def _level_groupings(graph, levels):
+    """``(ordering, shells, forest node groups)`` of one level array."""
+    ordering = level_ordering(graph, levels)
+    start = ordering.level_start
+    shells = [ordering.order[start[k]:start[k + 1]] for k in range(ordering.max_level, -1, -1)]
+    return ordering, shells, build_level_forest(graph, levels).node_vertex_groups()
+
+
+class TestTripletGroupings:
+    """``triplet_group_deltas`` for every grouping a caller passes.
+
+    The numpy pass relies on equal-level groups never sharing a
+    higher-level neighbour; the python loop does not, so it is the oracle.
+    """
+
+    @pytest.mark.parametrize("family", ["truss", "weighted"])
+    @zoo_case
+    def test_level_shells_and_nodes_identical(self, graph, family):
+        ordering, shells, nodes = _level_groupings(graph, _family_levels(graph, family))
+        for groups in (shells, nodes):
+            want = PY.triplet_group_deltas(ordering, groups)
+            assert np.array_equal(NP.triplet_group_deltas(ordering, groups), want)
+            assert int(want.sum()) == count_triplets(graph)
+
+    @zoo_case
+    def test_empty_groups_charge_nothing(self, graph):
+        ordered = order_vertices(graph)
+        shells = _descending_shells(ordered)
+        empty = np.empty(0, dtype=np.int64)
+        padded = [empty] + [g for shell in shells for g in (shell, empty)]
+        got = NP.triplet_group_deltas(ordered, padded)
+        assert np.array_equal(got, PY.triplet_group_deltas(ordered, padded))
+        assert np.array_equal(got[1::2], PY.triplet_group_deltas(ordered, shells))
+        assert not got[0::2].any()
+
+    @zoo_case
+    def test_ungrouped_vertices_never_count(self, graph):
+        # Drop every other shell: its vertices join no group, so they are
+        # in neither side of any later group's frontier counts.
+        ordered = order_vertices(graph)
+        partial = _descending_shells(ordered)[::2]
+        assert np.array_equal(
+            NP.triplet_group_deltas(ordered, partial),
+            PY.triplet_group_deltas(ordered, partial),
+        )
+
+    def test_empty_graph(self):
+        ordered = order_vertices(Graph.empty(0))
+        for groups in ([], [np.empty(0, dtype=np.int64)] * 2):
+            got = NP.triplet_group_deltas(ordered, groups)
+            assert got.dtype == np.int64
+            assert got.tolist() == [0] * len(groups)
+
+    def test_isolated_only(self):
+        graph = Graph.empty(5)
+        ordered = order_vertices(graph)
+        for groups in ([np.arange(5)], [np.array([v]) for v in range(5)]):
+            assert NP.triplet_group_deltas(ordered, groups).tolist() == [0] * len(groups)
+
+    @pytest.mark.parametrize("scale", [1, 3])
+    def test_level_gap(self, scale):
+        # A K6 (coreness 5) bridged to a path (coreness 1): levels 2-4 are
+        # empty shells, and scaling the levels widens the gap further.
+        edges = [(i, j) for i in range(6) for j in range(i + 1, 6)]
+        edges += [(5, 6), (6, 7), (7, 8), (0, 9)]
+        graph = Graph.from_edges(edges)
+        levels = core_decomposition(graph).coreness * scale
+        ordering, shells, nodes = _level_groupings(graph, levels)
+        assert sum(len(shell) == 0 for shell in shells) >= 3
+        for groups in (shells, nodes):
+            want = PY.triplet_group_deltas(ordering, groups)
+            assert np.array_equal(NP.triplet_group_deltas(ordering, groups), want)
+            assert int(want.sum()) == count_triplets(graph)
+
+
 class TestNativeEquivalence:
     """The native backend against the reference, over the whole zoo.
 
@@ -261,6 +344,17 @@ class TestNativeEquivalence:
         assert np.array_equal(
             NATIVE.triplet_group_deltas(ordered, shells),
             PY.triplet_group_deltas(ordered, shells),
+        )
+
+    @zoo_case
+    def test_forest_node_groups_identical(self, graph):
+        from repro.core import build_core_forest
+
+        ordered = order_vertices(graph)
+        groups = build_core_forest(graph, ordered.decomposition).node_vertex_groups()
+        assert np.array_equal(
+            NATIVE.triplet_group_deltas(ordered, groups),
+            PY.triplet_group_deltas(ordered, groups),
         )
 
     @zoo_case

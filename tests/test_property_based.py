@@ -24,8 +24,9 @@ from repro.core import (
     order_vertices,
 )
 from repro.core.naive import coreness_naive, kcore_set_vertices_naive
-from repro.engine import count_triangles, count_triplets
+from repro.engine import build_level_forest, count_triangles, count_triplets, get_family, level_ordering
 from repro.graph import Graph, GraphBuilder, validate_graph
+from repro.kernels import get_backend
 from repro.truss import level_set_scores, truss_decomposition, ktruss_set_scores, baseline_ktruss_set_scores
 from conftest import MAINTENANCE_PLANS, CorenessStream
 
@@ -174,6 +175,35 @@ class TestForestInvariants:
             assert scored.values[node.node_id].num_vertices == len(
                 forest.core_vertices(node.node_id)
             )
+
+
+class TestTripletKernelInvariants:
+    """The numpy triplet pass equals the python loop for every grouping."""
+
+    @staticmethod
+    def assert_backends_agree(ordering, groups, g):
+        want = get_backend("python").triplet_group_deltas(ordering, groups)
+        got = get_backend("numpy").triplet_group_deltas(ordering, groups)
+        np.testing.assert_array_equal(got, want)
+        assert int(got.sum()) == count_triplets(g)
+
+    @SETTINGS
+    @given(graphs())
+    def test_core_shells_and_forest_nodes(self, g):
+        ordered = order_vertices(g)
+        decomp = ordered.decomposition
+        shells = [decomp.shell(k) for k in range(decomp.kmax, -1, -1)]
+        self.assert_backends_agree(ordered, shells, g)
+        nodes = build_core_forest(g, decomp).node_vertex_groups()
+        self.assert_backends_agree(ordered, nodes, g)
+
+    @SETTINGS
+    @given(graphs(max_vertices=16, max_edges=40))
+    def test_truss_forest_nodes(self, g):
+        fam = get_family("truss")
+        levels = fam.levels(fam.decompose(g))
+        nodes = build_level_forest(g, levels).node_vertex_groups()
+        self.assert_backends_agree(level_ordering(g, levels), nodes, g)
 
 
 class TestTrussInvariants:
