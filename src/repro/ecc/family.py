@@ -28,7 +28,7 @@ class EccFamily(HierarchyFamily):
     supports_incremental = False
 
     def decompose(self, graph, *, backend=None, max_k=None, **params) -> EccDecomposition:
-        return ecc_decomposition(graph, max_k=max_k)
+        return ecc_decomposition(graph, max_k=max_k, backend=backend)
 
     def levels(self, decomposition: EccDecomposition, **params) -> np.ndarray:
         return decomposition.level

@@ -1,9 +1,9 @@
 """Pluggable kernel backends for the O(m) hot paths.
 
 Every algorithm in the package funnels through a handful of inner kernels —
-degree peeling, forward triangle counting, per-edge supports, connected
-components, strength accumulation.  This subsystem keeps one *registry* of
-interchangeable implementations of those kernels:
+degree peeling, forward triangle counting, per-edge supports, truss
+peeling, connected components, strength accumulation.  This subsystem
+keeps one *registry* of interchangeable implementations of those kernels:
 
 ``python``
     The scalar reference: the original per-vertex loops, bit-identical to
@@ -82,6 +82,7 @@ KERNEL_METHODS = (
     "count_triangles",
     "triangles_per_vertex",
     "edge_supports",
+    "truss_peel",
     "triangle_charges",
     "triplet_group_deltas",
     "connected_components",

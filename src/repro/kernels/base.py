@@ -2,11 +2,12 @@
 
 A *kernel* is one of the O(m)-ish inner computations every algorithm in the
 package funnels through: degree peeling, forward triangle counting,
-per-edge triangle supports, connected components, and weighted strength
-accumulation.  A *backend* is one implementation strategy for all of them;
-the ``python`` backend is the bit-identical scalar reference and the
-``numpy`` backend replaces the per-vertex loops with whole-frontier array
-passes (see :mod:`repro.kernels.numpy_backend`).
+per-edge triangle supports, edge-support (truss) peeling, connected
+components, and weighted strength accumulation.  A *backend* is one
+implementation strategy for all of them; the ``python`` backend is the
+bit-identical scalar reference and the ``numpy`` backend replaces the
+per-vertex loops with whole-frontier array passes (see
+:mod:`repro.kernels.numpy_backend`).
 
 Backends are stateless: every method takes the graph (plus kernel-specific
 inputs) and returns plain numpy arrays.  Both backends must return *exactly*
@@ -98,6 +99,16 @@ class KernelBackend:
         """Triangles through each edge of ``edges`` (an ``(m, 2)`` array).
 
         This is the truss decomposition's initial *support* vector.
+        """
+        raise NotImplementedError
+
+    def truss_peel(self, graph: Graph, edges: np.ndarray) -> np.ndarray:
+        """Truss number of every edge of ``edges`` (length-``m`` int64).
+
+        ``edges`` is the graph's full ``(m, 2)`` edge list with ``u < v``
+        rows, as :meth:`Graph.edge_array` emits it.  ``result[i]`` is the
+        largest k whose k-truss contains ``edges[i]`` (>= 2).  Truss
+        numbers are unique, so every peeling formulation agrees exactly.
         """
         raise NotImplementedError
 

@@ -34,7 +34,9 @@ Fallback reasons (the ``reason`` label):
   then on);
 * ``delegated`` — the kernel has no native implementation by design
   (``count_triangles``, ``triangles_per_vertex``,
-  ``connected_components`` — already memory-bandwidth-bound under numpy).
+  ``connected_components`` — already memory-bandwidth-bound under numpy;
+  ``truss_peel`` — a whole-frontier array pass under numpy, with no
+  compiled form yet).
 
 All answers are bit-identical to the other backends — compiled kernels
 mirror the scalar reference statement for statement and the equivalence
@@ -87,7 +89,9 @@ KERNEL_RAW = {
 
 #: Kernels that intentionally stay on the numpy implementation: their numpy
 #: forms are already whole-array passes with no scalar inner loop left.
-DELEGATED_KERNELS = ("count_triangles", "triangles_per_vertex", "connected_components")
+DELEGATED_KERNELS = (
+    "count_triangles", "triangles_per_vertex", "truss_peel", "connected_components",
+)
 
 _log = logging.getLogger("repro.kernels.native")
 
@@ -368,6 +372,10 @@ class NativeBackend(KernelBackend):
             except Exception as exc:
                 self._poison("edge_supports", exc)
         return self._numpy.edge_supports(graph, edges)
+
+    def truss_peel(self, graph, edges) -> np.ndarray:
+        self._delegate("truss_peel")
+        return self._numpy.truss_peel(graph, edges)
 
     def triangle_charges(self, ordered) -> np.ndarray:
         fn = self._resolve("triangle_charges")

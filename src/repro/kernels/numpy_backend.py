@@ -2,14 +2,17 @@
 
 Three ideas carry all the kernels:
 
-* **Frontier peeling** (`peel_coreness`).  Batagelj–Zaversnik removes one
-  minimum-degree vertex at a time, which is inherently sequential.  The
-  equivalent *repeated pruning* formulation (Xiang, "Simple linear
-  algorithms for mining graph cores", arXiv:1401.1771) removes the whole
-  set ``{v : deg(v) <= k}`` per pass and only then raises ``k`` — coreness
-  values are identical, and each pass is a handful of array operations:
-  gather the frontier's adjacency slices, drop dead neighbours, and apply
-  all degree decrements at once with a ``np.unique`` count.
+* **Frontier peeling** (`peel_coreness`, `truss_peel`).  Batagelj–Zaversnik
+  removes one minimum-degree vertex at a time, which is inherently
+  sequential.  The equivalent *repeated pruning* formulation (Xiang,
+  "Simple linear algorithms for mining graph cores", arXiv:1401.1771)
+  removes the whole set ``{v : deg(v) <= k}`` per pass and only then
+  raises ``k`` — coreness values are identical, and each pass is a
+  handful of array operations: gather the frontier's adjacency slices,
+  drop dead neighbours, and apply all degree decrements at once with a
+  ``np.unique`` count.  The truss peel runs the same passes over edge
+  supports, with each triangle listed once as three edge ids standing in
+  for the adjacency slices.
 
 * **Keyed binary search** (`count_triangles`, `triangles_per_vertex`,
   `edge_supports`).  A family of per-vertex sorted lists collapses into one
@@ -147,6 +150,52 @@ class NumpyBackend(KernelBackend):
             seg = np.repeat(np.arange(hi - lo, dtype=np.int64), block_len[lo:hi])
             support[lo:hi] = np.bincount(seg[match], minlength=hi - lo)
         return support
+
+    def truss_peel(self, graph: Graph, edges: np.ndarray) -> np.ndarray:
+        m = len(edges)
+        truss = np.zeros(m, dtype=np.int64)
+        if m == 0:
+            return truss
+        tri = _triangle_edges(graph, edges)
+        # Triangle ``t`` owns slots 3t..3t+2 of ``flat``; supports count the
+        # slots per edge, and a stable sort by edge id is the edge ->
+        # triangle incidence CSR.
+        flat = tri.ravel()
+        support = np.bincount(flat, minlength=m)
+        inc = np.argsort(flat, kind="stable") // 3
+        inc_ptr = np.zeros(m + 1, dtype=np.int64)
+        np.cumsum(support, out=inc_ptr[1:])
+        edge_alive = np.ones(m, dtype=bool)
+        tri_alive = np.ones(len(tri), dtype=bool)
+        remaining = m
+        k = 0
+        while remaining:
+            # Repeated pruning over supports, as peel_coreness does over
+            # degrees: every alive edge with support <= k leaves at once.
+            k = max(k, int(support[edge_alive].min()))
+            frontier = np.flatnonzero(edge_alive & (support <= k))
+            while frontier.size:
+                truss[frontier] = k + 2
+                edge_alive[frontier] = False
+                remaining -= frontier.size
+                hit = concat_ranges(inc, inc_ptr[frontier], inc_ptr[frontier + 1])
+                # A triangle losing two edges in this pass dies once.
+                hit = np.unique(hit[tri_alive[hit]])
+                tri_alive[hit] = False
+                nbrs = tri[hit].ravel()
+                nbrs = nbrs[edge_alive[nbrs]]
+                if nbrs.size == 0:
+                    break
+                if nbrs.size * 8 >= m:
+                    dec = np.bincount(nbrs, minlength=m)
+                    support -= dec
+                    touched = np.flatnonzero(dec)
+                else:
+                    touched, dec = np.unique(nbrs, return_counts=True)
+                    support[touched] -= dec
+                frontier = touched[support[touched] <= k]
+            k += 1
+        return truss
 
     # ------------------------------------------------------------------
     def triangle_charges(self, ordered) -> np.ndarray:
@@ -481,3 +530,25 @@ def _forward_matches(graph: Graph):
         corner_u = np.repeat(u, lens)
         corner_w = out_idx[pos]
         yield match, corner_v, corner_u, corner_w
+
+
+def _triangle_edges(graph: Graph, edges: np.ndarray) -> np.ndarray:
+    """``(T, 3)`` edge ids of every triangle, each triangle listed once.
+
+    Edge ids index ``edges``, the graph's edge list in
+    :meth:`Graph.edge_array` order, whose keys ``u * n + v`` ascend.
+    Corner pairs are keyed ``min * n + max`` and found with one
+    ``searchsorted`` on those keys.
+    """
+    n = graph.num_vertices
+    keys = edges[:, 0] * n + edges[:, 1]
+    parts = [np.empty((0, 3), dtype=np.int64)]
+    for match, corner_v, corner_u, corner_w in _forward_matches(graph):
+        a, b, c = corner_v[match], corner_u[match], corner_w[match]
+        pairs = np.stack([
+            np.minimum(a, b) * n + np.maximum(a, b),
+            np.minimum(a, c) * n + np.maximum(a, c),
+            np.minimum(b, c) * n + np.maximum(b, c),
+        ], axis=1)
+        parts.append(np.searchsorted(keys, pairs))
+    return np.concatenate(parts)

@@ -104,6 +104,59 @@ class PythonBackend(KernelBackend):
             support[i] = sum(1 for w in adj[small] if w in adj[large])
         return support
 
+    def truss_peel(self, graph: Graph, edges: np.ndarray) -> np.ndarray:
+        m = len(edges)
+        truss = np.zeros(m, dtype=np.int64)
+        if m == 0:
+            return truss
+        n = graph.num_vertices
+
+        edge_id = {(int(u), int(v)): i for i, (u, v) in enumerate(edges)}
+
+        def eid(a: int, b: int) -> int:
+            return edge_id[(a, b)] if a < b else edge_id[(b, a)]
+
+        # Adjacency as sets for O(1) membership during peeling.
+        adj = [set(map(int, graph.neighbors(v))) for v in range(n)]
+
+        support = self.edge_supports(graph, edges)
+
+        # Bucket peeling over supports.
+        max_support = int(support.max()) if m else 0
+        buckets: list[list[int]] = [[] for _ in range(max_support + 1)]
+        for i in range(m):
+            buckets[support[i]].append(i)
+        removed = np.zeros(m, dtype=bool)
+        support_l = support.tolist()
+
+        current_floor = 0
+        processed = 0
+        level = 0
+        while processed < m:
+            while level <= max_support and not buckets[level]:
+                level += 1
+            i = buckets[level].pop()
+            if removed[i] or support_l[i] != level:
+                continue  # stale bucket entry
+            u, v = int(edges[i][0]), int(edges[i][1])
+            current_floor = max(current_floor, support_l[i])
+            truss[i] = current_floor + 2
+            removed[i] = True
+            processed += 1
+            adj[u].discard(v)
+            adj[v].discard(u)
+            small, large = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
+            for w in list(adj[small]):
+                if w in adj[large]:
+                    for other in (eid(u, w), eid(v, w)):
+                        if not removed[other] and support_l[other] > current_floor:
+                            support_l[other] -= 1
+                            buckets[support_l[other]].append(other)
+            # Removing an edge can only lower supports, so restart the scan
+            # at the current floor (supports never drop below it).
+            level = min(level, current_floor)
+        return truss
+
     # ------------------------------------------------------------------
     def triangle_charges(self, ordered) -> np.ndarray:
         n = ordered.graph.num_vertices

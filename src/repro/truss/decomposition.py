@@ -3,13 +3,15 @@
 The k-truss of a graph is the maximal subgraph in which every edge closes at
 least ``k - 2`` triangles.  *Truss decomposition* assigns every edge its
 truss number ``t(e)`` — the largest k whose k-truss contains it — by the
-standard support-peeling algorithm (Wang & Cheng, PVLDB 2012):
+support-peeling algorithm of Wang & Cheng (PVLDB 2012), run in the
+whole-frontier form of Xiang's repeated pruning (arXiv:1401.1771):
 
 1. compute each edge's *support* (number of triangles through it);
-2. repeatedly remove the minimum-support edge; its truss number is its
-   support at removal time plus 2, clipped to be monotone;
-3. removing an edge decrements the support of the edges it formed
-   triangles with.
+2. for k = 0, 1, ...: remove every remaining edge with support <= k in
+   one pass, and repeat until none is left; each removed edge gets truss
+   number k + 2;
+3. removing an edge kills the triangles it closed, and each dead triangle
+   decrements the support of its surviving edges once.
 
 We also derive each vertex's *truss level* ``max(t(e) for incident e)`` —
 the quantity that plays the role coreness plays in core decomposition when
@@ -64,67 +66,20 @@ def truss_decomposition(
 ) -> TrussDecomposition:
     """Compute the truss number of every edge by support peeling.
 
-    O(m^1.5) for the support computation — the dominant cost, delegated to
-    the selected kernel backend's :meth:`~repro.kernels.base.KernelBackend.
-    edge_supports` — plus near-linear peeling with a bucket queue over
-    supports.
+    Runs on the selected kernel backend's :meth:`~repro.kernels.base.
+    KernelBackend.truss_peel`.  The default ``numpy`` backend lists every
+    triangle once as three edge ids, takes supports as a count of those
+    ids, and peels in whole-frontier passes: every alive edge with support
+    <= k leaves at once, each alive triangle it closed dies exactly once,
+    and the surviving edges of the dead triangles lose one support each in
+    a single counting pass; k rises only when the frontier empties.  The
+    ``python`` backend keeps the one-edge-at-a-time bucket peel as the
+    reference.  Truss numbers are unique, so both agree exactly.  O(m^1.5)
+    for the triangle listing, which dominates.
     """
     edges = graph.edge_array()
-    m = len(edges)
-    n = graph.num_vertices
-    if m == 0:
-        return TrussDecomposition(
-            graph, edges, np.empty(0, dtype=np.int64), np.zeros(n, dtype=np.int64)
-        )
-
-    edge_id = {(int(u), int(v)): i for i, (u, v) in enumerate(edges)}
-
-    def eid(a: int, b: int) -> int:
-        return edge_id[(a, b)] if a < b else edge_id[(b, a)]
-
-    # Adjacency as sets for O(1) membership during peeling.
-    adj = [set(map(int, graph.neighbors(v))) for v in range(n)]
-
-    # Initial supports via (batched) neighbourhood intersections.
-    support = get_backend(backend).edge_supports(graph, edges)
-
-    # Bucket peeling over supports.
-    max_support = int(support.max()) if m else 0
-    buckets: list[list[int]] = [[] for _ in range(max_support + 1)]
-    for i in range(m):
-        buckets[support[i]].append(i)
-    removed = np.zeros(m, dtype=bool)
-    truss = np.zeros(m, dtype=np.int64)
-    support_l = support.tolist()
-
-    current_floor = 0
-    processed = 0
-    level = 0
-    while processed < m:
-        while level <= max_support and not buckets[level]:
-            level += 1
-        i = buckets[level].pop()
-        if removed[i] or support_l[i] != level:
-            continue  # stale bucket entry
-        u, v = int(edges[i][0]), int(edges[i][1])
-        current_floor = max(current_floor, support_l[i])
-        truss[i] = current_floor + 2
-        removed[i] = True
-        processed += 1
-        adj[u].discard(v)
-        adj[v].discard(u)
-        small, large = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
-        for w in list(adj[small]):
-            if w in adj[large]:
-                for other in (eid(u, w), eid(v, w)):
-                    if not removed[other] and support_l[other] > current_floor:
-                        support_l[other] -= 1
-                        buckets[support_l[other]].append(other)
-        # Removing an edge can only lower supports, so restart the scan at
-        # the current floor (supports never drop below it).
-        level = min(level, current_floor)
-
-    vertex_level = np.zeros(n, dtype=np.int64)
+    truss = get_backend(backend).truss_peel(graph, edges)
+    vertex_level = np.zeros(graph.num_vertices, dtype=np.int64)
     np.maximum.at(vertex_level, edges[:, 0], truss)
     np.maximum.at(vertex_level, edges[:, 1], truss)
     return TrussDecomposition(graph, edges, truss, vertex_level)

@@ -110,36 +110,50 @@ def s_core_decomposition(
 
     O(m log n) with a lazy min-heap (weights are real-valued, so the O(m)
     bucket trick of the unweighted case does not apply).  The initial
-    strength accumulation runs on the selected kernel backend.
+    strength accumulation runs on the selected kernel backend.  Raises
+    ``ValueError`` unless every weight is finite and non-negative.
     """
     edge_weights = np.asarray(edge_weights, dtype=np.float64)
+    if not np.isfinite(edge_weights).all():
+        raise ValueError("edge weights must be finite (no NaN or inf)")
     if (edge_weights < 0).any():
         raise ValueError("edge weights must be non-negative")
     n = graph.num_vertices
     weights = arc_weights(graph, edge_weights) if len(edge_weights) else np.empty(0)
-    indptr, indices = graph.indptr, graph.indices
 
     strength = get_backend(backend).vertex_strengths(graph, weights)
 
-    alive = np.ones(n, dtype=bool)
-    level = np.zeros(n, dtype=np.float64)
-    order = np.empty(n, dtype=np.int64)
-    heap = [(float(strength[v]), v) for v in range(n)]
+    # The heap loop runs over Python lists: indexing numpy scalars per arc
+    # costs more than the float arithmetic it feeds.  Python floats are
+    # float64, so levels and the peel order match array arithmetic bit for
+    # bit.
+    indptr = graph.indptr.tolist()
+    indices = graph.indices.tolist()
+    arc_w = weights.tolist()
+    strength_l = strength.tolist()
+    alive = [True] * n
+    level = [0.0] * n
+    order = []
+    heap = [(strength_l[v], v) for v in range(n)]
     heapq.heapify(heap)
+    heappush, heappop = heapq.heappush, heapq.heappop
     current = 0.0
-    removed = 0
     while heap:
-        s, v = heapq.heappop(heap)
-        if not alive[v] or s != strength[v]:
+        s, v = heappop(heap)
+        if not alive[v] or s != strength_l[v]:
             continue
         current = max(current, s)
         level[v] = current
-        order[removed] = v
-        removed += 1
+        order.append(v)
         alive[v] = False
         for j in range(indptr[v], indptr[v + 1]):
-            u = int(indices[j])
+            u = indices[j]
             if alive[u]:
-                strength[u] -= weights[j]
-                heapq.heappush(heap, (float(strength[u]), u))
-    return WeightedDecomposition(graph, edge_weights, level, order)
+                strength_l[u] -= arc_w[j]
+                heappush(heap, (strength_l[u], u))
+    return WeightedDecomposition(
+        graph,
+        edge_weights,
+        np.array(level, dtype=np.float64),
+        np.array(order, dtype=np.int64),
+    )

@@ -12,12 +12,14 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import core_decomposition, order_vertices
 from repro.core.naive import coreness_naive
 from repro.engine import build_level_forest, count_triplets, get_family, level_ordering
 from repro.errors import UnknownBackendError
-from repro.graph import Graph, connected_components
+from repro.graph import Graph, GraphBuilder, connected_components
 from repro.kernels import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
@@ -157,6 +159,65 @@ class TestTriangleEquivalence:
     def test_edge_supports_sum_to_three_per_triangle(self, graph):
         edges = graph.edge_array()
         assert NP.edge_supports(graph, edges).sum() == 3 * NP.count_triangles(graph)
+
+
+def _truss_everywhere(graph):
+    """``truss_peel`` under all three backends; asserts they agree."""
+    edges = graph.edge_array()
+    want = PY.truss_peel(graph, edges)
+    assert np.array_equal(NP.truss_peel(graph, edges), want)
+    assert np.array_equal(NATIVE.truss_peel(graph, edges), want)
+    return dict(zip(map(tuple, edges.tolist()), want.tolist()))
+
+
+class TestTrussPeelEquivalence:
+    """The frontier truss peel against the one-edge-at-a-time reference."""
+
+    @zoo_case
+    def test_truss_identical(self, graph):
+        _truss_everywhere(graph)
+
+    @pytest.mark.parametrize("n", (0, 5))
+    def test_edgeless(self, n):
+        assert _truss_everywhere(Graph.empty(n)) == {}
+
+    def test_triangle_free(self):
+        cube = [(0, 1), (1, 2), (2, 3), (3, 0), (4, 5), (5, 6), (6, 7), (7, 4),
+                (0, 4), (1, 5), (2, 6), (3, 7)]
+        assert set(_truss_everywhere(Graph.from_edges(cube)).values()) == {2}
+
+    def test_k6(self):
+        k6 = Graph.from_edges([(i, j) for i in range(6) for j in range(i + 1, 6)])
+        assert set(_truss_everywhere(k6).values()) == {6}
+
+    def test_two_triangles_losing_edges_in_one_pass(self):
+        # Triangles {0,1,5} and {0,1,6} share (0,1); their four other edges
+        # have support 1 and leave together in the k = 1 pass, each
+        # triangle losing two edges at once.  (0,1) also sits in the K5
+        # {0..4}, so it must lose exactly one support per triangle (5 -> 3)
+        # and keep truss number 5; a double charge would drop it to 1.
+        edges = [(i, j) for i in range(5) for j in range(i + 1, 5)]
+        edges += [(0, 5), (1, 5), (0, 6), (1, 6)]
+        truss = _truss_everywhere(Graph.from_edges(edges))
+        assert truss[(0, 1)] == 5
+        assert all(truss[e] == 3 for e in ((0, 5), (1, 5), (0, 6), (1, 6)))
+        assert all(truss[(i, j)] == 5 for i in range(5) for j in range(i + 1, 5))
+
+    @settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(min_value=0, max_value=20), st.lists(
+        st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=90,
+    ))
+    def test_hypothesis_truss_identical(self, n, raw):
+        builder = GraphBuilder()
+        for v in range(n):
+            builder.add_vertex(v)
+        if n:
+            builder.add_edges([(u % n, v % n) for u, v in raw])
+        graph = builder.build()
+        truss = _truss_everywhere(graph)
+        # Supports bound truss numbers: t(e) - 2 <= support(e).
+        support = PY.edge_supports(graph, graph.edge_array())
+        assert all(t - 2 <= s for t, s in zip(truss.values(), support.tolist()))
 
 
 def _descending_shells(ordered):

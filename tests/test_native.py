@@ -135,6 +135,16 @@ class TestDelegatedKernels:
         assert NATIVE.count_triangles(GRAPH) == NUMPY.count_triangles(GRAPH)
         assert fallback_count("count_triangles", "delegated") == before + 1
 
+    def test_truss_peel_counts_and_matches_numpy(self):
+        assert "truss_peel" in DELEGATED_KERNELS
+        edges = GRAPH.edge_array()
+        before = fallback_count("truss_peel", "delegated")
+        assert np.array_equal(
+            NATIVE.truss_peel(GRAPH, edges), NUMPY.truss_peel(GRAPH, edges)
+        )
+        assert fallback_count("truss_peel", "delegated") == before + 1
+        assert fresh_backend().kernel_status()["truss_peel"]["mode"] == "delegated"
+
     def test_connected_components_delegates(self):
         active = np.ones(GRAPH.num_vertices, dtype=bool)
         labels_nat, count_nat = NATIVE.connected_components(GRAPH, active)

@@ -1,13 +1,18 @@
 """Tests for the weighted (s-core) extension."""
 
+import heapq
 import math
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.core import core_decomposition
 from repro.errors import UnknownMetricError
-from repro.graph import Graph
+from repro.graph import Graph, GraphBuilder
+from repro.index import BestKIndex
+from repro.kernels import get_backend
 from repro.weighted import (
     WeightedPrimaryValues,
     WeightedTotals,
@@ -99,6 +104,20 @@ class TestDecomposition:
         with pytest.raises(ValueError):
             s_core_decomposition(triangle, np.array([1.0, -2.0, 1.0]))
 
+    @pytest.mark.parametrize("bad", (np.nan, np.inf, -np.inf))
+    def test_rejects_non_finite_weights(self, triangle, bad):
+        with pytest.raises(ValueError, match="finite"):
+            s_core_decomposition(triangle, np.array([1.0, bad, 1.0]))
+
+    @pytest.mark.parametrize("bad", (np.nan, np.inf))
+    def test_index_rejects_non_finite_weights(self, bad):
+        g = random_graph(200, 800, seed=3)
+        w = np.random.default_rng(0).lognormal(0.0, 0.75, g.num_edges)
+        w[5] = bad
+        index = BestKIndex(g, store=False)
+        with pytest.raises(ValueError, match="finite"):
+            index.best_level("weighted", "weighted_average_degree", edge_weights=w)
+
     def test_integer_levels_range(self, figure2):
         decomp = s_core_decomposition(figure2, random_weights(figure2))
         levels = decomp.integer_levels(10)
@@ -106,6 +125,72 @@ class TestDecomposition:
         assert levels.max() <= 10
         with pytest.raises(ValueError):
             decomp.integer_levels(0)
+
+
+def frozen_heap_peel(graph, edge_weights):
+    """The heap loop as it ran over numpy arrays, kept as a fixed oracle."""
+    edge_weights = np.asarray(edge_weights, dtype=np.float64)
+    n = graph.num_vertices
+    weights = arc_weights(graph, edge_weights) if len(edge_weights) else np.empty(0)
+    indptr, indices = graph.indptr, graph.indices
+    strength = get_backend("numpy").vertex_strengths(graph, weights)
+    alive = np.ones(n, dtype=bool)
+    level = np.zeros(n, dtype=np.float64)
+    order = np.empty(n, dtype=np.int64)
+    heap = [(float(strength[v]), v) for v in range(n)]
+    heapq.heapify(heap)
+    current = 0.0
+    removed = 0
+    while heap:
+        s, v = heapq.heappop(heap)
+        if not alive[v] or s != strength[v]:
+            continue
+        current = max(current, s)
+        level[v] = current
+        order[removed] = v
+        removed += 1
+        alive[v] = False
+        for j in range(indptr[v], indptr[v + 1]):
+            u = int(indices[j])
+            if alive[u]:
+                strength[u] -= weights[j]
+                heapq.heappush(heap, (float(strength[u]), u))
+    return level, order
+
+
+def assert_peel_bit_identical(graph, weights):
+    decomp = s_core_decomposition(graph, weights, backend="numpy")
+    level, order = frozen_heap_peel(graph, weights)
+    np.testing.assert_array_equal(decomp.level, level)
+    np.testing.assert_array_equal(decomp.peel_order, order)
+
+
+class TestListPeelBitIdentical:
+    """The list-based heap loop against the numpy-indexed one, exactly."""
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_lognormal_graphs(self, seed):
+        g = random_graph(60 + 20 * seed, 200 + 90 * seed, seed)
+        w = np.random.default_rng(seed).lognormal(0.0, 0.75, g.num_edges)
+        assert_peel_bit_identical(g, w)
+
+    @zoo_params()
+    def test_zoo(self, graph):
+        assert_peel_bit_identical(graph, random_weights(graph, seed=5))
+
+    @settings(max_examples=40, deadline=None, suppress_health_check=[HealthCheck.too_slow])
+    @given(st.integers(min_value=0, max_value=20), st.lists(
+        st.tuples(st.integers(0, 19), st.integers(0, 19)), max_size=80,
+    ), st.integers(min_value=0, max_value=2**16))
+    def test_hypothesis_graphs(self, n, raw, seed):
+        builder = GraphBuilder()
+        for v in range(n):
+            builder.add_vertex(v)
+        if n:
+            builder.add_edges([(u % n, v % n) for u, v in raw])
+        g = builder.build()
+        w = np.random.default_rng(seed).lognormal(0.0, 0.75, g.num_edges)
+        assert_peel_bit_identical(g, w)
 
 
 class TestMetrics:
