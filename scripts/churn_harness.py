@@ -7,6 +7,9 @@ verifies the maintained index against a cold rebuild of the new
 snapshot:
 
 * the patched core decomposition is bit-identical to a full peel;
+* the patched Algorithm 1 ordering (``index.ordered``: rank, indptr,
+  indices and the same/plus/high tags) is bit-identical to
+  ``order_vertices`` on a cold copy of the snapshot;
 * every queried family's best level set and scores agree;
 * after the stream, a fresh process-equivalent index warm-restarted
   from the epoch store answers identically without re-peeling.
@@ -37,13 +40,15 @@ import numpy as np
 
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
-from repro.core import core_decomposition
+from repro.core import core_decomposition, order_vertices
 from repro.dynamic import GraphDelta
 from repro.generators import gnm_random_graph
+from repro.graph import Graph
 from repro.index import ArtifactStore, BestKIndex
 
 METRICS = ("average_degree", "internal_density")
 FAMILIES = ("core", "truss")
+ORDER_FIELDS = ("rank", "indptr", "indices", "same", "plus", "high")
 
 
 def random_delta(rng: random.Random, graph, num_changes: int) -> GraphDelta:
@@ -76,6 +81,11 @@ def verify_epoch(index: BestKIndex, label: str) -> list[str]:
         index.decomposition.coreness, core_decomposition(index.graph).coreness
     ):
         failures.append(f"{label}: maintained coreness != full peel")
+    ordered = index.ordered
+    cold_order = order_vertices(Graph.from_arrays(index.graph.indptr, index.graph.indices))
+    for field in ORDER_FIELDS:
+        if not np.array_equal(getattr(ordered, field), getattr(cold_order, field)):
+            failures.append(f"{label}: ordering {field} != cold order_vertices")
     for family in FAMILIES:
         for metric in METRICS:
             warm = index.best_level(family, metric)

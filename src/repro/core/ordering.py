@@ -26,6 +26,16 @@ rank, so each tag is one ``searchsorted`` of a per-row threshold key into
 the sorted keys.  The builder is the one behind the generalised
 :func:`repro.engine.levels.level_ordering`; :func:`order_vertices` passes
 it the decomposition's vertex order, so nothing is sorted twice.
+
+After a graph delta the ordering can be *patched* from the previous
+snapshot's (:func:`order_vertices` with ``base=``).  Rank is the
+(coreness, id) total order of Definition 5, so the relative order of two
+neighbours ``u, w`` of ``v`` depends only on ``c(u)``, ``c(w)`` and the
+ids, and the tags of ``v`` only on ``c(v)`` and its neighbours'
+coreness.  A row can therefore differ from its old self only if the
+delta edited it, or ``v`` or one of its neighbours changed coreness
+(:func:`_affected_rows`); every other row keeps its neighbour ids in the
+same order and its tags, and only ``rank`` has to move.
 """
 
 from __future__ import annotations
@@ -36,6 +46,7 @@ import numpy as np
 
 from ..engine.levels import _rank_order_arcs
 from ..graph.csr import Graph
+from ..kernels.common import concat_ranges
 from .decomposition import CoreDecomposition, core_decomposition
 
 __all__ = ["OrderedGraph", "order_vertices"]
@@ -130,7 +141,11 @@ class OrderedGraph:
 
 
 def order_vertices(
-    graph: Graph, decomposition: CoreDecomposition | None = None
+    graph: Graph,
+    decomposition: CoreDecomposition | None = None,
+    *,
+    base: OrderedGraph | None = None,
+    touched: np.ndarray | None = None,
 ) -> OrderedGraph:
     """Run Algorithm 1: rank-order every adjacency list and tag positions.
 
@@ -141,16 +156,51 @@ def order_vertices(
     decomposition:
         A precomputed :func:`core_decomposition` result; computed on the fly
         when omitted.
+    base, touched:
+        The ordering of an earlier snapshot of the same vertex ids and the
+        vertices whose adjacency changed since (the endpoints of the
+        delta).  Together they let only :func:`_affected_rows` be re-sorted;
+        the result is identical to the cold build, which also runs
+        instead when those rows hold more than a quarter of the arcs
+        (:data:`~repro.engine.levels.PATCH_MAX_ARC_SHARE`).
 
     Complexity: ``O(m)`` space; the paper's two counting-sort passes are
-    ``O(m)`` time, the one arc-key sort here ``O(m log m)``.
+    ``O(m)`` time, the one arc-key sort here ``O(m log m)``.  A patch
+    sorts only the affected rows' arcs, plus ``O(n + m)`` array copies.
     """
     if decomposition is None:
         decomposition = core_decomposition(graph)
+    rows = None
+    if base is not None:
+        rows = _affected_rows(
+            graph, base.decomposition.coreness, decomposition.coreness, touched
+        )
     return OrderedGraph(
         graph=graph,
         decomposition=decomposition,
         **_rank_order_arcs(
-            graph, decomposition.coreness, decomposition.order, decomposition.shell_start
+            graph, decomposition.coreness, decomposition.order,
+            decomposition.shell_start, base=base, rows=rows,
         ),
     )
+
+
+def _affected_rows(
+    graph: Graph, old_coreness: np.ndarray, coreness: np.ndarray, touched: np.ndarray
+) -> np.ndarray:
+    """Sorted ids of the rows whose Algorithm 1 output can have changed.
+
+    The ``touched`` rows (edited by the delta), the vertices whose
+    coreness differs from ``old_coreness`` and their neighbours in
+    ``graph``.  A vertex beyond the old vertex count is touched or
+    isolated; an isolated row is empty with zero tags, which the patch
+    fills in without sorting it.  Costs ``O(n)`` for the coreness
+    comparison and the row mask, plus the changed vertices' degrees.
+    """
+    n_old = len(old_coreness)
+    changed = np.flatnonzero(coreness[:n_old] != old_coreness)
+    mask = np.zeros(graph.num_vertices, dtype=bool)
+    mask[touched] = True
+    mask[changed] = True
+    mask[concat_ranges(graph.indices, graph.indptr[changed], graph.indptr[changed + 1])] = True
+    return np.flatnonzero(mask)

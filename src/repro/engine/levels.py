@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from ..graph.csr import Graph, sorted_arc_keys
+from ..kernels.common import concat_ranges
 from .metrics import Metric
 from .primary import GraphTotals, PrimaryValues
 from .triangles import triangles_by_min_rank_vertex, triplet_group_deltas
@@ -96,38 +97,119 @@ def level_ordering(graph: Graph, levels: np.ndarray) -> LevelOrdering:
     )
 
 
+#: A patched Algorithm 1 (:func:`_rank_order_arcs` with a ``base``) re-sorts
+#: only the given rows; once those rows hold more than this share of all
+#: arcs, the full keyed sort is cheaper and runs instead.
+PATCH_MAX_ARC_SHARE = 0.25
+
+
 def _rank_order_arcs(
-    graph: Graph, levels: np.ndarray, order: np.ndarray, level_start: np.ndarray
+    graph: Graph, levels: np.ndarray, order: np.ndarray, level_start: np.ndarray,
+    *, base=None, rows: np.ndarray | None = None,
 ) -> dict[str, np.ndarray]:
     """Algorithm 1 proper: rank-ordered adjacency plus the position tags.
 
     The one builder behind :func:`level_ordering` and
     :func:`repro.core.ordering.order_vertices`.  ``order`` lists the
-    vertices by ``(level, id)``, so rank is position in it.  One sort of the
-    arc keys ``row * n + rank[nbr]`` orders every slice by rank; level is
-    monotone in rank, so each tag is the insertion point of the row's
-    threshold key ``level_start[level[v]]`` (``same``),
-    ``level_start[level[v] + 1]`` (``plus``) or ``rank[v]`` (``high``).
+    vertices by ``(level, id)``, so rank is position in it; the arcs and
+    tags come from :func:`_sort_rows`.
+
+    Passing ``base`` (an ordering of an earlier snapshot: any object with
+    ``indptr``/``indices``/``same``/``plus``/``high``) and ``rows`` (the
+    sorted ids of every row whose rank-ordered neighbour list or tags may
+    differ from ``base``'s) patches instead: only ``rows`` are sorted and
+    tagged, and every other row's arcs and tags are copied from ``base``
+    with one boolean compress and scatter (rows beyond ``base``'s vertex
+    count that are not in ``rows`` must be empty; their tags are 0).  The
+    caller guarantees that ``rows`` covers every row whose adjacency
+    changed, so the other rows kept their degree and their arcs their
+    relative positions.  When ``rows`` holds more than
+    :data:`PATCH_MAX_ARC_SHARE` of all arcs the full sort runs.  The
+    output is the same either way; only ``rank`` is always rebuilt, in
+    O(n).
     """
     n = graph.num_vertices
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
+    deg = graph.degrees()
+    if base is not None and int(deg[rows].sum()) > PATCH_MAX_ARC_SHARE * len(graph.indices):
+        base = None
+    if base is None:
+        indices, same, plus, high = _sort_rows(graph, levels, order, rank, level_start, None)
+        return dict(rank=rank, indptr=graph.indptr.copy(), indices=indices,
+                    same=same, plus=plus, high=high)
 
-    rows = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
-    keys = sorted_arc_keys(rows, rank[graph.indices], n)
-    base = np.arange(n, dtype=np.int64) * n
-    row_start = graph.indptr[:-1]
+    sub_indices, sub_same, sub_plus, sub_high = _sort_rows(
+        graph, levels, order, rank, level_start, rows
+    )
+    n_old = len(base.same)
+    new_slots = _row_slots(graph.indptr, rows)
+    old_slots = _row_slots(base.indptr, rows[rows < n_old])
+    keep_new = np.ones(len(graph.indices), dtype=bool)
+    keep_new[new_slots] = False
+    keep_old = np.ones(len(base.indices), dtype=bool)
+    keep_old[old_slots] = False
+    indices = np.empty(len(graph.indices), dtype=np.int64)
+    indices[keep_new] = base.indices[keep_old]
+    indices[new_slots] = sub_indices
+
+    def patched(old: np.ndarray, new: np.ndarray) -> np.ndarray:
+        out = np.zeros(n, dtype=np.int64)
+        out[:n_old] = old
+        out[rows] = new
+        return out
+
+    return dict(rank=rank, indptr=graph.indptr.copy(), indices=indices,
+                same=patched(base.same, sub_same), plus=patched(base.plus, sub_plus),
+                high=patched(base.high, sub_high))
+
+
+def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Positions of the arcs of ``rows`` in a CSR, in row order: O(their arcs)."""
+    starts, lengths = indptr[rows], indptr[rows + 1] - indptr[rows]
+    shift = np.repeat(starts - np.cumsum(lengths) + lengths, lengths)
+    return shift + np.arange(len(shift), dtype=np.int64)
+
+
+def _sort_rows(
+    graph: Graph, levels: np.ndarray, order: np.ndarray, rank: np.ndarray,
+    level_start: np.ndarray, rows: np.ndarray | None,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Rank-ordered arcs and ``(same, plus, high)`` tags of some rows.
+
+    ``rows`` is a sorted array of vertex ids, or ``None`` for every row
+    (the cold build).  One sort of the arc keys ``row * n + rank[nbr]``
+    (``row`` numbered within ``rows``) orders every slice by rank; level
+    is monotone in rank, so each tag is the insertion point of the row's
+    threshold key ``level_start[level[v]]`` (``same``),
+    ``level_start[level[v] + 1]`` (``plus``) or ``rank[v]`` (``high``).
+    Returns the rows' neighbour ids concatenated in row order, then the
+    three tag arrays, one entry per row.
+    """
+    n = graph.num_vertices
+    if rows is None:
+        deg, nbrs, row_start = graph.degrees(), graph.indices, graph.indptr[:-1]
+        row_levels, row_rank = levels, rank
+    else:
+        starts, deg = graph.indptr[rows], graph.degrees()[rows]
+        nbrs = concat_ranges(graph.indices, starts, starts + deg)
+        row_start = np.zeros(len(rows), dtype=np.int64)
+        np.cumsum(deg[:-1], out=row_start[1:])
+        row_levels, row_rank = levels[rows], rank[rows]
+
+    local = np.repeat(np.arange(len(deg), dtype=np.int64), deg)
+    keys = sorted_arc_keys(local, rank[nbrs], n)
+    base = np.arange(len(deg), dtype=np.int64) * n
 
     def tag(threshold: np.ndarray) -> np.ndarray:
         return np.searchsorted(keys, base + threshold) - row_start
 
-    same = tag(level_start[levels])
-    plus = tag(level_start[levels + 1])
-    high = tag(rank)
-    rows *= n
-    keys -= rows
-    return dict(rank=rank, indptr=graph.indptr.copy(), indices=order[keys],
-                same=same, plus=plus, high=high)
+    same = tag(level_start[row_levels])
+    plus = tag(level_start[row_levels + 1])
+    high = tag(row_rank)
+    local *= n
+    keys -= local
+    return order[keys], same, plus, high
 
 
 @dataclass(frozen=True)

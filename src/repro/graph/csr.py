@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import GraphFormatError
 
-__all__ = ["Graph", "arc_csr", "sorted_arc_keys"]
+__all__ = ["Graph", "arc_csr", "arc_positions", "sorted_arc_keys"]
 
 
 class Graph:
@@ -286,6 +286,31 @@ def arc_csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     np.cumsum(counts, out=indptr[1:])
     indices = keys - np.repeat(np.arange(n, dtype=np.int64) * n, counts)
     return indptr, indices, keys
+
+
+def arc_positions(
+    indptr: np.ndarray, indices: np.ndarray, heads: np.ndarray, tails: np.ndarray
+) -> np.ndarray:
+    """Where arc ``heads[i] -> tails[i]`` sits, or would sit, in a CSR.
+
+    One synchronised binary search across all the (ascending) rows at
+    once: entry ``i`` is the lower bound of ``tails[i]`` in row
+    ``heads[i]``, an absolute position into ``indices``.  It is the arc's
+    own position when the arc exists, and its insertion point otherwise
+    (``indptr[heads[i] + 1]`` when every neighbour is smaller).  Costs
+    ``O(k log max_degree)`` for ``k`` queries.
+    """
+    lo = indptr[heads].astype(np.int64)
+    hi = indptr[heads + 1].astype(np.int64)
+    while True:
+        open_ = lo < hi
+        if not open_.any():
+            return lo
+        mid = (lo + hi) // 2
+        go = np.zeros(len(lo), dtype=bool)
+        go[open_] = indices[mid[open_]] < tails[open_]
+        lo = np.where(open_ & go, mid + 1, lo)
+        hi = np.where(open_ & ~go, mid, hi)
 
 
 def _check_shape(indptr: np.ndarray, indices: np.ndarray) -> None:

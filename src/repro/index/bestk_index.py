@@ -236,6 +236,9 @@ class BestKIndex:
         self._core_values: dict[bool, tuple[PrimaryValues, ...]] = {}
         #: Last-seen :meth:`HierarchyFamily.cache_token` per family.
         self._tokens: dict[str, object] = {}
+        #: ``(old core:order, touched vertices)`` left by a patched
+        #: :meth:`apply` for the next ``core:order`` build to patch from.
+        self._order_base: tuple[OrderedGraph, np.ndarray] | None = None
 
     # ------------------------------------------------------------------
     # Lazy artifact store
@@ -300,6 +303,8 @@ class BestKIndex:
         self._maybe_hydrate(fam, params)
 
     def _invalidate(self, family_name: str) -> None:
+        if family_name == "core":
+            self._order_base = None
         prefix = family_name + ":"
         for key in [k for k in self._artifacts if k.startswith(prefix)]:
             del self._artifacts[key]
@@ -704,11 +709,15 @@ class BestKIndex:
         # Touch the decomposition *outside* the builder so store hydration
         # (which may bring ``core:order`` along) precedes the build check.
         decomposition = self.decomposition
-        return self._get(
-            "core:order",
-            lambda: order_vertices(self.graph, decomposition),
-            persist=(get_family("core"), {}),
-        )
+
+        def build() -> OrderedGraph:
+            # A patched apply leaves the previous epoch's ordering behind;
+            # the build consumes it (patching only the affected rows).
+            base, touched = self._order_base or (None, None)
+            self._order_base = None
+            return order_vertices(self.graph, decomposition, base=base, touched=touched)
+
+        return self._get("core:order", build, persist=(get_family("core"), {}))
 
     @property
     def totals(self) -> GraphTotals:
@@ -913,7 +922,10 @@ class BestKIndex:
           :func:`~repro.dynamic.incremental_core_numbers` (the repaired
           coreness rebuilds the decomposition deterministically), so the
           peel never reruns even though downstream core artifacts
-          (orderings, totals, forest) rebuild lazily — whether the repair
+          (orderings, totals, forest) rebuild lazily — ``core:order`` by
+          patching the old ordering's affected rows
+          (:func:`~repro.core.ordering.order_vertices` with ``base=``) when
+          it was built before the apply — whether the repair
           walks per edge, runs the batched ``subcore_repair`` kernel, or
           re-peels is decided by the cost-model planner
           (:func:`~repro.dynamic.plan_maintenance`), forceable via
@@ -957,6 +969,7 @@ class BestKIndex:
             patched: list[str] = []
             retained: list[str] = []
             invalidated: list[str] = []
+            old_order = self._artifacts.get("core:order")
             if noop:
                 retained = list(families)
             else:
@@ -968,6 +981,8 @@ class BestKIndex:
                         )
                         self._artifacts["core:decompose"] = decomp
                         self.build_seconds["core:decompose"] = 0.0
+                        if old_order is not None:
+                            self._order_base = (old_order, eff.touched_vertices())
                         patched.append(name)
                     else:
                         invalidated.append(name)

@@ -53,10 +53,14 @@ from .. import obs
 from ..core.decomposition import CoreDecomposition
 from ..core.forest import CoreForest
 from ..core.ordering import OrderedGraph
-from ..dynamic.versioned import VersionedGraph, stamp_epoch_digest
+from ..dynamic.versioned import (
+    VersionedGraph, edge_set_hash, edge_set_token, stamp_epoch_digest,
+)
 from ..engine.family import HierarchyFamily
 from ..engine.levels import LevelOrdering
+from ..errors import GraphIntegrityError
 from ..graph.csr import Graph
+from ..graph.validate import validate_graph
 
 __all__ = [
     "ArtifactStore",
@@ -70,7 +74,10 @@ __all__ = [
 
 #: Version 2: forest nodes are numbered canonically (descending k, then
 #: smallest shell vertex), which node ids and their tie-breaks depend on.
-FORMAT_VERSION = 2
+#: Version 3: epoch snapshots are stamped over the edge-set token
+#: (:func:`~repro.dynamic.versioned.edge_set_token`) instead of the
+#: whole-CSR SHA-256, which changes every epoch's bundle key.
+FORMAT_VERSION = 3
 
 logger = logging.getLogger(__name__)
 
@@ -458,9 +465,10 @@ class ArtifactStore:
 
         Records the snapshot arrays atomically plus a manifest carrying
         the lineage, epoch number, stamped digest and delta sizes.  A
-        record is self-verifying: :meth:`load_latest_epoch` recomputes
-        the stamped digest from the arrays and discards any record whose
-        manifest disagrees.
+        record is self-verifying: :meth:`load_latest_epoch` validates the
+        arrays as a canonical CSR, recomputes the edge-set token and the
+        stamped digest from them, and discards any record whose manifest
+        disagrees.
         """
         d = self.epochs_dir(versioned.lineage) / f"epoch-{versioned.epoch:06d}"
         d.mkdir(parents=True, exist_ok=True)
@@ -506,11 +514,13 @@ class ArtifactStore:
     def load_latest_epoch(self, lineage: str) -> VersionedGraph | None:
         """Newest verifiable epoch snapshot of a lineage, or ``None``.
 
-        Walks records newest-first; each candidate's arrays are loaded and
-        the stamped digest recomputed — a mismatch (truncated array,
-        tampered manifest, format drift) discards that record and falls
-        back to the next-newest, so a corrupted tail costs epochs, never
-        consistency.  Epoch 0 is never recorded (the caller already holds
+        Walks records newest-first; each candidate's arrays are loaded,
+        checked to be a canonical CSR (sorted rows, no loops, symmetric —
+        the one layout a given edge set has), and the stamped digest
+        recomputed from their edge-set token — a mismatch (truncated
+        array, tampered manifest or arrays, format drift) discards that
+        record and falls back to the next-newest, so a corrupted tail
+        costs epochs, never consistency.  Epoch 0 is never recorded (the caller already holds
         the base graph), so a ``None`` simply means "start from epoch 0".
         """
         for meta in reversed(self.epoch_records(lineage)):
@@ -521,9 +531,14 @@ class ArtifactStore:
                 indptr = np.asarray(_load_array(path / "indptr.npy"))
                 indices = np.asarray(_load_array(path / "indices.npy"))
                 graph = Graph.from_arrays(indptr, indices)
+                try:
+                    validate_graph(graph)
+                except GraphIntegrityError as exc:
+                    raise _BundleAnomaly("corrupt_array", str(exc)) from exc
                 epoch = int(meta["epoch"])
-                expect = stamp_epoch_digest(lineage, epoch, graph.content_digest())
-                if meta.get("digest") != expect:
+                edge_hash = edge_set_hash(graph.edge_array())
+                token = edge_set_token(graph.num_vertices, edge_hash)
+                if meta.get("digest") != stamp_epoch_digest(lineage, epoch, token):
                     raise _BundleAnomaly("identity_mismatch", "digest")
             except _BundleAnomaly as anomaly:
                 obs.add("store.discard", family="dynamic", reason=anomaly.reason)
@@ -547,7 +562,7 @@ class ArtifactStore:
             obs.add("store.hit", family="dynamic")
             return VersionedGraph(
                 stamped, epoch=epoch, lineage=lineage,
-                parent_digest=meta.get("parent"),
+                parent_digest=meta.get("parent"), edge_hash=edge_hash,
             )
         obs.add("store.miss", family="dynamic")
         return None

@@ -33,7 +33,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..graph.csr import Graph
+from ..graph.csr import Graph, arc_positions
 from .base import KernelBackend
 from .common import concat_ranges, rank_forward_adjacency
 
@@ -330,7 +330,7 @@ class NumpyBackend(KernelBackend):
         if dels.any():
             heads = np.concatenate([ops_u[dels], ops_v[dels]])
             tails = np.concatenate([ops_v[dels], ops_u[dels]])
-            active[_row_positions(indptr, indices, heads, tails)] = 0
+            active[arc_positions(indptr, indices, heads, tails)] = 0
             dirty = np.unique(heads)
             while dirty.size:
                 h = np.minimum(
@@ -426,22 +426,6 @@ class NumpyBackend(KernelBackend):
 # ----------------------------------------------------------------------
 # Masked two-part adjacency helpers (batched subcore repair)
 # ----------------------------------------------------------------------
-
-def _row_positions(indptr, indices, heads, tails) -> np.ndarray:
-    """Arc positions of existing ``heads[i] -> tails[i]`` arcs: one
-    synchronized binary search across all the (sorted) rows at once."""
-    lo = indptr[heads].astype(np.int64)
-    hi = indptr[heads + 1].astype(np.int64)
-    while True:
-        open_ = lo < hi
-        if not open_.any():
-            return lo
-        mid = (lo + hi) // 2
-        go = np.zeros(len(lo), dtype=bool)
-        go[open_] = indices[mid[open_]] < tails[open_]
-        lo = np.where(open_ & go, mid + 1, lo)
-        hi = np.where(open_ & ~go, mid, hi)
-
 
 def _masked_neighbors(two_part, verts) -> tuple[np.ndarray, np.ndarray]:
     """``(nbrs, seg)`` of the active arcs out of ``verts`` across both the

@@ -25,6 +25,7 @@ from repro.dynamic import (
     incremental_core_numbers,
     stamp_epoch_digest,
 )
+from repro.dynamic.versioned import edge_set_hash, edge_set_token
 from repro.errors import GraphDeltaError
 from repro.generators import gnm_random_graph, powerlaw_chung_lu
 from repro.graph import Graph
@@ -145,7 +146,8 @@ class TestVersionedGraph:
         nxt = vg.apply(GraphDelta.from_edges(insert=[(0, 3)]))
         plain = Graph.from_arrays(nxt.graph.indptr, nxt.graph.indices, False)
         assert nxt.digest != plain.content_digest()
-        assert nxt.digest == stamp_epoch_digest(vg.lineage, 1, plain.content_digest())
+        token = edge_set_token(4, edge_set_hash(plain.edge_array()))
+        assert nxt.digest == stamp_epoch_digest(vg.lineage, 1, token)
 
     def test_same_content_different_epochs_never_alias(self, triangle):
         # Insert then delete the same edge: content returns, identity must not.
@@ -155,6 +157,49 @@ class TestVersionedGraph:
         # Same edges as the base (vertex count grew to 4 and stays).
         assert e2.graph == Graph.from_edges([(0, 1), (1, 2), (0, 2)], num_vertices=4)
         assert e2.digest != vg.digest and e2.digest != e1.digest
+
+    def test_same_edge_set_at_two_epochs_stamps_differently(self, triangle):
+        # Delete then re-insert an edge: epochs 0 and 2 hold the same edge
+        # set and vertex count, so the content token is equal...
+        vg = VersionedGraph(triangle)
+        e1 = vg.apply(GraphDelta.from_edges(delete=[(0, 1)]))
+        e2 = e1.apply(GraphDelta.from_edges(insert=[(0, 1)]))
+        e3 = e2.apply(GraphDelta.from_edges(num_vertices=3))
+        assert e2.edge_hash == vg.edge_hash == e3.edge_hash
+        # ...but every stamp differs, the lineage and epoch are folded in.
+        digests = {vg.digest, e1.digest, e2.digest, e3.digest}
+        assert len(digests) == 4
+        token = edge_set_token(3, vg.edge_hash)
+        assert e2.digest == stamp_epoch_digest(vg.lineage, 2, token)
+        assert e3.digest == stamp_epoch_digest(vg.lineage, 3, token)
+
+    def test_maintained_edge_hash_matches_recomputed(self):
+        # 50 seeded epochs with vertex growth and one delta that deletes
+        # every edge: the O(delta) hash equals the hash of the arrays.
+        rng = random.Random(50)
+        graph = gnm_random_graph(30, 70, seed=5)
+        vg = VersionedGraph(graph)
+        present = edge_set(graph)
+        for epoch in range(50):
+            n = vg.num_vertices
+            if epoch == 25:
+                delta = GraphDelta.from_edges(delete=sorted(present))
+                present.clear()
+            elif epoch % 7 == 3:
+                delta = GraphDelta.from_edges(num_vertices=n + rng.randrange(1, 4))
+            else:
+                delta = random_delta(rng, present, n + rng.randrange(0, 3), rng.randrange(1, 9))
+            vg = vg.apply(delta)
+            recomputed = edge_set_hash(vg.graph.edge_array())
+            assert vg.edge_hash == recomputed, f"epoch {vg.epoch}"
+            expected = stamp_epoch_digest(
+                vg.lineage, vg.epoch, edge_set_token(vg.num_vertices, recomputed)
+            )
+            assert vg.digest == expected
+            if epoch == 25:
+                assert vg.num_edges == 0 and recomputed == (0, 0)
+        assert vg.num_vertices > 30
+        assert vg.graph == Graph.from_edges(sorted(present), num_vertices=vg.num_vertices)
 
     def test_pickled_snapshot_strips_epoch_digest(self, triangle):
         nxt = VersionedGraph(triangle).apply(GraphDelta.from_edges(insert=[(0, 3)]))

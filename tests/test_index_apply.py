@@ -17,11 +17,14 @@ import pytest
 from conftest import figure2_edges
 from repro import obs
 from repro.core.family import CoreFamily
-from repro.dynamic import GraphDelta, VersionedGraph, incremental_core_numbers
+from repro.dynamic import (
+    GraphDelta, VersionedGraph, incremental_core_numbers, stamp_epoch_digest,
+)
 from repro.engine import get_family
 from repro.errors import GraphDeltaError
 from repro.graph import Graph
 from repro.index import ArtifactStore, BestKIndex
+from repro.index.store import FORMAT_VERSION
 from repro.truss.family import TrussFamily
 
 METRICS = ("average_degree", "internal_density")
@@ -246,6 +249,46 @@ class TestEpochStore:
         meta["digest"] = "0" * 64
         meta_path.write_text(json.dumps(meta))
         assert store.load_latest_epoch(lineage) is None
+
+    def test_reordered_record_arrays_are_discarded(self, figure2, tmp_path):
+        # Same arcs, same length, one row out of order: the edge-set token
+        # alone would match, so the loader must reject the layout itself.
+        store = ArtifactStore(tmp_path)
+        index = BestKIndex(figure2, store=store)
+        index.best_set("average_degree")
+        index.apply(GraphDelta.from_edges(insert=[(0, 8)]))
+        index.apply(GraphDelta.from_edges(insert=[(0, 6)]))
+        lineage = index.versioned.lineage
+        newest = store.epochs_dir(lineage) / "epoch-000002"
+        indices = np.load(newest / "indices.npy")
+        start = int(index.graph.indptr[0])
+        indices[[start, start + 1]] = indices[[start + 1, start]]
+        np.save(newest / "indices.npy", indices)
+        resumed = store.load_latest_epoch(lineage)
+        assert resumed is not None and resumed.epoch == 1
+
+    @pytest.mark.parametrize("format_number", [2, FORMAT_VERSION])
+    def test_format_2_epoch_record_is_never_misread(
+        self, figure2, tmp_path, format_number
+    ):
+        store = ArtifactStore(tmp_path)
+        index = BestKIndex(figure2, store=store)
+        index.best_set("average_degree")
+        index.apply(GraphDelta.from_edges(insert=[(0, 8)]))
+        index.apply(GraphDelta.from_edges(insert=[(0, 6)]))
+        lineage = index.versioned.lineage
+        # Rewrite the newest record as a version-2 writer stamped it: over
+        # the whole-CSR SHA-256.  Neither its format number nor, under the
+        # current number, its digest may pass; the older record serves.
+        newest = store.epochs_dir(lineage) / "epoch-000002"
+        meta = json.loads((newest / "meta.json").read_text())
+        plain = Graph.from_arrays(index.graph.indptr, index.graph.indices, False)
+        meta["format"] = format_number
+        meta["digest"] = stamp_epoch_digest(lineage, 2, plain.content_digest())
+        (newest / "meta.json").write_text(json.dumps(meta))
+        resumed = store.load_latest_epoch(lineage)
+        assert resumed is not None and resumed.epoch == 1
+        assert not newest.exists()
 
     def test_epoch_dirs_invisible_to_bundle_listing(self, figure2, tmp_path):
         store = ArtifactStore(tmp_path)
