@@ -13,16 +13,10 @@ Layering (DESIGN.md, engine section):
   ``repro.ecc``) — may depend on ``engine``, ``kernels``, ``graph``,
   ``errors``, ``generators`` — and NEVER on each other.
 * ``repro.parallel`` — execution plumbing above the foundation but below
-  the index: may use ``graph``/``errors``/``kernels``, must not import
+  the index: may use ``graph``/``errors``, must not import ``kernels``,
   the engine, a family package, or anything higher (families never fan
   themselves out; only ``repro.index`` and the apps layer schedule
-  work).  Within the package the kernels dependency is confined to the
-  sharded fixpoint engine: ``parallel.sharded`` may import ``kernels``,
-  the plumbing modules (``parallel.pool``, ``parallel.shm``, the package
-  ``__init__``) may not (see ``FORBIDDEN_MODULES``).  The reverse seam —
-  ``repro.core`` dispatching to the sharded engine — crosses lazily via
-  ``importlib`` inside a function body, the same sanctioned idiom as the
-  engine -> family bootstrap.
+  work).
 * ``repro.dynamic`` — the mutability seam, a sibling of ``parallel``:
   may use ``graph``/``errors``/``kernels``/``obs`` (the rebuild fallback
   dispatches through the kernel registry, never through a family), must
@@ -40,8 +34,8 @@ Layering (DESIGN.md, engine section):
   and the generators, but never ``cli``/``apps``/``viz`` — and no family,
   kernel, engine or plumbing package may import it back (it is in every
   lower layer's forbidden list via ``ALL_LAYERS``).
-* everything else (``index``, ``apps``, ``bench``, ``cli``, ...) — higher
-  layers, unconstrained.
+* everything else (``index``, ``apps``, ``bench``, ``cli``, ``external``,
+  ...) — higher layers, unconstrained.
 
 The check is AST-based and covers module-level *and* function-local
 ``import x`` / ``from x import y`` statements, including relative imports,
@@ -86,7 +80,7 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
     "engine": FAMILY_PACKAGES
     + ("parallel", "dynamic", "index", "apps", "bench", "cli", "scenarios"),
     "parallel": FAMILY_PACKAGES
-    + ("engine", "dynamic", "index", "apps", "bench", "cli", "scenarios"),
+    + ("kernels", "engine", "dynamic", "index", "apps", "bench", "cli", "scenarios"),
     "dynamic": FAMILY_PACKAGES
     + ("engine", "parallel", "index", "apps", "bench", "cli", "scenarios"),
     # The self-measurement harness sits above the whole execution stack:
@@ -100,14 +94,8 @@ for _family in FAMILY_PACKAGES:
     )
 
 #: full module name -> repro subpackages that *specific module* must not
-#: import, on top of its package's FORBIDDEN entry.  ``repro.parallel``
-#: as a whole is allowed to use kernels, but only the sharded fixpoint
-#: engine actually may — the pool/shm plumbing (and the package
-#: ``__init__``, which the index imports eagerly) stays kernel-free.
+#: import, on top of its package's FORBIDDEN entry.
 FORBIDDEN_MODULES: dict[str, tuple[str, ...]] = {
-    "repro.parallel": ("kernels",),
-    "repro.parallel.pool": ("kernels",),
-    "repro.parallel.shm": ("kernels",),
     # The native backend and its JIT providers are self-contained: raw
     # arrays in, raw arrays out, nothing from repro outside the kernels
     # package (obs, the stdlib-only leaf, is the one sanctioned import —

@@ -48,9 +48,8 @@ shared-memory segments the parallel layer created.
 
 Selector strictness: an *explicitly requested* backend (``--backend`` or
 ``REPRO_BACKEND``) that cannot actually serve — unknown name, or the
-native backend with every kernel in fallback — and an unknown engine
-(``--engine`` / ``REPRO_ENGINE``) fail fast with exit code 1 instead of
-silently degrading to another implementation.
+native backend with every kernel in fallback — fails fast with exit
+code 1 instead of silently degrading to another implementation.
 """
 
 from __future__ import annotations
@@ -128,11 +127,6 @@ def _index_args(p: argparse.ArgumentParser) -> None:
              "(default: REPRO_CACHE_DIR, or no cache)",
     )
     p.add_argument(
-        "--engine", default=None, choices=("peel", "sharded"),
-        help="core-number engine: serial peel or the sharded h-index "
-             "fixpoint (bit-identical; default: REPRO_ENGINE or peel)",
-    )
-    p.add_argument(
         "--trace", default=None, metavar="FILE",
         help="append obs spans/counters to FILE as JSON lines "
              "(same as REPRO_TRACE; inspect with 'bestk stats FILE')",
@@ -153,15 +147,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("decompose", help="coreness statistics")
     graph_arg(p)
     _backend_arg(p)
-    p.add_argument(
-        "--engine", default=None, choices=("peel", "sharded"),
-        help="core-number engine (bit-identical; default: REPRO_ENGINE or peel)",
-    )
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the sharded engine "
-             "(default: REPRO_JOBS or serial; 0 means all cores)",
-    )
 
     for name, helptext in (
         ("set", "best level set of a hierarchy family (Problem 1)"),
@@ -369,9 +354,7 @@ def build_parser() -> argparse.ArgumentParser:
 def _cmd_decompose(args) -> int:
     from .graph import graph_summary
     graph = _load_graph(args.graph)
-    decomp = core_decomposition(
-        graph, backend=args.backend, engine=args.engine, jobs=args.jobs
-    )
+    decomp = core_decomposition(graph, backend=args.backend)
     print(graph_summary(graph).render())
     print(f"kmax (degeneracy) = {decomp.kmax}")
     for k in range(decomp.kmax + 1):
@@ -398,7 +381,7 @@ def _cmd_bestk(args, which: str) -> int:
     ):
         index = BestKIndex(
             graph, backend=args.backend, jobs=args.jobs,
-            store=args.cache_dir or None, engine=args.engine,
+            store=args.cache_dir or None,
         )
         start = time.perf_counter()
         if which == "core":
@@ -491,12 +474,12 @@ def _backend_unavailable(name: str) -> str | None:
 
 
 def _validate_selectors(args) -> None:
-    """Fail fast on explicitly requested selectors that cannot serve.
+    """Fail fast on an explicitly requested backend that cannot serve.
 
-    Only commands carrying the corresponding option are checked, and only
-    when the user asked for something — via the flag or the environment
-    variable.  The default resolution path (no request) keeps its
-    documented degrade behaviour.
+    Only commands carrying ``--backend`` are checked, and only when the
+    user asked for something — via the flag or the environment variable.
+    The default resolution path (no request) keeps its documented
+    degrade behaviour.
     """
     import os
 
@@ -506,11 +489,6 @@ def _validate_selectors(args) -> None:
             message = _backend_unavailable(requested)
             if message:
                 raise ReproError(message)
-    if hasattr(args, "engine"):
-        from .core.decomposition import resolve_engine
-
-        # Raises UnknownEngineError for a bogus --engine or REPRO_ENGINE.
-        resolve_engine(args.engine)
 
 
 def _cmd_apply(args) -> int:
@@ -533,10 +511,7 @@ def _cmd_apply(args) -> int:
         num_vertices=args.num_vertices,
     )
     with obs.span("cli:apply", n=vg.num_vertices, m=vg.num_edges):
-        index = BestKIndex(
-            vg, backend=args.backend, jobs=args.jobs, store=store,
-            engine=args.engine,
-        )
+        index = BestKIndex(vg, backend=args.backend, jobs=args.jobs, store=store)
         # Ensure a core baseline exists before applying: hydrated from the
         # store when warm, built once when cold.  The apply then repairs
         # it incrementally and re-persists it under the new epoch's key,
@@ -732,9 +707,7 @@ def _cmd_cache(args) -> int:
 
     graph = _load_graph(args.graph)
     families = tuple(args.family) if args.family else ("core", "truss")
-    index = BestKIndex(
-        graph, backend=args.backend, jobs=args.jobs, store=store, engine=args.engine
-    )
+    index = BestKIndex(graph, backend=args.backend, jobs=args.jobs, store=store)
     built = index.prebuild(families, problem2=True)
     for name, artifacts in built.items():
         print(f"warmed {name}: {', '.join(artifacts)}")
@@ -789,8 +762,6 @@ def _cmd_bench(args) -> int:
         width = max(len(s.name) for s in scenarios)
         for s in scenarios:
             axes = f"{s.family}/{s.backend}"
-            if s.engine:
-                axes += f"/{s.engine}"
             if s.jobs > 1:
                 axes += f"/jobs={s.jobs}"
             if s.cache:

@@ -43,7 +43,7 @@ from .bestk_set import (
     kcore_set_scores,
 )
 from .combine import CombinedBestK, combined_kcore_scores, combined_kcore_set_scores
-from .decomposition import ENGINES, CoreDecomposition, core_decomposition, resolve_engine
+from .decomposition import CoreDecomposition, core_decomposition
 from .family import CoreFamily, core_level_view
 from .forest import CoreForest, CoreNode, build_core_forest, build_core_forest_lcps
 from .ordering import OrderedGraph, order_vertices
@@ -56,7 +56,6 @@ __all__ = [
     "CoreFamily",
     "CoreForest",
     "CoreNode",
-    "ENGINES",
     "GraphTotals",
     "KCoreScores",
     "KCoreSetScores",
@@ -85,5 +84,4 @@ __all__ = [
     "order_vertices",
     "primary_values",
     "register_metric",
-    "resolve_engine",
 ]

@@ -25,27 +25,15 @@ algorithm in this package needs:
 
 from __future__ import annotations
 
-import importlib
-import os
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..errors import UnknownEngineError
 from ..graph.csr import Graph
 from ..kernels import KernelBackend, get_backend
 from ..kernels.common import exact_peel
 
-__all__ = ["CoreDecomposition", "core_decomposition", "resolve_engine", "ENGINES"]
-
-#: Recognised core-number producers.  ``peel`` is the serial bucket /
-#: frontier peel of the selected kernel backend; ``sharded`` is the
-#: partitioned h-index fixpoint of :mod:`repro.parallel.sharded`
-#: (bit-identical coreness, scales with ``jobs``).
-ENGINES = ("peel", "sharded")
-
-#: Environment variable consulted when no ``engine=`` is passed.
-ENGINE_ENV_VAR = "REPRO_ENGINE"
+__all__ = ["CoreDecomposition", "core_decomposition"]
 
 
 @dataclass(frozen=True)
@@ -127,22 +115,10 @@ class CoreDecomposition:
         return f"CoreDecomposition(n={len(self.coreness)}, kmax={self.kmax})"
 
 
-def resolve_engine(engine: str | None = None) -> str:
-    """Resolve an engine selector: argument → ``REPRO_ENGINE`` → ``peel``."""
-    if engine is None:
-        engine = os.environ.get(ENGINE_ENV_VAR, "").strip() or "peel"
-    engine = str(engine).lower()
-    if engine not in ENGINES:
-        raise UnknownEngineError(engine, ENGINES)
-    return engine
-
-
 def core_decomposition(
     graph: Graph,
     *,
     backend: str | KernelBackend | None = None,
-    engine: str | None = None,
-    jobs: int | None = None,
 ) -> CoreDecomposition:
     """Compute the coreness of every vertex in ``O(m)`` time.
 
@@ -153,28 +129,11 @@ def core_decomposition(
     backend:
         Kernel backend selector (name, instance, or ``None`` for the
         ``REPRO_BACKEND`` / default resolution) — see :mod:`repro.kernels`.
-    engine:
-        Core-number producer: ``"peel"`` (serial, the default) or
-        ``"sharded"`` (the partitioned h-index fixpoint of
-        :mod:`repro.parallel.sharded` — bit-identical coreness, scales
-        across ``jobs`` workers).  ``None`` defers to the
-        ``REPRO_ENGINE`` environment variable.
-    jobs:
-        Worker count for the sharded engine (argument → ``REPRO_JOBS`` →
-        serial); ignored by ``peel``.
     """
     n = graph.num_vertices
     if n == 0:
         empty = np.empty(0, dtype=np.int64)
         return CoreDecomposition(graph, empty, empty.copy())
-
-    if resolve_engine(engine) == "sharded":
-        # Lazy import: the layering contract forbids a static core ->
-        # parallel import (mirroring the engine -> family bootstrap);
-        # peel_order stays lazy and identical via exact_peel.
-        sharded = importlib.import_module("repro.parallel.sharded")
-        result = sharded.sharded_core_numbers(graph, jobs=jobs, backend=backend)
-        return CoreDecomposition(graph, result.coreness)
 
     kernels = get_backend(backend)
     if kernels.name == "python":

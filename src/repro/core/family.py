@@ -52,16 +52,13 @@ class CoreFamily(HierarchyFamily):
     paper_section = "III-IV"
     description = "maximal subgraphs where every vertex keeps degree >= k"
     supports_store = True
-    supports_engine = True
     #: Coreness is exactly what repro.dynamic's subcore maintenance
     #: repairs, and CoreDecomposition rebuilds deterministically from the
     #: repaired array alone.
     supports_incremental = True
 
-    def decompose(
-        self, graph, *, backend=None, engine=None, jobs=None, **params
-    ) -> CoreDecomposition:
-        return core_decomposition(graph, backend=backend, engine=engine, jobs=jobs)
+    def decompose(self, graph, *, backend=None, **params) -> CoreDecomposition:
+        return core_decomposition(graph, backend=backend)
 
     def levels(self, decomposition: CoreDecomposition, **params) -> np.ndarray:
         return decomposition.coreness

@@ -94,11 +94,6 @@ class HierarchyFamily:
     #: (:meth:`dump_decomposition` / :meth:`load_decomposition`) and may
     #: therefore be written to / hydrated from an on-disk artifact store.
     supports_store: bool = False
-    #: Whether :meth:`decompose` accepts ``engine=`` / ``jobs=`` selectors
-    #: (alternate core-number producers, e.g. the sharded h-index
-    #: fixpoint).  Engines are bit-identical by contract, so the selection
-    #: never participates in cache or store tokens.
-    supports_engine: bool = False
     #: Whether this family's levels are k-core numbers that
     #: :func:`repro.dynamic.incremental_core_numbers` can repair across a
     #: graph delta.  Families that leave this ``False`` declare

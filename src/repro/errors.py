@@ -64,20 +64,6 @@ class UnknownBackendError(ReproError, KeyError):
         super().__init__(f"unknown kernel backend {name!r}{hint}")
 
 
-class UnknownEngineError(ReproError, KeyError):
-    """A core-decomposition engine name is not recognised.
-
-    Raised by :func:`repro.core.core_decomposition` for unknown ``engine=``
-    arguments and unknown ``REPRO_ENGINE`` environment values.
-    """
-
-    def __init__(self, name: str, available: tuple[str, ...] = ()):
-        self.name = name
-        self.available = available
-        hint = f"; available: {', '.join(available)}" if available else ""
-        super().__init__(f"unknown decomposition engine {name!r}{hint}")
-
-
 class MetricRequirementError(ReproError):
     """A metric was evaluated without the primary values it requires.
 

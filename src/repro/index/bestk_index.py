@@ -180,11 +180,6 @@ class BestKIndex:
         :class:`~repro.index.store.ArtifactStore`, a directory path, or
         ``None`` to defer to ``REPRO_CACHE_DIR`` (off when unset).
         ``False`` forces off regardless of the environment.
-    engine:
-        Core-number producer for engine-aware families (``"peel"`` or
-        ``"sharded"``); ``None`` defers to ``REPRO_ENGINE``.  Engines are
-        bit-identical by contract, so results and store bundles are
-        unaffected — only how the decomposition is computed.
 
     Examples
     --------
@@ -197,7 +192,7 @@ class BestKIndex:
 
     def __init__(
         self, graph: Graph | VersionedGraph, *, backend=None,
-        jobs: int | None = None, store=None, engine: str | None = None,
+        jobs: int | None = None, store=None,
     ):
         if isinstance(graph, VersionedGraph):
             #: Epoch position when the index serves a dynamic lineage
@@ -214,10 +209,6 @@ class BestKIndex:
         #: per-kernel fallback is bit-identical) this is the backend name.
         self.backend_name = get_backend(backend).store_token()
         self.jobs = jobs
-        #: Core-number engine selector for families with
-        #: ``supports_engine`` (``None`` → ``REPRO_ENGINE`` → peel).
-        #: Engines are bit-identical, so this never touches bundle keys.
-        self.engine = engine
         self.store = resolve_store(store)
         self._artifacts: dict[str, object] = {}
         #: Wall seconds spent building each artifact, by artifact key.
@@ -356,16 +347,9 @@ class BestKIndex:
         """The family's decomposition, built on first use and cached."""
         fam = get_family(family)
         self._sync_token(fam, params)
-        # Engine/jobs are execution knobs, not parametrisation: they reach
-        # engine-aware families' decompose() but never the token/store
-        # params (engines are bit-identical, so artifacts must alias).
-        extra = (
-            {"engine": self.engine, "jobs": self.jobs}
-            if getattr(fam, "supports_engine", False) else {}
-        )
         return self._get(
             f"{fam.name}:decompose",
-            lambda: fam.decompose(self.graph, backend=self.backend, **extra, **params),
+            lambda: fam.decompose(self.graph, backend=self.backend, **params),
             persist=(fam, params),
         )
 
@@ -581,8 +565,7 @@ class BestKIndex:
                 results = parallel_map(
                     build_family_artifacts,
                     [
-                        (sg.handle, fam.name, params, self.backend_name, names,
-                         self.engine)
+                        (sg.handle, fam.name, params, self.backend_name, names)
                         for fam, params, names in tasks
                     ],
                     jobs=workers,

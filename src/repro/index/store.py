@@ -377,21 +377,19 @@ class ArtifactStore:
         self._discard(bundle)
         return None
 
-    # -- shard state (sharded fixpoint checkpoints) ---------------------
+    # -- shard state (semi-external fixpoint checkpoints) ---------------
     def shard_state_dir(self, key: str) -> Path:
-        """Directory holding one sharded-fixpoint checkpoint set.
+        """Directory holding one semi-external fixpoint checkpoint.
 
-        ``key`` is any caller-chosen identity string (the sharded engine
-        uses the edge-source identity plus the shard count); it is hashed
-        so arbitrary strings are filesystem-safe.
+        ``key`` is any caller-chosen identity string (the semi-external
+        decomposition uses the edge-source identity); it is hashed so
+        arbitrary strings are filesystem-safe.
         """
         digest = hashlib.sha256(key.encode()).hexdigest()
         return self.root / f"shardstate-{digest[:20]}"
 
-    def save_shard_state(
-        self, key: str, shard: int, estimate: np.ndarray, round_: int
-    ) -> None:
-        """Persist one shard's fixpoint state (estimate slice + round).
+    def save_shard_state(self, key: str, estimate: np.ndarray, round_: int) -> None:
+        """Persist the fixpoint state (whole estimate vector + round).
 
         Written atomically, array before manifest, so a crash mid-save
         leaves either the previous round's state or a manifest/array pair
@@ -400,59 +398,47 @@ class ArtifactStore:
         state = self.shard_state_dir(key)
         state.mkdir(parents=True, exist_ok=True)
         arr = np.ascontiguousarray(estimate, dtype=np.int64)
-        _atomic_save_array(state / f"shard{shard:04d}.estimate.npy", arr)
-        meta = {"key": key, "shard": shard, "round": int(round_), "length": len(arr)}
-        _atomic_write_text(
-            state / f"shard{shard:04d}.meta.json", json.dumps(meta, sort_keys=True)
-        )
-        obs.add("store.persist", family="sharded", artifact="shard_state")
+        _atomic_save_array(state / "estimate.npy", arr)
+        meta = {"key": key, "round": int(round_), "length": len(arr)}
+        _atomic_write_text(state / "meta.json", json.dumps(meta, sort_keys=True))
+        obs.add("store.persist", family="external", artifact="shard_state")
 
-    def load_shard_state(
-        self, key: str, shard: int
-    ) -> tuple[np.ndarray, int] | None:
-        """One shard's checkpoint as ``(estimate, round)``, or ``None``.
+    def load_shard_state(self, key: str) -> tuple[np.ndarray, int] | None:
+        """The checkpoint as ``(estimate, round)``, or ``None``.
 
         Follows the bundle anomaly rules: any inconsistency (key mismatch,
-        corrupt or mis-sized array) discards the whole shard-state
-        directory — a resumed fixpoint must never start from a half-valid
-        checkpoint set.  Estimates are monotone upper bounds, so resuming
-        from a *consistent* older round only costs extra rounds, never
-        correctness.
+        corrupt or mis-sized array) discards the checkpoint — a resumed
+        fixpoint must never start from a half-valid state.  Estimates are
+        monotone upper bounds, so resuming from a *consistent* older round
+        only costs extra rounds, never correctness.
         """
         state = self.shard_state_dir(key)
-        meta_path = state / f"shard{shard:04d}.meta.json"
+        meta_path = state / "meta.json"
         if not meta_path.exists():
-            obs.add("store.miss", family="sharded")
+            obs.add("store.miss", family="external")
             return None
         try:
             meta = json.loads(meta_path.read_text(encoding="utf-8"))
-            if meta.get("key") != key or meta.get("shard") != shard:
+            if meta.get("key") != key:
                 raise _BundleAnomaly("identity_mismatch")
-            arr = _load_array(state / f"shard{shard:04d}.estimate.npy")
+            arr = _load_array(state / "estimate.npy")
             if arr.dtype != np.int64 or arr.ndim != 1 or len(arr) != meta.get("length"):
                 raise _BundleAnomaly("shape_mismatch")
             round_ = int(meta["round"])
-        except _BundleAnomaly as anomaly:
-            obs.add("store.discard", family="sharded", reason=anomaly.reason)
-            logger.warning(
-                "discarding shard state %s: %s; the fixpoint restarts from degrees",
-                state.name, anomaly.reason,
-            )
-            self._discard(state)
-            return None
         except Exception as exc:
-            obs.add("store.discard", family="sharded", reason="corrupt_manifest")
+            reason = exc.reason if isinstance(exc, _BundleAnomaly) else "corrupt_manifest"
+            obs.add("store.discard", family="external", reason=reason)
             logger.warning(
                 "discarding shard state %s: %s; the fixpoint restarts from degrees",
                 state.name, exc,
             )
             self._discard(state)
             return None
-        obs.add("store.hit", family="sharded")
+        obs.add("store.hit", family="external")
         return np.asarray(arr, dtype=np.int64), round_
 
     def clear_shard_state(self, key: str) -> None:
-        """Remove one checkpoint set (after a converged run)."""
+        """Remove one checkpoint (after a converged run)."""
         self._discard(self.shard_state_dir(key))
 
     # -- epoch snapshots (repro.dynamic lineages) -----------------------

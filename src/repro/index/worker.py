@@ -41,9 +41,8 @@ def build_family_artifacts(
 ]:
     """Build the requested artifacts of one family in this process.
 
-    ``task`` is ``(handle, family_name, params, backend_name, names)``
-    with an optional trailing ``engine`` selector for engine-aware
-    families.  Returns
+    ``task`` is ``(handle, family_name, params, backend_name, names)``.
+    Returns
     ``(family_name, payloads, build_seconds, spans, counters, histograms)``;
     payload arrays are fresh (never views into the shared graph), so
     pickling them back is safe and the shared mapping can be released.
@@ -53,8 +52,7 @@ def build_family_artifacts(
     sweep skips) return an empty payload instead of poisoning the whole
     pool map.
     """
-    handle, family_name, params, backend_name, names = task[:5]
-    engine = task[5] if len(task) > 5 else None
+    handle, family_name, params, backend_name, names = task
     graph = release = None
     try:
         from .bestk_index import BestKIndex
@@ -74,12 +72,8 @@ def build_family_artifacts(
                 # counter back with the result, so the parent's totals say
                 # how workers actually received the graph.
                 graph, release = handle.attach()
-                # jobs=1: the worker is already one fan-out leaf; engine-
-                # aware families additionally guard against nested pools.
-                index = BestKIndex(
-                    graph, backend=backend_name, jobs=1, store=False,
-                    engine=engine,
-                )
+                # jobs=1: the worker is already one fan-out leaf.
+                index = BestKIndex(graph, backend=backend_name, jobs=1, store=False)
                 try:
                     for name in names:
                         index.artifact(fam, name, **params)

@@ -76,11 +76,12 @@ class KernelBackend:
         (the operator is monotone non-increasing, so the clip is a no-op on
         correct inputs but keeps adversarial inputs safe).  ``estimate`` is
         never written — callers apply the update, which is what makes the
-        Jacobi round of the sharded engine (:mod:`repro.parallel.sharded`)
-        deterministic across any shard partition.
+        Jacobi round of :mod:`repro.external` independent of how a sweep
+        is cut into slices.
 
         Iterating to the fixpoint yields exact coreness (Lü et al. 2016),
-        which is why the sharded engine is bit-identical to peeling.
+        which is why the semi-external decomposition is bit-identical to
+        peeling.
         """
         raise NotImplementedError
 

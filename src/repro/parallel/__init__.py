@@ -1,48 +1,34 @@
 """Zero-copy parallel execution layer.
 
-Three pieces, deliberately free of any knowledge of hierarchy families
-or the index (the import-layering contract pins this package above
-``graph``/``kernels`` and below ``index``/``apps``):
+Two pieces, deliberately free of any knowledge of hierarchy families,
+kernels or the index (the import-layering contract pins this package
+above ``graph`` and below ``index``/``apps``):
 
-* :mod:`repro.parallel.shm` — export a CSR graph (and mutable estimate
-  vectors) into ``multiprocessing.shared_memory`` once and attach
-  zero-copy from worker processes (pickle fallback when unavailable;
-  mmap handles for on-disk CSRs);
+* :mod:`repro.parallel.shm` — export a CSR graph into
+  ``multiprocessing.shared_memory`` once and attach zero-copy from worker
+  processes (pickle fallback when unavailable);
 * :mod:`repro.parallel.pool` — ordered process-pool mapping with a
-  serial fallback and ``REPRO_JOBS`` resolution;
-* :mod:`repro.parallel.sharded` — the partitioned h-index fixpoint
-  core-number engine (in-RAM and semi-external), the one submodule here
-  allowed to import :mod:`repro.kernels`.
+  serial fallback and ``REPRO_JOBS`` resolution.
 
-Consumers: :class:`repro.index.BestKIndex` (``jobs=`` / ``engine=``),
-:func:`repro.core.core_decomposition` (``engine="sharded"``, reached
-lazily), the CLI (``--jobs`` / ``--engine``), and
-``benchmarks/bench_parallel.py`` / ``benchmarks/bench_sharded.py``.
+Consumers: :class:`repro.index.BestKIndex` (``jobs=`` prebuild), the CLI
+(``--jobs``), and ``benchmarks/bench_parallel.py``.
 """
 
 from .pool import parallel_map, resolve_jobs
 from .shm import (
-    ArrayHandle,
     GraphHandle,
-    SharedArray,
     SharedGraph,
     cleanup_shared_memory,
-    mmap_graph,
-    shared_array,
     shared_graph,
     shm_available,
 )
 
 __all__ = [
-    "ArrayHandle",
     "GraphHandle",
-    "SharedArray",
     "SharedGraph",
     "cleanup_shared_memory",
-    "mmap_graph",
     "parallel_map",
     "resolve_jobs",
-    "shared_array",
     "shared_graph",
     "shm_available",
 ]

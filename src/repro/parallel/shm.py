@@ -43,20 +43,15 @@ except ImportError:  # pragma: no cover - always present on CPython >= 3.8
     _shared_memory = None
 
 __all__ = [
-    "ArrayHandle",
     "GraphHandle",
-    "SharedArray",
     "SharedGraph",
-    "mmap_graph",
-    "shared_array",
     "shared_graph",
     "cleanup_shared_memory",
     "shm_available",
 ]
 
-#: Live shared-memory owners (SharedGraph / SharedArray); strong
-#: references so an abandoned (never closed) export is still unlinked by
-#: the atexit hook.
+#: Live shared-memory owners; strong references so an abandoned (never
+#: closed) export is still unlinked by the atexit hook.
 _LIVE: set = set()
 _LOCK = threading.Lock()
 _ATEXIT_REGISTERED = False
@@ -122,38 +117,27 @@ class GraphHandle:
 
     ``mode == "shm"``: carries segment names only; :meth:`attach` maps the
     parent's buffers zero-copy.  ``mode == "pickle"``: carries the CSR
-    arrays themselves (the fallback).  ``mode == "mmap"``: carries paths
-    to on-disk ``.npy`` CSR arrays; :meth:`attach` memory-maps them
-    read-only, so the resident footprint is whatever pages the kernels
-    actually touch — the semi-external engine's handoff
-    (:mod:`repro.parallel.sharded`).
+    arrays themselves (the fallback).
     """
 
-    __slots__ = ("mode", "segments", "arrays", "paths")
+    __slots__ = ("mode", "segments", "arrays")
 
-    def __init__(self, mode: str, *, segments=None, arrays=None, paths=None):
+    def __init__(self, mode: str, *, segments=None, arrays=None):
         self.mode = mode
         #: ``((name, length), (name, length))`` for indptr, indices.
         self.segments = segments
         self.arrays = arrays
-        #: ``(indptr_path, indices_path)`` in mmap mode.
-        self.paths = paths
 
     def attach(self):
         """Return ``(graph, release)`` for this process.
 
         ``release()`` closes this process's mapping (never unlinking the
         segment — the creator owns it); call it only after dropping every
-        reference into the graph's arrays.  In pickle and mmap modes it
-        is a no-op.
+        reference into the graph's arrays.  In pickle mode it is a no-op.
         """
         obs.add("shm.attach", mode=self.mode)
         if self.mode == "pickle":
             indptr, indices = self.arrays
-            return Graph.from_arrays(indptr, indices, validate=False), lambda: None
-        if self.mode == "mmap":
-            indptr = np.load(self.paths[0], mmap_mode="r")
-            indices = np.load(self.paths[1], mmap_mode="r")
             return Graph.from_arrays(indptr, indices, validate=False), lambda: None
         shms = []
         views = []
@@ -251,129 +235,3 @@ class SharedGraph:
 def shared_graph(graph: Graph) -> SharedGraph:
     """Export ``graph`` for worker handoff (context-manager friendly)."""
     return SharedGraph(graph)
-
-
-def mmap_graph(indptr_path, indices_path) -> GraphHandle:
-    """Handle for a CSR graph stored as two on-disk ``.npy`` arrays.
-
-    No export step and nothing to clean up — attachment memory-maps the
-    files read-only.  Used by the semi-external sharded engine, whose CSR
-    is built straight into a workdir instead of RAM.
-    """
-    obs.add("shm.export", mode="mmap")
-    return GraphHandle("mmap", paths=(str(indptr_path), str(indices_path)))
-
-
-class ArrayHandle:
-    """Picklable descriptor of an exported int64 vector.
-
-    ``mode == "shm"``: carries the segment name; :meth:`attach` maps the
-    parent's buffer zero-copy, so in-place writes by the creator are
-    visible to every attached process (the sharded engine's estimate
-    vector relies on this between fixpoint rounds).  ``mode == "inline"``:
-    carries the array itself — a *snapshot* taken when the handle is
-    pickled, so senders must re-send the handle whenever the contents
-    change (the per-round task payloads of :mod:`repro.parallel.sharded`
-    do exactly that).
-    """
-
-    __slots__ = ("mode", "name", "length", "array")
-
-    def __init__(self, mode: str, *, name=None, length=0, array=None):
-        self.mode = mode
-        self.name = name
-        self.length = length
-        self.array = array
-
-    def attach(self):
-        """Return ``(array, release)`` for this process (see GraphHandle)."""
-        obs.add("shm.attach", mode=self.mode)
-        if self.mode == "inline":
-            return self.array, lambda: None
-        with _no_tracker_registration():
-            shm = _shared_memory.SharedMemory(name=self.name)
-        view = np.ndarray((self.length,), dtype=np.int64, buffer=shm.buf)
-
-        def release() -> None:
-            try:
-                shm.close()
-            except BufferError:
-                pass
-
-        return view, release
-
-    def __getstate__(self):
-        return (self.mode, self.name, self.length, self.array)
-
-    def __setstate__(self, state):
-        self.mode, self.name, self.length, self.array = state
-
-    def __repr__(self) -> str:
-        return f"ArrayHandle(mode={self.mode!r})"
-
-
-class SharedArray:
-    """A mutable int64 vector exported to shared memory once.
-
-    ``self.array`` is the creator's writable view; in shm mode in-place
-    updates are immediately visible through every worker attachment.
-    When shared memory is unavailable the array lives in this process and
-    the handle inlines it (snapshot-per-pickle semantics, see
-    :class:`ArrayHandle`).  Cleanup follows the SharedGraph rules: tracked
-    in the module registry, flushed by :func:`cleanup_shared_memory`.
-    """
-
-    def __init__(self, values: np.ndarray):
-        values = np.ascontiguousarray(values, dtype=np.int64)
-        self._shm = None
-        if shm_available():
-            try:
-                self._shm = _shared_memory.SharedMemory(
-                    create=True, size=max(values.nbytes, 1)
-                )
-            except (OSError, ValueError):
-                self._shm = None
-        if self._shm is not None:
-            self.array = np.ndarray(values.shape, dtype=np.int64, buffer=self._shm.buf)
-            self.array[:] = values
-            self.handle = ArrayHandle("shm", name=self._shm.name, length=len(values))
-            obs.add("shm.export", mode="shm")
-            _track(self)
-        else:
-            self.array = values.copy()
-            self.handle = ArrayHandle("inline", array=self.array)
-            obs.add("shm.export", mode="inline")
-
-    def close(self) -> int:
-        """Close and unlink the segment (idempotent); returns count released."""
-        released = 0
-        shm, self._shm = self._shm, None
-        if shm is not None:
-            # Drop our view into the buffer first or close() raises.
-            self.array = np.array(self.array)
-            try:
-                shm.close()
-            except (BufferError, OSError):
-                pass
-            try:
-                shm.unlink()
-                released += 1
-            except (FileNotFoundError, OSError):
-                pass
-        with _LOCK:
-            _LIVE.discard(self)
-        return released
-
-    def __enter__(self) -> "SharedArray":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
-
-    def __repr__(self) -> str:
-        return f"SharedArray(len={len(self.array)}, mode={self.handle.mode!r})"
-
-
-def shared_array(values: np.ndarray) -> SharedArray:
-    """Export a mutable int64 vector for worker handoff."""
-    return SharedArray(values)

@@ -3,8 +3,8 @@
 Three pieces, one loop:
 
 * :mod:`~repro.scenarios.registry` — named, fully pinned benchmark
-  scenarios (generator x family x metric x backend x engine x jobs x
-  cache x delta stream) with a built-in catalogue sweeping the package's
+  scenarios (generator x family x metric x backend x jobs x cache x
+  delta stream) with a built-in catalogue sweeping the package's
   execution axes.
 * :mod:`~repro.scenarios.runner` — executes each scenario under a fresh
   recorder, asserts bit-identity against the python reference, and emits

@@ -1,9 +1,8 @@
 """Declarative registry of named benchmark scenarios.
 
 A *scenario* pins every knob that shapes an execution — generator,
-family, metric, kernel backend, core-number engine, worker count, cache
-temperature, and optionally a dynamic delta stream — under one stable
-name.  The registry is the closed-loop harness's source of truth: the
+family, metric, kernel backend, worker count, cache temperature, and
+optionally a dynamic delta stream — under one stable name.  The registry is the closed-loop harness's source of truth: the
 runner sweeps it, the sentinel compares runs of it, and a baseline file
 keyed by scenario name stays meaningful across commits precisely because
 the name captures the whole configuration.
@@ -12,8 +11,6 @@ The built-in catalogue covers the axes the package actually ships:
 
 * all four hierarchy families (``core``/``truss``/``weighted``/``ecc``),
 * all three kernel backends (``python``/``numpy``/``native``),
-* both core-number engines (default peel and the sharded h-index
-  fixpoint),
 * serial and ``jobs=2`` parallel prebuilds,
 * a cold-prime/warm-repeat artifact-cache scenario, and
 * a dynamic delta stream maintained through ``BestKIndex.apply``.
@@ -69,8 +66,6 @@ class Scenario:
     #: ``None`` uses the family's default metric.
     metric: str | None = None
     backend: str = "numpy"
-    #: ``None`` uses the default (peel) engine.
-    engine: str | None = None
     jobs: int = 1
     #: Cache scenario: one cold prime, then warm repeats against a store.
     cache: bool = False
@@ -90,7 +85,6 @@ class Scenario:
             "family": self.family,
             "metric": self.metric,
             "backend": self.backend,
-            "engine": self.engine,
             "jobs": self.jobs,
             "cache": self.cache,
             "delta_stream": self.delta_stream,
@@ -165,21 +159,6 @@ for _scenario in (
         generator_args={"num_vertices": 3000, "avg_degree": 6.0, "seed": 7},
         family="core", backend="native",
         description="JIT backend (degrades per kernel to numpy when no toolchain)",
-    ),
-    # -- sharded engine, serial and pooled -------------------------------
-    Scenario(
-        name="core-rmat-sharded",
-        generator="rmat",
-        generator_args={"scale": 12, "num_edges": 24000, "seed": 7},
-        family="core", backend="numpy", engine="sharded", quick=True,
-        description="Sharded h-index fixpoint engine on a skewed R-MAT graph",
-    ),
-    Scenario(
-        name="core-gnm-sharded-jobs2",
-        generator="gnm",
-        generator_args={"num_vertices": 4000, "num_edges": 16000, "seed": 7},
-        family="core", backend="numpy", engine="sharded", jobs=2,
-        description="Sharded engine with a 2-worker pool budget",
     ),
     # -- parallel prebuild and cache temperature -------------------------
     Scenario(

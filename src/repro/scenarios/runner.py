@@ -13,8 +13,7 @@ schema-versioned result record.  The loop is *closed* in both directions:
 * **measurement** — wall time is min/median-of-N with a fresh index per
   repeat (or warm store repeats for cache scenarios), and the latency
   histograms the instrumented seams observed (``kernel.seconds``,
-  ``index.score_seconds``, ``dynamic.maintain_seconds``,
-  ``parallel.round_seconds``) travel in the record next to the counters
+  ``index.score_seconds``, ``dynamic.maintain_seconds``) travel in the record next to the counters
   and execution metadata, so a regression can be localised to a seam
   without re-running anything.
 
@@ -138,8 +137,7 @@ def _run_static(scenario: Scenario, graph, params: dict, metric: str, repeats: i
         nonlocal result
         start = time.perf_counter()
         index = BestKIndex(
-            graph, backend=scenario.backend, jobs=scenario.jobs,
-            store=store, engine=scenario.engine,
+            graph, backend=scenario.backend, jobs=scenario.jobs, store=store,
         )
         if scenario.jobs > 1:
             index.prebuild(
@@ -168,8 +166,7 @@ def _run_dynamic(scenario: Scenario, graph, params: dict, metric: str, repeats: 
     for _ in range(repeats):
         start = time.perf_counter()
         index = BestKIndex(
-            graph, backend=scenario.backend, jobs=scenario.jobs,
-            store=False, engine=scenario.engine,
+            graph, backend=scenario.backend, jobs=scenario.jobs, store=False,
         )
         # A core baseline must exist before the first apply can repair it.
         index.family_decomposition("core")

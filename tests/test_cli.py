@@ -210,11 +210,6 @@ class TestSelectorStrictness:
         assert main(["set", graph_file, "-m", "average_degree"]) == 1
         assert "error" in capsys.readouterr().err
 
-    def test_env_engine_bogus_fails_fast(self, graph_file, capsys, monkeypatch):
-        monkeypatch.setenv("REPRO_ENGINE", "bogus")
-        assert main(["set", graph_file, "-m", "average_degree"]) == 1
-        assert "error" in capsys.readouterr().err
-
     def test_explicit_native_when_disabled_fails_fast(self, graph_file, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_NATIVE_DISABLE", "1")
         assert main(["decompose", graph_file, "--backend", "native"]) == 1

@@ -2,7 +2,7 @@
 
 Coreness is the fixpoint of the h-index operator started from degrees;
 the ``hindex_fixpoint`` kernel is one sweep of that operator, and
-:func:`~repro.parallel.sharded.semi_external_core_numbers` iterates it
+:func:`~repro.external.semi_external_core_numbers` iterates it
 out of core over an edge list on disk.  Both must agree with the
 Batagelj–Zaversnik peel.
 """
@@ -14,7 +14,7 @@ from repro.core import core_decomposition
 from repro.dynamic import edges_from_file
 from repro.graph import save_edge_list
 from repro.kernels import get_backend
-from repro.parallel.sharded import semi_external_core_numbers, write_edge_npy
+from repro.external import semi_external_core_numbers, write_edge_npy
 from conftest import random_graph, zoo_params
 
 BACKENDS = ("python", "numpy")
@@ -43,20 +43,20 @@ def semi_external_from_text(text_path, tmp_path, **kwargs):
 class TestHIndexEngine:
     @zoo_params()
     def test_matches_bz(self, graph):
-        expected = core_decomposition(graph, engine="peel").coreness.tolist()
+        expected = core_decomposition(graph).coreness.tolist()
         for backend in BACKENDS:
             assert hindex_rounds(graph, backend)[-1].tolist() == expected
 
     @pytest.mark.parametrize("seed", range(6))
     def test_matches_bz_random(self, seed):
         g = random_graph(40, 140, seed)
-        expected = core_decomposition(g, engine="peel").coreness.tolist()
+        expected = core_decomposition(g).coreness.tolist()
         for backend in BACKENDS:
             assert hindex_rounds(g, backend)[-1].tolist() == expected
 
     def test_monotone_upper_bound(self, figure2):
         # Every sweep is non-increasing and stays an upper bound on coreness.
-        exact = core_decomposition(figure2, engine="peel").coreness
+        exact = core_decomposition(figure2).coreness
         for backend in BACKENDS:
             previous = np.array(figure2.degrees(), dtype=np.int64)
             for estimate in hindex_rounds(figure2, backend):
@@ -70,7 +70,7 @@ class TestSemiExternalEngine:
         path = tmp_path / "g.txt"
         save_edge_list(figure2, path)
         result = semi_external_from_text(path, tmp_path)
-        expected = core_decomposition(figure2, engine="peel").coreness
+        expected = core_decomposition(figure2).coreness
         assert result.coreness.tolist() == expected.tolist()
 
     def test_gzip_input(self, figure2, tmp_path):
@@ -85,7 +85,7 @@ class TestSemiExternalEngine:
         path = tmp_path / "g.txt"
         save_edge_list(g, path)
         result = semi_external_from_text(path, tmp_path, num_vertices=g.num_vertices)
-        expected = core_decomposition(g, engine="peel").coreness
+        expected = core_decomposition(g).coreness
         assert result.coreness.tolist() == expected.tolist()
 
     def test_reports_pass_count(self, figure2, tmp_path):

@@ -508,7 +508,5 @@ class TestLazyPeelOrder:
 
     def test_python_backend_is_eager(self):
         g = clique_chain(3, 5)
-        # Peel-engine specific: the sharded fixpoint never peels, so its
-        # order is always lazy — pin the engine against REPRO_ENGINE.
-        decomp = core_decomposition(g, backend="python", engine="peel")
+        decomp = core_decomposition(g, backend="python")
         assert decomp._peel_order is not None

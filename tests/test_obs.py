@@ -216,13 +216,7 @@ class TestKernelCounters:
         backend = _CountingBackend()
         register_backend(backend, overwrite=True)
         try:
-            # Pin the peel engine: the counted-calls truth below includes
-            # exactly one peel_coreness, which the sharded fixpoint engine
-            # (REPRO_ENGINE=sharded leg) would replace with hindex rounds.
-            index = BestKIndex(
-                graph, backend="obs-counting", jobs=1, store=False,
-                engine="peel",
-            )
+            index = BestKIndex(graph, backend="obs-counting", jobs=1, store=False)
             index.best_set("average_degree")
             index.best_set("clustering_coefficient")
             for kernel, truth in backend.calls.items():
@@ -598,11 +592,12 @@ class TestHistogramShipping:
             counter_key = key.replace("kernel.seconds", "kernel.dispatch")
             assert snap["count"] == obs.counters()[counter_key]
 
-    def test_sharded_rounds_observe_latencies(self, graph):
-        from repro.parallel.sharded import sharded_core_numbers
+    def test_sharded_rounds_observe_latencies(self, graph, tmp_path):
+        from repro.external import semi_external_core_numbers, write_edge_npy
 
-        result = sharded_core_numbers(graph, jobs=1, backend="numpy")
-        snap = obs.histogram("parallel.round_seconds", engine="sharded", mode="serial")
+        path = write_edge_npy(graph.edge_array(), tmp_path / "edges.npy")
+        result = semi_external_core_numbers(path, backend="numpy")
+        snap = obs.histogram("external.round_seconds")
         assert snap is not None and snap["count"] == result.rounds
 
 

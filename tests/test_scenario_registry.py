@@ -73,7 +73,6 @@ class TestRegistry:
         assert len(scenarios) >= 12
         assert {s.family for s in scenarios} == {"core", "truss", "weighted", "ecc"}
         assert {s.backend for s in scenarios} >= {"python", "numpy", "native"}
-        assert any(s.engine == "sharded" for s in scenarios)
         assert any(s.jobs > 1 for s in scenarios)
         assert any(s.cache for s in scenarios)
         assert any(s.delta_stream for s in scenarios)
