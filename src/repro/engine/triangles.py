@@ -9,7 +9,9 @@ Its ``O(m^1.5)`` bound is the optimality yardstick the paper cites.
 The counting itself runs on the selected kernel backend (see
 :mod:`repro.kernels`): the ``python`` backend intersects one out-list pair
 at a time, the default ``numpy`` backend batches every intersection into
-chunked ``np.searchsorted`` passes over keyed out-lists.
+chunked hashed probes against one key table of ``owner * n + rank`` keys,
+each arc ``v -> u`` probing only the part of ``v``'s out-list after ``u``
+(or ``u``'s out-list, if that is shorter).
 """
 
 from __future__ import annotations
@@ -66,9 +68,9 @@ def triangles_per_vertex(
 # triplet to its centre, then aggregate the charges by shell (best k-core
 # set) or by forest node (best single k-core).  The per-vertex / per-group
 # charging kernels live in the backend registry (the ``python`` backend is
-# the scalar per-neighbour loop, the ``numpy`` backend one batched
-# searchsorted pass over all higher-rank arc pairs); the callers only
-# differ in how they group vertices.
+# the scalar per-neighbour loop, the ``numpy`` backend batched, tail-bounded
+# key-table probes over all higher-rank arc pairs); the callers only differ
+# in how they group vertices.
 
 def triangles_by_min_rank_vertex(
     ordered, *, backend: str | KernelBackend | None = None

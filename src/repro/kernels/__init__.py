@@ -9,8 +9,8 @@ keeps one *registry* of interchangeable implementations of those kernels:
     The scalar reference: the original per-vertex loops, bit-identical to
     the package's historical behaviour.
 ``numpy``
-    Whole-frontier array passes (repeated pruning, batched binary search,
-    vectorised union-find); ~5-30x faster on graphs with 10^5+ edges.
+    Whole-frontier array passes (repeated pruning, batched hash-table
+    probes, vectorised union-find); ~5-30x faster on graphs with 10^5+ edges.
 ``native``
     JIT-compiled scalar loops (numba ``@njit`` when installed, otherwise a
     C translation built with the system toolchain) for the hot kernels:

@@ -145,7 +145,8 @@ void repro_edge_supports(int64_t m, const int64_t *eu, const int64_t *ev,
     }
 }
 
-/* Algorithm 3 triangle charges: merge-intersect higher-rank suffixes. */
+/* Algorithm 3 triangle charges: merge-intersect higher-rank suffixes.
+ * Only the part of H(v) after u can meet H(u), so the merge starts there. */
 void repro_triangle_charges(int64_t n, const int64_t *indptr,
                             const int64_t *indices, const int64_t *nbr_rank,
                             const int64_t *high, int64_t *charges) {
@@ -157,7 +158,7 @@ void repro_triangle_charges(int64_t n, const int64_t *indptr,
             int64_t u = indices[j];
             int64_t c = indptr[u] + high[u];
             int64_t d = indptr[u + 1];
-            int64_t p = a, q = c;
+            int64_t p = j + 1, q = c;
             while (p < b && q < d) {
                 int64_t x = nbr_rank[p], y = nbr_rank[q];
                 if (x < y) p++;

@@ -207,8 +207,9 @@ def triangle_charges(indptr, indices, nbr_rank, high):
             d = indptr[u + 1]
             # Merge-intersect the two higher-rank suffixes H(v), H(u)
             # (rank-sorted): every match is one triangle whose
-            # minimum-rank corner is v.
-            p = a
+            # minimum-rank corner is v.  Only the part of H(v) after u
+            # outranks u, so the merge starts there.
+            p = j + 1
             q = c
             count = np.int64(0)
             while p < b and q < d:

@@ -96,9 +96,10 @@ def rank_forward_adjacency(graph: Graph) -> tuple[np.ndarray, np.ndarray, np.nda
 
     Vertices are ordered by ``(degree, id)``; each edge is kept only from the
     lower-ordered endpoint to the higher one, and each out-list is sorted by
-    the order value so membership tests are binary searches.  Ordering by
-    degree bounds every out-degree by ``O(sqrt(m))`` on the heavy side, the
-    classic argument behind the ``O(m^1.5)`` running time.
+    the order value, so the entries of a list that outrank any one of its
+    members form a suffix (binary searches and tail bounds rely on it).
+    Ordering by degree bounds every out-degree by ``O(sqrt(m))`` on the
+    heavy side, the classic argument behind the ``O(m^1.5)`` running time.
     """
     n = graph.num_vertices
     degrees = graph.degrees()

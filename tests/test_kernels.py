@@ -19,6 +19,7 @@ from repro.core import core_decomposition, order_vertices
 from repro.core.naive import coreness_naive
 from repro.engine import build_level_forest, count_triplets, get_family, level_ordering
 from repro.errors import UnknownBackendError
+from repro.generators import powerlaw_chung_lu
 from repro.graph import Graph, GraphBuilder, connected_components
 from repro.kernels import (
     BACKEND_ENV_VAR,
@@ -28,6 +29,8 @@ from repro.kernels import (
     available_backends,
     get_backend,
 )
+from repro.kernels import _native_impl, numpy_backend
+from repro.kernels.numpy_backend import _KeyTable
 from repro.weighted.decomposition import arc_weights
 
 from conftest import random_graph
@@ -220,6 +223,124 @@ class TestTrussPeelEquivalence:
         assert all(t - 2 <= s for t, s in zip(truss.values(), support.tolist()))
 
 
+def _keys_homed_at(slot: int, count: int, table_size: int) -> list[int]:
+    """The first ``count`` non-negative keys whose home slot is ``slot`` in
+    a table built from ``table_size`` keys (found by brute force)."""
+    probe = _KeyTable(np.arange(table_size, dtype=np.int64))
+    candidates = np.arange(1 << 16, dtype=np.int64)
+    found = candidates[probe.home(candidates) == slot][:count]
+    assert len(found) == count
+    return found.tolist()
+
+
+class TestKeyTable:
+    """The exact open-addressing key set behind every numpy triangle probe."""
+
+    @settings(max_examples=80, deadline=None)
+    @given(
+        st.lists(st.integers(0, 1 << 40), max_size=60),
+        st.lists(st.integers(0, 1 << 40), max_size=60),
+        st.lists(st.integers(0, 59), max_size=30),
+    )
+    def test_contains_matches_isin(self, keys, absent, picks):
+        keys = np.unique(np.asarray(keys, dtype=np.int64))
+        # Needles: present keys (some repeated) mixed with arbitrary ones.
+        present = keys[np.asarray(picks, dtype=np.int64) % len(keys)] if len(keys) else []
+        needles = np.asarray(list(present) + absent + list(present), dtype=np.int64)
+        got = _KeyTable(keys).contains(needles)
+        assert got.dtype == bool
+        assert np.array_equal(got, np.isin(needles, keys))
+
+    def test_empty_key_set(self):
+        table = _KeyTable(np.empty(0, dtype=np.int64))
+        assert not table.contains(np.array([0, 1, 7, 1 << 40])).any()
+        assert table.contains(np.empty(0, dtype=np.int64)).shape == (0,)
+
+    def test_single_key(self):
+        table = _KeyTable(np.array([42], dtype=np.int64))
+        needles = np.array([42, 41, 43, 0, 42], dtype=np.int64)
+        assert table.contains(needles).tolist() == [True, False, False, False, True]
+
+    def test_collision_chain(self):
+        # Three keys share home slot 0, and a fourth (absent) needle does
+        # too: the keys fill slots 0..2 whatever order they are written in,
+        # and the absent needle walks the whole chain to the empty slot 3.
+        *keys, stranger = _keys_homed_at(0, 4, table_size=3)
+        for order in ([0, 1, 2], [2, 1, 0], [1, 2, 0]):
+            table = _KeyTable(np.array([keys[i] for i in order], dtype=np.int64))
+            assert sorted(table.slots[:3].tolist()) == sorted(keys)
+            assert table.slots[3] == -1
+            needles = np.array(keys + [stranger] + keys[::-1], dtype=np.int64)
+            assert table.contains(needles).tolist() == [True] * 3 + [False] + [True] * 3
+
+    def test_wraps_from_last_slot_to_first(self):
+        size = len(_KeyTable(np.arange(3, dtype=np.int64)).slots)
+        *keys, stranger = _keys_homed_at(size - 1, 4, table_size=3)
+        table = _KeyTable(np.array(keys, dtype=np.int64))
+        # One key keeps the last slot; the other two wrap to slots 0 and 1.
+        assert table.slots[-1] in keys
+        assert sorted([table.slots[-1], *table.slots[:2]]) == sorted(keys)
+        needles = np.array([stranger, *keys], dtype=np.int64)
+        assert table.contains(needles).tolist() == [False, True, True, True]
+
+
+def _multi_chunk_graphs():
+    graphs = []
+    for seed in range(3):
+        g = powerlaw_chung_lu(300, 8.0, 2.3, seed=seed)
+        # Three trailing isolated vertices on top of the generator's own.
+        graphs.append((f"chung-lu-{seed}", Graph.from_edges(
+            g.edge_array(), num_vertices=g.num_vertices + 3
+        )))
+    graphs.append(("clique", Graph.from_edges(
+        [(i, j) for i in range(14) for j in range(i + 1, 14)]
+    )))
+    graphs.append(("star", Graph.from_edges([(0, i) for i in range(1, 40)])))
+    graphs.append(("clique-chain", clique_chain(3, 7)))
+    return graphs
+
+
+MULTI_CHUNK = _multi_chunk_graphs()
+
+
+class TestMultiChunkProbes:
+    """Numpy triangle kernels with probe batches cut to a few needles, so
+    every graph with a triangle runs many `_chunk_edges` batches."""
+
+    @pytest.fixture()
+    def batches(self, monkeypatch):
+        counts = []
+        chunk_edges = numpy_backend._chunk_edges
+
+        def counting(block_len):
+            chunks = list(chunk_edges(block_len))
+            counts.append(len(chunks))
+            return iter(chunks)
+
+        monkeypatch.setattr(numpy_backend, "_CHUNK", 5)
+        monkeypatch.setattr(numpy_backend, "_chunk_edges", counting)
+        return counts
+
+    @pytest.mark.parametrize(
+        "graph", [g for _, g in MULTI_CHUNK], ids=[name for name, _ in MULTI_CHUNK]
+    )
+    def test_kernels_match_reference(self, graph, batches):
+        edges = graph.edge_array()
+        ordered = order_vertices(graph)
+        assert np.array_equal(
+            NP.triangle_charges(ordered), PY.triangle_charges(ordered)
+        )
+        assert NP.count_triangles(graph) == PY.count_triangles(graph)
+        assert np.array_equal(
+            NP.triangles_per_vertex(graph), PY.triangles_per_vertex(graph)
+        )
+        assert np.array_equal(
+            NP.edge_supports(graph, edges), PY.edge_supports(graph, edges)
+        )
+        assert np.array_equal(NP.truss_peel(graph, edges), PY.truss_peel(graph, edges))
+        assert max(batches) > 1
+
+
 def _descending_shells(ordered):
     decomp = ordered.decomposition
     return [decomp.shell(k) for k in range(decomp.kmax, -1, -1)]
@@ -397,6 +518,15 @@ class TestNativeEquivalence:
         assert np.array_equal(
             NATIVE.triangle_charges(ordered), PY.triangle_charges(ordered)
         )
+
+    @zoo_case
+    def test_uncompiled_triangle_charges_identical(self, graph):
+        # The loop source the C unit mirrors, run as plain python.
+        ordered = order_vertices(graph)
+        got = _native_impl.triangle_charges(
+            ordered.indptr, ordered.indices, ordered.rank[ordered.indices], ordered.high
+        )
+        assert np.array_equal(got, PY.triangle_charges(ordered))
 
     @zoo_case
     def test_triplet_group_deltas_identical(self, graph):
