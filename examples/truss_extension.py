@@ -9,14 +9,16 @@ runs the concrete realisation for k-trusses:
 2. the generalised level machinery (``repro.engine.levels``) re-uses
    Algorithm 1's ordering and Algorithm 2/3's incremental accumulation with
    the vertex truss level in the role of coreness;
-3. best k per metric falls out in one top-down pass, exactly like cores.
+3. best k per metric falls out in one top-down pass, exactly like cores:
+   the same ``best_level_set`` call, with the ``truss`` family.
 
 Run:  python examples/truss_extension.py
 """
 
 from repro.core import best_kcore_set
+from repro.engine import best_level_set, family_set_scores
 from repro.generators import load_dataset
-from repro.truss import best_ktruss_set, ktruss_set_scores, truss_decomposition
+from repro.truss import truss_decomposition
 
 
 def main() -> None:
@@ -32,12 +34,12 @@ def main() -> None:
     for metric in ("average_degree", "internal_density", "conductance",
                    "modularity", "clustering_coefficient"):
         core_k = best_kcore_set(graph, metric).k
-        truss_k = best_ktruss_set(graph, metric, decomposition=td).k
+        truss_k = best_level_set(graph, "truss", metric, decomposition=td).k
         print(f"{metric:26s}{core_k:>16d}{truss_k:>18d}")
 
     # Trusses are strictly tighter than cores (a k-truss is a (k-1)-core),
     # so the same metric generally selects comparable-depth structures.
-    scores = ktruss_set_scores(graph, "clustering_coefficient", decomposition=td)
+    scores = family_set_scores(graph, "truss", "clustering_coefficient", decomposition=td)
     print("\nclustering coefficient of every k-truss set:")
     for k in range(2, scores.max_level + 1, max(1, scores.max_level // 10)):
         print(f"  k = {k:3d}  cc = {scores.scores[k]:.4f}  "

@@ -8,7 +8,8 @@ social network:
 1. build a power-law graph and assign log-normal interaction weights;
 2. s-core decomposition: each vertex's deepest strength level;
 3. score every (quantised) s-core set under the weighted metrics in one
-   incremental pass and pick the best strength threshold.
+   incremental pass and pick the best strength threshold — the engine's
+   ``best_level_set`` with the ``weighted`` family.
 
 Run:  python examples/weighted_cores.py
 """
@@ -16,13 +17,9 @@ Run:  python examples/weighted_cores.py
 import numpy as np
 
 from repro.bench.figures import sparkline
+from repro.engine import best_level_set, family_set_scores
 from repro.generators import powerlaw_chung_lu
-from repro.weighted import (
-    available_weighted_metrics,
-    best_s_core_set,
-    s_core_decomposition,
-    s_core_set_scores,
-)
+from repro.weighted import available_weighted_metrics, s_core_decomposition
 
 
 def main() -> None:
@@ -36,13 +33,14 @@ def main() -> None:
     print(f"deepest s-core level (smax) = {decomp.smax:.2f}")
     print(f"innermost s-core has {len(decomp.s_core_vertices(decomp.smax))} vertices\n")
 
+    params = {"edge_weights": weights, "num_levels": 48}
     for metric in available_weighted_metrics():
-        result = best_s_core_set(graph, weights, metric, num_levels=48)
+        result = best_level_set(graph, "weighted", metric, decomposition=decomp, **params)
         print(f"{metric:28s} best s = {result.s:8.3f}  score = {result.score:10.4f}  "
               f"|V| = {len(result.vertices)}")
 
-    profile = s_core_set_scores(graph, weights, "weighted_average_degree",
-                                decomposition=decomp, num_levels=48)
+    profile = family_set_scores(graph, "weighted", "weighted_average_degree",
+                                decomposition=decomp, **params)
     print("\nweighted average degree across the s hierarchy:")
     print("  " + sparkline(profile.scores))
     print(f"  s = 0 ... {decomp.smax:.1f}  (the peak marks the best threshold)")

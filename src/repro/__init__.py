@@ -34,12 +34,8 @@ from .apps import (
 )
 from .core import (
     PAPER_METRICS,
-    BestCoreResult,
-    BestKResult,
     CoreDecomposition,
     CoreForest,
-    KCoreScores,
-    KCoreSetScores,
     Metric,
     OrderedGraph,
     available_metrics,
@@ -57,6 +53,8 @@ from .community import label_propagation, louvain, partition_modularity
 from .engine import (
     BestLevelResult,
     HierarchyFamily,
+    LevelNodeScores,
+    LevelSetScores,
     available_families,
     best_connected_level_set,
     best_level_set,
@@ -69,17 +67,15 @@ from .errors import ReproError
 from .index import ApplyResult, BestKIndex
 from .generators import load_dataset
 from .graph import Graph, GraphBuilder, load_edge_list, save_edge_list
-from .truss import best_ktruss_set, truss_decomposition
+from .truss import truss_decomposition
 from .kernels import KernelBackend, available_backends, get_backend, register_backend
-from .weighted import best_s_core_set, s_core_decomposition
+from .weighted import s_core_decomposition
 
 __version__ = "1.0.0"
 
 __all__ = [
     "ApplyResult",
-    "BestCoreResult",
     "BestKIndex",
-    "BestKResult",
     "BestLevelResult",
     "HierarchyFamily",
     "CoreDecomposition",
@@ -88,9 +84,9 @@ __all__ = [
     "Graph",
     "GraphBuilder",
     "GraphDelta",
-    "KCoreScores",
-    "KCoreSetScores",
     "KernelBackend",
+    "LevelNodeScores",
+    "LevelSetScores",
     "Metric",
     "OptSC",
     "OrderedGraph",
@@ -103,9 +99,7 @@ __all__ = [
     "available_metrics",
     "best_connected_level_set",
     "best_kcore_set",
-    "best_ktruss_set",
     "best_level_set",
-    "best_s_core_set",
     "best_single_kcore",
     "family_set_scores",
     "get_family",

@@ -27,7 +27,8 @@ from ..errors import QueryError
 from ..graph.adjacency import AdjacencyGraph
 from ..graph.csr import Graph
 from ..graph.views import component_of
-from ..core.bestk_core import KCoreScores, kcore_scores
+from ..core.bestk_core import kcore_scores
+from ..engine import LevelNodeScores
 
 __all__ = ["SizedCoreResult", "OptSC"]
 
@@ -64,7 +65,7 @@ class OptSC:
     core it peels.
     """
 
-    def __init__(self, graph: Graph, *, scores: KCoreScores | None = None):
+    def __init__(self, graph: Graph, *, scores: LevelNodeScores | None = None):
         self.graph = graph
         self._scores = scores if scores is not None else kcore_scores(graph, "average_degree")
         self._forest = self._scores.forest

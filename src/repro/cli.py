@@ -6,8 +6,6 @@ Installed as the ``bestk`` console script (also ``python -m repro``):
 * ``bestk set GRAPH -m METRIC``        — best level set of any registered
   hierarchy family (``--family {core,truss,weighted,ecc}``; default core)
 * ``bestk core GRAPH -m METRIC``       — best single k-core
-* ``bestk truss GRAPH -m METRIC``      — best k for the k-truss set
-  (alias for ``set --family truss``)
 * ``bestk apply GRAPH --edges FILE``   — apply an edge delta: produce the
   next epoch snapshot with incremental core maintenance and scoped index
   invalidation (``--delete`` removes the edges instead)
@@ -37,7 +35,7 @@ Installed as the ``bestk`` console script (also ``python -m repro``):
 ``GRAPH`` is either an edge-list path (gzip OK) or ``dataset:KEY`` for a
 registry stand-in (e.g. ``dataset:DBLP``).
 
-The index-backed commands (``set``/``core``/``truss``, ``cache warm``)
+The index-backed commands (``set``/``core``, ``cache warm``)
 accept ``--jobs N`` (parallel prebuild; ``REPRO_JOBS`` is the default)
 and ``--cache-dir PATH`` (persistent artifact cache; ``REPRO_CACHE_DIR``
 is the default).  They also accept ``--trace FILE`` — equivalent to the
@@ -151,7 +149,6 @@ def build_parser() -> argparse.ArgumentParser:
     for name, helptext in (
         ("set", "best level set of a hierarchy family (Problem 1)"),
         ("core", "best single k-core"),
-        ("truss", "best k for the k-truss set (= set --family truss)"),
     ):
         p = sub.add_parser(name, help=helptext)
         graph_arg(p)
@@ -396,7 +393,7 @@ def _cmd_bestk(args, which: str) -> int:
                     f"|V| = {len(result.vertices)}"
                 )
         else:
-            family = get_family("truss" if which == "truss" else args.family)
+            family = get_family(args.family)
             params = {}
             if family.name == "weighted":
                 import numpy as np
@@ -833,7 +830,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         _validate_selectors(args)
         if args.command == "decompose":
             return _cmd_decompose(args)
-        if args.command in ("set", "core", "truss"):
+        if args.command in ("set", "core"):
             return _cmd_bestk(args, args.command)
         if args.command == "apply":
             return _cmd_apply(args)

@@ -28,20 +28,8 @@ from ..engine import (
     primary_values,
     register_metric,
 )
-from .bestk_core import (
-    BestCoreResult,
-    KCoreScores,
-    baseline_kcore_scores,
-    best_single_kcore,
-    kcore_scores,
-)
-from .bestk_set import (
-    BestKResult,
-    KCoreSetScores,
-    baseline_kcore_set_scores,
-    best_kcore_set,
-    kcore_set_scores,
-)
+from .bestk_core import baseline_kcore_scores, best_single_kcore, kcore_scores
+from .bestk_set import baseline_kcore_set_scores, best_kcore_set, kcore_set_scores
 from .combine import CombinedBestK, combined_kcore_scores, combined_kcore_set_scores
 from .decomposition import CoreDecomposition, core_decomposition
 from .family import CoreFamily, core_level_view
@@ -49,16 +37,12 @@ from .forest import CoreForest, CoreNode, build_core_forest, build_core_forest_l
 from .ordering import OrderedGraph, order_vertices
 
 __all__ = [
-    "BestCoreResult",
-    "BestKResult",
     "CombinedBestK",
     "CoreDecomposition",
     "CoreFamily",
     "CoreForest",
     "CoreNode",
     "GraphTotals",
-    "KCoreScores",
-    "KCoreSetScores",
     "Metric",
     "OrderedGraph",
     "PAPER_METRICS",

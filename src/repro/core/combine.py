@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import Metric, get_metric
+from ..engine import LevelNodeScores, Metric, get_metric
 from ..graph.csr import Graph
-from .bestk_core import KCoreScores, kcore_scores
+from .bestk_core import kcore_scores
 from .bestk_set import kcore_set_scores
 from .forest import CoreForest
 from .ordering import OrderedGraph, order_vertices
@@ -120,7 +120,7 @@ def combined_kcore_scores(
     profiles: dict[str, np.ndarray] = {}
     combined: np.ndarray | None = None
     total_weight = sum(w for _, w in resolved)
-    scored_ref: KCoreScores | None = None
+    scored_ref: LevelNodeScores | None = None
     for metric, weight in resolved:
         scored = kcore_scores(graph, metric, ordered=ordered, forest=forest)
         scored_ref = scored

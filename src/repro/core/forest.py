@@ -54,7 +54,7 @@ class CoreForest(LevelForest):
     has a *smaller* id than its parent, which lets Algorithm 5 aggregate
     primary values in a single forward scan, and every builder and a
     store-hydrated copy agree array for array — so the lowest-id
-    tie-break of :meth:`~repro.core.KCoreScores.best_node` is the same
+    tie-break of :meth:`~repro.engine.LevelNodeScores.best_node` is the same
     core whichever way the forest was obtained.
     """
 

@@ -1,27 +1,18 @@
-"""k-edge-connected-component extension: decomposition + best-k scoring.
+"""k-edge-connected-component extension: decomposition and the ``ecc`` family.
 
 The third hierarchy (after cores and trusses) driven through the paper's
-generalised best-k machinery, as its introduction anticipates for k-ecc.
+generalised best-k machinery, as its introduction anticipates for k-ecc:
+``best_level_set(graph, "ecc", metric)`` scores every k-ECC set.
 """
 
-from .bestk import (
-    BestEccResult,
-    baseline_kecc_set_scores,
-    best_kecc_set,
-    kecc_set_scores,
-)
 from .decomposition import EccDecomposition, ecc_decomposition, k_edge_components
 from .family import EccFamily
 from .mincut import stoer_wagner
 
 __all__ = [
-    "BestEccResult",
     "EccDecomposition",
     "EccFamily",
-    "baseline_kecc_set_scores",
-    "best_kecc_set",
     "ecc_decomposition",
     "k_edge_components",
-    "kecc_set_scores",
     "stoer_wagner",
 ]

@@ -13,10 +13,11 @@ plugs in unchanged.  This module turns that observation into an API:
   — the family registry, mirroring the metric (:mod:`repro.engine.metrics`)
   and kernel (:mod:`repro.kernels`) registries;
 * :func:`family_set_scores` / :func:`baseline_family_set_scores` /
-  :func:`best_level_set` — THE generic implementations.  The per-family
-  entry points (``kcore_set_scores``, ``best_ktruss_set``,
-  ``best_s_core_set``, ``kecc_set_scores``, ...) are thin shims over
-  these three functions.
+  :func:`best_level_set` — THE generic implementations of Problem 1.
+  Every family is scored by passing its name (``best_level_set(graph,
+  "truss", metric)``, ``edge_weights=`` for ``weighted``); only the
+  paper's own k-core names (``kcore_set_scores``, ``best_kcore_set``, ...)
+  remain, each a single call into these functions.
 
 Built-in families (``core``, ``truss``, ``weighted``, ``ecc``) live in
 their packages as ``repro.<pkg>.family`` modules and are imported lazily
@@ -287,11 +288,13 @@ def family_set_scores(
 ) -> LevelSetScores:
     """Score every level set of a family incrementally (Algorithm 2 / 3).
 
-    The single optimal-path implementation behind ``kcore_set_scores``,
-    ``ktruss_set_scores``, ``s_core_set_scores`` and ``kecc_set_scores``.
-    Passing a :class:`~repro.index.BestKIndex` as ``index`` (takes
-    precedence over ``decomposition``/``ordering``) fetches and memoizes
-    every artifact on the index; results are identical.
+    The single optimal-path implementation for every family (the k-core
+    name ``kcore_set_scores`` is one call into it).  Family parameters
+    such as the weighted family's ``edge_weights=`` / ``num_levels=``
+    travel in ``**params``.  Passing a :class:`~repro.index.BestKIndex`
+    as ``index`` (takes precedence over ``decomposition``/``ordering``)
+    fetches and memoizes every artifact on the index; results are
+    identical.
     """
     fam = get_family(family)
     metric = fam.resolve_metric(metric)
@@ -371,7 +374,14 @@ def baseline_family_set_scores(
 
 @dataclass(frozen=True)
 class BestLevelResult:
-    """The answer to "which level is best?" for one family and metric."""
+    """The answer to "which level is best?" for one family and metric.
+
+    Serves both problems: Problem 1 (:func:`best_level_set`) leaves
+    ``node_id`` as ``None``; Problem 2
+    (:func:`~repro.engine.forest.best_connected_level_set`) sets it to the
+    winning forest node, whose full component is ``vertices``, and
+    ``scores`` is then the node-scores record.
+    """
 
     metric_name: str
     k: int
@@ -383,6 +393,8 @@ class BestLevelResult:
     #: hierarchies (the weighted family's strength ``s``), else ``None``.
     threshold: float | None = None
     family: str = ""
+    #: Winning forest node for Problem 2, else ``None``.
+    node_id: int | None = None
 
     @property
     def s(self) -> float:

@@ -14,8 +14,13 @@ Algorithm 5 aggregates them for cores, for every registered family.
   :func:`repro.core.build_core_forest` for coreness;
 * :class:`LevelForest` — the flat ``(k, parent, vert_ptr, vertices)``
   layout every built and every store-hydrated forest is constructed from;
-* :func:`family_node_scores` — Algorithm 5 generically: children totals
-  plus the node's own per-vertex deltas, one forward scan;
+* :func:`node_totals` / :func:`node_triangles` / :func:`node_values` /
+  :func:`score_nodes` — the package's one Algorithm 5, split into the
+  pieces the shared :class:`~repro.index.BestKIndex` caches: each node's
+  own per-vertex charges plus its children's totals (one forward scan),
+  the node's primary values, and the O(#nodes) score tail;
+* :func:`family_node_scores` — those pieces chained for any family;
+* :func:`best_node_result` — the winning node as a Problem 2 answer;
 * :func:`baseline_family_node_scores` — the from-scratch per-component
   baseline (Section IV-B);
 * :func:`best_connected_level_set` — the single-community variant of the
@@ -28,11 +33,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import repeat
 
 import numpy as np
 
+from ..errors import EmptyGraphError
 from ..graph.csr import Graph
 from .family import BestLevelResult, HierarchyFamily, get_family
+from .primary import PrimaryValues
 from .triangles import triangles_by_min_rank_vertex, triplet_group_deltas
 
 __all__ = [
@@ -41,6 +49,11 @@ __all__ = [
     "LevelNodeScores",
     "shell_sweep",
     "build_level_forest",
+    "node_totals",
+    "node_triangles",
+    "node_values",
+    "score_nodes",
+    "best_node_result",
     "family_node_scores",
     "baseline_family_node_scores",
     "best_connected_level_set",
@@ -168,7 +181,7 @@ class LevelForest:
         """Id of the best-scoring node; ties towards largest k, then lowest id."""
         finite = ~np.isnan(scores)
         if not finite.any():
-            raise ValueError("no candidate node to choose from")
+            raise EmptyGraphError("no candidate node to choose from")
         candidates = np.flatnonzero(finite & (scores == np.nanmax(scores)))
         ks = self.k[candidates]
         return int(candidates[ks == ks.max()][0])
@@ -303,12 +316,123 @@ class LevelNodeScores:
     values: tuple
 
     def best_node(self) -> int:
-        """Node id of the best component; ties towards largest k, then lowest id."""
+        """Node id of the best component; ties towards largest k, then lowest id.
+
+        Node ids are canonical (descending k, then smallest shell vertex),
+        so among equal-score components of one k the one holding the
+        smallest vertex wins, whichever builder or store state produced
+        the forest.
+        """
         return self.forest.best_node(self.scores)
+
+    def ranked_nodes(self) -> np.ndarray:
+        """Node ids sorted by descending score (nan last)."""
+        keys = np.where(np.isnan(self.scores), -np.inf, self.scores)
+        return np.argsort(-keys, kind="stable")
 
     def __repr__(self) -> str:
         name = getattr(self.metric, "name", str(self.metric))
         return f"LevelNodeScores(metric={name!r}, nodes={len(self.scores)})"
+
+
+def node_totals(
+    forest: LevelForest, twice_inside: np.ndarray, boundary: np.ndarray
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Aggregated ``(2*in, out, num)`` totals of every node's component.
+
+    Algorithm 5's base pass: each node sums the per-vertex charges of its
+    own vertices (the same charges Algorithms 2/3 group by level), then one
+    forward scan adds children into parents.
+    """
+    twice_in = forest.node_sums(twice_inside)
+    out = forest.node_sums(boundary)
+    num = np.diff(forest.vert_ptr)
+    forest.aggregate_children(twice_in, out, num)
+    return twice_in, out, num
+
+
+def node_triangles(
+    ordering,
+    forest: LevelForest,
+    *,
+    backend=None,
+    charges: np.ndarray | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Aggregated triangle/triplet totals of every node's component.
+
+    A precomputed per-vertex ``charges`` array (e.g. cached on a
+    :class:`~repro.index.BestKIndex`) skips the O(m^1.5) pass.
+    """
+    if charges is None:
+        charges = triangles_by_min_rank_vertex(ordering, backend=backend)
+    tri = forest.node_sums(np.asarray(charges, dtype=np.int64))
+    trip = triplet_group_deltas(ordering, forest.node_vertex_groups(), backend=backend)
+    forest.aggregate_children(tri, trip)
+    return tri, trip
+
+
+def node_values(
+    family: HierarchyFamily,
+    twice_in: np.ndarray,
+    out: np.ndarray,
+    num: np.ndarray,
+    tri: np.ndarray | None = None,
+    trip: np.ndarray | None = None,
+) -> tuple:
+    """Every node's primary-values record, from its aggregated totals.
+
+    Metric-independent, so the shared :class:`~repro.index.BestKIndex`
+    builds it once (with or without triangle counts) and every metric's
+    scores share the tuple.  A family that overrides
+    :meth:`~repro.engine.HierarchyFamily.make_values` gets one call per
+    node; the default unweighted records are mapped straight over the
+    integer columns, about three times faster on large forests.
+    """
+    if type(family).make_values is not HierarchyFamily.make_values:
+        return tuple(map(
+            family.make_values, num, twice_in, out,
+            repeat(None) if tri is None else tri,
+            repeat(None) if trip is None else trip,
+        ))
+    return tuple(map(
+        PrimaryValues,
+        num.tolist(),
+        (twice_in // 2).tolist(),
+        out.tolist(),
+        repeat(None) if tri is None else tri.tolist(),
+        repeat(None) if trip is None else trip.tolist(),
+    ))
+
+
+def score_nodes(metric, totals, forest: LevelForest, values: tuple) -> LevelNodeScores:
+    """The O(#nodes) scoring tail of Algorithm 5 over prebuilt node values."""
+    scores = np.fromiter(
+        (metric.score(pv, totals) for pv in values), dtype=np.float64, count=len(values)
+    )
+    return LevelNodeScores(metric, totals, forest, scores, values)
+
+
+def best_node_result(
+    scored: LevelNodeScores, family: str, thresholds: np.ndarray | None = None
+) -> BestLevelResult:
+    """The Problem 2 answer held by a node-scores record.
+
+    The winner is :meth:`LevelNodeScores.best_node`; its full component is
+    the answer's ``vertices`` and its id the answer's ``node_id``.
+    """
+    forest = scored.forest
+    node_id = scored.best_node()
+    k = int(forest.k[node_id])
+    return BestLevelResult(
+        scored.metric.name,
+        k,
+        float(scored.scores[node_id]),
+        scored,
+        forest.component_vertices(node_id),
+        None if thresholds is None else float(thresholds[k]),
+        family,
+        node_id,
+    )
 
 
 def family_node_scores(
@@ -338,34 +462,13 @@ def family_node_scores(
     if forest is None:
         forest = build_level_forest(graph, levels)
     totals = fam.totals(graph, decomposition, **params)
-
-    twice_inside, boundary = fam.charges(graph, decomposition, levels, ordering, **params)
-    count = forest.num_nodes
-    twice_in = forest.node_sums(twice_inside)
-    out = forest.node_sums(boundary)
-    num = np.diff(forest.vert_ptr)
-    forest.aggregate_children(twice_in, out, num)
-
-    tri = trip = None
+    base = node_totals(
+        forest, *fam.charges(graph, decomposition, levels, ordering, **params)
+    )
+    tri_trip = ()
     if fam.metric_requires_triangles(metric):
-        charges = triangles_by_min_rank_vertex(ordering, backend=backend)
-        tri = forest.node_sums(charges)
-        trip = triplet_group_deltas(
-            ordering, forest.node_vertex_groups(), backend=backend
-        )
-        forest.aggregate_children(tri, trip)
-
-    values = []
-    scores = np.full(count, np.nan)
-    for i in range(count):
-        pv = fam.make_values(
-            num[i], twice_in[i], out[i],
-            None if tri is None else tri[i],
-            None if trip is None else trip[i],
-        )
-        values.append(pv)
-        scores[i] = metric.score(pv, totals)
-    return LevelNodeScores(metric, totals, forest, scores, tuple(values))
+        tri_trip = node_triangles(ordering, forest, backend=backend)
+    return score_nodes(metric, totals, forest, node_values(fam, *base, *tri_trip))
 
 
 def baseline_family_node_scores(
@@ -378,7 +481,12 @@ def baseline_family_node_scores(
     backend=None,
     **params,
 ) -> LevelNodeScores:
-    """From-scratch per-component baseline (Section IV-B), generically."""
+    """From-scratch per-component baseline (Section IV-B), generically.
+
+    The forest makes *retrieving* each component's vertex set cheap, but
+    the primary values are recomputed per component by scanning its
+    induced subgraph — ``O(sum_nodes (q_i + |V(S_i)|))`` overall.
+    """
     fam = get_family(family)
     metric = fam.resolve_metric(metric)
     if decomposition is None:
@@ -415,7 +523,8 @@ def best_connected_level_set(
 
     Ties break towards the largest level, then the lowest node id.  The
     returned :class:`~repro.engine.family.BestLevelResult` carries the full
-    component as ``vertices`` and the node-scores record as ``scores``.
+    component as ``vertices``, the node-scores record as ``scores`` and
+    the winning forest node as ``node_id``.
     """
     fam = get_family(family)
     metric = fam.resolve_metric(fam.default_metric if metric is None else metric)
@@ -424,26 +533,10 @@ def best_connected_level_set(
     levels = fam.levels(decomposition, **params)
     if forest is None:
         forest = build_level_forest(graph, levels)
-    if use_baseline:
-        scored = baseline_family_node_scores(
-            graph, fam, metric,
-            decomposition=decomposition, forest=forest, backend=backend, **params,
-        )
-    else:
-        scored = family_node_scores(
-            graph, fam, metric,
-            decomposition=decomposition, forest=forest, backend=backend, **params,
-        )
-    node_id = scored.best_node()
-    k = int(forest.k[node_id])
-    thresholds = fam.thresholds(decomposition, int(levels.max()) if len(levels) else 0, **params)
-    threshold = None if thresholds is None else float(thresholds[k])
-    return BestLevelResult(
-        metric.name,
-        k,
-        float(scored.scores[node_id]),
-        scored,
-        forest.component_vertices(node_id),
-        threshold,
-        fam.name,
+    score = baseline_family_node_scores if use_baseline else family_node_scores
+    scored = score(
+        graph, fam, metric,
+        decomposition=decomposition, forest=forest, backend=backend, **params,
     )
+    max_level = int(levels.max()) if len(levels) else 0
+    return best_node_result(scored, fam.name, fam.thresholds(decomposition, max_level, **params))

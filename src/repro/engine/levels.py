@@ -28,6 +28,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import EmptyGraphError
 from ..graph.csr import Graph, sorted_arc_keys
 from ..kernels.common import concat_ranges
 from .metrics import Metric
@@ -245,7 +246,7 @@ class LevelSetScores:
         """Argmax of the scores; ties broken towards the largest k."""
         finite = ~np.isnan(self.scores)
         if not finite.any():
-            raise ValueError("no non-empty level set to choose from")
+            raise EmptyGraphError("no non-empty level set to choose from")
         best = np.nanmax(self.scores)
         return int(np.flatnonzero(finite & (self.scores == best)).max())
 

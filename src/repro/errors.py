@@ -72,8 +72,13 @@ class MetricRequirementError(ReproError):
     """
 
 
-class EmptyGraphError(ReproError):
-    """An operation that needs at least one vertex/edge got an empty graph."""
+class EmptyGraphError(ReproError, ValueError):
+    """An operation that needs at least one vertex/edge got an empty graph.
+
+    Raised when a best-k query has no non-empty candidate to choose from:
+    a graph without vertices, or without edges for the k-truss forest.
+    Also a :class:`ValueError`, the type these queries raised before.
+    """
 
 
 class GraphDeltaError(ReproError):

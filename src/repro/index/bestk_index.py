@@ -64,14 +64,6 @@ from typing import Callable
 import numpy as np
 
 from .. import obs
-from ..core.bestk_core import (
-    BestCoreResult,
-    KCoreScores,
-    forest_base_totals,
-    forest_node_values,
-    forest_triangle_totals,
-    scores_from_forest_totals,
-)
 from ..core.decomposition import CoreDecomposition
 from ..core.forest import CoreForest, build_core_forest
 from ..core.ordering import OrderedGraph, order_vertices
@@ -81,6 +73,14 @@ from ..engine.family import (
     best_level_set,
     get_family,
 )
+from ..engine.forest import (
+    LevelNodeScores,
+    best_node_result,
+    node_totals,
+    node_triangles,
+    node_values,
+    score_nodes,
+)
 from ..engine.levels import (
     LevelOrdering,
     LevelSetScores,
@@ -88,9 +88,10 @@ from ..engine.levels import (
     cumulate_from_top,
     scores_from_level_totals,
     triangle_level_increments,
+    unweighted_level_charges,
 )
 from ..engine.metrics import PAPER_METRICS, Metric, get_metric
-from ..engine.primary import GraphTotals, PrimaryValues, graph_totals
+from ..engine.primary import GraphTotals, graph_totals
 from ..engine.triangles import triangles_by_min_rank_vertex
 from ..dynamic import GraphDelta, VersionedGraph, incremental_core_numbers
 from ..errors import MetricRequirementError, ReproError
@@ -222,9 +223,9 @@ class BestKIndex:
         #: Memoized per-(family, metric) level-set scores.
         self._scores: dict[tuple[str, str], LevelSetScores] = {}
         #: Memoized per-metric core-forest scores (Problem 2).
-        self._core_scores: dict[str, KCoreScores] = {}
+        self._core_scores: dict[str, LevelNodeScores] = {}
         #: Per-forest-node primary values, keyed by "with triangle counts".
-        self._core_values: dict[bool, tuple[PrimaryValues, ...]] = {}
+        self._core_values: dict[bool, tuple] = {}
         #: Last-seen :meth:`HierarchyFamily.cache_token` per family.
         self._tokens: dict[str, object] = {}
         #: ``(old core:order, touched vertices)`` left by a patched
@@ -736,7 +737,8 @@ class BestKIndex:
         ordered, forest = self.ordered, self.forest
         return self._get(
             "core:node_totals",
-            lambda: forest_base_totals(ordered, forest),
+            # The core family's charges: the unweighted Algorithm 1 tags.
+            lambda: node_totals(forest, *unweighted_level_charges(ordered)),
             persist=(get_family("core"), {}),
         )
 
@@ -744,21 +746,18 @@ class BestKIndex:
         ordered, forest = self.ordered, self.forest
         return self._get(
             "core:node_triangles",
-            lambda: forest_triangle_totals(
-                ordered,
-                forest,
-                backend=self.backend,
-                charges=self.triangle_charges,
+            lambda: node_triangles(
+                ordered, forest, backend=self.backend, charges=self.triangle_charges
             ),
             persist=(get_family("core"), {}),
         )
 
-    def _node_values(self, with_triangles: bool) -> tuple[PrimaryValues, ...]:
+    def _node_values(self, with_triangles: bool) -> tuple:
         """Per-node primary values, built once and shared by every metric."""
         values = self._core_values.get(with_triangles)
         if values is None:
             tri_trip = self._node_triangles() if with_triangles else ()
-            values = forest_node_values(*self._node_totals(), *tri_trip)
+            values = node_values(get_family("core"), *self._node_totals(), *tri_trip)
             self._core_values[with_triangles] = values
         return values
 
@@ -792,7 +791,7 @@ class BestKIndex:
     # ------------------------------------------------------------------
     # Problem 2: best single (connected) k-core
     # ------------------------------------------------------------------
-    def core_scores(self, metric: str | Metric) -> KCoreScores:
+    def core_scores(self, metric: str | Metric) -> LevelNodeScores:
         """Scores of every connected k-core under ``metric`` (memoized)."""
         metric = get_metric(metric)
         cached = self._core_scores.get(metric.name)
@@ -803,7 +802,7 @@ class BestKIndex:
             problem=2,
         ):
             score_start = time.perf_counter()
-            result = scores_from_forest_totals(
+            result = score_nodes(
                 metric, self.totals, self.forest,
                 self._node_values(metric.requires_triangles),
             )
@@ -814,23 +813,13 @@ class BestKIndex:
         self._core_scores[metric.name] = result
         return result
 
-    def best_core(self, metric: str | Metric) -> BestCoreResult:
+    def best_core(self, metric: str | Metric) -> BestLevelResult:
         """The best single connected k-core under ``metric`` (Problem 2)."""
-        metric = get_metric(metric)
-        scored = self.core_scores(metric)
-        node_id = scored.best_node()
-        return BestCoreResult(
-            metric_name=metric.name,
-            k=int(self.forest.k[node_id]),
-            score=float(scored.scores[node_id]),
-            node_id=node_id,
-            scores=scored,
-            vertices=self.forest.core_vertices(node_id),
-        )
+        return best_node_result(self.core_scores(metric), "core")
 
     def score_cores_all_metrics(
         self, metrics: tuple[str, ...] = PAPER_METRICS
-    ) -> dict[str, KCoreScores]:
+    ) -> dict[str, LevelNodeScores]:
         """Batch Problem 2: every metric scored from the one shared index."""
         if resolve_jobs(self.jobs) > 1:
             self.prebuild(("core",), metrics=tuple(metrics), problem2=True)
@@ -838,39 +827,11 @@ class BestKIndex:
 
     def best_core_all_metrics(
         self, metrics: tuple[str, ...] = PAPER_METRICS
-    ) -> dict[str, BestCoreResult]:
+    ) -> dict[str, BestLevelResult]:
         """Batch Problem 2 winners, keyed by canonical metric name."""
         if resolve_jobs(self.jobs) > 1:
             self.prebuild(("core",), metrics=tuple(metrics), problem2=True)
         return {get_metric(m).name: self.best_core(m) for m in metrics}
-
-    # ------------------------------------------------------------------
-    # Legacy extension vocabulary (thin wrappers over the family cache)
-    # ------------------------------------------------------------------
-    @property
-    def truss_decomposition(self):
-        """The truss decomposition (built only for truss queries)."""
-        return self.family_decomposition("truss")
-
-    @property
-    def truss_ordering(self) -> LevelOrdering:
-        """Level ordering over vertex truss levels (Algorithm 1 analogue)."""
-        return self.artifact("truss", "ordering")
-
-    def truss_set_scores(self, metric: str | Metric) -> LevelSetScores:
-        """Scores of every k-truss vertex set under ``metric`` (memoized)."""
-        return self.level_scores("truss", metric)
-
-    def weighted_decomposition(self, edge_weights: np.ndarray):
-        """The s-core decomposition for ``edge_weights`` (cached by token).
-
-        The weighted family's cache token is derived from the weight-array
-        identity (and quantisation): passing the same array object again is
-        free, passing a different one invalidates and rebuilds every
-        ``weighted:*`` artifact (weighted queries almost always reuse one
-        weight vector per graph).
-        """
-        return self.family_decomposition("weighted", edge_weights=edge_weights)
 
     # ------------------------------------------------------------------
     # Dynamic graphs: delta application with scoped invalidation

@@ -29,9 +29,10 @@ Selection, in precedence order:
 2. the ``REPRO_BACKEND`` environment variable;
 3. the default, ``numpy``.
 
-Both backends return exactly the same values (``tests/test_kernels.py``
-enforces integer-for-integer equality), so switching backends is purely a
-performance decision.  ``benchmarks/bench_kernels.py`` measures the gap.
+All three backends return exactly the same values
+(``tests/test_kernels.py`` enforces integer-for-integer equality), so
+switching backends is purely a performance decision.
+``benchmarks/bench_kernels.py`` measures the gap.
 
 Observability: :func:`register_backend` wraps every kernel method of a
 registered backend with :mod:`repro.obs` instrumentation — each dispatch

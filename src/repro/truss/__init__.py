@@ -1,12 +1,11 @@
-"""k-truss extension (paper Section VI-B): decomposition + best-k scoring."""
+"""k-truss extension (paper Section VI-B): decomposition, the ``truss`` family
+and the truss forest.
+
+Best-k over k-truss vertex sets is the engine call
+``best_level_set(graph, "truss", metric)`` (or ``BestKIndex.best_level``).
+"""
 
 from ..engine import LevelOrdering, LevelSetScores, level_ordering, level_set_scores
-from .bestk import (
-    BestTrussResult,
-    baseline_ktruss_set_scores,
-    best_ktruss_set,
-    ktruss_set_scores,
-)
 from .decomposition import TrussDecomposition, truss_decomposition
 from .family import TrussFamily
 from .forest import (
@@ -19,18 +18,14 @@ from .forest import (
 
 __all__ = [
     "BestSingleTrussResult",
-    "BestTrussResult",
     "LevelOrdering",
     "LevelSetScores",
     "TrussDecomposition",
     "TrussFamily",
     "TrussForest",
     "TrussNode",
-    "baseline_ktruss_set_scores",
-    "best_ktruss_set",
     "best_single_ktruss",
     "build_truss_forest",
-    "ktruss_set_scores",
     "level_ordering",
     "level_set_scores",
     "truss_decomposition",

@@ -1,7 +1,7 @@
 """The forest hierarchy of connected k-trusses, and best single k-truss.
 
-Paper Section VI-B sketches best-k for truss *sets* (realised in
-:mod:`repro.truss.bestk`) and notes that "the solution for computing the
+Paper Section VI-B sketches best-k for truss *sets* (realised by the
+engine's ``truss`` family, :func:`repro.engine.best_level_set`) and notes that "the solution for computing the
 best single k-truss can be derived similarly, while designing an optimal
 solution is still challenging".  This module provides the derived — correct
 but not asymptotically optimal — solution:
@@ -24,6 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ..errors import EmptyGraphError
 from ..graph.csr import Graph
 from ..engine.metrics import Metric, get_metric
 from ..engine.primary import graph_totals, primary_values
@@ -187,7 +188,7 @@ def best_single_ktruss(
     """Score every connected k-truss and return the best.
 
     Scores use the truss's *vertex set* (induced-subgraph primary values),
-    consistent with the truss-set scoring in :mod:`repro.truss.bestk`.
+    consistent with the engine's truss-set scoring (the ``truss`` family).
     Per-node scoring is from scratch — the paper explicitly leaves an
     optimal single-truss algorithm open — so the cost matches the Section
     IV-B baseline pattern.
@@ -196,7 +197,7 @@ def best_single_ktruss(
     if forest is None:
         forest = build_truss_forest(graph)
     if forest.num_nodes == 0:
-        raise ValueError("graph has no edges, hence no k-truss")
+        raise EmptyGraphError("graph has no edges, hence no k-truss")
     totals = graph_totals(graph)
     best_id = -1
     best_key: tuple[float, int] | None = None

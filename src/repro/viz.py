@@ -6,8 +6,9 @@ Terminal-friendly renderings of the structures this library computes:
   Figure 4, in ASCII), annotated with per-core sizes and optional scores;
 * :func:`render_shell_histogram` — the shell-size distribution (how the
   graph's mass spreads across coreness values);
-* :func:`render_score_profile` — score-vs-k with a sparkline and the best
-  k marked (the paper's Figure 5, one metric at a time).
+* :func:`render_score_profile` — score-vs-k of a Problem 1
+  :class:`~repro.engine.LevelSetScores` with a sparkline and the best k
+  marked (the paper's Figure 5, one metric at a time).
 
 Everything returns a string; the CLI prints them, and the test suite
 asserts their structure.
@@ -20,9 +21,9 @@ import math
 import numpy as np
 
 from .bench.figures import sparkline
-from .core.bestk_set import KCoreSetScores
 from .core.decomposition import CoreDecomposition
 from .core.forest import CoreForest
+from .engine.levels import LevelSetScores
 
 __all__ = ["render_forest", "render_shell_histogram", "render_score_profile"]
 
@@ -41,7 +42,7 @@ def render_forest(
     forest:
         The hierarchy to draw.
     scores:
-        Optional per-node scores (e.g. ``KCoreScores.scores``) appended to
+        Optional per-node scores (e.g. ``LevelNodeScores.scores``) appended to
         each line.
     max_nodes / max_roots:
         Output is truncated beyond these limits (big graphs have thousands
@@ -109,7 +110,7 @@ def render_shell_histogram(decomposition: CoreDecomposition, *, width: int = 50)
     return "\n".join(lines)
 
 
-def render_score_profile(scores: KCoreSetScores, *, width: int = 60) -> str:
+def render_score_profile(scores: LevelSetScores, *, width: int = 60) -> str:
     """Score of every k-core set, with a sparkline and the best k marked."""
     values = scores.scores
     best = scores.best_k()

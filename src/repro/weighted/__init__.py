@@ -1,17 +1,11 @@
 """Weighted (s-core) extension — paper Section VII's weighted remark, realised.
 
-Strength-based s-core decomposition plus the weighted best-k machinery:
-score every s-core set under weighted community metrics in one top-down
-pass, exactly as Algorithm 2 does for unweighted cores.
+Strength-based s-core decomposition plus the ``weighted`` hierarchy family:
+``best_level_set(graph, "weighted", metric, edge_weights=w)`` scores every
+s-core set under weighted community metrics in one top-down pass, exactly
+as Algorithm 2 does for unweighted cores.
 """
 
-from .bestk import (
-    BestSCoreResult,
-    SCoreSetScores,
-    baseline_s_core_set_scores,
-    best_s_core_set,
-    s_core_set_scores,
-)
 from .decomposition import WeightedDecomposition, arc_weights, s_core_decomposition
 from .family import WeightedFamily, weight_charges
 from .metrics import (
@@ -23,8 +17,6 @@ from .metrics import (
 )
 
 __all__ = [
-    "BestSCoreResult",
-    "SCoreSetScores",
     "WeightedDecomposition",
     "WeightedFamily",
     "WeightedMetric",
@@ -32,10 +24,7 @@ __all__ = [
     "WeightedTotals",
     "arc_weights",
     "available_weighted_metrics",
-    "baseline_s_core_set_scores",
-    "best_s_core_set",
     "get_weighted_metric",
     "s_core_decomposition",
-    "s_core_set_scores",
     "weight_charges",
 ]

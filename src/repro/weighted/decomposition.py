@@ -8,8 +8,9 @@ Peeling by minimum remaining strength yields, per vertex, the largest
 
 The paper remarks (Section VII) that its best-k machinery "may shed light
 on finding the best k-core on weighted graphs if we apply the weighted
-community scores"; :mod:`repro.weighted.bestk` realises exactly that, and
-this module supplies the decomposition it needs.
+community scores"; the engine's ``weighted`` family
+(:mod:`repro.weighted.family`) realises exactly that, and this module
+supplies the decomposition it needs.
 """
 
 from __future__ import annotations

@@ -12,6 +12,7 @@ from repro.core import (
     order_vertices,
 )
 from repro.core.naive import kcore_scores_naive
+from repro.errors import EmptyGraphError
 from repro.graph import Graph
 from conftest import random_graph, zoo_params
 
@@ -111,11 +112,11 @@ class TestIntegrity:
 
     def test_empty_graph_raises_on_best(self, empty_graph):
         scored = kcore_scores(empty_graph, "ad")
-        with pytest.raises(ValueError):
+        with pytest.raises(EmptyGraphError):
             scored.best_node()
 
     def test_repr(self, figure2):
         best = best_single_kcore(figure2, "ad")
         assert "k=2" in repr(best)
         scored = kcore_scores(figure2, "ad")
-        assert "cores=3" in repr(scored)
+        assert "nodes=3" in repr(scored)

@@ -10,11 +10,16 @@ from repro.core import (
     baseline_kcore_set_scores,
     best_kcore_set,
     core_decomposition,
+    core_level_view,
     kcore_set_scores,
     order_vertices,
 )
-from repro.core.bestk_set import shell_accumulate, triangle_triplet_by_shell
 from repro.core.naive import kcore_set_scores_naive, best_kcore_set_naive
+from repro.engine import (
+    accumulate_level_totals,
+    triangle_level_increments,
+    unweighted_level_charges,
+)
 from repro.graph import Graph
 from conftest import random_graph, zoo_params
 
@@ -75,10 +80,15 @@ class TestAgainstBaselineAndOracle:
             assert fast.vertices.tolist() == slow.vertices.tolist()
 
 
+def _level_totals(ordering):
+    """Algorithm 2's per-k ``(num, 2*in, out)`` totals of every ``C_k``."""
+    charges = unweighted_level_charges(ordering)
+    return accumulate_level_totals(*charges, ordering.order, ordering.level_start)
+
+
 class TestAccumulators:
-    def test_shell_accumulate_totals(self, figure2):
-        od = order_vertices(figure2)
-        twice_in, out, num = shell_accumulate(od)
+    def test_level_accumulate_totals(self, figure2):
+        num, twice_in, out = _level_totals(core_level_view(order_vertices(figure2)))
         # k = 0: the whole graph.
         assert twice_in[0] == 2 * figure2.num_edges
         assert out[0] == 0
@@ -88,7 +98,7 @@ class TestAccumulators:
 
     def test_boundary_counts(self, figure2):
         od = order_vertices(figure2)
-        _, out, _ = shell_accumulate(od)
+        _, _, out = _level_totals(core_level_view(od))
         # The 3-core set has 5 boundary edges: (v3,v5), (v3,v6), (v9,v8)
         # leave the 3-core... count from the construction: edges with
         # exactly one endpoint of coreness 3.
@@ -99,8 +109,8 @@ class TestAccumulators:
         assert out[3] == expected
 
     def test_triangle_increments_sum(self, figure2):
-        od = order_vertices(figure2)
-        tri_new, trip_new = triangle_triplet_by_shell(od)
+        view = core_level_view(order_vertices(figure2))
+        tri_new, trip_new = triangle_level_increments(view, view.order, view.level_start)
         assert tri_new.sum() == 10  # whole graph has 10 triangles
         assert trip_new[3] == 24
         assert trip_new[2] == 21  # Example 5: 45 - 24

@@ -47,7 +47,7 @@ class TestCommands:
         assert out.count("best k") == 6
 
     def test_truss(self, graph_file, capsys):
-        assert main(["truss", graph_file, "-m", "cc"]) == 0
+        assert main(["set", graph_file, "--family", "truss", "-m", "cc"]) == 0
         assert "best k = 4" in capsys.readouterr().out
 
     def test_densest(self, graph_file, capsys):
@@ -94,6 +94,14 @@ class TestCommands:
     def test_missing_file_is_error(self, capsys):
         assert main(["decompose", "/nonexistent/path.txt"]) == 1
         assert "error" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("command", ["set", "core"])
+    def test_header_only_graph_is_typed_error(self, command, tmp_path, capsys):
+        path = tmp_path / "empty.txt"
+        path.write_text("# no edges\n")
+        assert main([command, str(path), "-m", "average_degree"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "Traceback" not in err
 
 
 class TestVisualisationCommands:

@@ -6,14 +6,8 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.ecc import (
-    baseline_kecc_set_scores,
-    best_kecc_set,
-    ecc_decomposition,
-    k_edge_components,
-    kecc_set_scores,
-    stoer_wagner,
-)
+from repro.ecc import ecc_decomposition, k_edge_components, stoer_wagner
+from repro.engine import baseline_family_set_scores, best_level_set, family_set_scores
 from repro.generators import planted_partition
 from repro.graph import Graph, GraphBuilder, connected_components
 from conftest import random_graph, zoo_params
@@ -236,18 +230,18 @@ class TestBestKEcc:
         if graph.num_edges == 0:
             return
         decomp = ecc_decomposition(graph)
-        fast = kecc_set_scores(graph, metric, decomposition=decomp)
-        slow = baseline_kecc_set_scores(graph, metric, decomposition=decomp)
+        fast = family_set_scores(graph, "ecc", metric, decomposition=decomp)
+        slow = baseline_family_set_scores(graph, "ecc", metric, decomposition=decomp)
         np.testing.assert_allclose(fast.scores, slow.scores, equal_nan=True)
 
     def test_figure2_best(self, figure2):
-        result = best_kecc_set(figure2, "cc")
+        result = best_level_set(figure2, "ecc", "cc")
         assert result.k == 3
         assert result.score == pytest.approx(1.0)
         assert set(result.vertices.tolist()) == {0, 1, 2, 3, 8, 9, 10, 11}
 
     def test_ad_prefers_whole_graph(self, figure2):
-        result = best_kecc_set(figure2, "ad")
+        result = best_level_set(figure2, "ecc", "ad")
         assert result.k <= 2
         assert result.score == pytest.approx(2 * 19 / 12)
 

@@ -10,8 +10,8 @@ Four pillars:
 * **Extensibility** — a fifth toy family (degree-capped hierarchy) defined
   *here*, without touching :mod:`repro.engine`, works end-to-end: scores,
   best-k, index caching, and the CLI.
-* **Shims** — the historic per-family entry points delegate to the engine
-  and still return the historic result shapes.
+* **Shims** — the paper's k-core entry points delegate to the engine, and
+  every other family answers through the same calls by name.
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ import pytest
 
 from repro import BestKIndex
 from repro.engine import (
+    PAPER_METRICS,
     RAW_LEVELS,
     HierarchyFamily,
     available_families,
@@ -37,7 +38,7 @@ from repro.engine import (
     register_family,
 )
 from repro.engine.family import _REGISTRY
-from repro.errors import ReproError, UnknownFamilyError
+from repro.errors import EmptyGraphError, ReproError, UnknownFamilyError
 from repro.graph import Graph
 
 from conftest import random_graph
@@ -103,15 +104,48 @@ class TestGenericEquivalence:
         assert np.array_equal(optimal.vertices, baseline.vertices)
         assert optimal.family == family
 
-    def test_connected_variant_matches_core_problem2(self, graph):
+    def test_connected_variant_matches_core_problem2(self, graph, tmp_path):
+        # Every Problem 2 path runs the one Algorithm 5, so the answers are
+        # exact across entry points and store states; the from-scratch
+        # baseline agrees up to float rounding.
         from repro.core import best_single_kcore
 
-        for metric in ("average_degree", "conductance"):
-            generic = best_connected_level_set(graph, "core", metric)
-            classic = best_single_kcore(graph, metric)
-            assert generic.k == classic.k
-            assert generic.score == pytest.approx(classic.score)
-            assert np.array_equal(np.sort(generic.vertices), np.sort(classic.vertices))
+        def answer(result):
+            return (result.k, result.score.hex(), result.node_id, result.vertices.tolist())
+
+        graphs = {"random": graph, **PATHOLOGICAL}
+        for name, g in graphs.items():
+            store = str(tmp_path / name)
+            cold = BestKIndex(g, jobs=1, store=False)
+            primed = BestKIndex(g, jobs=1, store=store)
+            paths = {
+                "entry point": lambda m: best_single_kcore(g, m),
+                "engine": lambda m: best_connected_level_set(g, "core", m),
+                "index": cold.best_core,
+                "store-primed index": primed.best_core,
+            }
+            for metric in PAPER_METRICS:
+                if g.num_vertices == 0:
+                    for path in paths.values():
+                        with pytest.raises(EmptyGraphError):
+                            path(metric)
+                    continue
+                expected = answer(paths["entry point"](metric))
+                for label, path in paths.items():
+                    assert answer(path(metric)) == expected, (name, metric, label)
+                k, score, node_id, vertices = expected
+                baseline = best_single_kcore(g, metric, use_baseline=True)
+                assert (baseline.k, baseline.node_id) == (k, node_id)
+                assert baseline.vertices.tolist() == vertices
+                assert baseline.score == pytest.approx(float.fromhex(score))
+            if g.num_vertices == 0:
+                continue
+            hydrated = BestKIndex(g, jobs=1, store=store)
+            for metric in PAPER_METRICS:
+                expected = answer(primed.best_core(metric))
+                assert answer(hydrated.best_core(metric)) == expected, (name, metric)
+            assert hydrated.build_seconds["core:node_totals"] == 0.0
+            assert hydrated.build_seconds["core:node_triangles"] == 0.0
 
     @pytest.mark.parametrize("family", ["truss", "weighted"])
     def test_node_scores_match_baseline(self, graph, weights, family):
@@ -245,15 +279,15 @@ class TestToyFamilyEndToEnd:
 class TestShims:
     def test_historic_entry_points_delegate(self, graph, weights):
         from repro.core import best_kcore_set, kcore_set_scores
-        from repro.ecc import best_kecc_set
-        from repro.truss import best_ktruss_set
-        from repro.weighted import best_s_core_set
 
         assert best_kcore_set(graph, "ad").family == "core"
-        assert best_ktruss_set(graph, "ad").family == "truss"
-        assert best_s_core_set(graph, weights, "weighted_average_degree").family == "weighted"
+        assert best_level_set(graph, "truss", "ad").family == "truss"
+        weighted = best_level_set(
+            graph, "weighted", "weighted_average_degree", edge_weights=weights
+        )
+        assert weighted.family == "weighted"
         small, _ = (random_graph(28, 60, seed=4), None)
-        assert best_kecc_set(small, "ad").family == "ecc"
+        assert best_level_set(small, "ecc", "ad").family == "ecc"
         scores = kcore_set_scores(graph, "average_degree")
         assert scores.best_k() == best_kcore_set(graph, "average_degree").k
 

@@ -26,9 +26,8 @@ from repro.core import (
     kcore_scores,
     kcore_set_scores,
 )
+from repro.engine import best_level_set, family_set_scores
 from repro.graph import Graph
-from repro.truss import best_ktruss_set, ktruss_set_scores
-from repro.weighted import best_s_core_set, s_core_set_scores
 
 from conftest import random_graph
 
@@ -82,24 +81,28 @@ class TestBitIdentity:
         assert index.core_scores("con") is index.core_scores("conductance")
 
     def test_truss_scores_match(self, graph, index):
-        fresh = ktruss_set_scores(graph, "average_degree")
-        warm = ktruss_set_scores(graph, "average_degree", index=index)
+        fresh = family_set_scores(graph, "truss", "average_degree")
+        warm = family_set_scores(graph, "truss", "average_degree", index=index)
         assert np.array_equal(fresh.scores, warm.scores, equal_nan=True)
-        assert warm is index.truss_set_scores("average_degree")
-        f = best_ktruss_set(graph, "average_degree")
-        w = best_ktruss_set(graph, "average_degree", index=index)
+        assert warm is index.level_scores("truss", "average_degree")
+        f = best_level_set(graph, "truss", "average_degree")
+        w = index.best_level("truss", "average_degree")
         assert f.k == w.k and np.array_equal(f.vertices, w.vertices)
 
     def test_weighted_scores_match(self, graph, index):
         weights = np.random.default_rng(3).lognormal(size=graph.num_edges)
-        fresh = s_core_set_scores(graph, weights, "weighted_average_degree")
-        warm = s_core_set_scores(graph, weights, "weighted_average_degree", index=index)
+        params = {"edge_weights": weights}
+        fresh = family_set_scores(graph, "weighted", "weighted_average_degree", **params)
+        warm = family_set_scores(
+            graph, "weighted", "weighted_average_degree", index=index, **params
+        )
         assert np.array_equal(fresh.scores, warm.scores, equal_nan=True)
-        f = best_s_core_set(graph, weights, "weighted_average_degree")
-        w = best_s_core_set(graph, weights, "weighted_average_degree", index=index)
+        f = best_level_set(graph, "weighted", "weighted_average_degree", **params)
+        w = index.best_level("weighted", "weighted_average_degree", **params)
         assert f.s == w.s and np.array_equal(f.vertices, w.vertices)
         # Cached by identity: same array object, no rebuild.
-        assert index.weighted_decomposition(weights) is index.weighted_decomposition(weights)
+        first = index.family_decomposition("weighted", **params)
+        assert index.family_decomposition("weighted", **params) is first
 
 
 class TestEntryPointPassthrough:
@@ -135,8 +138,8 @@ BUILDERS = (
     "order_vertices",
     "build_core_forest",
     "triangles_by_min_rank_vertex",
-    "forest_base_totals",
-    "forest_triangle_totals",
+    "node_totals",
+    "node_triangles",
 )
 
 

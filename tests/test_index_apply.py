@@ -52,7 +52,7 @@ class TestApplyScopedInvalidation:
     def test_core_is_patched_not_rebuilt(self, figure2, monkeypatch):
         index = BestKIndex(figure2, store=False)
         index.best_set("average_degree")
-        index.truss_set_scores("average_degree")
+        index.level_scores("truss", "average_degree")
         delta = GraphDelta.from_edges(insert=[(0, 8)])
         new_graph = VersionedGraph(figure2).apply(delta).graph
         expected = BestKIndex(new_graph, store=False).best_set("average_degree")
@@ -70,7 +70,7 @@ class TestApplyScopedInvalidation:
 
     def test_rebuild_on_change_family_rebuilds_lazily(self, figure2, monkeypatch):
         index = BestKIndex(figure2, store=False)
-        index.truss_set_scores("average_degree")
+        index.level_scores("truss", "average_degree")
         index.apply(GraphDelta.from_edges(insert=[(0, 8)]))
         calls = {"n": 0}
         original = TrussFamily.decompose
@@ -80,13 +80,13 @@ class TestApplyScopedInvalidation:
             return original(self, graph, **kwargs)
 
         monkeypatch.setattr(TrussFamily, "decompose", counting)
-        index.truss_set_scores("average_degree")
+        index.level_scores("truss", "average_degree")
         assert calls["n"] == 1  # rebuilt exactly once, on demand
 
     def test_noop_apply_retains_everything(self, figure2, monkeypatch):
         index = BestKIndex(figure2, store=False)
         index.best_set("average_degree")
-        index.truss_set_scores("average_degree")
+        index.level_scores("truss", "average_degree")
         monkeypatch.setattr(
             CoreFamily, "decompose",
             lambda *a, **k: pytest.fail("retained family rebuilt"),
@@ -101,7 +101,7 @@ class TestApplyScopedInvalidation:
         assert result.path == "none" and result.reason == "noop"
         assert result.epoch == 1  # the epoch still advances
         index.best_set("average_degree")
-        index.truss_set_scores("average_degree")
+        index.level_scores("truss", "average_degree")
 
     def test_apply_without_core_baseline(self, figure2):
         index = BestKIndex(figure2, store=False)
@@ -131,7 +131,7 @@ class TestApplyBitIdentity:
         rng = random.Random(42)
         index = BestKIndex(figure2, store=False)
         index.best_set("average_degree")
-        index.truss_set_scores("average_degree")
+        index.level_scores("truss", "average_degree")
         present = set(map(tuple, figure2.edge_array().tolist()))
         n = figure2.num_vertices
         for _ in range(10):

@@ -6,8 +6,7 @@ import pytest
 from repro import (
     PAPER_METRICS,
     best_kcore_set,
-    best_ktruss_set,
-    best_s_core_set,
+    best_level_set,
     best_single_kcore,
     core_app,
     core_decomposition,
@@ -93,14 +92,14 @@ class TestApplicationsPipeline:
     def test_truss_deeper_or_equal_to_core_metricwise(self, gowalla):
         # A k-truss is a (k-1)-core: for the same density-style metric the
         # truss hierarchy cannot top out shallower than 2.
-        result = best_ktruss_set(gowalla, "den")
+        result = best_level_set(gowalla, "truss", "den")
         assert result.k >= 2
 
     def test_weighted_unit_agrees_with_unweighted_argmax(self, gowalla):
         weights = np.ones(gowalla.num_edges)
         decomp = core_decomposition(gowalla)
-        weighted = best_s_core_set(gowalla, weights, "weighted_average_degree",
-                                   num_levels=decomp.kmax)
+        weighted = best_level_set(gowalla, "weighted", "weighted_average_degree",
+                                  edge_weights=weights, num_levels=decomp.kmax)
         unweighted = best_kcore_set(gowalla, "average_degree")
         assert weighted.score == pytest.approx(unweighted.score)
 

@@ -15,11 +15,8 @@ from repro.apps import (
 )
 from repro.core import core_decomposition
 from repro.graph import Graph, GraphBuilder
-from repro.weighted import (
-    baseline_s_core_set_scores,
-    s_core_decomposition,
-    s_core_set_scores,
-)
+from repro.engine import baseline_family_set_scores, family_set_scores
+from repro.weighted import s_core_decomposition
 
 SETTINGS = settings(
     max_examples=25,
@@ -109,10 +106,9 @@ class TestWeightedProperties:
             return
         rng = np.random.default_rng(42)
         weights = rng.uniform(0.1, 2.0, g.num_edges)
-        fast = s_core_set_scores(g, weights, "weighted_average_degree",
-                                 num_levels=num_levels)
-        slow = baseline_s_core_set_scores(g, weights, "weighted_average_degree",
-                                          num_levels=num_levels)
+        params = {"edge_weights": weights, "num_levels": num_levels}
+        fast = family_set_scores(g, "weighted", "weighted_average_degree", **params)
+        slow = baseline_family_set_scores(g, "weighted", "weighted_average_degree", **params)
         np.testing.assert_allclose(fast.scores, slow.scores, equal_nan=True, atol=1e-9)
 
     @SETTINGS

@@ -24,10 +24,18 @@ from repro.core import (
     order_vertices,
 )
 from repro.core.naive import coreness_naive, kcore_set_vertices_naive
-from repro.engine import build_level_forest, count_triangles, count_triplets, get_family, level_ordering
+from repro.engine import (
+    baseline_family_set_scores,
+    build_level_forest,
+    count_triangles,
+    count_triplets,
+    family_set_scores,
+    get_family,
+    level_ordering,
+)
 from repro.graph import Graph, GraphBuilder, validate_graph
 from repro.kernels import get_backend
-from repro.truss import level_set_scores, truss_decomposition, ktruss_set_scores, baseline_ktruss_set_scores
+from repro.truss import level_set_scores, truss_decomposition
 from conftest import MAINTENANCE_PLANS, CorenessStream
 
 SETTINGS = settings(
@@ -211,8 +219,8 @@ class TestTrussInvariants:
     @given(graphs(max_vertices=16, max_edges=40))
     def test_truss_optimal_equals_baseline(self, g):
         td = truss_decomposition(g)
-        opt = ktruss_set_scores(g, "ad", decomposition=td)
-        base = baseline_ktruss_set_scores(g, "ad", decomposition=td)
+        opt = family_set_scores(g, "truss", "ad", decomposition=td)
+        base = baseline_family_set_scores(g, "truss", "ad", decomposition=td)
         np.testing.assert_allclose(opt.scores, base.scores, equal_nan=True)
 
     @SETTINGS

@@ -5,15 +5,9 @@ import numpy as np
 import pytest
 
 from repro.core import PAPER_METRICS, core_decomposition, kcore_set_scores
+from repro.engine import baseline_family_set_scores, best_level_set, family_set_scores
 from repro.graph import Graph
-from repro.truss import (
-    baseline_ktruss_set_scores,
-    best_ktruss_set,
-    ktruss_set_scores,
-    level_ordering,
-    level_set_scores,
-    truss_decomposition,
-)
+from repro.truss import level_ordering, level_set_scores, truss_decomposition
 from conftest import random_graph, zoo_params
 
 
@@ -85,8 +79,8 @@ class TestBestKTruss:
         if graph.num_edges == 0:
             return
         td = truss_decomposition(graph)
-        opt = ktruss_set_scores(graph, metric, decomposition=td)
-        base = baseline_ktruss_set_scores(graph, metric, decomposition=td)
+        opt = family_set_scores(graph, "truss", metric, decomposition=td)
+        base = baseline_family_set_scores(graph, "truss", metric, decomposition=td)
         np.testing.assert_allclose(opt.scores, base.scores, equal_nan=True)
 
     @pytest.mark.parametrize("seed", range(4))
@@ -94,18 +88,18 @@ class TestBestKTruss:
     def test_optimal_equals_baseline_random(self, seed, metric):
         g = random_graph(30, 100, seed)
         td = truss_decomposition(g)
-        opt = ktruss_set_scores(g, metric, decomposition=td)
-        base = baseline_ktruss_set_scores(g, metric, decomposition=td)
+        opt = family_set_scores(g, "truss", metric, decomposition=td)
+        base = baseline_family_set_scores(g, "truss", metric, decomposition=td)
         np.testing.assert_allclose(opt.scores, base.scores, equal_nan=True)
 
     def test_best_result_fields(self, figure2):
-        result = best_ktruss_set(figure2, "cc")
+        result = best_level_set(figure2, "truss", "cc")
         assert result.k == 4
         assert result.score == pytest.approx(1.0)
         assert set(result.vertices.tolist()) == {0, 1, 2, 3, 8, 9, 10, 11}
 
     def test_tie_breaks_to_largest_k(self, clique6):
-        result = best_ktruss_set(clique6, "average_degree")
+        result = best_level_set(clique6, "truss", "average_degree")
         assert result.k == 6  # K6 is a 6-truss; all smaller k tie
 
 

@@ -9,6 +9,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import core_decomposition
+from repro.engine import baseline_family_set_scores, best_level_set, family_set_scores
 from repro.errors import UnknownMetricError
 from repro.graph import Graph, GraphBuilder
 from repro.index import BestKIndex
@@ -18,11 +19,8 @@ from repro.weighted import (
     WeightedTotals,
     arc_weights,
     available_weighted_metrics,
-    baseline_s_core_set_scores,
-    best_s_core_set,
     get_weighted_metric,
     s_core_decomposition,
-    s_core_set_scores,
 )
 from conftest import random_graph, zoo_params
 
@@ -226,8 +224,9 @@ class TestScoring:
         if graph.num_edges == 0:
             return
         w = random_weights(graph, seed=3)
-        fast = s_core_set_scores(graph, w, metric, num_levels=16)
-        slow = baseline_s_core_set_scores(graph, w, metric, num_levels=16)
+        params = {"edge_weights": w, "num_levels": 16}
+        fast = family_set_scores(graph, "weighted", metric, **params)
+        slow = baseline_family_set_scores(graph, "weighted", metric, **params)
         np.testing.assert_allclose(fast.scores, slow.scores, equal_nan=True, atol=1e-9)
 
     @pytest.mark.parametrize("seed", range(3))
@@ -235,8 +234,9 @@ class TestScoring:
         g = random_graph(30, 90, seed)
         w = random_weights(g, seed=seed + 10)
         for metric in available_weighted_metrics():
-            fast = s_core_set_scores(g, w, metric, num_levels=24)
-            slow = baseline_s_core_set_scores(g, w, metric, num_levels=24)
+            params = {"edge_weights": w, "num_levels": 24}
+            fast = family_set_scores(g, "weighted", metric, **params)
+            slow = baseline_family_set_scores(g, "weighted", metric, **params)
             np.testing.assert_allclose(fast.scores, slow.scores, equal_nan=True, atol=1e-9)
 
     def test_unit_weights_reduce_to_unweighted(self, figure2):
@@ -247,14 +247,15 @@ class TestScoring:
         decomp = s_core_decomposition(figure2, w)
         # Levels are the integer coreness values: quantise losslessly.
         smax = int(decomp.smax)
-        weighted = s_core_set_scores(figure2, w, "weighted_average_degree",
-                                     decomposition=decomp, num_levels=smax)
+        weighted = family_set_scores(figure2, "weighted", "weighted_average_degree",
+                                     decomposition=decomp, edge_weights=w, num_levels=smax)
         unweighted = kcore_set_scores(figure2, "average_degree")
         np.testing.assert_allclose(weighted.scores, unweighted.scores, equal_nan=True)
 
-    def test_best_s_core_set(self, figure2):
+    def test_best_weighted_level_set(self, figure2):
         w = unit_weights(figure2)
-        result = best_s_core_set(figure2, w, "weighted_average_degree", num_levels=3)
+        result = best_level_set(figure2, "weighted", "weighted_average_degree",
+                                edge_weights=w, num_levels=3)
         assert result.score == pytest.approx(2 * 19 / 12)
         assert len(result.vertices) == 12
 
@@ -262,11 +263,14 @@ class TestScoring:
         # Two triangles; one has 10x heavier edges.
         g = Graph.from_edges([(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
         weights = np.array([10.0, 10.0, 10.0, 1.0, 1.0, 1.0])
-        result = best_s_core_set(g, weights, "weighted_average_degree", num_levels=20)
+        result = best_level_set(g, "weighted", "weighted_average_degree",
+                                edge_weights=weights, num_levels=20)
         assert set(result.vertices.tolist()) == {0, 1, 2}
 
     def test_best_level_raises_when_empty(self):
         g = Graph.empty(0)
-        scores = s_core_set_scores(g, np.empty(0), "weighted_average_degree")
+        scores = family_set_scores(
+            g, "weighted", "weighted_average_degree", edge_weights=np.empty(0)
+        )
         with pytest.raises(ValueError):
             scores.best_level()
