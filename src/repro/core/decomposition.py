@@ -61,8 +61,10 @@ class CoreDecomposition:
         counts = np.bincount(coreness, minlength=kmax + 1) if len(coreness) else np.zeros(1, np.int64)
         shell_start = np.zeros(kmax + 2, dtype=np.int64)
         np.cumsum(counts, out=shell_start[1:])
-        # Stable bin sort by coreness keeps ids ascending within a shell.
-        order = np.argsort(coreness, kind="stable").astype(np.int64)
+        # Stable sort by coreness keeps ids ascending within a shell.  For
+        # 16-bit keys numpy's stable sort is a radix sort: O(n), same order.
+        keys = coreness.astype(np.uint16) if kmax < 2**16 else coreness
+        order = np.argsort(keys, kind="stable").astype(np.int64, copy=False)
         object.__setattr__(self, "order", order)
         object.__setattr__(self, "shell_start", shell_start)
         arrays = (self.coreness, self._peel_order, order, shell_start)

@@ -26,7 +26,7 @@ from typing import Hashable, Iterable
 
 import numpy as np
 
-from .csr import Graph, sorted_arc_keys
+from .csr import Graph, simple_csr
 
 __all__ = ["GraphBuilder"]
 
@@ -100,22 +100,9 @@ class GraphBuilder:
         The builder remains usable afterwards (more edges can be added and
         ``build`` called again).
         """
-        n = len(self._labels)
-        if not self._src:
-            self.num_self_loops_dropped = 0
-            self.num_duplicates_dropped = 0
-            return Graph.empty(n)
-        src = np.asarray(self._src, dtype=np.int64)
-        dst = np.asarray(self._dst, dtype=np.int64)
-        loops = src == dst
-        self.num_self_loops_dropped = int(loops.sum())
-        src, dst = src[~loops], dst[~loops]
-        # Canonical orientation (u < v) then deduplicate.
-        keys = sorted_arc_keys(np.minimum(src, dst), np.maximum(src, dst), n)
-        first = np.ones(len(keys), dtype=bool)
-        np.not_equal(keys[1:], keys[:-1], out=first[1:])
-        unique_keys = keys[first]
-        self.num_duplicates_dropped = int(len(keys) - len(unique_keys))
-        lo = unique_keys // n
-        hi = unique_keys % n
-        return Graph.from_edges(np.column_stack([lo, hi]), num_vertices=n)
+        graph, self.num_self_loops_dropped, self.num_duplicates_dropped = simple_csr(
+            np.asarray(self._src, dtype=np.int64),
+            np.asarray(self._dst, dtype=np.int64),
+            len(self._labels),
+        )
+        return graph

@@ -31,7 +31,7 @@ import numpy as np
 
 from ..errors import GraphFormatError
 
-__all__ = ["Graph", "arc_csr", "arc_positions", "sorted_arc_keys"]
+__all__ = ["Graph", "arc_csr", "arc_positions", "simple_csr", "sorted_arc_keys"]
 
 
 class Graph:
@@ -114,13 +114,10 @@ class Graph:
             if num_vertices < n:
                 raise GraphFormatError(f"num_vertices={num_vertices} smaller than max endpoint {n - 1}")
             n = int(num_vertices)
-        # Symmetrise: every undirected edge appears in both directions.
-        src = np.concatenate([pairs[:, 0], pairs[:, 1]])
-        dst = np.concatenate([pairs[:, 1], pairs[:, 0]])
-        indptr, indices, keys = arc_csr(src, dst, n)
-        if (keys[1:] == keys[:-1]).any():
+        graph, _, duplicates = simple_csr(pairs[:, 0], pairs[:, 1], n)
+        if duplicates:
             raise GraphFormatError("duplicate edges found; use GraphBuilder to deduplicate")
-        return cls(indptr, indices, validate=False)
+        return graph
 
     @classmethod
     def from_arrays(
@@ -286,6 +283,31 @@ def arc_csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[np.ndarray, np.nd
     np.cumsum(counts, out=indptr[1:])
     indices = keys - np.repeat(np.arange(n, dtype=np.int64) * n, counts)
     return indptr, indices, keys
+
+
+def simple_csr(src: np.ndarray, dst: np.ndarray, n: int) -> tuple[Graph, int, int]:
+    """The simple graph on ids ``[0, n)`` of the raw edges ``src[i] -- dst[i]``.
+
+    Self loops are dropped, and so is every repeat of an edge in either
+    orientation.  Returns ``(graph, self_loops_dropped,
+    duplicates_dropped)``.  One :func:`sorted_arc_keys` sort over both
+    orientations of the edges both groups the CSR rows and brings repeats
+    together; each repeated edge repeats two arcs.
+    """
+    loops = src == dst
+    num_loops = int(np.count_nonzero(loops))
+    if num_loops:
+        src, dst = src[~loops], dst[~loops]
+    keys = sorted_arc_keys(np.concatenate([src, dst]), np.concatenate([dst, src]), n)
+    fresh = np.ones(len(keys), dtype=bool)
+    np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+    num_arcs = len(keys)
+    keys = keys[fresh]
+    heads = keys // n
+    indptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(heads, minlength=n), out=indptr[1:])
+    indices = keys - heads * n
+    return Graph(indptr, indices, validate=False), num_loops, (num_arcs - len(keys)) // 2
 
 
 def arc_positions(

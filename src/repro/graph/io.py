@@ -3,8 +3,18 @@
 The paper's datasets are distributed as SNAP-style text edge lists: one edge
 per line, whitespace separated, ``#`` comment lines.  This module reads and
 writes that format (optionally gzip-compressed) into the package's CSR
-:class:`~repro.graph.csr.Graph` via :class:`~repro.graph.builder.GraphBuilder`,
-so dirty input (duplicates, self loops, sparse ids) is handled uniformly.
+:class:`~repro.graph.csr.Graph`; dirty input (duplicates, self loops, sparse
+ids) is cleaned by one :func:`~repro.graph.csr.simple_csr` pass.
+
+:func:`load_edge_list` has two parse paths with one result.  The *array*
+path reads the common case in whole-array passes: numpy's C tokeniser, a
+first-appearance relabel and one arc sort.  It takes a file only when,
+outside ``#`` comment lines, every byte is an ASCII digit, ``+``, ``-``,
+space, tab or a ``\\n`` / ``\\r\\n`` line end, and every edge line has two
+integer fields of magnitude below ``10**18``.  Any other file runs the *line* path: one
+:class:`~repro.graph.builder.GraphBuilder` call per line.  It is the only
+path that raises :class:`~repro.errors.GraphFormatError`, so errors keep
+their line numbers.
 """
 
 from __future__ import annotations
@@ -14,9 +24,11 @@ import io
 import os
 from typing import IO, Iterator
 
+import numpy as np
+
 from ..errors import GraphFormatError
 from .builder import GraphBuilder
-from .csr import Graph
+from .csr import Graph, simple_csr
 
 __all__ = [
     "LoadedGraph",
@@ -29,6 +41,15 @@ __all__ = [
     "save_npz",
 ]
 
+#: Every byte the array path accepts outside comment lines.
+_INTEGER_GRAMMAR = b"0123456789+- \t\n"
+#: The array path takes labels of magnitude below this bound.
+_LABEL_BOUND = 10**18
+#: The array path relabels through a table indexed by ``label - min`` when
+#: the label span is below this multiple of the token count, through
+#: :func:`numpy.unique` otherwise.
+_TABLE_SPAN = 4
+
 
 class LoadedGraph:
     """A graph loaded from disk together with its label mapping.
@@ -38,21 +59,31 @@ class LoadedGraph:
     graph:
         The clean CSR graph with dense vertex ids ``0..n-1``.
     labels:
-        ``labels[i]`` is the original id (string) of dense vertex ``i``.
+        ``labels[i]`` is the original id of dense vertex ``i``: an ``int``
+        for integer fields, else the field's string.
     num_self_loops_dropped / num_duplicates_dropped:
-        Hygiene counters from the underlying builder.
+        Hygiene counters of the CSR build.
+    parser:
+        ``"array"`` or ``"lines"``: the parse path that ran.
+    declined:
+        Why the array path declined the file (``None`` when it ran).
     """
 
-    def __init__(self, graph: Graph, labels: list, loops: int, dups: int):
+    def __init__(
+        self, graph: Graph, labels: list, loops: int, dups: int, *,
+        parser: str, declined: str | None = None,
+    ):
         self.graph = graph
         self.labels = labels
         self.num_self_loops_dropped = loops
         self.num_duplicates_dropped = dups
+        self.parser = parser
+        self.declined = declined
 
     def __repr__(self) -> str:
         return (
             f"LoadedGraph({self.graph!r}, dropped {self.num_self_loops_dropped} loops, "
-            f"{self.num_duplicates_dropped} duplicates)"
+            f"{self.num_duplicates_dropped} duplicates, parser={self.parser!r})"
         )
 
 
@@ -62,6 +93,13 @@ def _open_text(path: str | os.PathLike, mode: str) -> IO[str]:
     if path.endswith(".gz"):
         return io.TextIOWrapper(gzip.open(path, mode + "b"), encoding="utf-8")
     return open(path, mode + "t", encoding="utf-8")
+
+
+def _read_bytes(path: str | os.PathLike) -> bytes:
+    """The whole (decompressed, for ``.gz``) content of ``path``."""
+    path = os.fspath(path)
+    with (gzip.open if path.endswith(".gz") else open)(path, "rb") as handle:
+        return handle.read()
 
 
 def iter_edge_lines(
@@ -108,22 +146,115 @@ def load_edge_list(
     Returns
     -------
     LoadedGraph
-        Clean CSR graph plus the original label mapping.
+        Clean CSR graph plus the original label mapping.  Dense ids follow
+        the order in which labels first appear in the file, whichever parse
+        path ran (see the module docstring).
     """
+    data = _read_bytes(path)
+    if (comments, delimiter, as_int) == ("#", None, True):
+        rows, declined = _integer_rows(data)
+        if rows is not None:
+            ids, labels = _first_appearance(rows.ravel())
+            graph, loops, dups = simple_csr(ids[0::2], ids[1::2], len(labels))
+            return LoadedGraph(graph, labels.tolist(), loops, dups, parser="array")
+    else:
+        declined = "arguments other than comments='#', delimiter=None, as_int=True"
+    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
+    loaded = _parse_lines(text, comments=comments, delimiter=delimiter, as_int=as_int)
+    loaded.declined = declined
+    return loaded
+
+
+def _parse_lines(
+    handle: IO[str], *, comments: str, delimiter: str | None, as_int: bool
+) -> LoadedGraph:
+    """The line path: one :class:`GraphBuilder` call per edge line."""
     builder = GraphBuilder()
-    with _open_text(path, "r") as handle:
-        for u, v in iter_edge_lines(handle, comments=comments, delimiter=delimiter):
-            if as_int:
-                try:
-                    builder.add_edge(int(u), int(v))
-                    continue
-                except ValueError:
-                    pass
-            builder.add_edge(u, v)
+    for u, v in iter_edge_lines(handle, comments=comments, delimiter=delimiter):
+        if as_int:
+            try:
+                builder.add_edge(int(u), int(v))
+                continue
+            except ValueError:
+                pass
+        builder.add_edge(u, v)
     graph = builder.build()
     return LoadedGraph(
-        graph, builder.labels, builder.num_self_loops_dropped, builder.num_duplicates_dropped
+        graph, builder.labels, builder.num_self_loops_dropped, builder.num_duplicates_dropped,
+        parser="lines",
     )
+
+
+def _integer_rows(data: bytes) -> tuple[np.ndarray | None, str | None]:
+    """The array path's tokeniser: the first two fields of each edge line.
+
+    Returns ``(rows, None)``, ``rows`` an ``(m, 2)`` int64 array, when
+    ``data`` is in the grammar of the module docstring; else ``(None,
+    why)``.  Only whole-buffer calls run here, plus a few per comment line.
+    """
+    if not data.isascii():
+        try:
+            data.decode("utf-8")  # non-ASCII may only sit in comments
+        except UnicodeDecodeError:
+            return None, "not UTF-8"
+    if b"\r" in data:
+        data = data.replace(b"\r\n", b"\n")
+        if b"\r" in data:
+            return None, "a carriage return outside a \\r\\n line end"
+    # Cut out comment lines.  A '#' after a field on its line declines: the
+    # line path reads "3 #4" as the string labels '3' and '#4'.
+    body, pos = [], 0
+    while (mark := data.find(b"#", pos)) >= 0:
+        start = data.rfind(b"\n", 0, mark) + 1
+        if data[start:mark].strip(b" \t"):
+            return None, "a '#' after a field"
+        body.append(data[pos:start])
+        pos = data.find(b"\n", mark) + 1 or len(data)
+    body.append(data[pos:])
+    text = b"".join(body)
+    if text.translate(None, _INTEGER_GRAMMAR):
+        return None, "a byte other than digits, '+', '-', space, tab and line ends"
+    if not text.strip():
+        return np.empty((0, 2), dtype=np.int64), None
+    try:
+        rows = np.loadtxt(io.StringIO(text.decode("ascii")), dtype=np.int64,
+                          comments=None, usecols=(0, 1), ndmin=2)
+    except (ValueError, OverflowError):
+        # A short line, a malformed sign or a label beyond int64.
+        return None, "a line numpy cannot read as two int64 fields"
+    # numpy < 2 reads a field beyond int64 through a float (with a
+    # DeprecationWarning) instead of raising, and the cast lands on an int64
+    # extreme; so labels of magnitude 10**18 and up decline on every numpy.
+    if int(rows.min()) <= -_LABEL_BOUND or int(rows.max()) >= _LABEL_BOUND:
+        return None, "a label of magnitude 10**18 or more"
+    return rows, None
+
+
+def _first_appearance(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense ids for ``tokens``, numbered in order of first appearance.
+
+    Returns ``(ids, labels)`` with ``labels[ids] == tokens``: the ids
+    :meth:`GraphBuilder.vertex_id` hands out when fed ``tokens`` in order.
+    O(m) through a ``label - min`` table when the labels are dense enough,
+    O(m log m) through :func:`numpy.unique` otherwise.
+    """
+    if not len(tokens):
+        return tokens, tokens
+    positions = np.arange(len(tokens))
+    low, high = int(tokens.min()), int(tokens.max())
+    if high - low < _TABLE_SPAN * len(tokens):
+        offsets = tokens - low
+        first = np.empty(high - low + 1, dtype=np.int64)
+        # An index assigned more than once keeps its last value, so writing
+        # the positions in reverse leaves each label's first position.
+        first[offsets[::-1]] = positions[::-1]
+        where = first[offsets]
+    else:
+        _, index, inverse = np.unique(tokens, return_index=True, return_inverse=True)
+        where = index[inverse.ravel()]
+    is_first = where == positions
+    dense = np.cumsum(is_first, dtype=np.int64) - 1
+    return dense[where], tokens[is_first]
 
 
 def save_edge_list(graph: Graph, path: str | os.PathLike, *, header: str | None = None) -> None:
