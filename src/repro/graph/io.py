@@ -11,7 +11,7 @@ path reads the common case in whole-array passes: numpy's C tokeniser, a
 first-appearance relabel and one arc sort.  It takes a file only when,
 outside ``#`` comment lines, every byte is an ASCII digit, ``+``, ``-``,
 space, tab or a ``\\n`` / ``\\r\\n`` line end, and every edge line has two
-integer fields of magnitude below ``10**18``.  Any other file runs the *line* path: one
+int64 fields.  Any other file runs the *line* path: one
 :class:`~repro.graph.builder.GraphBuilder` call per line.  It is the only
 path that raises :class:`~repro.errors.GraphFormatError`, so errors keep
 their line numbers.
@@ -22,6 +22,7 @@ from __future__ import annotations
 import gzip
 import io
 import os
+import warnings
 from typing import IO, Iterator
 
 import numpy as np
@@ -41,14 +42,9 @@ __all__ = [
     "save_npz",
 ]
 
-#: Every byte the array path accepts outside comment lines.
-_INTEGER_GRAMMAR = b"0123456789+- \t\n"
-#: The array path takes labels of magnitude below this bound.
-_LABEL_BOUND = 10**18
-#: The array path relabels through a table indexed by ``label - min`` when
-#: the label span is below this multiple of the token count, through
-#: :func:`numpy.unique` otherwise.
-_TABLE_SPAN = 4
+#: Every byte the array path accepts outside comment lines (``\r`` only
+#: before ``\n``).
+_INTEGER_GRAMMAR = b"0123456789+- \t\r\n"
 
 
 class LoadedGraph:
@@ -150,17 +146,16 @@ def load_edge_list(
         the order in which labels first appear in the file, whichever parse
         path ran (see the module docstring).
     """
-    data = _read_bytes(path)
     if (comments, delimiter, as_int) == ("#", None, True):
-        rows, declined = _integer_rows(data)
+        rows, declined = _integer_rows(_read_bytes(path))
         if rows is not None:
             ids, labels = _first_appearance(rows.ravel())
             graph, loops, dups = simple_csr(ids[0::2], ids[1::2], len(labels))
             return LoadedGraph(graph, labels.tolist(), loops, dups, parser="array")
     else:
         declined = "arguments other than comments='#', delimiter=None, as_int=True"
-    text = io.TextIOWrapper(io.BytesIO(data), encoding="utf-8")
-    loaded = _parse_lines(text, comments=comments, delimiter=delimiter, as_int=as_int)
+    with _open_text(path, "r") as handle:
+        loaded = _parse_lines(handle, comments=comments, delimiter=delimiter, as_int=as_int)
     loaded.declined = declined
     return loaded
 
@@ -190,43 +185,39 @@ def _integer_rows(data: bytes) -> tuple[np.ndarray | None, str | None]:
 
     Returns ``(rows, None)``, ``rows`` an ``(m, 2)`` int64 array, when
     ``data`` is in the grammar of the module docstring; else ``(None,
-    why)``.  Only whole-buffer calls run here, plus a few per comment line.
+    why)``.  Only whole-buffer calls run here, plus a few per comment line,
+    and none of them copies the edge lines.
     """
     if not data.isascii():
         try:
             data.decode("utf-8")  # non-ASCII may only sit in comments
         except UnicodeDecodeError:
             return None, "not UTF-8"
-    if b"\r" in data:
-        data = data.replace(b"\r\n", b"\n")
-        if b"\r" in data:
-            return None, "a carriage return outside a \\r\\n line end"
-    # Cut out comment lines.  A '#' after a field on its line declines: the
-    # line path reads "3 #4" as the string labels '3' and '#4'.
-    body, pos = [], 0
-    while (mark := data.find(b"#", pos)) >= 0:
+    if b"\r" in data and data.count(b"\r") != data.count(b"\r\n"):
+        return None, "a carriage return outside a \\r\\n line end"
+    # Every byte outside the grammar must sit in a comment line.  A '#' after
+    # a field on its line declines: the line path reads "3 #4" as the string
+    # labels '3' and '#4', where loadtxt would cut a comment.
+    outside, pos = len(data.translate(None, _INTEGER_GRAMMAR)), 0
+    while outside and (mark := data.find(b"#", pos)) >= 0:
         start = data.rfind(b"\n", 0, mark) + 1
         if data[start:mark].strip(b" \t"):
             return None, "a '#' after a field"
-        body.append(data[pos:start])
         pos = data.find(b"\n", mark) + 1 or len(data)
-    body.append(data[pos:])
-    text = b"".join(body)
-    if text.translate(None, _INTEGER_GRAMMAR):
+        outside -= len(data[mark:pos].translate(None, _INTEGER_GRAMMAR))
+    if outside:
         return None, "a byte other than digits, '+', '-', space, tab and line ends"
-    if not text.strip():
-        return np.empty((0, 2), dtype=np.int64), None
     try:
-        rows = np.loadtxt(io.StringIO(text.decode("ascii")), dtype=np.int64,
-                          comments=None, usecols=(0, 1), ndmin=2)
-    except (ValueError, OverflowError):
+        with warnings.catch_warnings():
+            # numpy < 2 reads a field beyond int64 through a float, with a
+            # DeprecationWarning; as an error it declines as on numpy >= 2.
+            warnings.simplefilter("error", DeprecationWarning)
+            warnings.simplefilter("ignore", UserWarning)  # a file with no edge line
+            rows = np.loadtxt(io.BytesIO(data), dtype=np.int64, comments="#",
+                              usecols=(0, 1), ndmin=2)
+    except (ValueError, OverflowError, DeprecationWarning):
         # A short line, a malformed sign or a label beyond int64.
         return None, "a line numpy cannot read as two int64 fields"
-    # numpy < 2 reads a field beyond int64 through a float (with a
-    # DeprecationWarning) instead of raising, and the cast lands on an int64
-    # extreme; so labels of magnitude 10**18 and up decline on every numpy.
-    if int(rows.min()) <= -_LABEL_BOUND or int(rows.max()) >= _LABEL_BOUND:
-        return None, "a label of magnitude 10**18 or more"
     return rows, None
 
 
@@ -235,14 +226,15 @@ def _first_appearance(tokens: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
     Returns ``(ids, labels)`` with ``labels[ids] == tokens``: the ids
     :meth:`GraphBuilder.vertex_id` hands out when fed ``tokens`` in order.
-    O(m) through a ``label - min`` table when the labels are dense enough,
-    O(m log m) through :func:`numpy.unique` otherwise.
+    O(m) through a ``label - min`` table when the label span is below the
+    token count, so the table is never larger than ``tokens``; O(m log m)
+    through :func:`numpy.unique` otherwise.
     """
     if not len(tokens):
         return tokens, tokens
     positions = np.arange(len(tokens))
     low, high = int(tokens.min()), int(tokens.max())
-    if high - low < _TABLE_SPAN * len(tokens):
+    if high - low < len(tokens):
         offsets = tokens - low
         first = np.empty(high - low + 1, dtype=np.int64)
         # An index assigned more than once keeps its last value, so writing

@@ -2,6 +2,7 @@
 
 import gzip
 import io
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from hypothesis import strategies as st
 
 from repro.errors import GraphFormatError
 from repro.graph import Graph, load_edge_list, save_edge_list
-from repro.graph.io import _integer_rows, _open_text, _parse_lines, iter_edge_lines
+from repro.graph.io import (
+    _first_appearance, _integer_rows, _open_text, _parse_lines, iter_edge_lines,
+)
 
 
 class TestRoundTrip:
@@ -124,12 +127,12 @@ def _spellings(value):
 _LABELS = st.one_of(
     st.integers(-3, 25),                    # dense, with negatives
     st.integers(1 - 10**18, 10**18 - 1),    # sparse: the np.unique relabel
-    st.sampled_from([0, 10**6, 10**12]),
+    st.sampled_from([0, 10**6, 10**12, 10**18, 2**63 - 1, -(2**63)]),
 ).flatmap(_spellings)
 #: Fields the array path must decline.
 _ODD_FIELDS = st.sampled_from([
     "a", "x1", "1.5", "1e3", "1_0", "#4", "0x1f", "--1", "+", "2**3",
-    str(10**18), str(-(2**63)), str(2**63), "\u0663", "\ufeff1",
+    str(2**63), str(-(2**63) - 1), "\u0663", "\ufeff1",
 ])
 _BLANKS = st.text(" \t", min_size=1, max_size=3)
 
@@ -197,8 +200,7 @@ def test_array_path_matches_line_path(tmp_path, case, compress):
     (b"0 1\n2\n", "two int64 fields"),
     (b"0 +-1\n", "two int64 fields"),
     (b"0 99999999999999999999\n", "two int64 fields"),
-    (b"0 1000000000000000000\n", "magnitude 10**18"),
-    (b"-1000000000000000000 0\n", "magnitude 10**18"),
+    (b"0 -9223372036854775809\n", "two int64 fields"),
 ])
 def test_array_path_declines_to_line_path(tmp_path, raw, declined):
     rows, why = _integer_rows(raw)
@@ -206,6 +208,53 @@ def test_array_path_declines_to_line_path(tmp_path, raw, declined):
     path = tmp_path / "g.txt"
     path.write_bytes(raw)
     assert _outcome(lambda: load_edge_list(path)) == _outcome(lambda: _line_path(path))
+
+
+def test_int64_overflow_declines_without_a_warning(tmp_path):
+    """numpy < 2 reads an overflowing field through a float with a warning."""
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"0 1\n1 99999999999999999999\n")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        loaded = load_edge_list(path)
+    assert loaded.parser == "lines" and "int64" in loaded.declined
+    assert loaded.labels == [0, 1, 99999999999999999999]
+
+
+def test_int64_extremes_take_array_path(tmp_path):
+    path = tmp_path / "g.txt"
+    path.write_bytes(b"9223372036854775807 -9223372036854775808\n+01 -0\n")
+    loaded = load_edge_list(path)
+    assert loaded.parser == "array"
+    assert loaded.labels == [2**63 - 1, -(2**63), 1, 0]
+    assert _outcome(lambda: loaded) == _outcome(lambda: _line_path(path))
+
+
+def _first_appearance_reference(tokens):
+    seen = {}
+    ids = [seen.setdefault(t, len(seen)) for t in tokens]
+    return ids, list(seen)
+
+
+@pytest.mark.parametrize("tokens", [
+    [],
+    [7],
+    [5, 3, 5, 4, 3, 3, 9],                    # span below the count: the table
+    [-2, 0, -2, 1, 1, 0],
+    [10**12, 0, 10**12, 5, -(2**63), 0],      # span above the count: np.unique
+    [2**63 - 1, -(2**63), 2**63 - 1],
+])
+def test_first_appearance_relabel(tokens):
+    ids, labels = _first_appearance(np.array(tokens, dtype=np.int64))
+    assert (ids.tolist(), labels.tolist()) == _first_appearance_reference(tokens)
+
+
+@given(tokens=st.one_of(
+    st.lists(st.integers(-5, 30), max_size=60),
+    st.lists(st.integers(-(2**63), 2**63 - 1), max_size=20),
+))
+def test_first_appearance_matches_reference(tokens):
+    test_first_appearance_relabel(tokens)
 
 
 def test_non_default_arguments_take_line_path(tmp_path):
