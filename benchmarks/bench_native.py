@@ -3,7 +3,7 @@
 
 Times the six hot-path kernels the ``native`` backend JIT-compiles —
 ``peel_coreness``, ``hindex_fixpoint``, ``edge_supports``,
-``triangle_charges``, ``triplet_group_deltas`` and ``vertex_strengths`` —
+``triangle_charges``, ``triplet_charges`` and ``vertex_strengths`` —
 under all three registered backends on a suite of synthetic generator
 graphs, the largest of which has ~500k edges.  Results are written as JSON
 with one row per ``(kernel, backend, dataset)``::
@@ -89,8 +89,6 @@ class DatasetInputs:
         self.vertices = np.arange(n, dtype=np.int64)
         self.edges = graph.edge_array()
         self.ordered = order_vertices(graph)
-        decomp = self.ordered.decomposition
-        self.shells = [decomp.shell(k) for k in range(decomp.kmax, -1, -1)]
         weights = np.random.default_rng(m).random(m)
         self.arcs = arc_weights(graph, weights) if m else np.empty(0, dtype=np.float64)
 
@@ -101,7 +99,7 @@ KERNELS = {
     "hindex_fixpoint": lambda kb, d: kb.hindex_fixpoint(d.graph, d.estimate, d.vertices),
     "edge_supports": lambda kb, d: kb.edge_supports(d.graph, d.edges),
     "triangle_charges": lambda kb, d: kb.triangle_charges(d.ordered),
-    "triplet_group_deltas": lambda kb, d: kb.triplet_group_deltas(d.ordered, d.shells),
+    "triplet_charges": lambda kb, d: kb.triplet_charges(d.ordered),
     "vertex_strengths": lambda kb, d: kb.vertex_strengths(d.graph, d.arcs),
 }
 

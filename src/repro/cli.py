@@ -630,13 +630,14 @@ def _cmd_backends(args) -> int:
 
 
 def _cmd_forest(args) -> int:
-    from .core import build_core_forest, kcore_scores
+    from .core import build_core_forest, kcore_scores, order_vertices
     from .viz import render_forest
     graph = _load_graph(args.graph)
-    forest = build_core_forest(graph)
+    ordered = order_vertices(graph)
+    forest = build_core_forest(graph, ordered=ordered)
     scores = None
     if args.metric:
-        scores = kcore_scores(graph, args.metric, forest=forest).scores
+        scores = kcore_scores(graph, args.metric, ordered=ordered, forest=forest).scores
     print(render_forest(forest, scores=scores))
     return 0
 

@@ -58,7 +58,7 @@ def kcore_scores(
     if ordered is None:
         ordered = order_vertices(graph)
     if forest is None:
-        forest = build_core_forest(graph, ordered.decomposition)
+        forest = build_core_forest(graph, ordered=ordered)
     return family_node_scores(
         graph, "core", metric,
         decomposition=ordered.decomposition,

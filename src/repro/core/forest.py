@@ -8,9 +8,10 @@ forest with one tree per connected component of the graph, storable in O(n).
 Two independent constructions are provided:
 
 * :func:`build_core_forest` — the vectorised shell sweep of
-  :func:`repro.engine.forest.shell_sweep` over the coreness: edges sorted
-  once by ``min(c(u), c(v))``, then a numpy union-find per shell from
-  ``kmax`` down, O(m) numpy work plus a sort.  Every caller uses this one.
+  :func:`repro.engine.forest.shell_sweep` over Algorithm 1's ordering:
+  each edge listed once under its lower-rank endpoint, so grouped by
+  ``min(c(u), c(v))`` without a sort, then a numpy union-find per shell
+  from ``kmax`` down.  Every caller uses this one.
 * :func:`build_core_forest_lcps` — the paper's LCPS (Level Component
   Priority Search [42]) with a bucket priority queue, O(m) time in a
   Python loop.  Traversal expands the highest-priority frontier vertex,
@@ -31,6 +32,8 @@ import numpy as np
 from ..engine.forest import LevelForest, LevelNode, shell_sweep
 from ..graph.csr import Graph
 from .decomposition import CoreDecomposition, core_decomposition
+from .family import core_level_view
+from .ordering import OrderedGraph, order_vertices
 
 __all__ = ["CoreNode", "CoreForest", "build_core_forest", "build_core_forest_lcps"]
 
@@ -86,12 +89,19 @@ class CoreForest(LevelForest):
 
 
 def build_core_forest(
-    graph: Graph, decomposition: CoreDecomposition | None = None
+    graph: Graph,
+    decomposition: CoreDecomposition | None = None,
+    *,
+    ordered: OrderedGraph | None = None,
 ) -> CoreForest:
-    """Construct the core forest with the vectorised shell sweep."""
-    if decomposition is None:
-        decomposition = core_decomposition(graph)
-    return CoreForest(*shell_sweep(graph, decomposition.coreness), graph.num_vertices)
+    """Construct the core forest with the vectorised shell sweep.
+
+    ``ordered`` is the graph's Algorithm 1 ordering when the caller
+    already holds one; otherwise :func:`order_vertices` builds it.
+    """
+    if ordered is None:
+        ordered = order_vertices(graph, decomposition)
+    return CoreForest(*shell_sweep(core_level_view(ordered)), graph.num_vertices)
 
 
 # ----------------------------------------------------------------------

@@ -56,7 +56,7 @@ from .triangles import (
     count_triplets,
     triangles_by_min_rank_vertex,
     triangles_per_vertex,
-    triplet_group_deltas,
+    triplet_charges,
 )
 
 __all__ = [
@@ -98,6 +98,6 @@ __all__ = [
     "triangle_level_increments",
     "triangles_by_min_rank_vertex",
     "triangles_per_vertex",
-    "triplet_group_deltas",
+    "triplet_charges",
     "unweighted_level_charges",
 ]

@@ -9,9 +9,10 @@ per-vertex charges of Algorithms 2/3 aggregate per node exactly as
 Algorithm 5 aggregates them for cores, for every registered family.
 
 * :func:`shell_sweep` — the one forest builder: a vectorised union-find
-  sweep over the levels from the deepest down, O(m) numpy work per graph
-  plus a sort; :func:`build_level_forest` wraps it for any levels and
-  :func:`repro.core.build_core_forest` for coreness;
+  sweep over the levels from the deepest down that reads the edges, already
+  grouped by level, and the shells off an Algorithm 1 ordering, so nothing
+  is sorted but each shell's roots; :func:`build_level_forest` wraps it for
+  any levels and :func:`repro.core.build_core_forest` for coreness;
 * :class:`LevelForest` — the flat ``(k, parent, vert_ptr, vertices)``
   layout every built and every store-hydrated forest is constructed from;
 * :func:`node_totals` / :func:`node_triangles` / :func:`node_values` /
@@ -39,9 +40,11 @@ import numpy as np
 
 from ..errors import EmptyGraphError
 from ..graph.csr import Graph
+from ..kernels.common import concat_ranges
 from .family import BestLevelResult, HierarchyFamily, get_family
+from .levels import level_ordering
 from .primary import PrimaryValues
-from .triangles import triangles_by_min_rank_vertex, triplet_group_deltas
+from .triangles import triangles_by_min_rank_vertex, triplet_charges
 
 __all__ = [
     "LevelNode",
@@ -162,10 +165,6 @@ class LevelForest:
             return np.zeros(0, dtype=per_vertex.dtype)
         return np.add.reduceat(per_vertex[self.vertices], self.vert_ptr[:-1])
 
-    def node_vertex_groups(self) -> list[np.ndarray]:
-        """Each node's own vertices, in node id order."""
-        return np.split(self.vertices, self.vert_ptr[1:-1])
-
     def aggregate_children(self, *arrays: np.ndarray) -> None:
         """Add each node's children totals into the node, in place.
 
@@ -200,84 +199,74 @@ class LevelForest:
         return f"{type(self).__name__}(nodes={self.num_nodes}, roots={len(self.roots)})"
 
 
-def _find(uf: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Union-find roots of ``x``, halving each walked path (pointer jumping)."""
-    r = uf[x]
-    while True:
-        grand = uf[r]
-        if np.array_equal(grand, r):
-            break
-        uf[r] = uf[grand]
-        r = grand
-    uf[x] = r
-    return r
-
-
-def shell_sweep(
-    graph: Graph, levels: np.ndarray
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+def shell_sweep(ordering) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """The level forest's flat ``(k, parent, vert_ptr, vertices)`` arrays.
 
-    Each edge is internal from level ``min(level[u], level[v])`` down, so
-    the edges are sorted once by that level and the levels are walked from
-    the deepest to 0.  At level k the level-k edges are unioned (roots
-    hooked larger onto smaller with ``np.minimum.at`` until both endpoints
-    agree); the level-k shell, grouped by root, becomes that level's nodes;
-    and the previous top node of every component the level merged gets the
-    new node of its root as parent.  Every level-k edge has a level-k
-    endpoint, so a merged component always gains a node.  Per level the
-    work is proportional to its edges, shell and merged components.
+    Algorithm 4 read off an Algorithm 1 ordering (any object with
+    ``order``, ``level_start``, ``indptr``, ``indices`` and ``high``, such
+    as a :class:`~repro.engine.levels.LevelOrdering`).  An edge is internal
+    from the level of its lower-rank endpoint down, and the rows'
+    higher-rank suffixes, taken in ``order`` sequence, list every edge once
+    under that endpoint, so they come grouped by level with no sort; the
+    shells are ``order`` sliced at ``level_start``.  The levels are walked
+    from the deepest to 0.  At level k the level-k edges are unioned
+    (roots hooked larger onto smaller with ``np.minimum.at`` until both
+    endpoints agree); the level-k shell, grouped by root, becomes that
+    level's nodes; and the previous top node of every component the level
+    merged gets the new node of its root as parent.  Every level-k edge has
+    its lower-rank endpoint in the shell, so a merged component always
+    gains a node.  After each level the union-find is flattened over the
+    vertices seen so far, so every root lookup is one gather.  Per level
+    the work is proportional to its edges, the vertices at or above it,
+    and the merged components.
     """
-    levels = np.asarray(levels, dtype=np.int64)
-    n = graph.num_vertices
-    if len(levels) != n:
-        raise ValueError("levels must have one entry per vertex")
-    if n == 0:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty, np.zeros(1, dtype=np.int64), empty
-    if levels.min() < 0:
-        raise ValueError("levels must be non-negative")
-    max_level = int(levels.max())
-
-    indptr, indices = graph.indptr, graph.indices
-    src = np.repeat(np.arange(n, dtype=np.int64), np.diff(indptr))
-    forward = src < indices
-    src, dst = src[forward], indices[forward].astype(np.int64, copy=False)
-    edge_level = np.minimum(levels[src], levels[dst])
-    by_level = np.argsort(edge_level)
-    src, dst = src[by_level], dst[by_level]
-    edge_start = np.zeros(max_level + 2, dtype=np.int64)
-    np.cumsum(np.bincount(edge_level, minlength=max_level + 1), out=edge_start[1:])
-    shells = np.argsort(levels, kind="stable")
-    shell_start = np.zeros(max_level + 2, dtype=np.int64)
-    np.cumsum(np.bincount(levels, minlength=max_level + 1), out=shell_start[1:])
+    order, level_start = ordering.order, ordering.level_start
+    indptr, indices = ordering.indptr, ordering.indices
+    n = len(order)
+    hi_start = (indptr[:-1] + ordering.high)[order]
+    hi_len = indptr[1:][order] - hi_start
+    # Edge i joins src[i], a vertex of the level it is listed under, and a
+    # higher-rank dst[i]; edge_start[k] is where level k's edges begin.
+    src = np.repeat(order, hi_len)
+    dst = concat_ranges(indices, hi_start, hi_start + hi_len)
+    edge_start = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(hi_len, out=edge_start[1:])
+    edge_start = edge_start[level_start]
 
     uf = np.arange(n, dtype=np.int64)
     top = np.full(n, -1, dtype=np.int64)  # top[root] = the component's open node
     parent = np.full(n, -1, dtype=np.int64)
-    node_k: list[np.ndarray] = []
-    sizes: list[np.ndarray] = []
-    chunks: list[np.ndarray] = []
+    # Seeded empty, so a graph without vertices concatenates to no nodes.
+    node_k: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    sizes: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
+    chunks: list[np.ndarray] = [np.empty(0, dtype=np.int64)]
     count = 0
-    for k in range(max_level, -1, -1):
-        shell = shells[shell_start[k]:shell_start[k + 1]]
-        if len(shell) == 0:
+    for k in range(len(level_start) - 2, -1, -1):
+        lo, hi = level_start[k], level_start[k + 1]
+        if lo == hi:
             continue
-        a = src[edge_start[k]:edge_start[k + 1]]
-        b = dst[edge_start[k]:edge_start[k + 1]]
-        ra, rb = _find(uf, a), _find(uf, b)
-        merged = np.concatenate((ra, rb))
+        # Shell vertices are still singletons: only dst can be in an
+        # earlier level's component, and uf is flat, so its root is uf[dst].
+        ra = src[edge_start[k]:edge_start[k + 1]]
+        rb = merged = uf[dst[edge_start[k]:edge_start[k + 1]]]
+        hooked = []
         while True:
             cross = ra != rb
             if not cross.any():
                 break
-            a, b, ra, rb = a[cross], b[cross], ra[cross], rb[cross]
-            np.minimum.at(uf, np.maximum(ra, rb), np.minimum(ra, rb))
-            ra, rb = _find(uf, a), _find(uf, b)
+            ra, rb = ra[cross], rb[cross]
+            big = np.maximum(ra, rb)
+            np.minimum.at(uf, big, np.minimum(ra, rb))
+            hooked.append(big)
+            ra, rb = _roots(uf, ra), _roots(uf, rb)
+        if hooked:
+            big = np.concatenate(hooked)
+            uf[big] = _roots(uf, big)
+            seen = order[lo:]
+            uf[seen] = uf[uf[seen]]
         # One node per root among the shell, ordered by smallest member.
-        roots, first, inverse = np.unique(
-            _find(uf, shell), return_index=True, return_inverse=True
-        )
+        shell = order[lo:hi]
+        roots, first, inverse = np.unique(uf[shell], return_index=True, return_inverse=True)
         by_first = np.argsort(first)
         group = np.empty_like(by_first)
         group[by_first] = np.arange(len(by_first))
@@ -290,7 +279,7 @@ def shell_sweep(
         orphans = top[merged]
         top[merged] = -1
         top[roots[by_first]] = np.arange(count, count + len(roots))
-        parent[orphans] = top[_find(uf, merged)]
+        parent[orphans] = top[uf[merged]]
         count += len(roots)
 
     vert_ptr = np.zeros(count + 1, dtype=np.int64)
@@ -298,9 +287,25 @@ def shell_sweep(
     return np.concatenate(node_k), parent[:count], vert_ptr, np.concatenate(chunks)
 
 
-def build_level_forest(graph: Graph, levels: np.ndarray) -> LevelForest:
-    """Construct the level forest of ``levels`` with :func:`shell_sweep`."""
-    return LevelForest(*shell_sweep(graph, levels), graph.num_vertices)
+def _roots(uf: np.ndarray, r: np.ndarray) -> np.ndarray:
+    """Union-find roots of the entries ``r`` (pointer jumping, no writes)."""
+    while True:
+        up = uf[r]
+        if np.array_equal(up, r):
+            return r
+        r = up
+
+
+def build_level_forest(graph: Graph, levels: np.ndarray, *, ordering=None) -> LevelForest:
+    """Construct the level forest of ``levels`` with :func:`shell_sweep`.
+
+    ``ordering`` is the Algorithm 1 ordering of ``levels`` when the caller
+    already holds one; otherwise :func:`~repro.engine.levels.level_ordering`
+    builds it.
+    """
+    if ordering is None:
+        ordering = level_ordering(graph, levels)
+    return LevelForest(*shell_sweep(ordering), graph.num_vertices)
 
 
 @dataclass(frozen=True)
@@ -357,16 +362,21 @@ def node_triangles(
     *,
     backend=None,
     charges: np.ndarray | None = None,
+    triplets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregated triangle/triplet totals of every node's component.
 
-    A precomputed per-vertex ``charges`` array (e.g. cached on a
-    :class:`~repro.index.BestKIndex`) skips the O(m^1.5) pass.
+    Both are node sums of the per-vertex charges Algorithm 3 sums per
+    shell, then aggregated children-into-parents.  Precomputed ``charges``
+    / ``triplets`` arrays (e.g. cached on a :class:`~repro.index.BestKIndex`)
+    skip their passes.
     """
     if charges is None:
         charges = triangles_by_min_rank_vertex(ordering, backend=backend)
+    if triplets is None:
+        triplets = triplet_charges(ordering, backend=backend)
     tri = forest.node_sums(np.asarray(charges, dtype=np.int64))
-    trip = triplet_group_deltas(ordering, forest.node_vertex_groups(), backend=backend)
+    trip = forest.node_sums(np.asarray(triplets, dtype=np.int64))
     forest.aggregate_children(tri, trip)
     return tri, trip
 
@@ -460,7 +470,7 @@ def family_node_scores(
     if ordering is None:
         ordering = fam.ordering(graph, levels)
     if forest is None:
-        forest = build_level_forest(graph, levels)
+        forest = build_level_forest(graph, levels, ordering=ordering)
     totals = fam.totals(graph, decomposition, **params)
     base = node_totals(
         forest, *fam.charges(graph, decomposition, levels, ordering, **params)
@@ -531,8 +541,6 @@ def best_connected_level_set(
     if decomposition is None:
         decomposition = fam.decompose(graph, backend=backend, **params)
     levels = fam.levels(decomposition, **params)
-    if forest is None:
-        forest = build_level_forest(graph, levels)
     score = baseline_family_node_scores if use_baseline else family_node_scores
     scored = score(
         graph, fam, metric,

@@ -33,7 +33,7 @@ from ..graph.csr import Graph, sorted_arc_keys
 from ..kernels.common import concat_ranges
 from .metrics import Metric
 from .primary import GraphTotals, PrimaryValues
-from .triangles import triangles_by_min_rank_vertex, triplet_group_deltas
+from .triangles import triangles_by_min_rank_vertex, triplet_charges
 
 __all__ = [
     "LevelOrdering",
@@ -318,6 +318,7 @@ def triangle_level_increments(
     *,
     backend=None,
     charges: np.ndarray | None = None,
+    triplets: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Algorithm 3's per-level increments of triangles and triplets.
 
@@ -326,27 +327,25 @@ def triangle_level_increments(
     level-k set but not in the level-``k+1`` set.  Cumulating from the top
     (:func:`cumulate_from_top`) yields the counts of every level set.
 
-    Triangles are charged to the level of their minimum-rank corner,
-    triplets to the level at which their centre gains the new legs; the
-    per-vertex/per-group charging lives in the kernel registry (see
-    :mod:`repro.engine.triangles`).  A precomputed ``charges`` array (e.g.
-    cached on a :class:`~repro.index.BestKIndex`) skips the O(m^1.5) pass.
+    Both are per-shell sums of per-vertex charges from the kernel registry
+    (see :mod:`repro.engine.triangles`): triangles charged to their
+    minimum-rank corner, triplets to a vertex of the level where they
+    appear.  Precomputed ``charges`` / ``triplets`` arrays (e.g. cached on
+    a :class:`~repro.index.BestKIndex`) skip their passes; the grouping
+    itself is O(n).
     """
-    max_level = len(level_start) - 2
     if charges is None:
         charges = triangles_by_min_rank_vertex(ordering, backend=backend)
-    shells = [
-        order[level_start[k]:level_start[k + 1]]
-        for k in range(max_level, -1, -1)
-    ]
-    trip_deltas = triplet_group_deltas(ordering, shells, backend=backend)
-    tri_new = np.zeros(max_level + 1, dtype=np.int64)
-    trip_new = np.zeros(max_level + 1, dtype=np.int64)
-    for i, k in enumerate(range(max_level, -1, -1)):
-        if len(shells[i]):
-            tri_new[k] = int(charges[shells[i]].sum())
-        trip_new[k] = trip_deltas[i]
-    return tri_new, trip_new
+    if triplets is None:
+        triplets = triplet_charges(ordering, backend=backend)
+    return _shell_sums(charges, order, level_start), _shell_sums(triplets, order, level_start)
+
+
+def _shell_sums(per_vertex: np.ndarray, order: np.ndarray, level_start: np.ndarray) -> np.ndarray:
+    """``out[k]`` = exact sum of ``per_vertex`` over the level-k shell."""
+    cum = np.zeros(len(order) + 1, dtype=np.int64)
+    np.cumsum(per_vertex[order], out=cum[1:])
+    return np.diff(cum[level_start])
 
 
 def _unweighted_values(

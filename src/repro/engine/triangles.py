@@ -27,7 +27,7 @@ __all__ = [
     "count_triangles_and_triplets",
     "triangles_per_vertex",
     "triangles_by_min_rank_vertex",
-    "triplet_group_deltas",
+    "triplet_charges",
 ]
 
 
@@ -64,13 +64,14 @@ def triangles_per_vertex(
 # Incremental counters shared by Algorithm 3 and Algorithm 5
 # ----------------------------------------------------------------------
 #
-# Both algorithms charge every triangle to its minimum-rank corner and every
-# triplet to its centre, then aggregate the charges by shell (best k-core
-# set) or by forest node (best single k-core).  The per-vertex / per-group
-# charging kernels live in the backend registry (the ``python`` backend is
-# the scalar per-neighbour loop, the ``numpy`` backend batched, tail-bounded
-# key-table probes over all higher-rank arc pairs); the callers only differ
-# in how they group vertices.
+# Both algorithms charge every triangle and every triplet to one vertex:
+# a triangle to its minimum-rank corner, a triplet to a vertex of the level
+# where it first appears.  Algorithm 3 then sums the charges per shell (best
+# k-core set) and Algorithm 5 per forest node (best single k-core), each an
+# O(n) regrouping of the same two per-vertex arrays.  The charging kernels
+# live in the backend registry (the ``python`` backend is the scalar
+# per-neighbour loop, the ``numpy`` backend batched, tail-bounded key-table
+# probes for triangles and one prefix-arc scatter for triplets).
 
 def triangles_by_min_rank_vertex(
     ordered, *, backend: str | KernelBackend | None = None
@@ -89,23 +90,22 @@ def triangles_by_min_rank_vertex(
     return get_backend(backend).triangle_charges(ordered)
 
 
-def triplet_group_deltas(
-    ordered, groups: list[np.ndarray], *, backend: str | KernelBackend | None = None
+def triplet_charges(
+    ordered, *, backend: str | KernelBackend | None = None
 ) -> np.ndarray:
-    """Incremental triplet counts per vertex group (Algorithm 3, lines 13-22).
+    """Per-vertex triplet charges under the rank order (Algorithm 3, lines 13-22).
 
-    ``groups`` must be ordered by non-increasing coreness, and groups of
-    equal coreness must be vertex-disjoint, mutually non-adjacent and
-    never share a neighbour of higher coreness (true for shells and for
-    forest nodes alike: such a neighbour would join them into one
-    component).  The numpy kernel's one-pass run-length form relies on the
-    last condition; the python and native loops are its oracle.
-    ``result[i]`` is the number of triplets that appear when group ``i``'s
-    vertices join the already-seen region:
-
-    * centres inside the group: any two neighbours within the group's own
-      k-core set form a new triplet;
-    * centres already seen (the group's higher-coreness neighbours): counted
-      through the frontier arrays ``f>=`` / ``f>``.
+    A triplet (centre ``x``, legs ``y``, ``z``) first appears at the
+    lowest level among its three vertices.  It is charged to ``x`` when
+    both legs have level ``>= level(x)``, else to its lowest-rank leg,
+    whose level is then the lowest: ``result[y]`` is
+    ``C(|N(y, >=)|, 2)`` plus, for every arc ``x -> y`` in the
+    lower-level prefix of ``x``'s rank-sorted row, the number of arcs
+    after it in that row.  The charged vertex is adjacent to or is the
+    centre, and the other two vertices lie at its level or above, so it
+    sits in the level set and the connected component where the triplet
+    appears.  Summing over a shell therefore gives the shell's triplet
+    increment, and summing over a forest node's own vertices gives the
+    node's.  O(m): one pass over every row's lower-level prefix.
     """
-    return get_backend(backend).triplet_group_deltas(ordered, groups)
+    return get_backend(backend).triplet_charges(ordered)

@@ -15,14 +15,17 @@ cache**.  Artifact keys are ``"<family>:<name>"``:
 ``<family>:totals`` / ``<family>:level_totals``
     Host-graph totals and the Algorithm 2 suffix-sum accumulation.
 ``<family>:triangles`` / ``<family>:level_triangles``
-    Per-vertex min-rank triangle charges and per-level triplet deltas —
-    the O(m^1.5) part, built only when a requested metric has
-    ``requires_triangles``.
+    Per-vertex min-rank triangle charges and the per-level triangle and
+    triplet counts — the O(m^1.5) part, built only when a requested metric
+    has ``requires_triangles``.
 
 The core family additionally keeps its Problem 2 artifacts
 (``core:order`` — the :class:`~repro.core.ordering.OrderedGraph` the
 level ordering is a view of — plus ``core:forest``, ``core:node_totals``
-and ``core:node_triangles`` for Algorithm 5 over the core forest).
+and ``core:node_triangles`` for Algorithm 5 over the core forest).  Its
+O(m) per-vertex triplet charges, summed per shell and per forest node,
+sit beside the triangle charges as ``core:triplets``, cached but never
+persisted.
 
 Each artifact is built at most once, the first time a query needs it:
 scoring the four O(m) paper metrics never touches the triangle pass, and
@@ -92,7 +95,7 @@ from ..engine.levels import (
 )
 from ..engine.metrics import PAPER_METRICS, Metric, get_metric
 from ..engine.primary import GraphTotals, graph_totals
-from ..engine.triangles import triangles_by_min_rank_vertex
+from ..engine.triangles import triangles_by_min_rank_vertex, triplet_charges
 from ..dynamic import GraphDelta, VersionedGraph, incremental_core_numbers
 from ..errors import MetricRequirementError, ReproError
 from ..graph.csr import Graph
@@ -115,6 +118,7 @@ _PHASE_BY_ARTIFACT = {
     "ordering": "order",
     "forest": "forest",
     "triangles": "triangles",
+    "triplets": "triangles",
     "level_triangles": "triangles",
     "node_triangles": "triangles",
 }
@@ -398,6 +402,8 @@ class BestKIndex:
                 ordering.level_start,
                 backend=self.backend,
                 charges=self._family_triangle_charges(fam, ordering, params),
+                # Only the core family regroups them per forest node too.
+                triplets=self.triplet_charges if fam.name == "core" else None,
             )
             return cumulate_from_top(tri_new), cumulate_from_top(trip_new)
 
@@ -711,10 +717,12 @@ class BestKIndex:
     @property
     def forest(self) -> CoreForest:
         """The core forest (built only when a single-core query needs it)."""
-        decomposition = self.decomposition
+        # Touch the decomposition first: a store hit on it brings the
+        # forest along, and then no ordering is built.
+        self.decomposition
         return self._get(
             "core:forest",
-            lambda: build_core_forest(self.graph, decomposition),
+            lambda: build_core_forest(self.graph, ordered=self.ordered),
             persist=(get_family("core"), {}),
         )
 
@@ -733,6 +741,18 @@ class BestKIndex:
             persist=(get_family("core"), {}),
         )
 
+    @property
+    def triplet_charges(self) -> np.ndarray:
+        """Per-vertex triplet charges — O(m), shared like the triangle charges.
+
+        Summed per shell for Problem 1 and per forest node for Problem 2,
+        so one pass serves both; cheap enough that it is never persisted.
+        """
+        ordered = self.ordered
+        return self._get(
+            "core:triplets", lambda: triplet_charges(ordered, backend=self.backend)
+        )
+
     def _node_totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         ordered, forest = self.ordered, self.forest
         return self._get(
@@ -747,7 +767,9 @@ class BestKIndex:
         return self._get(
             "core:node_triangles",
             lambda: node_triangles(
-                ordered, forest, backend=self.backend, charges=self.triangle_charges
+                ordered, forest,
+                charges=self.triangle_charges,
+                triplets=self.triplet_charges,
             ),
             persist=(get_family("core"), {}),
         )

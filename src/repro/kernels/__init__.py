@@ -2,7 +2,8 @@
 
 Every algorithm in the package funnels through a handful of inner kernels —
 degree peeling, forward triangle counting, per-edge supports, truss
-peeling, connected components, strength accumulation.  This subsystem
+peeling, Algorithm 3's per-vertex triangle and triplet charges, connected
+components, strength accumulation.  This subsystem
 keeps one *registry* of interchangeable implementations of those kernels:
 
 ``python``
@@ -14,8 +15,8 @@ keeps one *registry* of interchangeable implementations of those kernels:
 ``native``
     JIT-compiled scalar loops (numba ``@njit`` when installed, otherwise a
     C translation built with the system toolchain) for the hot kernels:
-    exact O(m) bucket peeling, the h-index fixpoint round, and the
-    merge-intersection triangle/triplet kernels.  Degrades *per kernel* to
+    exact O(m) bucket peeling, the h-index fixpoint round, the
+    merge-intersection triangle kernels and the one-pass triplet charges.  Degrades *per kernel* to
     the numpy implementation when a JIT is unavailable or fails — see
     :mod:`repro.kernels.native_backend`; every degradation is counted on
     the ``kernel.native_fallback`` obs counter.
@@ -85,7 +86,7 @@ KERNEL_METHODS = (
     "edge_supports",
     "truss_peel",
     "triangle_charges",
-    "triplet_group_deltas",
+    "triplet_charges",
     "connected_components",
     "vertex_strengths",
     "subcore_repair",

@@ -170,48 +170,19 @@ void repro_triangle_charges(int64_t n, const int64_t *indptr,
     }
 }
 
-/* Incremental triplet counts per vertex group (Algorithm 3, grouped).
- * f_ge, stamp, frontier, before are length-n scratch; stamp must arrive
- * filled with -1 and f_ge with 0. */
-void repro_triplet_group_deltas(int64_t n, int64_t ngroups,
-                                const int64_t *indptr, const int64_t *indices,
-                                const int64_t *same, const int64_t *plus,
-                                const int64_t *flat, const int64_t *gptr,
-                                int64_t *f_ge, int64_t *stamp,
-                                int64_t *frontier, int64_t *before,
-                                int64_t *deltas) {
-    (void)n;
-    for (int64_t g = 0; g < ngroups; g++) {
-        int64_t delta = 0;
-        int64_t fcount = 0;
-        for (int64_t idx = gptr[g]; idx < gptr[g + 1]; idx++) {
-            int64_t v = flat[idx];
-            int64_t a = indptr[v];
-            int64_t b = indptr[v + 1];
-            int64_t ge = (b - a) - same[v];
-            delta += ge * (ge - 1) / 2;
-            for (int64_t j = a + plus[v]; j < b; j++) {
-                int64_t w = indices[j];
-                if (stamp[w] != g) {
-                    stamp[w] = g;
-                    frontier[fcount] = w;
-                    before[fcount] = f_ge[w];
-                    fcount++;
-                }
-            }
-        }
-        for (int64_t idx = gptr[g]; idx < gptr[g + 1]; idx++) {
-            int64_t v = flat[idx];
-            for (int64_t j = indptr[v]; j < indptr[v + 1]; j++)
-                f_ge[indices[j]] += 1;
-        }
-        for (int64_t t = 0; t < fcount; t++) {
-            int64_t w = frontier[t];
-            int64_t gt = before[t];
-            int64_t eq = f_ge[w] - gt;
-            delta += eq * (eq - 1) / 2 + gt * eq;
-        }
-        deltas[g] = delta;
+/* Per-vertex triplet charges (Algorithm 3): C(|N(x,>=)|, 2) at x, plus
+ * one charge per (lower-level arc x->y, later arc in x's row) pair at y.
+ * charges must arrive zeroed. */
+void repro_triplet_charges(int64_t n, const int64_t *indptr,
+                           const int64_t *indices, const int64_t *same,
+                           int64_t *charges) {
+    for (int64_t x = 0; x < n; x++) {
+        int64_t a = indptr[x];
+        int64_t b = indptr[x + 1];
+        int64_t ge = (b - a) - same[x];
+        charges[x] += ge * (ge - 1) / 2;
+        for (int64_t j = a; j < a + same[x]; j++)
+            charges[indices[j]] += b - j - 1;
     }
 }
 
@@ -428,9 +399,7 @@ _SIGNATURES = {
     "repro_hindex_fixpoint": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64, _I64),
     "repro_edge_supports": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64),
     "repro_triangle_charges": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64),
-    "repro_triplet_group_deltas": (ctypes.c_int64, ctypes.c_int64, _I64, _I64,
-                                   _I64, _I64, _I64, _I64, _I64, _I64, _I64,
-                                   _I64, _I64),
+    "repro_triplet_charges": (ctypes.c_int64, _I64, _I64, _I64, _I64),
     "repro_vertex_strengths": (ctypes.c_int64, _I64, _F64, _F64),
     "repro_subcore_repair": (ctypes.c_int64, _I64, _I64, _I8, _I64, _I64, _I8,
                              _I64, ctypes.c_int64, _I64, _I64, _I64,
@@ -572,23 +541,16 @@ class CcProvider:
         )
         return charges
 
-    def triplet_group_deltas(self, indptr, indices, same, plus, flat, gptr):
+    def triplet_charges(self, indptr, indices, same):
         n = indptr.shape[0] - 1
-        ngroups = gptr.shape[0] - 1
-        deltas = np.zeros(ngroups, dtype=np.int64)
-        if ngroups == 0 or n == 0:
-            return deltas
-        f_ge = np.zeros(n, dtype=np.int64)
-        stamp = np.full(n, -1, dtype=np.int64)
-        frontier = np.empty(n, dtype=np.int64)
-        before = np.empty(n, dtype=np.int64)
-        self._lib.repro_triplet_group_deltas(
-            n, ngroups, _ptr(indptr, _I64), _ptr(indices, _I64),
-            _ptr(same, _I64), _ptr(plus, _I64), _ptr(flat, _I64),
-            _ptr(gptr, _I64), _ptr(f_ge, _I64), _ptr(stamp, _I64),
-            _ptr(frontier, _I64), _ptr(before, _I64), _ptr(deltas, _I64),
+        charges = np.zeros(n, dtype=np.int64)
+        if n == 0:
+            return charges
+        self._lib.repro_triplet_charges(
+            n, _ptr(indptr, _I64), _ptr(indices, _I64), _ptr(same, _I64),
+            _ptr(charges, _I64),
         )
-        return deltas
+        return charges
 
     def vertex_strengths(self, indptr, arc_weights):
         n = indptr.shape[0] - 1

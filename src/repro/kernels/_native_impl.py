@@ -28,9 +28,9 @@ Raw signature registry (shared by every provider):
     Per-edge triangle supports by sorted-merge intersection.
 ``triangle_charges(indptr, indices, nbr_rank, high) -> charges``
     Algorithm 3 charging by merge-intersection of higher-rank suffixes.
-``triplet_group_deltas(indptr, indices, same, plus, flat, gptr) -> deltas``
-    Incremental triplet counts per vertex group (groups flattened to a
-    ``flat``/``gptr`` CSR pair), with stamp-array frontier dedup.
+``triplet_charges(indptr, indices, same) -> charges``
+    Algorithm 3's per-vertex triplet charges: one pass over every row's
+    lower-level prefix.
 ``vertex_strengths(indptr, arc_weights) -> strengths``
     Sequential per-slice accumulation (same addition order as
     ``np.add.reduceat``).
@@ -59,7 +59,7 @@ __all__ = [
     "peel_exact",
     "subcore_repair",
     "triangle_charges",
-    "triplet_group_deltas",
+    "triplet_charges",
     "vertex_strengths",
 ]
 
@@ -69,7 +69,7 @@ RAW_KERNELS = (
     "hindex_fixpoint",
     "edge_supports",
     "triangle_charges",
-    "triplet_group_deltas",
+    "triplet_charges",
     "vertex_strengths",
     "subcore_repair",
 )
@@ -227,45 +227,19 @@ def triangle_charges(indptr, indices, nbr_rank, high):
     return charges
 
 
-def triplet_group_deltas(indptr, indices, same, plus, flat, gptr):
+def triplet_charges(indptr, indices, same):
     n = indptr.shape[0] - 1
-    ngroups = gptr.shape[0] - 1
-    deltas = np.zeros(ngroups, dtype=np.int64)
-    f_ge = np.zeros(n, dtype=np.int64)
-    stamp = np.full(n, -1, dtype=np.int64)
-    frontier = np.zeros(n, dtype=np.int64)
-    before = np.zeros(n, dtype=np.int64)
-    for g in range(ngroups):
-        delta = np.int64(0)
-        fcount = np.int64(0)
-        # Pass 1: wedge counts inside the group, and the deduped frontier
-        # of strictly-higher-level neighbours with their pre-update f>=.
-        for idx in range(gptr[g], gptr[g + 1]):
-            v = flat[idx]
-            a = indptr[v]
-            b = indptr[v + 1]
-            ge = (b - a) - same[v]
-            delta += ge * (ge - 1) // 2
-            for j in range(a + plus[v], b):
-                w = indices[j]
-                if stamp[w] != g:
-                    stamp[w] = g
-                    frontier[fcount] = w
-                    before[fcount] = f_ge[w]
-                    fcount += 1
-        # Pass 2: apply every member's adjacency increments.
-        for idx in range(gptr[g], gptr[g + 1]):
-            v = flat[idx]
-            for j in range(indptr[v], indptr[v + 1]):
-                f_ge[indices[j]] += 1
-        # Pass 3: frontier wedge increments (eq/gt split).
-        for t in range(fcount):
-            w = frontier[t]
-            gt = before[t]
-            eq = f_ge[w] - gt
-            delta += eq * (eq - 1) // 2 + gt * eq
-        deltas[g] = delta
-    return deltas
+    charges = np.zeros(n, dtype=np.int64)
+    for x in range(n):
+        a = indptr[x]
+        b = indptr[x + 1]
+        ge = (b - a) - same[x]
+        charges[x] += ge * (ge - 1) // 2
+        # Each lower-level neighbour is the lowest-rank leg of one
+        # triplet centred at x per arc after it in the rank-sorted row.
+        for j in range(a, a + same[x]):
+            charges[indices[j]] += b - j - 1
+    return charges
 
 
 def subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,

@@ -125,14 +125,17 @@ class KernelBackend:
         """
         raise NotImplementedError
 
-    def triplet_group_deltas(self, ordered, groups: list[np.ndarray]) -> np.ndarray:
-        """Incremental triplet counts per vertex group (Algorithm 3).
+    def triplet_charges(self, ordered) -> np.ndarray:
+        """Per-vertex triplet charges under a rank order (Algorithm 3).
 
-        ``groups`` must be ordered by non-increasing coreness/level, with
-        equal-level groups vertex-disjoint, mutually non-adjacent and never
-        sharing a higher-level neighbour (true for shells and forest nodes
-        alike).  ``result[i]`` is the number of triplets that appear when
-        group ``i``'s vertices join the already-seen higher-level region.
+        ``ordered`` is any rank-ordered adjacency with position tags; the
+        kernel reads its ``indptr``, ``indices`` and ``same`` arrays.
+        ``result[y]`` is ``C(|N(y, >=)|, 2)`` plus, for every arc
+        ``x -> y`` in the lower-level prefix of ``x``'s row, the number of
+        arcs after it in that row.  Every triplet is charged once, to a
+        vertex of the level where it first appears and inside the
+        component it appears in, so summing over a shell or a forest node
+        gives that group's triplet increment.  O(m) work.
         """
         raise NotImplementedError
 

@@ -2,7 +2,7 @@
 
 Compiled implementations of the hot kernels — exact O(m) bucket peeling,
 the h-index fixpoint round, merge-intersection triangle supports/charges,
-grouped triplet deltas, and strength accumulation — behind a **per-kernel
+per-vertex triplet charges, and strength accumulation — behind a **per-kernel
 soft fallback**: anything that cannot run native (numba not installed, no
 C toolchain, a compile failure, a runtime error) transparently delegates to
 the numpy implementation of exactly that kernel, and the degradation is
@@ -82,7 +82,7 @@ KERNEL_RAW = {
     "hindex_fixpoint": "hindex_fixpoint",
     "edge_supports": "edge_supports",
     "triangle_charges": "triangle_charges",
-    "triplet_group_deltas": "triplet_group_deltas",
+    "triplet_charges": "triplet_charges",
     "vertex_strengths": "vertex_strengths",
     "subcore_repair": "subcore_repair",
 }
@@ -187,11 +187,8 @@ _WARMUP_ARGS = {
     "triangle_charges": lambda: (_WARM_INDPTR, _WARM_INDICES,
                                  np.arange(8, dtype=np.int64),
                                  np.zeros(4, dtype=np.int64)),
-    "triplet_group_deltas": lambda: (_WARM_INDPTR, _WARM_INDICES,
-                                     np.zeros(4, dtype=np.int64),
-                                     np.zeros(4, dtype=np.int64),
-                                     np.arange(4, dtype=np.int64),
-                                     np.array([0, 4], dtype=np.int64)),
+    "triplet_charges": lambda: (_WARM_INDPTR, _WARM_INDICES,
+                                np.zeros(4, dtype=np.int64)),
     "vertex_strengths": lambda: (_WARM_INDPTR, np.ones(8, dtype=np.float64)),
     # Delete the pendant edge (0,3), then insert (1,3) through the extra
     # CSR — exercises both phases of the batched repair.
@@ -388,24 +385,14 @@ class NativeBackend(KernelBackend):
                 self._poison("triangle_charges", exc)
         return self._numpy.triangle_charges(ordered)
 
-    def triplet_group_deltas(self, ordered, groups) -> np.ndarray:
-        fn = self._resolve("triplet_group_deltas")
+    def triplet_charges(self, ordered) -> np.ndarray:
+        fn = self._resolve("triplet_charges")
         if fn is not None:
             try:
-                ngroups = len(groups)
-                gptr = np.zeros(ngroups + 1, dtype=np.int64)
-                for i, members in enumerate(groups):
-                    gptr[i + 1] = gptr[i] + len(members)
-                flat = np.empty(int(gptr[-1]), dtype=np.int64)
-                for i, members in enumerate(groups):
-                    flat[gptr[i]:gptr[i + 1]] = _i64(members)
-                return fn(
-                    _i64(ordered.indptr), _i64(ordered.indices),
-                    _i64(ordered.same), _i64(ordered.plus), flat, gptr,
-                )
+                return fn(_i64(ordered.indptr), _i64(ordered.indices), _i64(ordered.same))
             except Exception as exc:
-                self._poison("triplet_group_deltas", exc)
-        return self._numpy.triplet_group_deltas(ordered, groups)
+                self._poison("triplet_charges", exc)
+        return self._numpy.triplet_charges(ordered)
 
     # -- dynamic maintenance ----------------------------------------------
     def subcore_repair(self, indptr, indices, active, xptr, xindices, xactive,

@@ -44,10 +44,11 @@ from .common import concat_ranges, rank_forward_adjacency
 __all__ = ["NumpyBackend"]
 
 #: Needle elements per probe batch.  A batch costs ~41 bytes of scratch
-#: per needle on top of the key table and the per-arc arrays: measured
-#: under ``tracemalloc``, ``triangle_charges`` on a 50k-vertex, 248k-edge
-#: Chung–Lu graph (0.89M needles, 14 batches) peaks at 26 MiB, 8 MiB of
-#: it the key table.  Small batches also keep the probe arrays in cache.
+#: per needle on top of the key table and the one whole per-arc array
+#: (probe lengths): measured under ``tracemalloc``, ``triangle_charges``
+#: on a 50k-vertex, 248k-edge Chung–Lu graph (0.89M needles, 14 batches)
+#: peaks at 23.4 MiB, 8 MiB of it the key table.  Small batches also keep
+#: the probe arrays in cache.
 _CHUNK = 1 << 16
 
 
@@ -218,35 +219,19 @@ class NumpyBackend(KernelBackend):
             charges += np.bincount(v, minlength=n)
         return charges
 
-    def triplet_group_deltas(self, ordered, groups: list[np.ndarray]) -> np.ndarray:
-        n = ordered.graph.num_vertices
+    def triplet_charges(self, ordered) -> np.ndarray:
         indptr, indices, same = ordered.indptr, ordered.indices, ordered.same
-        sizes = np.fromiter(map(len, groups), dtype=np.int64, count=len(groups))
-        if not sizes.sum():
-            return np.zeros(len(groups), dtype=np.int64)
-        members = np.concatenate(groups).astype(np.int64, copy=False)
-        group_of = np.repeat(np.arange(len(groups), dtype=np.int64), sizes)
-        gid = np.full(n, -1, dtype=np.int64)
-        gid[members] = group_of
-        # Centres inside a group: any two of a member's >=-level neighbours.
-        # Sums are exact int64 ``add.at`` segment sums, never float weights.
-        ge = indptr[members + 1] - indptr[members] - same[members]
-        deltas = np.zeros(len(groups), dtype=np.int64)
-        np.add.at(deltas, group_of, ge * (ge - 1) // 2)
-        # Centres x of higher level.  x's lower-level prefix is rank-sorted,
-        # so level-sorted, and meets at most one group per level (two would
-        # share x and so be one component): group g's neighbours form one
-        # run of length eq, and every grouped neighbour after it has a
-        # greater level (gt of them).  Charging each run arc the grouped
-        # arcs after it in the row sums to C(eq, 2) + gt * eq per run.
-        after = np.zeros(len(indices) + 1, dtype=np.int64)
-        np.cumsum((gid >= 0)[indices], out=after[1:])
-        lo, hi = indptr[:-1], indptr[:-1] + same
-        target = gid[concat_ranges(indices, lo, hi)]
-        tail = np.repeat(after[indptr[1:]], same) - concat_ranges(after[1:], lo, hi)
-        run = target >= 0
-        np.add.at(deltas, target[run], tail[run])
-        return deltas
+        # Centre y with both legs at level >= level(y): charged to y.
+        ge = np.diff(indptr) - same
+        charges = ge * (ge - 1) // 2
+        # Centre x whose lowest-rank leg y has a lower level: the row is
+        # rank-sorted, so y's arc in x's lower-level prefix pairs with
+        # every arc after it, each pair charged to y.  Exact int64 sums.
+        slots = np.repeat(indptr[:-1] + same - np.cumsum(same), same)
+        slots += np.arange(len(slots), dtype=np.int64)
+        tail = np.repeat(indptr[1:], same) - slots - 1
+        np.add.at(charges, indices[slots], tail)
+        return charges
 
     # ------------------------------------------------------------------
     def connected_components(self, graph: Graph, active: np.ndarray) -> tuple[np.ndarray, int]:
@@ -518,22 +503,20 @@ def _forward_triangles(ptr: np.ndarray, idx: np.ndarray, val: np.ndarray):
     deg = np.diff(ptr)
     src = np.repeat(np.arange(n, dtype=np.int64), deg)
     table = _KeyTable(src * n + val)
-    arc = np.arange(len(idx), dtype=np.int64)
-    tail = ptr[src + 1] - arc - 1
-    swap = deg[idx] < tail
-    starts = np.where(swap, ptr[idx], arc + 1)
-    lens = np.where(swap, deg[idx], tail)
-    key_owner = np.where(swap, src, idx) * n
-    # The generator frame outlives every batch: drop the per-arc scratch.
-    del arc, tail, swap
+    # Probe lengths are the only whole per-arc array; each batch derives
+    # its arcs' tails, sides and start slots on its own.
+    lens = np.minimum(ptr[src + 1] - np.arange(len(idx), dtype=np.int64) - 1, deg[idx])
     for lo, hi in _chunk_edges(lens):
-        seg_lens = lens[lo:hi]
+        arc_src, arc_dst, seg_lens = src[lo:hi], idx[lo:hi], lens[lo:hi]
+        arcs = np.arange(lo, hi, dtype=np.int64)
+        swap = deg[arc_dst] < ptr[arc_src + 1] - arcs - 1
+        starts = np.where(swap, ptr[arc_dst], arcs + 1)
         ends = np.cumsum(seg_lens)
         # Needle i of arc a probes position starts[a] + i - (ends[a] - lens[a]).
-        at = np.repeat(starts[lo:hi] - ends + seg_lens, seg_lens)
+        at = np.repeat(starts - ends + seg_lens, seg_lens)
         at += np.arange(at.size, dtype=np.int64)
         needles = val[at]
-        needles += np.repeat(key_owner[lo:hi], seg_lens)
+        needles += np.repeat(np.where(swap, arc_src, arc_dst) * n, seg_lens)
         match = np.flatnonzero(table.contains(needles))
         arc = lo + np.searchsorted(ends, match, side="right")
         yield src[arc], idx[arc], idx[at[match]]

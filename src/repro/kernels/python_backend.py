@@ -189,37 +189,20 @@ class PythonBackend(KernelBackend):
             charges[v] = count
         return charges
 
-    def triplet_group_deltas(self, ordered, groups: list[np.ndarray]) -> np.ndarray:
-        n = ordered.graph.num_vertices
+    def triplet_charges(self, ordered) -> np.ndarray:
         indptr = ordered.indptr.tolist()
         indices = ordered.indices.tolist()
         same = ordered.same.tolist()
-        plus = ordered.plus.tolist()
-        f_ge = [0] * n
-        deltas = np.zeros(len(groups), dtype=np.int64)
-        for i, members in enumerate(groups):
-            members = [int(v) for v in members]
-            if not members:
-                continue
-            delta = 0
-            frontier: set[int] = set()
-            for v in members:
-                a, b = indptr[v], indptr[v + 1]
-                ge = (b - a) - same[v]
-                delta += ge * (ge - 1) // 2
-                # Frontier: neighbours with strictly greater coreness/level.
-                for j in range(a + plus[v], b):
-                    frontier.add(indices[j])
-            before = {w: f_ge[w] for w in frontier}
-            for v in members:
-                for j in range(indptr[v], indptr[v + 1]):
-                    f_ge[indices[j]] += 1
-            for w in frontier:
-                gt = before[w]
-                eq = f_ge[w] - gt
-                delta += eq * (eq - 1) // 2 + gt * eq
-            deltas[i] = delta
-        return deltas
+        charges = [0] * (len(indptr) - 1)
+        for x in range(len(charges)):
+            a, b = indptr[x], indptr[x + 1]
+            ge = (b - a) - same[x]
+            charges[x] += ge * (ge - 1) // 2
+            # Lower-level neighbours, ascending rank: each is the
+            # lowest-rank leg of one triplet per later neighbour.
+            for j in range(a, a + same[x]):
+                charges[indices[j]] += b - j - 1
+        return np.array(charges, dtype=np.int64)
 
     # ------------------------------------------------------------------
     def connected_components(self, graph: Graph, active: np.ndarray) -> tuple[np.ndarray, int]:

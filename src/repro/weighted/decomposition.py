@@ -33,24 +33,22 @@ def arc_weights(graph: Graph, edge_weights: np.ndarray) -> np.ndarray:
     canonical ``u < v`` ordering).  Both directions of an edge get its
     weight.
     """
-    edges = graph.edge_array()
-    if len(edge_weights) != len(edges):
+    if len(edge_weights) != graph.num_edges:
         raise ValueError(
-            f"expected {len(edges)} edge weights, got {len(edge_weights)}"
+            f"expected {graph.num_edges} edge weights, got {len(edge_weights)}"
         )
-    n = graph.num_vertices
-    keys = edges[:, 0] * np.int64(n) + edges[:, 1]
-    order = np.argsort(keys)
-    sorted_keys = keys[order]
-    sorted_weights = np.asarray(edge_weights, dtype=np.float64)[order]
-
-    src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
+    src = np.repeat(np.arange(graph.num_vertices, dtype=np.int64), graph.degrees())
     dst = graph.indices
-    lo = np.minimum(src, dst)
-    hi = np.maximum(src, dst)
-    arc_keys = lo * np.int64(n) + hi
-    pos = np.searchsorted(sorted_keys, arc_keys)
-    return sorted_weights[pos]
+    forward = src < dst
+    # Forward arcs (u -> v, u < v) in CSR order are edge_array()'s rows in
+    # order.  The backward arc v -> u sits in row v at u's rank among v's
+    # lower neighbours, so the backward arcs are the edges ordered by
+    # (v, u): a stable sort of the forward destinations.
+    weights = np.asarray(edge_weights, dtype=np.float64)
+    out = np.empty(len(dst), dtype=np.float64)
+    out[forward] = weights
+    out[~forward] = weights[np.argsort(dst[forward], kind="stable")]
+    return out
 
 
 @dataclass(frozen=True)

@@ -161,6 +161,16 @@ def small_graph_zoo() -> list[tuple[str, Graph]]:
     return zoo
 
 
+#: Degenerate graphs every family must survive: no vertices, no edges, one
+#: edge, and a star (kmax 1).
+PATHOLOGICAL = {
+    "no-vertices": Graph.empty(0),
+    "no-edges": Graph.empty(5),
+    "single-edge": Graph.from_edges([(0, 1)]),
+    "star-kmax-1": Graph.from_edges([(0, i) for i in range(1, 7)]),
+}
+
+
 def zoo_params():
     """``pytest.mark.parametrize`` helper over the zoo."""
     zoo = small_graph_zoo()

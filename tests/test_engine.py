@@ -41,16 +41,10 @@ from repro.engine.family import _REGISTRY
 from repro.errors import EmptyGraphError, ReproError, UnknownFamilyError
 from repro.graph import Graph
 
-from conftest import random_graph
+from conftest import PATHOLOGICAL, random_graph
 
 FAMILIES = ("core", "truss", "ecc")  # weighted needs params; covered separately
 
-PATHOLOGICAL = {
-    "no-vertices": Graph.empty(0),
-    "no-edges": Graph.empty(5),
-    "single-edge": Graph.from_edges([(0, 1)]),
-    "star-kmax-1": Graph.from_edges([(0, i) for i in range(1, 7)]),
-}
 
 
 def _cases():

@@ -13,10 +13,11 @@ from repro.core import (
     core_decomposition,
 )
 from repro.core.naive import all_kcores_naive, coreness_naive
-from repro.engine import LevelForest, build_level_forest, get_family
+from repro.engine import LevelForest, build_level_forest, family_node_scores, get_family
+from repro.generators import powerlaw_chung_lu
 from repro.graph import Graph
 from repro.index import ArtifactStore, BestKIndex
-from conftest import random_graph, zoo_params
+from conftest import PATHOLOGICAL, random_graph, zoo_params
 
 FOREST_ARRAYS = ("k", "parent", "vert_ptr", "vertices")
 
@@ -305,11 +306,13 @@ def shared_higher_neighbours(graph, levels, forest):
 
 
 class TestTripletPrecondition:
-    """What the numpy ``triplet_group_deltas`` pass relies on.
+    """What the node regrouping of the triplet charges relies on.
 
     No two equal-level forest nodes share a neighbour of higher level
-    (it would join them into one component).  If a forest change ever
-    breaks this, the run-length triplet pass would miscount silently.
+    (it would join them into one component).  A triplet centred on such a
+    neighbour with one leg in each node would be charged to one of them
+    while it spans both, so if a forest change ever breaks this, the node
+    triplet totals would miscount silently.
     """
 
     @zoo_params()
@@ -376,3 +379,60 @@ class TestQueries:
     def test_repr(self, figure2):
         forest = build_core_forest(figure2)
         assert "nodes=3" in repr(forest)
+
+
+def brute_triplets(graph, members):
+    """Triplets (paths of length two) of the subgraph induced by ``members``."""
+    inside = set(np.asarray(members).tolist())
+    degrees = [len(inside.intersection(graph.neighbors(v).tolist())) for v in inside]
+    return sum(d * (d - 1) // 2 for d in degrees)
+
+
+#: The degenerate graphs plus seeded sparse Chung–Lu graphs, each of which
+#: has isolated vertices.
+ORACLE_GRAPHS = {
+    **PATHOLOGICAL,
+    **{f"chung-lu-{seed}": powerlaw_chung_lu(80, 4.0, 2.3, seed=seed) for seed in range(3)},
+}
+
+
+class TestTripletOracle:
+    """Level-set and forest-node triplet totals against a brute-force count
+    of every ``G[S_k]`` and of every node's whole component."""
+
+    def test_chung_lu_graphs_have_isolated_vertices(self):
+        for name, graph in ORACLE_GRAPHS.items():
+            if name.startswith("chung-lu"):
+                assert (graph.degrees() == 0).any(), name
+
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_sweep_equals_lcps(self, name):
+        graph = ORACLE_GRAPHS[name]
+        assert_same_arrays(build_core_forest_lcps(graph), build_core_forest(graph))
+
+    @pytest.mark.parametrize("backend", ["python", "numpy", "native"])
+    @pytest.mark.parametrize("family", ["core", "truss", "ecc"])
+    @pytest.mark.parametrize("name", sorted(ORACLE_GRAPHS))
+    def test_level_and_node_totals(self, name, family, backend):
+        graph = ORACLE_GRAPHS[name]
+        fam = get_family(family)
+        index = BestKIndex(graph, backend=backend, store=False)
+        levels = index.artifact(fam, "levels")
+        _, trip_k = index.artifact(fam, "level_triangles")
+        assert trip_k.tolist() == [
+            brute_triplets(graph, np.flatnonzero(levels >= k)) for k in range(len(trip_k))
+        ]
+        if family == "core":
+            forest = index.forest
+            _, trip = index.artifact("core", "node_triangles")
+        else:
+            scored = family_node_scores(
+                graph, fam, "clustering_coefficient",
+                decomposition=index.family_decomposition(fam), backend=backend,
+            )
+            forest = scored.forest
+            trip = [values.num_triplets for values in scored.values]
+        assert list(trip) == [
+            brute_triplets(graph, forest.component_vertices(i))
+            for i in range(forest.num_nodes)
+        ]

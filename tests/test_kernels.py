@@ -15,9 +15,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import core_decomposition, order_vertices
+from repro.core import core_decomposition, core_level_view, order_vertices
 from repro.core.naive import coreness_naive
-from repro.engine import build_level_forest, count_triplets, get_family, level_ordering
+from repro.engine import (
+    build_level_forest,
+    count_triplets,
+    get_family,
+    level_ordering,
+    triangle_level_increments,
+)
 from repro.errors import UnknownBackendError
 from repro.generators import powerlaw_chung_lu
 from repro.graph import Graph, GraphBuilder, connected_components
@@ -341,9 +347,12 @@ class TestMultiChunkProbes:
         assert max(batches) > 1
 
 
-def _descending_shells(ordered):
-    decomp = ordered.decomposition
-    return [decomp.shell(k) for k in range(decomp.kmax, -1, -1)]
+def _shell_deltas(ordering, triplets):
+    """Per-level triplet increments: the charges summed over each shell."""
+    return triangle_level_increments(
+        ordering, ordering.order, ordering.level_start,
+        charges=np.zeros(len(triplets), dtype=np.int64), triplets=triplets,
+    )[1]
 
 
 class TestChargeKernelEquivalence:
@@ -368,34 +377,33 @@ class TestChargeKernelEquivalence:
 
     @zoo_case
     def test_triplet_group_deltas_identical(self, graph):
-        ordered = order_vertices(graph)
-        shells = _descending_shells(ordered)
-        assert np.array_equal(
-            PY.triplet_group_deltas(ordered, shells),
-            NP.triplet_group_deltas(ordered, shells),
-        )
+        ordering = core_level_view(order_vertices(graph))
+        want = PY.triplet_charges(ordering)
+        got = NP.triplet_charges(ordering)
+        assert got.dtype == np.int64
+        assert np.array_equal(got, want)
+        assert np.array_equal(_shell_deltas(ordering, got), _shell_deltas(ordering, want))
 
     @zoo_case
     def test_triplet_deltas_sum_to_total(self, graph):
         # Top-down, the per-shell increments must add up to every triplet
         # of the whole graph (C_0 is the full vertex set).
-        ordered = order_vertices(graph)
-        shells = _descending_shells(ordered)
-        assert int(NP.triplet_group_deltas(ordered, shells).sum()) == count_triplets(graph)
+        ordering = core_level_view(order_vertices(graph))
+        charges = NP.triplet_charges(ordering)
+        assert int(charges.sum()) == count_triplets(graph)
+        assert int(_shell_deltas(ordering, charges).sum()) == count_triplets(graph)
 
     @zoo_case
     def test_forest_node_groups_identical(self, graph):
-        # Same kernels, grouped by forest node instead of by shell
-        # (Algorithm 5's grouping) — also ordered by non-increasing k.
+        # Same charges, grouped by forest node instead of by shell
+        # (Algorithm 5's grouping).
         from repro.core import build_core_forest
 
         ordered = order_vertices(graph)
-        forest = build_core_forest(graph, ordered.decomposition)
-        groups = [node.vertices for node in forest.nodes]
-        assert np.array_equal(
-            PY.triplet_group_deltas(ordered, groups),
-            NP.triplet_group_deltas(ordered, groups),
-        )
+        forest = build_core_forest(graph, ordered=ordered)
+        want = forest.node_sums(PY.triplet_charges(ordered))
+        assert np.array_equal(forest.node_sums(NP.triplet_charges(ordered)), want)
+        assert int(want.sum()) == count_triplets(graph)
 
 
 def _family_levels(graph, family):
@@ -407,63 +415,57 @@ def _family_levels(graph, family):
 
 
 def _level_groupings(graph, levels):
-    """``(ordering, shells, forest node groups)`` of one level array."""
+    """``(ordering, forest)`` of one level array."""
     ordering = level_ordering(graph, levels)
-    start = ordering.level_start
-    shells = [ordering.order[start[k]:start[k + 1]] for k in range(ordering.max_level, -1, -1)]
-    return ordering, shells, build_level_forest(graph, levels).node_vertex_groups()
+    return ordering, build_level_forest(graph, levels, ordering=ordering)
 
 
 class TestTripletGroupings:
-    """``triplet_group_deltas`` for every grouping a caller passes.
+    """``triplet_charges`` regrouped per shell and per forest node.
 
-    The numpy pass relies on equal-level groups never sharing a
-    higher-level neighbour; the python loop does not, so it is the oracle.
+    The python loop is the oracle for the numpy pass; both groupings must
+    add up to every triplet of the graph.
     """
 
     @pytest.mark.parametrize("family", ["truss", "weighted"])
     @zoo_case
     def test_level_shells_and_nodes_identical(self, graph, family):
-        ordering, shells, nodes = _level_groupings(graph, _family_levels(graph, family))
-        for groups in (shells, nodes):
-            want = PY.triplet_group_deltas(ordering, groups)
-            assert np.array_equal(NP.triplet_group_deltas(ordering, groups), want)
-            assert int(want.sum()) == count_triplets(graph)
+        ordering, forest = _level_groupings(graph, _family_levels(graph, family))
+        want = PY.triplet_charges(ordering)
+        got = NP.triplet_charges(ordering)
+        assert np.array_equal(got, want)
+        for regroup in (lambda w: _shell_deltas(ordering, w), forest.node_sums):
+            assert np.array_equal(regroup(got), regroup(want))
+            assert int(regroup(want).sum()) == count_triplets(graph)
 
     @zoo_case
     def test_empty_groups_charge_nothing(self, graph):
-        ordered = order_vertices(graph)
-        shells = _descending_shells(ordered)
-        empty = np.empty(0, dtype=np.int64)
-        padded = [empty] + [g for shell in shells for g in (shell, empty)]
-        got = NP.triplet_group_deltas(ordered, padded)
-        assert np.array_equal(got, PY.triplet_group_deltas(ordered, padded))
-        assert np.array_equal(got[1::2], PY.triplet_group_deltas(ordered, shells))
-        assert not got[0::2].any()
-
-    @zoo_case
-    def test_ungrouped_vertices_never_count(self, graph):
-        # Drop every other shell: its vertices join no group, so they are
-        # in neither side of any later group's frontier counts.
-        ordered = order_vertices(graph)
-        partial = _descending_shells(ordered)[::2]
-        assert np.array_equal(
-            NP.triplet_group_deltas(ordered, partial),
-            PY.triplet_group_deltas(ordered, partial),
-        )
+        # Doubling the coreness leaves every odd level an empty shell: those
+        # charge nothing, and the others keep the unscaled increments.
+        coreness = core_decomposition(graph).coreness
+        plain = level_ordering(graph, coreness)
+        padded = level_ordering(graph, 2 * coreness)
+        got = _shell_deltas(padded, NP.triplet_charges(padded))
+        assert np.array_equal(got, _shell_deltas(padded, PY.triplet_charges(padded)))
+        assert np.array_equal(got[0::2], _shell_deltas(plain, PY.triplet_charges(plain)))
+        assert not got[1::2].any()
 
     def test_empty_graph(self):
-        ordered = order_vertices(Graph.empty(0))
-        for groups in ([], [np.empty(0, dtype=np.int64)] * 2):
-            got = NP.triplet_group_deltas(ordered, groups)
+        ordering = core_level_view(order_vertices(Graph.empty(0)))
+        for backend in (PY, NP, NATIVE):
+            got = backend.triplet_charges(ordering)
             assert got.dtype == np.int64
-            assert got.tolist() == [0] * len(groups)
+            assert got.tolist() == []
+        assert _shell_deltas(ordering, NP.triplet_charges(ordering)).tolist() == [0]
 
     def test_isolated_only(self):
         graph = Graph.empty(5)
         ordered = order_vertices(graph)
-        for groups in ([np.arange(5)], [np.array([v]) for v in range(5)]):
-            assert NP.triplet_group_deltas(ordered, groups).tolist() == [0] * len(groups)
+        forest = build_level_forest(graph, np.zeros(5, dtype=np.int64))
+        for backend in (PY, NP, NATIVE):
+            got = backend.triplet_charges(ordered)
+            assert got.tolist() == [0] * 5
+            assert forest.node_sums(got).tolist() == [0] * 5
 
     @pytest.mark.parametrize("scale", [1, 3])
     def test_level_gap(self, scale):
@@ -473,12 +475,15 @@ class TestTripletGroupings:
         edges += [(5, 6), (6, 7), (7, 8), (0, 9)]
         graph = Graph.from_edges(edges)
         levels = core_decomposition(graph).coreness * scale
-        ordering, shells, nodes = _level_groupings(graph, levels)
-        assert sum(len(shell) == 0 for shell in shells) >= 3
-        for groups in (shells, nodes):
-            want = PY.triplet_group_deltas(ordering, groups)
-            assert np.array_equal(NP.triplet_group_deltas(ordering, groups), want)
-            assert int(want.sum()) == count_triplets(graph)
+        ordering, forest = _level_groupings(graph, levels)
+        want = PY.triplet_charges(ordering)
+        assert np.array_equal(NP.triplet_charges(ordering), want)
+        shells = _shell_deltas(ordering, want)
+        assert (shells == 0).sum() >= 3
+        for regrouped in (shells, forest.node_sums(want)):
+            assert int(regrouped.sum()) == count_triplets(graph)
+        # The K6 shell appears on its own: C(5, 2) triplets per centre.
+        assert shells[5 * scale] == 6 * 10
 
 
 class TestNativeEquivalence:
@@ -531,21 +536,21 @@ class TestNativeEquivalence:
     @zoo_case
     def test_triplet_group_deltas_identical(self, graph):
         ordered = order_vertices(graph)
-        shells = _descending_shells(ordered)
-        assert np.array_equal(
-            NATIVE.triplet_group_deltas(ordered, shells),
-            PY.triplet_group_deltas(ordered, shells),
-        )
+        want = PY.triplet_charges(ordered)
+        assert np.array_equal(NATIVE.triplet_charges(ordered), want)
+        # The loop source the C unit mirrors, run as plain python.
+        got = _native_impl.triplet_charges(ordered.indptr, ordered.indices, ordered.same)
+        assert np.array_equal(got, want)
 
     @zoo_case
     def test_forest_node_groups_identical(self, graph):
         from repro.core import build_core_forest
 
         ordered = order_vertices(graph)
-        groups = build_core_forest(graph, ordered.decomposition).node_vertex_groups()
+        forest = build_core_forest(graph, ordered=ordered)
         assert np.array_equal(
-            NATIVE.triplet_group_deltas(ordered, groups),
-            PY.triplet_group_deltas(ordered, groups),
+            forest.node_sums(NATIVE.triplet_charges(ordered)),
+            forest.node_sums(PY.triplet_charges(ordered)),
         )
 
     @zoo_case

@@ -18,6 +18,7 @@ from repro.core import (
     build_core_forest,
     build_core_forest_lcps,
     core_decomposition,
+    core_level_view,
     kcore_scores,
     baseline_kcore_scores,
     kcore_set_scores,
@@ -32,6 +33,7 @@ from repro.engine import (
     family_set_scores,
     get_family,
     level_ordering,
+    triangle_level_increments,
 )
 from repro.graph import Graph, GraphBuilder, validate_graph
 from repro.kernels import get_backend
@@ -186,32 +188,36 @@ class TestForestInvariants:
 
 
 class TestTripletKernelInvariants:
-    """The numpy triplet pass equals the python loop for every grouping."""
+    """The numpy triplet charges equal the python loop's, per shell and per
+    forest node, and add up to every triplet of the graph."""
 
     @staticmethod
-    def assert_backends_agree(ordering, groups, g):
-        want = get_backend("python").triplet_group_deltas(ordering, groups)
-        got = get_backend("numpy").triplet_group_deltas(ordering, groups)
+    def assert_backends_agree(ordering, forest, g):
+        want = get_backend("python").triplet_charges(ordering)
+        got = get_backend("numpy").triplet_charges(ordering)
         np.testing.assert_array_equal(got, want)
         assert int(got.sum()) == count_triplets(g)
+        _, shells = triangle_level_increments(
+            ordering, ordering.order, ordering.level_start,
+            charges=np.zeros(g.num_vertices, dtype=np.int64), triplets=got,
+        )
+        assert int(shells.sum()) == count_triplets(g)
+        assert int(forest.node_sums(got).sum()) == count_triplets(g)
 
     @SETTINGS
     @given(graphs())
     def test_core_shells_and_forest_nodes(self, g):
         ordered = order_vertices(g)
-        decomp = ordered.decomposition
-        shells = [decomp.shell(k) for k in range(decomp.kmax, -1, -1)]
-        self.assert_backends_agree(ordered, shells, g)
-        nodes = build_core_forest(g, decomp).node_vertex_groups()
-        self.assert_backends_agree(ordered, nodes, g)
+        forest = build_core_forest(g, ordered=ordered)
+        self.assert_backends_agree(core_level_view(ordered), forest, g)
 
     @SETTINGS
     @given(graphs(max_vertices=16, max_edges=40))
     def test_truss_forest_nodes(self, g):
         fam = get_family("truss")
         levels = fam.levels(fam.decompose(g))
-        nodes = build_level_forest(g, levels).node_vertex_groups()
-        self.assert_backends_agree(level_ordering(g, levels), nodes, g)
+        ordering = level_ordering(g, levels)
+        self.assert_backends_agree(ordering, build_level_forest(g, levels, ordering=ordering), g)
 
 
 class TestTrussInvariants:

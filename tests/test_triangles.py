@@ -11,8 +11,9 @@ from repro.engine import (
     count_triangles_and_triplets,
     count_triplets,
     triangles_by_min_rank_vertex,
+    triangle_level_increments,
     triangles_per_vertex,
-    triplet_group_deltas,
+    triplet_charges,
 )
 from repro.graph import Graph
 from conftest import random_graph, zoo_params
@@ -24,6 +25,13 @@ def brute_triangles(graph):
         if graph.has_edge(u, v) and graph.has_edge(v, w) and graph.has_edge(u, w):
             total += 1
     return total
+
+
+def brute_set_triplets(graph, members):
+    """Triplets (paths of length two) of the subgraph induced by ``members``."""
+    inside = set(np.asarray(members).tolist())
+    degrees = [len(inside.intersection(graph.neighbors(v).tolist())) for v in inside]
+    return sum(d * (d - 1) // 2 for d in degrees)
 
 
 class TestExactCounting:
@@ -98,16 +106,24 @@ class TestIncrementalCharges:
     def test_triplet_group_deltas_sum_to_total(self, graph):
         od = order_vertices(graph)
         decomp = od.decomposition
-        shells = [decomp.shell(k) for k in range(decomp.kmax, -1, -1)]
-        deltas = triplet_group_deltas(od, shells)
+        _, deltas = triangle_level_increments(od, decomp.order, decomp.shell_start)
+        assert len(deltas) == decomp.kmax + 1
         assert deltas.sum() == count_triplets(graph)
+        assert triplet_charges(od).sum() == count_triplets(graph)
 
     @pytest.mark.parametrize("seed", range(4))
     def test_group_deltas_random(self, seed):
         g = random_graph(30, 100, seed)
         od = order_vertices(g)
         decomp = od.decomposition
-        shells = [decomp.shell(k) for k in range(decomp.kmax, -1, -1)]
-        assert triplet_group_deltas(od, shells).sum() == count_triplets(g)
+        trip = triplet_charges(od)
+        assert trip.sum() == count_triplets(g)
+        for k in range(decomp.kmax + 1):
+            # The increment of the k-core set is the triplets of its
+            # subgraph minus those of the (k+1)-core set's.
+            assert trip[decomp.shell(k)].sum() == (
+                brute_set_triplets(g, decomp.kcore_set_vertices(k))
+                - brute_set_triplets(g, decomp.kcore_set_vertices(k + 1))
+            )
         charges = triangles_by_min_rank_vertex(od)
         assert charges.sum() == count_triangles(g)
