@@ -215,10 +215,15 @@ def shell_sweep(ordering) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     level's nodes; and the previous top node of every component the level
     merged gets the new node of its root as parent.  Every level-k edge has
     its lower-rank endpoint in the shell, so a merged component always
-    gains a node.  After each level the union-find is flattened over the
-    vertices seen so far, so every root lookup is one gather.  Per level
-    the work is proportional to its edges, the vertices at or above it,
-    and the merged components.
+    gains a node.  The roots each hooking round hooks are flattened by
+    pointer doubling, and after a level that merged anything the
+    union-find is flattened over the vertices seen so far, so every root
+    lookup is one gather.  Each hooking round costs the level's edges that
+    still cross, plus O(log) doubling passes over the roots it hooked; the
+    flatten costs O(|V>=k|) at each level that merged anything.  Summed
+    over the levels the flatten is O(n + sum_v level(v)): O(n + m) when no
+    vertex's level exceeds its degree plus a constant (coreness, truss and
+    ecc levels).
     """
     order, level_start = ordering.order, ordering.level_start
     indptr, indices = ordering.indptr, ordering.indices
@@ -257,11 +262,12 @@ def shell_sweep(ordering) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
             ra, rb = ra[cross], rb[cross]
             big = np.maximum(ra, rb)
             np.minimum.at(uf, big, np.minimum(ra, rb))
+            # ra and rb were roots, so each is still one or was just hooked.
+            _flatten(uf, big)
             hooked.append(big)
-            ra, rb = _roots(uf, ra), _roots(uf, rb)
+            ra, rb = uf[ra], uf[rb]
         if hooked:
-            big = np.concatenate(hooked)
-            uf[big] = _roots(uf, big)
+            _flatten(uf, np.concatenate(hooked))
             seen = order[lo:]
             uf[seen] = uf[uf[seen]]
         # One node per root among the shell, ordered by smallest member.
@@ -287,13 +293,21 @@ def shell_sweep(ordering) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarra
     return np.concatenate(node_k), parent[:count], vert_ptr, np.concatenate(chunks)
 
 
-def _roots(uf: np.ndarray, r: np.ndarray) -> np.ndarray:
-    """Union-find roots of the entries ``r`` (pointer jumping, no writes)."""
+def _flatten(uf: np.ndarray, nodes: np.ndarray) -> None:
+    """Point every entry of ``nodes`` straight at its root, in place.
+
+    Pointer doubling: each round replaces every pointer by its
+    grandparent, halving every path, so a path of length L takes about
+    log2(L) rounds.  Every non-root on a path from ``nodes`` must itself be
+    in ``nodes`` (true of the roots one hooking round hooked, and of all the
+    roots a level hooked), so the paths halve as a whole.
+    """
     while True:
-        up = uf[r]
-        if np.array_equal(up, r):
-            return r
-        r = up
+        up = uf[nodes]
+        upup = uf[up]
+        if np.array_equal(up, upup):
+            return
+        uf[nodes] = upup
 
 
 def build_level_forest(graph: Graph, levels: np.ndarray, *, ordering=None) -> LevelForest:
@@ -301,7 +315,10 @@ def build_level_forest(graph: Graph, levels: np.ndarray, *, ordering=None) -> Le
 
     ``ordering`` is the Algorithm 1 ordering of ``levels`` when the caller
     already holds one; otherwise :func:`~repro.engine.levels.level_ordering`
-    builds it.
+    builds it.  Besides its edge work the sweep flattens O(n + sum_v
+    level(v)) entries: O(n + m) for coreness, truss and ecc levels, at most
+    O(n num_levels) for the weighted family's, and up to O(n L) for
+    arbitrary levels with L distinct non-empty values.
     """
     if ordering is None:
         ordering = level_ordering(graph, levels)

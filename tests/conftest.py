@@ -171,6 +171,13 @@ PATHOLOGICAL = {
 }
 
 
+def brute_triplets(graph, members):
+    """Triplets (paths of length two) of the subgraph induced by ``members``."""
+    inside = set(np.asarray(members).tolist())
+    degrees = [len(inside.intersection(graph.neighbors(v).tolist())) for v in inside]
+    return sum(d * (d - 1) // 2 for d in degrees)
+
+
 def zoo_params():
     """``pytest.mark.parametrize`` helper over the zoo."""
     zoo = small_graph_zoo()

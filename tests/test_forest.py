@@ -1,6 +1,8 @@
 """Tests for the core forest: the shell sweep against LCPS (Algorithm 4)
 and against a definitional BFS oracle for any level function."""
 
+import importlib
+import math
 from collections import deque
 
 import numpy as np
@@ -17,7 +19,7 @@ from repro.engine import LevelForest, build_level_forest, family_node_scores, ge
 from repro.generators import powerlaw_chung_lu
 from repro.graph import Graph
 from repro.index import ArtifactStore, BestKIndex
-from conftest import PATHOLOGICAL, random_graph, zoo_params
+from conftest import PATHOLOGICAL, brute_triplets, random_graph, zoo_params
 
 FOREST_ARRAYS = ("k", "parent", "vert_ptr", "vertices")
 
@@ -153,6 +155,93 @@ class TestLevelForestOracle:
             build_level_forest(triangle, np.array([1, 1]))
         with pytest.raises(ValueError):
             build_level_forest(triangle, np.array([1, -1, 1]))
+
+
+class GatherBudget(np.ndarray):
+    """A union-find array view that fails once it has served ``budget`` gathers."""
+
+    def __getitem__(self, key):
+        self.budget -= 1
+        if self.budget < 0:
+            raise AssertionError("root lookups exceeded their log-depth budget")
+        return np.asarray(super().__getitem__(key))
+
+
+#: Long enough that walking a chain one step per round shows.
+CHAIN = 100_000
+
+
+def ascending_path(n: int) -> Graph:
+    return Graph.from_edges([(i, i + 1) for i in range(n - 1)])
+
+
+def row_major_grid(rows: int, cols: int) -> Graph:
+    right = [(r * cols + c, r * cols + c + 1) for r in range(rows) for c in range(cols - 1)]
+    down = [(r * cols + c, (r + 1) * cols + c) for r in range(rows - 1) for c in range(cols)]
+    return Graph.from_edges(right + down)
+
+
+class TestLongChains:
+    """Ids ascending along a path, cycle or grid make one hooking round
+    chain every root onto the next smaller one; the lookups must still
+    take a number of rounds logarithmic in the chain length."""
+
+    @pytest.fixture
+    def budgeted(self, monkeypatch):
+        """Every ``_flatten`` call gets 2 * (log2(n) + 2) gathers, two per
+        doubling round; walking a chain one step per round overruns it."""
+        module = importlib.import_module("repro.engine.forest")
+        flatten = module._flatten
+        calls = []
+
+        def counted(uf, nodes):
+            view = uf.view(GatherBudget)
+            view.budget = 2 * (math.ceil(math.log2(max(len(uf), 2))) + 2)
+            calls.append(len(nodes))
+            flatten(view, nodes)
+
+        monkeypatch.setattr(module, "_flatten", counted)
+        return calls
+
+    def test_flatten_halves_a_chain(self):
+        uf = np.arange(-1, CHAIN - 1, dtype=np.int64)
+        uf[0] = 0
+        view = uf.view(GatherBudget)
+        view.budget = 2 * (math.ceil(math.log2(CHAIN)) + 2)
+        importlib.import_module("repro.engine.forest")._flatten(view, np.arange(CHAIN))
+        assert not uf.any()
+
+    @pytest.mark.parametrize(
+        "make",
+        [
+            lambda: ascending_path(CHAIN),
+            lambda: Graph.from_edges([(i, (i + 1) % CHAIN) for i in range(CHAIN)]),
+            lambda: row_major_grid(300, 300),
+        ],
+        ids=["path", "cycle", "grid"],
+    )
+    def test_one_level_chain(self, make, budgeted):
+        graph = make()
+        forest = build_level_forest(graph, np.zeros(graph.num_vertices, dtype=np.int64))
+        assert forest.k.tolist() == [0]
+        np.testing.assert_array_equal(forest.vertices, np.arange(graph.num_vertices))
+        assert budgeted
+
+    def test_core_forest_of_a_long_path(self, budgeted):
+        forest = build_core_forest(ascending_path(CHAIN))
+        assert forest.k.tolist() == [1]
+        assert forest.parent.tolist() == [-1]
+        assert len(forest.vertices) == CHAIN
+
+    def test_staircase(self, budgeted):
+        # Vertex i at level n - 1 - i: every level merges the component
+        # above it, so the forest is one chain of n nodes.
+        n = 300
+        levels = np.arange(n - 1, -1, -1)
+        graph = ascending_path(n)
+        forest = build_level_forest(graph, levels)
+        assert forest.parent.tolist() == list(range(1, n)) + [-1]
+        assert_matches_oracle(graph, levels)
 
 
 def twin_k5s(bridge: bool) -> Graph:
@@ -379,13 +468,6 @@ class TestQueries:
     def test_repr(self, figure2):
         forest = build_core_forest(figure2)
         assert "nodes=3" in repr(forest)
-
-
-def brute_triplets(graph, members):
-    """Triplets (paths of length two) of the subgraph induced by ``members``."""
-    inside = set(np.asarray(members).tolist())
-    degrees = [len(inside.intersection(graph.neighbors(v).tolist())) for v in inside]
-    return sum(d * (d - 1) // 2 for d in degrees)
 
 
 #: The degenerate graphs plus seeded sparse Chung–Lu graphs, each of which

@@ -16,7 +16,7 @@ from repro.engine import (
     triplet_charges,
 )
 from repro.graph import Graph
-from conftest import random_graph, zoo_params
+from conftest import brute_triplets, random_graph, zoo_params
 
 
 def brute_triangles(graph):
@@ -25,13 +25,6 @@ def brute_triangles(graph):
         if graph.has_edge(u, v) and graph.has_edge(v, w) and graph.has_edge(u, w):
             total += 1
     return total
-
-
-def brute_set_triplets(graph, members):
-    """Triplets (paths of length two) of the subgraph induced by ``members``."""
-    inside = set(np.asarray(members).tolist())
-    degrees = [len(inside.intersection(graph.neighbors(v).tolist())) for v in inside]
-    return sum(d * (d - 1) // 2 for d in degrees)
 
 
 class TestExactCounting:
@@ -122,8 +115,8 @@ class TestIncrementalCharges:
             # The increment of the k-core set is the triplets of its
             # subgraph minus those of the (k+1)-core set's.
             assert trip[decomp.shell(k)].sum() == (
-                brute_set_triplets(g, decomp.kcore_set_vertices(k))
-                - brute_set_triplets(g, decomp.kcore_set_vertices(k + 1))
+                brute_triplets(g, decomp.kcore_set_vertices(k))
+                - brute_triplets(g, decomp.kcore_set_vertices(k + 1))
             )
         charges = triangles_by_min_rank_vertex(od)
         assert charges.sum() == count_triangles(g)
