@@ -180,7 +180,7 @@ def bench_dataset(name: str, graph, backend) -> dict:
 
     # Triangle-charging kernel: scalar reference vs vectorised (best-of-3
     # to dampen single-shot jitter), bit-identical.
-    ordered = index.ordered
+    ordered = index.artifact("core", "ordering")
     py, np_ = get_backend("python"), get_backend("numpy")
     py_seconds = np_seconds = float("inf")
     for _ in range(3):

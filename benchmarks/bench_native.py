@@ -88,7 +88,7 @@ class DatasetInputs:
         self.estimate = graph.degrees().astype(np.int64)
         self.vertices = np.arange(n, dtype=np.int64)
         self.edges = graph.edge_array()
-        self.ordered = order_vertices(graph)
+        self.ordering = order_vertices(graph)
         weights = np.random.default_rng(m).random(m)
         self.arcs = arc_weights(graph, weights) if m else np.empty(0, dtype=np.float64)
 
@@ -98,8 +98,8 @@ KERNELS = {
     "peel_coreness": lambda kb, d: kb.peel_coreness(d.graph),
     "hindex_fixpoint": lambda kb, d: kb.hindex_fixpoint(d.graph, d.estimate, d.vertices),
     "edge_supports": lambda kb, d: kb.edge_supports(d.graph, d.edges),
-    "triangle_charges": lambda kb, d: kb.triangle_charges(d.ordered),
-    "triplet_charges": lambda kb, d: kb.triplet_charges(d.ordered),
+    "triangle_charges": lambda kb, d: kb.triangle_charges(d.ordering),
+    "triplet_charges": lambda kb, d: kb.triplet_charges(d.ordering),
     "vertex_strengths": lambda kb, d: kb.vertex_strengths(d.graph, d.arcs),
 }
 

@@ -34,8 +34,11 @@ Layering (DESIGN.md, engine section):
   and the generators, but never ``cli``/``apps``/``viz`` — and no family,
   kernel, engine or plumbing package may import it back (it is in every
   lower layer's forbidden list via ``ALL_LAYERS``).
-* everything else (``index``, ``apps``, ``bench``, ``cli``, ``external``,
-  ...) — higher layers, unconstrained.
+* ``repro.index`` — the shared best-k index: may use the engine and
+  everything below it, but never a family package; families reach it
+  only through the :class:`~repro.engine.HierarchyFamily` hooks.
+* everything else (``apps``, ``bench``, ``cli``, ``external``, ...) —
+  higher layers, unconstrained.
 
 The check is AST-based and covers module-level *and* function-local
 ``import x`` / ``from x import y`` statements, including relative imports,
@@ -83,6 +86,10 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
     + ("kernels", "engine", "dynamic", "index", "apps", "bench", "cli", "scenarios"),
     "dynamic": FAMILY_PACKAGES
     + ("engine", "parallel", "index", "apps", "bench", "cli", "scenarios"),
+    # The shared index serves every family through the engine's artifact
+    # chain and family hooks alone, so it can never grow a family-specific
+    # path again.
+    "index": FAMILY_PACKAGES,
     # The self-measurement harness sits above the whole execution stack:
     # it may reach down into obs/engine/index/bench/dynamic, but never
     # sideways into the CLI (the CLI fronts it, not the reverse).

@@ -7,9 +7,10 @@ verifies the maintained index against a cold rebuild of the new
 snapshot:
 
 * the patched core decomposition is bit-identical to a full peel;
-* the patched Algorithm 1 ordering (``index.ordered``: rank, indptr,
-  indices and the same/plus/high tags) is bit-identical to
-  ``order_vertices`` on a cold copy of the snapshot;
+* the patched Algorithm 1 ordering (``index.artifact("core", "ordering")``:
+  levels, rank, indptr, indices, the same/plus/high tags, order and
+  level_start) is bit-identical to ``order_vertices`` on a cold copy of
+  the snapshot;
 * every queried family's best level set and scores agree;
 * after the stream, a fresh process-equivalent index warm-restarted
   from the epoch store answers identically without re-peeling.
@@ -48,7 +49,9 @@ from repro.index import ArtifactStore, BestKIndex
 
 METRICS = ("average_degree", "internal_density")
 FAMILIES = ("core", "truss")
-ORDER_FIELDS = ("rank", "indptr", "indices", "same", "plus", "high")
+ORDER_FIELDS = (
+    "levels", "rank", "indptr", "indices", "same", "plus", "high", "order", "level_start",
+)
 
 
 def random_delta(rng: random.Random, graph, num_changes: int) -> GraphDelta:
@@ -81,7 +84,7 @@ def verify_epoch(index: BestKIndex, label: str) -> list[str]:
         index.decomposition.coreness, core_decomposition(index.graph).coreness
     ):
         failures.append(f"{label}: maintained coreness != full peel")
-    ordered = index.ordered
+    ordered = index.artifact("core", "ordering")
     cold_order = order_vertices(Graph.from_arrays(index.graph.indptr, index.graph.indices))
     for field in ORDER_FIELDS:
         if not np.array_equal(getattr(ordered, field), getattr(cold_order, field)):

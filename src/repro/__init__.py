@@ -35,9 +35,7 @@ from .apps import (
 from .core import (
     PAPER_METRICS,
     CoreDecomposition,
-    CoreForest,
     Metric,
-    OrderedGraph,
     available_metrics,
     best_kcore_set,
     best_single_kcore,
@@ -53,7 +51,9 @@ from .community import label_propagation, louvain, partition_modularity
 from .engine import (
     BestLevelResult,
     HierarchyFamily,
+    LevelForest,
     LevelNodeScores,
+    LevelOrdering,
     LevelSetScores,
     available_families,
     best_connected_level_set,
@@ -79,17 +79,17 @@ __all__ = [
     "BestLevelResult",
     "HierarchyFamily",
     "CoreDecomposition",
-    "CoreForest",
     "DensestResult",
     "Graph",
     "GraphBuilder",
     "GraphDelta",
     "KernelBackend",
+    "LevelForest",
     "LevelNodeScores",
+    "LevelOrdering",
     "LevelSetScores",
     "Metric",
     "OptSC",
-    "OrderedGraph",
     "PAPER_METRICS",
     "ReproError",
     "SizedCoreResult",

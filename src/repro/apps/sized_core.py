@@ -101,7 +101,7 @@ class OptSC:
             raise QueryError(
                 f"no core containing vertex {v} has order >= {k} and size >= {h}"
             )
-        members = forest.core_vertices(best_node)
+        members = forest.component_vertices(best_node)
         result = self._peel(members, v, k, h)
         if abs(len(result) - h) / h > 0.05:
             # The top-down peel disconnected v's dense pocket from the big
@@ -132,7 +132,7 @@ class OptSC:
                 seed = current
             current = forest.nodes[current].parent
         members = set(
-            int(u) for u in (forest.core_vertices(seed) if seed is not None else [v])
+            int(u) for u in (forest.component_vertices(seed) if seed is not None else [v])
         )
         graph = self.graph
         indptr, indices = graph.indptr, graph.indices

@@ -195,7 +195,7 @@ def fig6_core_scores(
     out: list[Series] = []
     for key in datasets:
         index = BestKIndex(load_dataset(key, scale=scale))
-        forest = index.forest
+        forest = index.artifact("core", "forest")
         for metric_name in metrics:
             scored = index.core_scores(metric_name)
             metric = get_metric(metric_name)
@@ -300,9 +300,9 @@ def _runtime_rows(
             with optimal.phase("decomposition"):
                 decomp = shared.decomposition
             with optimal.phase("index"):
-                shared.ordered
+                shared.artifact("core", "ordering")
                 if single_core:
-                    shared.forest
+                    shared.artifact("core", "forest")
             with optimal.phase("score"):
                 if single_core:
                     fast = shared.core_scores(metric)
@@ -493,7 +493,7 @@ def ablation_ordering(
         _, fast_t = time_call(kcore_set_scores, graph, "average_degree", ordered=ordered)
 
         def rescan_pass() -> np.ndarray:
-            coreness = ordered.decomposition.coreness
+            coreness = ordered.levels
             n_gt = np.zeros(graph.num_vertices, dtype=np.int64)
             n_eq = np.zeros(graph.num_vertices, dtype=np.int64)
             n_lt = np.zeros(graph.num_vertices, dtype=np.int64)
@@ -586,7 +586,7 @@ def extension_truss(
         td, _ = time_call(family.decompose, graph)
 
         def optimal_all() -> list:
-            ordering = family.ordering(graph, family.levels(td))
+            ordering = family.ordering(graph, td, family.levels(td))
             return [
                 family_set_scores(graph, family, m, decomposition=td, ordering=ordering)
                 for m in metrics

@@ -382,7 +382,7 @@ def _cmd_bestk(args, which: str) -> int:
         )
         start = time.perf_counter()
         if which == "core":
-            # Problem 2 stays core-specific (Algorithm 5 over the core forest).
+            # Problem 2 in the paper's k-core vocabulary (Algorithm 5).
             metrics = PAPER_METRICS if args.all_metrics else (args.metric or "average_degree",)
             if resolve_jobs(index.jobs) > 1:
                 index.prebuild(("core",), metrics=tuple(metrics), problem2=True)
@@ -699,7 +699,7 @@ def _cmd_cache(args) -> int:
         print(f"removed {removed} bundle(s) from {store.root}")
         return 0
     # warm: prebuild every persistable artifact (batch metrics, so the
-    # triangle pass is included, plus the Problem 2 forest for core) so
+    # triangle pass is included, plus every family's Problem 2 forest) so
     # later queries start hot.
     from .index import BestKIndex
 

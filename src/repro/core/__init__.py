@@ -32,19 +32,16 @@ from .bestk_core import baseline_kcore_scores, best_single_kcore, kcore_scores
 from .bestk_set import baseline_kcore_set_scores, best_kcore_set, kcore_set_scores
 from .combine import CombinedBestK, combined_kcore_scores, combined_kcore_set_scores
 from .decomposition import CoreDecomposition, core_decomposition
-from .family import CoreFamily, core_level_view
-from .forest import CoreForest, CoreNode, build_core_forest, build_core_forest_lcps
-from .ordering import OrderedGraph, order_vertices
+from .family import CoreFamily
+from .forest import build_core_forest, build_core_forest_lcps
+from .ordering import order_vertices
 
 __all__ = [
     "CombinedBestK",
     "CoreDecomposition",
     "CoreFamily",
-    "CoreForest",
-    "CoreNode",
     "GraphTotals",
     "Metric",
-    "OrderedGraph",
     "PAPER_METRICS",
     "PrimaryValues",
     "available_metrics",
@@ -57,7 +54,6 @@ __all__ = [
     "combined_kcore_scores",
     "combined_kcore_set_scores",
     "core_decomposition",
-    "core_level_view",
     "count_triangles",
     "count_triangles_and_triplets",
     "count_triplets",

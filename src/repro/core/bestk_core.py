@@ -17,23 +17,23 @@ Both return a :class:`~repro.engine.LevelNodeScores`;
 :func:`best_single_kcore` picks the winner, with ties broken towards the
 largest k, then the lowest node id — the core with the smallest shell
 vertex, as the forest numbers nodes canonically
-(:class:`~repro.core.forest.CoreForest`).
+(:class:`~repro.engine.forest.LevelForest`).
 """
 
 from __future__ import annotations
 
 from ..engine.family import BestLevelResult
 from ..engine.forest import (
+    LevelForest,
     LevelNodeScores,
     baseline_family_node_scores,
     best_node_result,
     family_node_scores,
 )
+from ..engine.levels import LevelOrdering
 from ..engine.metrics import Metric
 from ..graph.csr import Graph
-from .family import core_level_view
-from .forest import CoreForest, build_core_forest
-from .ordering import OrderedGraph, order_vertices
+from .ordering import _decomposition_of
 
 __all__ = ["kcore_scores", "baseline_kcore_scores", "best_single_kcore"]
 
@@ -42,8 +42,8 @@ def kcore_scores(
     graph: Graph,
     metric: str | Metric,
     *,
-    ordered: OrderedGraph | None = None,
-    forest: CoreForest | None = None,
+    ordered: LevelOrdering | None = None,
+    forest: LevelForest | None = None,
     index=None,
 ) -> LevelNodeScores:
     """Score every connected k-core with Algorithm 5.
@@ -55,15 +55,9 @@ def kcore_scores(
     """
     if index is not None:
         return index.core_scores(metric)
-    if ordered is None:
-        ordered = order_vertices(graph)
-    if forest is None:
-        forest = build_core_forest(graph, ordered=ordered)
     return family_node_scores(
         graph, "core", metric,
-        decomposition=ordered.decomposition,
-        ordering=core_level_view(ordered),
-        forest=forest,
+        decomposition=_decomposition_of(graph, ordered), ordering=ordered, forest=forest,
     )
 
 
@@ -71,7 +65,7 @@ def baseline_kcore_scores(
     graph: Graph,
     metric: str | Metric,
     *,
-    forest: CoreForest | None = None,
+    forest: LevelForest | None = None,
 ) -> LevelNodeScores:
     """The paper's single-core baseline: score every core from scratch.
 
@@ -79,8 +73,6 @@ def baseline_kcore_scores(
     primary values are recomputed per core by scanning its induced
     subgraph — ``O(sum_cores (q_i + |V(S_i)|))`` overall.
     """
-    if forest is None:
-        forest = build_core_forest(graph)
     return baseline_family_node_scores(graph, "core", metric, forest=forest)
 
 
@@ -88,8 +80,8 @@ def best_single_kcore(
     graph: Graph,
     metric: str | Metric,
     *,
-    ordered: OrderedGraph | None = None,
-    forest: CoreForest | None = None,
+    ordered: LevelOrdering | None = None,
+    forest: LevelForest | None = None,
     index=None,
     use_baseline: bool = False,
 ) -> BestLevelResult:
@@ -103,7 +95,7 @@ def best_single_kcore(
     if index is not None and not use_baseline:
         return index.best_core(metric)
     if index is not None:
-        forest = index.forest
+        forest = index.artifact("core", "forest")
     if use_baseline:
         scored = baseline_kcore_scores(graph, metric, forest=forest)
     else:

@@ -21,12 +21,11 @@ from ..engine.family import (
     best_level_set,
     family_set_scores,
 )
-from ..engine.levels import LevelSetScores
+from ..engine.levels import LevelOrdering, LevelSetScores
 from ..engine.metrics import Metric
 from ..graph.csr import Graph
 from .decomposition import CoreDecomposition
-from .family import core_level_view
-from .ordering import OrderedGraph
+from .ordering import _decomposition_of
 
 __all__ = ["kcore_set_scores", "baseline_kcore_set_scores", "best_kcore_set"]
 
@@ -35,7 +34,7 @@ def kcore_set_scores(
     graph: Graph,
     metric: str | Metric,
     *,
-    ordered: OrderedGraph | None = None,
+    ordered: LevelOrdering | None = None,
     index=None,
 ) -> LevelSetScores:
     """Score every k-core set with the optimal algorithm (Alg. 2 / Alg. 3).
@@ -47,7 +46,8 @@ def kcore_set_scores(
     metric:
         Metric name, abbreviation, or :class:`Metric` instance.
     ordered:
-        A prebuilt Algorithm 1 index; computed on the fly when omitted.
+        A prebuilt Algorithm 1 index (:func:`~repro.core.order_vertices`);
+        computed on the fly when omitted.
         Reusing one index across metrics is exactly the paper's "index built
         once, scored many times" scenario.
     index:
@@ -60,8 +60,8 @@ def kcore_set_scores(
         graph,
         "core",
         metric,
-        decomposition=None if ordered is None else ordered.decomposition,
-        ordering=None if ordered is None else core_level_view(ordered),
+        decomposition=_decomposition_of(graph, ordered),
+        ordering=ordered,
         index=index,
     )
 
@@ -86,7 +86,7 @@ def best_kcore_set(
     graph: Graph,
     metric: str | Metric,
     *,
-    ordered: OrderedGraph | None = None,
+    ordered: LevelOrdering | None = None,
     index=None,
     use_baseline: bool = False,
 ) -> BestLevelResult:
@@ -102,8 +102,9 @@ def best_kcore_set(
         graph,
         "core",
         metric,
-        decomposition=None if ordered is None else ordered.decomposition,
-        ordering=None if ordered is None else core_level_view(ordered),
+        decomposition=_decomposition_of(graph, ordered),
+        ordering=ordered,
         index=index,
         use_baseline=use_baseline,
     )
+

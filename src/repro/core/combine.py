@@ -23,12 +23,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..engine import LevelNodeScores, Metric, get_metric
+from ..engine import LevelForest, LevelNodeScores, LevelOrdering, Metric, get_metric
 from ..graph.csr import Graph
 from .bestk_core import kcore_scores
 from .bestk_set import kcore_set_scores
-from .forest import CoreForest
-from .ordering import OrderedGraph, order_vertices
+from .ordering import order_vertices
 
 __all__ = ["CombinedBestK", "combined_kcore_set_scores", "combined_kcore_scores"]
 
@@ -77,7 +76,7 @@ def combined_kcore_set_scores(
     graph: Graph,
     metrics: list[tuple[str | Metric, float]],
     *,
-    ordered: OrderedGraph | None = None,
+    ordered: LevelOrdering | None = None,
 ) -> CombinedBestK:
     """Best k for the k-core set under a weighted metric combination.
 
@@ -110,8 +109,8 @@ def combined_kcore_scores(
     graph: Graph,
     metrics: list[tuple[str | Metric, float]],
     *,
-    ordered: OrderedGraph | None = None,
-    forest: CoreForest | None = None,
+    ordered: LevelOrdering | None = None,
+    forest: LevelForest | None = None,
 ) -> CombinedBestK:
     """Best *single* k-core under a weighted metric combination."""
     resolved = _validate_weights(metrics)

@@ -22,78 +22,33 @@ Two independent constructions are provided:
 Both apply the paper's post-processing: nodes that store no vertices are
 compressed away and the surviving nodes are sorted by descending coreness
 (the array ``T`` consumed by Algorithm 5), ties by smallest shell vertex,
-so the two yield identical arrays.
+so the two yield identical arrays.  Both return the engine's
+:class:`~repro.engine.forest.LevelForest`, the one forest type of every
+family: a node's ``k`` is the order of its k-core, its ``vertices`` the
+core's coreness-k members, and
+:meth:`~repro.engine.forest.LevelForest.component_vertices` the whole
+core.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..engine.forest import LevelForest, LevelNode, shell_sweep
+from ..engine.forest import LevelForest, shell_sweep
+from ..engine.levels import LevelOrdering
 from ..graph.csr import Graph
 from .decomposition import CoreDecomposition, core_decomposition
-from .family import core_level_view
-from .ordering import OrderedGraph, order_vertices
+from .ordering import order_vertices
 
-__all__ = ["CoreNode", "CoreForest", "build_core_forest", "build_core_forest_lcps"]
-
-
-class CoreNode(LevelNode):
-    """One k-core in the forest.
-
-    ``k`` is the order of the k-core; ``vertices`` holds only the core's
-    coreness-k members (its k-shell part, sorted ascending); the full core
-    is those plus every descendant's vertices
-    (:meth:`CoreForest.core_vertices`).
-    """
-
-
-class CoreForest(LevelForest):
-    """The compressed forest of all k-cores, in the flat layout of
-    :class:`~repro.engine.forest.LevelForest`.
-
-    Node ids are canonical: descending k, then ascending smallest shell
-    vertex; children are listed in ascending id order.  Every child thus
-    has a *smaller* id than its parent, which lets Algorithm 5 aggregate
-    primary values in a single forward scan, and every builder and a
-    store-hydrated copy agree array for array — so the lowest-id
-    tie-break of :meth:`~repro.engine.LevelNodeScores.best_node` is the same
-    core whichever way the forest was obtained.
-    """
-
-    node_type = CoreNode
-
-    def core_vertices(self, node_id: int) -> np.ndarray:
-        """Full vertex set of the k-core represented by ``node_id``.
-
-        Reconstructed recursively from the node and its descendants, as in
-        the paper's Example 6; O(size of the core).
-        """
-        return self.component_vertices(node_id)
-
-    def core_containing(self, v: int, k: int) -> int:
-        """Node id of the k-core containing ``v`` (requires ``k <= c(v)``).
-
-        Walks up from v's own node; if no ancestor sits at level exactly
-        ``k``, the k-core coincides with the shallowest ancestor core at a
-        level ``>= k`` (cores at skipped levels have identical vertex sets).
-        """
-        node_id = self.node_of_vertex(v)
-        if self.k[node_id] < k:
-            raise ValueError(f"vertex {v} has coreness {self.k[node_id]} < k={k}")
-        while True:
-            parent = int(self.parent[node_id])
-            if self.k[node_id] == k or parent == -1 or self.k[parent] < k:
-                return node_id
-            node_id = parent
+__all__ = ["build_core_forest", "build_core_forest_lcps"]
 
 
 def build_core_forest(
     graph: Graph,
     decomposition: CoreDecomposition | None = None,
     *,
-    ordered: OrderedGraph | None = None,
-) -> CoreForest:
+    ordered: LevelOrdering | None = None,
+) -> LevelForest:
     """Construct the core forest with the vectorised shell sweep.
 
     ``ordered`` is the graph's Algorithm 1 ordering when the caller
@@ -101,7 +56,7 @@ def build_core_forest(
     """
     if ordered is None:
         ordered = order_vertices(graph, decomposition)
-    return CoreForest(*shell_sweep(core_level_view(ordered)), graph.num_vertices)
+    return LevelForest(*shell_sweep(ordered), graph.num_vertices)
 
 
 # ----------------------------------------------------------------------
@@ -124,7 +79,7 @@ class _RawNode:
 
 def build_core_forest_lcps(
     graph: Graph, decomposition: CoreDecomposition | None = None
-) -> CoreForest:
+) -> LevelForest:
     """Construct the core forest with LCPS (Algorithm 4), O(m).
 
     The traversal keeps a bucket per priority level and a *path* of open
@@ -203,8 +158,8 @@ def build_core_forest_lcps(
     return _compress(raw_roots, n)
 
 
-def _compress(raw_roots: list[_RawNode], num_vertices: int) -> CoreForest:
-    """Drop empty nodes, number them canonically, build the CoreForest."""
+def _compress(raw_roots: list[_RawNode], num_vertices: int) -> LevelForest:
+    """Drop empty nodes, number them canonically, build the forest."""
     # Collect surviving nodes with their effective parent (nearest non-empty
     # ancestor).
     survivors: list[tuple[_RawNode, _RawNode | None]] = []
@@ -222,7 +177,7 @@ def _compress(raw_roots: list[_RawNode], num_vertices: int) -> CoreForest:
     ids: dict[int, int] = {id(node): i for i, (node, _) in enumerate(survivors)}
     parent = [-1 if p is None else ids[id(p)] for _, p in survivors]
     sizes = [len(node.vertices) for node, _ in survivors]
-    return CoreForest(
+    return LevelForest(
         [node.level for node, _ in survivors],
         parent,
         np.concatenate(([0], np.cumsum(sizes, dtype=np.int64))),

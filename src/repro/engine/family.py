@@ -34,15 +34,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from .. import obs
-from ..errors import MetricRequirementError, UnknownFamilyError
+from ..errors import UnknownFamilyError
 from .levels import (
     LevelOrdering,
     LevelSetScores,
-    accumulate_level_totals,
-    cumulate_from_top,
     level_ordering,
-    scores_from_level_totals,
-    triangle_level_increments,
     unweighted_level_charges,
 )
 from .metrics import PAPER_METRICS, get_metric
@@ -128,19 +124,19 @@ class HierarchyFamily:
         """Host-graph totals record passed to ``metric.score``."""
         return graph_totals(graph)
 
-    def ordering(self, graph, levels: np.ndarray) -> LevelOrdering:
-        """Algorithm 1 structure for the level array."""
-        return level_ordering(graph, levels)
+    def ordering(
+        self, graph, decomposition, levels: np.ndarray, *, base=None, touched=None
+    ) -> LevelOrdering:
+        """Algorithm 1 structure for the level array.
 
-    def index_ordering(self, index, levels: np.ndarray, **params) -> LevelOrdering:
-        """Ordering built on behalf of a :class:`~repro.index.BestKIndex`.
-
-        Families that can derive the ordering from an artifact the index
-        already holds (the core family reuses the index's
-        :class:`~repro.core.ordering.OrderedGraph`) override this to avoid
-        a second Algorithm 1 pass.
+        ``base``/``touched`` are an earlier snapshot's ordering and the
+        vertices the delta since touched.  Only a family with
+        ``supports_incremental`` is handed them, after
+        :meth:`~repro.index.BestKIndex.apply` repaired its decomposition;
+        the core family overrides this to patch from them and to reuse the
+        decomposition's vertex order, the default rebuilds.
         """
-        return self.ordering(index.graph, levels)
+        return level_ordering(graph, levels)
 
     def charges(self, graph, decomposition, levels, ordering, **params):
         """Per-vertex ``(2*inside, boundary)`` charges at each vertex's level."""
@@ -289,13 +285,17 @@ def family_set_scores(
     """Score every level set of a family incrementally (Algorithm 2 / 3).
 
     The single optimal-path implementation for every family (the k-core
-    name ``kcore_set_scores`` is one call into it).  Family parameters
-    such as the weighted family's ``edge_weights=`` / ``num_levels=``
-    travel in ``**params``.  Passing a :class:`~repro.index.BestKIndex`
-    as ``index`` (takes precedence over ``decomposition``/``ordering``)
-    fetches and memoizes every artifact on the index; results are
-    identical.
+    name ``kcore_set_scores`` is one call into it): the scores of one
+    :class:`~repro.engine.chain.ArtifactChain` over a throw-away memo
+    seeded with ``decomposition``/``ordering`` when given.  Family
+    parameters such as the weighted family's ``edge_weights=`` /
+    ``num_levels=`` travel in ``**params``.  Passing a
+    :class:`~repro.index.BestKIndex` as ``index`` (takes precedence over
+    ``decomposition``/``ordering``) runs the same chain over the index's
+    cache; results are identical.
     """
+    from .chain import ArtifactChain
+
     fam = get_family(family)
     metric = fam.resolve_metric(metric)
     if index is not None:
@@ -303,35 +303,9 @@ def family_set_scores(
     with obs.span(
         "engine:set_scores", family=fam.name, metric=metric.name, phase="score"
     ):
-        if decomposition is None:
-            decomposition = fam.decompose(graph, backend=backend, **params)
-        levels = fam.levels(decomposition, **params)
-        if ordering is None:
-            ordering = fam.ordering(graph, levels)
-        totals = fam.totals(graph, decomposition, **params)
-
-        twice_inside, boundary = fam.charges(
-            graph, decomposition, levels, ordering, **params
-        )
-        num_k, twice_in_k, out_k = accumulate_level_totals(
-            twice_inside, boundary, ordering.order, ordering.level_start
-        )
-        tri_k = trip_k = None
-        if fam.metric_requires_triangles(metric):
-            if not fam.supports_triangles:
-                raise MetricRequirementError(
-                    f"family {fam.name!r} does not support triangle-based metrics"
-                )
-            tri_new, trip_new = triangle_level_increments(
-                ordering, ordering.order, ordering.level_start, backend=backend
-            )
-            tri_k = cumulate_from_top(tri_new)
-            trip_k = cumulate_from_top(trip_new)
-        thresholds = fam.thresholds(decomposition, len(num_k) - 2, **params)
-        return scores_from_level_totals(
-            metric, totals, num_k, twice_in_k, out_k, tri_k, trip_k,
-            make_values=fam.make_values, thresholds=thresholds,
-        )
+        known = {"decompose": decomposition, "ordering": ordering}
+        chain = ArtifactChain(graph, fam, params, backend=backend, known=known)
+        return chain.set_scores(metric)
 
 
 def baseline_family_set_scores(

@@ -12,7 +12,8 @@ Algorithm 5 aggregates them for cores, for every registered family.
   sweep over the levels from the deepest down that reads the edges, already
   grouped by level, and the shells off an Algorithm 1 ordering, so nothing
   is sorted but each shell's roots; :func:`build_level_forest` wraps it for
-  any levels and :func:`repro.core.build_core_forest` for coreness;
+  any levels, :func:`repro.core.build_core_forest` for coreness and the
+  :class:`~repro.engine.chain.ArtifactChain` behind every Problem 2 path;
 * :class:`LevelForest` — the flat ``(k, parent, vert_ptr, vertices)``
   layout every built and every store-hydrated forest is constructed from;
 * :func:`node_totals` / :func:`node_triangles` / :func:`node_values` /
@@ -44,7 +45,6 @@ from ..kernels.common import concat_ranges
 from .family import BestLevelResult, HierarchyFamily, get_family
 from .levels import level_ordering
 from .primary import PrimaryValues
-from .triangles import triangles_by_min_rank_vertex, triplet_charges
 
 __all__ = [
     "LevelNode",
@@ -83,8 +83,7 @@ class LevelNode:
     children: tuple[int, ...]
 
     def __repr__(self) -> str:
-        name = type(self).__name__
-        return f"{name}(id={self.node_id}, k={self.k}, |shell|={len(self.vertices)})"
+        return f"LevelNode(id={self.node_id}, k={self.k}, |shell|={len(self.vertices)})"
 
 
 def _frozen(values) -> np.ndarray:
@@ -105,9 +104,6 @@ class LevelForest:
     child has a smaller id than its parent: one forward scan aggregates
     child totals into parents (the Algorithm 5 invariant).
     """
-
-    #: Node record type exposed by :attr:`nodes`.
-    node_type = LevelNode
 
     def __init__(self, k, parent, vert_ptr, vertices, num_vertices: int):
         self.k = _frozen(k)
@@ -140,7 +136,7 @@ class LevelForest:
         """Per-node records, built on first use from the flat layout."""
         ptr = self.vert_ptr.tolist()
         return tuple(
-            self.node_type(i, k, self.vertices[ptr[i]:ptr[i + 1]], p, kids)
+            LevelNode(i, k, self.vertices[ptr[i]:ptr[i + 1]], p, kids)
             for i, (k, p, kids) in enumerate(
                 zip(self.k.tolist(), self.parent.tolist(), self.children)
             )
@@ -184,6 +180,22 @@ class LevelForest:
         candidates = np.flatnonzero(finite & (scores == np.nanmax(scores)))
         ks = self.k[candidates]
         return int(candidates[ks == ks.max()][0])
+
+    def containing(self, v: int, k: int) -> int:
+        """Node id of the connected level-k set containing ``v`` (``k <= level(v)``).
+
+        Walks up from v's own node; if no ancestor sits at level exactly
+        ``k``, the level-k set coincides with the shallowest ancestor at a
+        level ``>= k`` (sets at skipped levels have identical vertices).
+        """
+        node_id = self.node_of_vertex(v)
+        if self.k[node_id] < k:
+            raise ValueError(f"vertex {v} has level {self.k[node_id]} < k={k}")
+        while True:
+            parent = int(self.parent[node_id])
+            if self.k[node_id] == k or parent == -1 or self.k[parent] < k:
+                return node_id
+            node_id = parent
 
     def component_vertices(self, node_id: int) -> np.ndarray:
         """Full vertex set of the component represented by ``node_id``, sorted."""
@@ -374,24 +386,15 @@ def node_totals(
 
 
 def node_triangles(
-    ordering,
-    forest: LevelForest,
-    *,
-    backend=None,
-    charges: np.ndarray | None = None,
-    triplets: np.ndarray | None = None,
+    forest: LevelForest, charges: np.ndarray, triplets: np.ndarray
 ) -> tuple[np.ndarray, np.ndarray]:
     """Aggregated triangle/triplet totals of every node's component.
 
     Both are node sums of the per-vertex charges Algorithm 3 sums per
-    shell, then aggregated children-into-parents.  Precomputed ``charges``
-    / ``triplets`` arrays (e.g. cached on a :class:`~repro.index.BestKIndex`)
-    skip their passes.
+    shell (:func:`~repro.engine.triangles.triangles_by_min_rank_vertex`
+    and :func:`~repro.engine.triangles.triplet_charges`), then aggregated
+    children-into-parents.
     """
-    if charges is None:
-        charges = triangles_by_min_rank_vertex(ordering, backend=backend)
-    if triplets is None:
-        triplets = triplet_charges(ordering, backend=backend)
     tri = forest.node_sums(np.asarray(charges, dtype=np.int64))
     trip = forest.node_sums(np.asarray(triplets, dtype=np.int64))
     forest.aggregate_children(tri, trip)
@@ -478,24 +481,16 @@ def family_node_scores(
     The node-grouped twin of :func:`~repro.engine.family.family_set_scores`:
     the same per-vertex charges, summed per forest node instead of per
     level, then aggregated children-into-parents in one forward scan.
+    Every artifact comes from one :class:`~repro.engine.chain.ArtifactChain`,
+    seeded with whichever of ``decomposition``/``ordering``/``forest`` the
+    caller passes.
     """
+    from .chain import ArtifactChain
+
     fam = get_family(family)
-    metric = fam.resolve_metric(metric)
-    if decomposition is None:
-        decomposition = fam.decompose(graph, backend=backend, **params)
-    levels = fam.levels(decomposition, **params)
-    if ordering is None:
-        ordering = fam.ordering(graph, levels)
-    if forest is None:
-        forest = build_level_forest(graph, levels, ordering=ordering)
-    totals = fam.totals(graph, decomposition, **params)
-    base = node_totals(
-        forest, *fam.charges(graph, decomposition, levels, ordering, **params)
-    )
-    tri_trip = ()
-    if fam.metric_requires_triangles(metric):
-        tri_trip = node_triangles(ordering, forest, backend=backend)
-    return score_nodes(metric, totals, forest, node_values(fam, *base, *tri_trip))
+    known = {"decompose": decomposition, "ordering": ordering, "forest": forest}
+    chain = ArtifactChain(graph, fam, params, backend=backend, known=known)
+    return chain.node_scores(fam.resolve_metric(metric))
 
 
 def baseline_family_node_scores(
@@ -553,15 +548,17 @@ def best_connected_level_set(
     component as ``vertices``, the node-scores record as ``scores`` and
     the winning forest node as ``node_id``.
     """
+    from .chain import ArtifactChain
+
     fam = get_family(family)
     metric = fam.resolve_metric(fam.default_metric if metric is None else metric)
-    if decomposition is None:
-        decomposition = fam.decompose(graph, backend=backend, **params)
-    levels = fam.levels(decomposition, **params)
-    score = baseline_family_node_scores if use_baseline else family_node_scores
-    scored = score(
-        graph, fam, metric,
-        decomposition=decomposition, forest=forest, backend=backend, **params,
-    )
-    max_level = int(levels.max()) if len(levels) else 0
-    return best_node_result(scored, fam.name, fam.thresholds(decomposition, max_level, **params))
+    known = {"decompose": decomposition, "forest": forest}
+    chain = ArtifactChain(graph, fam, params, backend=backend, known=known)
+    if use_baseline:
+        scored = baseline_family_node_scores(
+            graph, fam, metric, decomposition=chain.decompose(), forest=forest,
+            backend=backend, **params,
+        )
+    else:
+        scored = chain.node_scores(metric)
+    return best_node_result(scored, fam.name, chain.thresholds())

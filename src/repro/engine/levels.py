@@ -25,6 +25,7 @@ k-truss, weighted s-core, k-ECC, and anything registered later):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -50,11 +51,18 @@ __all__ = [
 
 @dataclass(frozen=True)
 class LevelOrdering:
-    """Rank-ordered adjacency with position tags for a level function.
+    """Algorithm 1's rank-ordered adjacency with position tags for a level array.
 
-    Structurally identical to :class:`repro.core.ordering.OrderedGraph`
-    (same attribute contract, consumed by the same triangle/triplet
-    kernels), but built from an arbitrary ``levels`` array.
+    Every vertex's adjacency is sorted by ascending neighbour rank, where
+    rank is position in the ``(level, id)`` total order (Definition 5 with
+    ``level`` in place of coreness), and three tags are kept per vertex
+    (Table II): ``same`` (first neighbour with ``level(u) >= level(v)``),
+    ``plus`` (first with ``level(u) > level(v)``) and ``high`` (first with
+    ``rank(u) > rank(v)``).  So ``|N(v, <)| = same[v]``, ``|N(v, =)| =
+    plus[v] - same[v]``, ``|N(v, >)| = deg(v) - plus[v]`` and ``|N(v, >r)|
+    = deg(v) - high[v]``, each in O(1), and each neighbour class is a
+    contiguous slice of ``indices``.  The one ordering type of every
+    family, the k-core's included; all arrays are read-only.
     """
 
     graph: Graph
@@ -71,10 +79,18 @@ class LevelOrdering:
     #: ``order[level_start[k]:]`` = vertices with level >= k.
     level_start: np.ndarray
 
+    def __post_init__(self) -> None:
+        for arr in (self.rank, self.indptr, self.indices, self.same, self.plus, self.high):
+            arr.setflags(write=False)
+
     @property
     def max_level(self) -> int:
         """Largest level value present."""
         return len(self.level_start) - 2
+
+    def __repr__(self) -> str:
+        g = self.graph
+        return f"LevelOrdering(n={g.num_vertices}, m={g.num_edges}, max_level={self.max_level})"
 
 
 def level_ordering(graph: Graph, levels: np.ndarray) -> LevelOrdering:
@@ -91,54 +107,54 @@ def level_ordering(graph: Graph, levels: np.ndarray) -> LevelOrdering:
     counts = np.bincount(levels, minlength=max_level + 1) if n else np.zeros(1, np.int64)
     level_start = np.zeros(max_level + 2, dtype=np.int64)
     np.cumsum(counts, out=level_start[1:])
-
-    return LevelOrdering(
-        graph=graph, levels=levels, order=order, level_start=level_start,
-        **_rank_order_arcs(graph, levels, order, level_start),
-    )
+    return _rank_order_arcs(graph, levels, order, level_start)
 
 
 #: A patched Algorithm 1 (:func:`_rank_order_arcs` with a ``base``) re-sorts
-#: only the given rows; once those rows hold more than this share of all
-#: arcs, the full keyed sort is cheaper and runs instead.
+#: only the affected rows; once those rows hold more than this share of
+#: all arcs, the full keyed sort is cheaper and runs instead.
 PATCH_MAX_ARC_SHARE = 0.25
 
 
 def _rank_order_arcs(
     graph: Graph, levels: np.ndarray, order: np.ndarray, level_start: np.ndarray,
-    *, base=None, rows: np.ndarray | None = None,
-) -> dict[str, np.ndarray]:
+    *, base: LevelOrdering | None = None, touched: np.ndarray | None = None,
+) -> LevelOrdering:
     """Algorithm 1 proper: rank-ordered adjacency plus the position tags.
 
     The one builder behind :func:`level_ordering` and
-    :func:`repro.core.ordering.order_vertices`.  ``order`` lists the
-    vertices by ``(level, id)``, so rank is position in it; the arcs and
-    tags come from :func:`_sort_rows`.
+    :func:`repro.core.ordering.order_vertices`, which pass their own
+    ``(level, id)`` vertex ``order`` and ``level_start``; both are kept
+    as given, so rank is position in ``order`` and the arcs and tags come
+    from :func:`_sort_rows`.  The paper realises the permutation with two
+    counting-sort passes; one in-place sort of the int64 arc keys
+    ``v * n + rank(u)`` gives the same one.
 
-    Passing ``base`` (an ordering of an earlier snapshot: any object with
-    ``indptr``/``indices``/``same``/``plus``/``high``) and ``rows`` (the
-    sorted ids of every row whose rank-ordered neighbour list or tags may
-    differ from ``base``'s) patches instead: only ``rows`` are sorted and
-    tagged, and every other row's arcs and tags are copied from ``base``
-    with one boolean compress and scatter (rows beyond ``base``'s vertex
-    count that are not in ``rows`` must be empty; their tags are 0).  The
-    caller guarantees that ``rows`` covers every row whose adjacency
-    changed, so the other rows kept their degree and their arcs their
-    relative positions.  When ``rows`` holds more than
-    :data:`PATCH_MAX_ARC_SHARE` of all arcs the full sort runs.  The
+    Passing ``base`` (the ordering of an earlier snapshot of the same
+    vertex ids) and ``touched`` (the vertices whose adjacency changed
+    since: the endpoints of the delta) patches instead.  Rank is a total
+    order on ``(level, id)``, so the relative order of two neighbours of
+    ``v`` depends only on their levels and ids, and ``v``'s tags only on
+    its own level and its neighbours' levels.  A row can therefore differ
+    from its old self only if it is :func:`_affected_rows`: touched, or
+    ``v`` or a neighbour changed level.  Only those rows are sorted and
+    tagged; every other row's arcs and tags are copied from ``base`` with
+    one boolean compress and scatter.  When the affected rows hold more
+    than :data:`PATCH_MAX_ARC_SHARE` of all arcs the full sort runs.  The
     output is the same either way; only ``rank`` is always rebuilt, in
     O(n).
     """
     n = graph.num_vertices
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n, dtype=np.int64)
-    deg = graph.degrees()
-    if base is not None and int(deg[rows].sum()) > PATCH_MAX_ARC_SHARE * len(graph.indices):
-        base = None
-    if base is None:
+    ordering = partial(
+        LevelOrdering, graph=graph, levels=levels, rank=rank,
+        indptr=graph.indptr, order=order, level_start=level_start,
+    )
+    rows = None if base is None else _affected_rows(graph, base.levels, levels, touched)
+    if rows is None or int(graph.degrees()[rows].sum()) > PATCH_MAX_ARC_SHARE * len(graph.indices):
         indices, same, plus, high = _sort_rows(graph, levels, order, rank, level_start, None)
-        return dict(rank=rank, indptr=graph.indptr.copy(), indices=indices,
-                    same=same, plus=plus, high=high)
+        return ordering(indices=indices, same=same, plus=plus, high=high)
 
     sub_indices, sub_same, sub_plus, sub_high = _sort_rows(
         graph, levels, order, rank, level_start, rows
@@ -160,9 +176,29 @@ def _rank_order_arcs(
         out[rows] = new
         return out
 
-    return dict(rank=rank, indptr=graph.indptr.copy(), indices=indices,
-                same=patched(base.same, sub_same), plus=patched(base.plus, sub_plus),
-                high=patched(base.high, sub_high))
+    return ordering(indices=indices, same=patched(base.same, sub_same),
+                    plus=patched(base.plus, sub_plus), high=patched(base.high, sub_high))
+
+
+def _affected_rows(
+    graph: Graph, old_levels: np.ndarray, levels: np.ndarray, touched: np.ndarray
+) -> np.ndarray:
+    """Sorted ids of the rows whose Algorithm 1 output can have changed.
+
+    The ``touched`` rows (edited by the delta), the vertices whose level
+    differs from ``old_levels`` and their neighbours in ``graph``.  A
+    vertex beyond the old vertex count is touched or isolated; an
+    isolated row is empty with zero tags, which the patch fills in
+    without sorting it.  Costs ``O(n)`` for the level comparison and the
+    row mask, plus the changed vertices' degrees.
+    """
+    n_old = len(old_levels)
+    changed = np.flatnonzero(levels[:n_old] != old_levels)
+    mask = np.zeros(graph.num_vertices, dtype=bool)
+    mask[touched] = True
+    mask[changed] = True
+    mask[concat_ranges(graph.indices, graph.indptr[changed], graph.indptr[changed + 1])] = True
+    return np.flatnonzero(mask)
 
 
 def _row_slots(indptr: np.ndarray, rows: np.ndarray) -> np.ndarray:
@@ -266,9 +302,7 @@ class LevelSetScores:
 def unweighted_level_charges(ordering) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex ``(2*inside, boundary)`` edge-count charges from the tags.
 
-    Accepts any object with the tag contract (``indptr``/``same``/``plus``):
-    a :class:`LevelOrdering` or a :class:`repro.core.ordering.OrderedGraph`.
-    Every vertex contributes ``2|N(v,>)| + |N(v,=)|`` internal
+    Reads the tags of a :class:`LevelOrdering`.  Every vertex contributes ``2|N(v,>)| + |N(v,=)|`` internal
     edge-endpoints and ``|N(v,<)| - |N(v,>)|`` boundary edges to its own
     level.
     """

@@ -14,26 +14,31 @@ cache**.  Artifact keys are ``"<family>:<name>"``:
     with position tags (:class:`~repro.engine.levels.LevelOrdering`).
 ``<family>:totals`` / ``<family>:level_totals``
     Host-graph totals and the Algorithm 2 suffix-sum accumulation.
-``<family>:triangles`` / ``<family>:level_triangles``
-    Per-vertex min-rank triangle charges and the per-level triangle and
-    triplet counts — the O(m^1.5) part, built only when a requested metric
-    has ``requires_triangles``.
+``<family>:triangles`` / ``<family>:triplets`` / ``<family>:level_triangles``
+    Per-vertex min-rank triangle charges (the O(m^1.5) part), per-vertex
+    triplet charges (O(m), cached but never persisted) and the per-level
+    triangle and triplet counts — built only when a requested metric has
+    ``requires_triangles``.
+``<family>:forest`` / ``<family>:node_totals`` / ``<family>:node_triangles``
+    Problem 2: the level forest (Algorithm 4) and every forest node's
+    aggregated charges (Algorithm 5), the same per-vertex charges grouped
+    per node instead of per level.
 
-The core family additionally keeps its Problem 2 artifacts
-(``core:order`` — the :class:`~repro.core.ordering.OrderedGraph` the
-level ordering is a view of — plus ``core:forest``, ``core:node_totals``
-and ``core:node_triangles`` for Algorithm 5 over the core forest).  Its
-O(m) per-vertex triplet charges, summed per shell and per forest node,
-sit beside the triangle charges as ``core:triplets``, cached but never
-persisted.
+Every builder is the engine's :class:`~repro.engine.chain.ArtifactChain`,
+the one the free functions run over a throw-away memo; the index passes
+its own cache instead, and never imports a family package.  The truss
+family's forest is therefore the vertex-level one of
+:func:`~repro.engine.best_connected_level_set` (components joined by
+any edge between level-k vertices), not the edge-connected trusses of
+:func:`repro.truss.best_single_ktruss`.
 
 Each artifact is built at most once, the first time a query needs it:
 scoring the four O(m) paper metrics never touches the triangle pass, and
 asking for six metrics costs one build plus six O(n) scoring tails instead
 of six full rebuilds.  Scores themselves are memoized per
-``(family, metric)``, so the batch APIs (:meth:`score_set_all_metrics`,
-:meth:`score_cores_all_metrics`) and repeated single-metric queries are
-idempotent.  Parametrised families (the weighted family's
+``(family, metric)`` for both problems, so the batch APIs
+(:meth:`score_set_all_metrics`, :meth:`score_cores_all_metrics`) and
+repeated single-metric queries are idempotent.  Parametrised families (the weighted family's
 ``edge_weights`` / ``num_levels``) declare a
 :meth:`~repro.engine.HierarchyFamily.cache_token`; when the token changes
 the family's artifacts and scores are invalidated and rebuilt.
@@ -62,42 +67,24 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import partial
 from typing import Callable
 
 import numpy as np
 
 from .. import obs
-from ..core.decomposition import CoreDecomposition
-from ..core.forest import CoreForest, build_core_forest
-from ..core.ordering import OrderedGraph, order_vertices
+from ..engine.chain import ARTIFACTS, ArtifactChain
 from ..engine.family import (
     BestLevelResult,
     HierarchyFamily,
     best_level_set,
     get_family,
 )
-from ..engine.forest import (
-    LevelNodeScores,
-    best_node_result,
-    node_totals,
-    node_triangles,
-    node_values,
-    score_nodes,
-)
-from ..engine.levels import (
-    LevelOrdering,
-    LevelSetScores,
-    accumulate_level_totals,
-    cumulate_from_top,
-    scores_from_level_totals,
-    triangle_level_increments,
-    unweighted_level_charges,
-)
+from ..engine.forest import LevelNodeScores, best_node_result
+from ..engine.levels import LevelOrdering, LevelSetScores
 from ..engine.metrics import PAPER_METRICS, Metric, get_metric
-from ..engine.primary import GraphTotals, graph_totals
-from ..engine.triangles import triangles_by_min_rank_vertex, triplet_charges
 from ..dynamic import GraphDelta, VersionedGraph, incremental_core_numbers
-from ..errors import MetricRequirementError, ReproError
+from ..errors import ReproError
 from ..graph.csr import Graph
 from ..kernels import get_backend
 from ..parallel import parallel_map, resolve_jobs, shared_graph
@@ -114,7 +101,6 @@ _TRIANGLE_ARTIFACTS = ("triangles", "level_triangles", "node_triangles")
 #: artifact name; everything unnamed here lands in ``other``.
 _PHASE_BY_ARTIFACT = {
     "decompose": "decompose",
-    "order": "order",
     "ordering": "order",
     "forest": "forest",
     "triangles": "triangles",
@@ -122,20 +108,6 @@ _PHASE_BY_ARTIFACT = {
     "level_triangles": "triangles",
     "node_triangles": "triangles",
 }
-
-#: The generic (family-agnostic) artifact names :meth:`BestKIndex.artifact`
-#: accepts; the core family additionally accepts its Problem 2 names.
-_GENERIC_ARTIFACTS = (
-    "decompose",
-    "levels",
-    "ordering",
-    "totals",
-    "level_totals",
-    "triangles",
-    "level_triangles",
-)
-
-_CORE_ARTIFACTS = ("order", "forest", "node_totals", "node_triangles")
 
 
 @dataclass(frozen=True)
@@ -224,30 +196,33 @@ class BestKIndex:
         self.hydrate_seconds = 0.0
         #: Families whose store bundle has already been probed.
         self._hydrated: set[str] = set()
-        #: Memoized per-(family, metric) level-set scores.
+        #: Memoized per-(family, metric) level-set scores (Problem 1).
         self._scores: dict[tuple[str, str], LevelSetScores] = {}
-        #: Memoized per-metric core-forest scores (Problem 2).
-        self._core_scores: dict[str, LevelNodeScores] = {}
-        #: Per-forest-node primary values, keyed by "with triangle counts".
-        self._core_values: dict[bool, tuple] = {}
+        #: Memoized per-(family, metric) forest-node scores (Problem 2).
+        self._node_scores: dict[tuple[str, str], LevelNodeScores] = {}
+        #: Per-forest-node primary values, keyed by (family, "with
+        #: triangle counts") and shared by every metric.
+        self._node_values: dict[tuple[str, bool], tuple] = {}
         #: Last-seen :meth:`HierarchyFamily.cache_token` per family.
         self._tokens: dict[str, object] = {}
-        #: ``(old core:order, touched vertices)`` left by a patched
-        #: :meth:`apply` for the next ``core:order`` build to patch from.
-        self._order_base: tuple[OrderedGraph, np.ndarray] | None = None
+        #: ``(old ordering, touched vertices)`` per family, left by a
+        #: patched :meth:`apply` for the next ordering build to patch from.
+        self._order_bases: dict[str, tuple[LevelOrdering, np.ndarray]] = {}
 
     # ------------------------------------------------------------------
     # Lazy artifact store
     # ------------------------------------------------------------------
-    def _get(self, key: str, builder: Callable[[], object], *, persist=None):
-        """Build-at-most-once cache; records per-artifact build time.
+    def _get(self, fam: HierarchyFamily, params: dict, name: str, builder: Callable[[], object]):
+        """Build-at-most-once cache of ``fam``'s artifact ``name``; records build time.
 
-        Time spent building *nested* artifacts inside ``builder`` (e.g. the
-        core level ordering triggering the Algorithm 1 pass) is attributed
-        to their own keys, not double-counted here.  When ``persist`` is a
-        ``(family, params)`` pair and a store is configured, a freshly
-        built value is offered to the store (which decides eligibility);
-        store I/O failures never fail the query.
+        The memo every :class:`~repro.engine.chain.ArtifactChain` of this
+        index fetches through.  Time spent building *nested* artifacts
+        inside ``builder`` (e.g. the forest triggering the Algorithm 1
+        pass) is attributed to their own keys, not double-counted here.
+        With a store configured, a freshly built value is offered to it
+        (which decides eligibility); store I/O failures never fail the
+        query.  An ordering, once present, drops the patch base a patched
+        :meth:`apply` left for it.
 
         Each build also runs inside an ``index:build`` :mod:`repro.obs`
         span carrying the artifact key, its paper phase and the exact
@@ -256,12 +231,10 @@ class BestKIndex:
         arithmetic itself is span-independent (plain ``perf_counter``), so
         tracing on or off never changes the recorded numbers' provenance.
         """
+        key = f"{fam.name}:{name}"
         if key not in self._artifacts:
-            fam_name, _, art_name = key.partition(":")
             with obs.span(
-                "index:build",
-                artifact=key,
-                phase=_PHASE_BY_ARTIFACT.get(art_name, "other"),
+                "index:build", artifact=key, phase=_PHASE_BY_ARTIFACT.get(name, "other"),
             ) as sp:
                 nested_before = sum(self.build_seconds.values())
                 start = time.perf_counter()
@@ -271,16 +244,16 @@ class BestKIndex:
                 self._artifacts[key] = value
                 self.build_seconds[key] = max(elapsed - nested, 0.0)
                 sp.set_attr("build_seconds", self.build_seconds[key])
-            obs.add("index.build", family=fam_name, artifact=art_name)
-            if persist is not None and self.store is not None:
-                fam, params = persist
+            obs.add("index.build", family=fam.name, artifact=name)
+            if self.store is not None:
                 try:
                     self.store.save_artifact(
-                        self.graph, fam, params, self.backend_name,
-                        key.partition(":")[2], value,
+                        self.graph, fam, params, self.backend_name, name, value
                     )
                 except OSError:
                     pass
+        if name == "ordering":
+            self._order_bases.pop(fam.name, None)
         return self._artifacts[key]
 
     def _sync_token(self, fam: HierarchyFamily, params: dict) -> None:
@@ -299,14 +272,14 @@ class BestKIndex:
         self._maybe_hydrate(fam, params)
 
     def _invalidate(self, family_name: str) -> None:
-        if family_name == "core":
-            self._order_base = None
+        self._order_bases.pop(family_name, None)
         prefix = family_name + ":"
         for key in [k for k in self._artifacts if k.startswith(prefix)]:
             del self._artifacts[key]
             self.build_seconds.pop(key, None)
-        for key in [k for k in self._scores if k[0] == family_name]:
-            del self._scores[key]
+        for memo in (self._scores, self._node_scores, self._node_values):
+            for key in [k for k in memo if k[0] == family_name]:
+                del memo[key]
         # A token change selects a different bundle key, so the store must
         # be re-probed under the new params.
         self._hydrated.discard(family_name)
@@ -348,109 +321,35 @@ class BestKIndex:
     # ------------------------------------------------------------------
     # Family-keyed artifacts (any registered family)
     # ------------------------------------------------------------------
+    def _chain(self, fam: HierarchyFamily, params: dict) -> ArtifactChain:
+        """The engine's artifact chain of ``fam`` over this index's cache."""
+        return ArtifactChain(
+            self.graph, fam, params, partial(self._get, fam, params),
+            backend=self.backend, base=self._order_bases.get(fam.name),
+        )
+
     def family_decomposition(self, family: str | HierarchyFamily, **params):
         """The family's decomposition, built on first use and cached."""
-        fam = get_family(family)
-        self._sync_token(fam, params)
-        return self._get(
-            f"{fam.name}:decompose",
-            lambda: fam.decompose(self.graph, backend=self.backend, **params),
-            persist=(fam, params),
-        )
-
-    def _family_levels(self, fam: HierarchyFamily, decomposition, params) -> np.ndarray:
-        return self._get(
-            f"{fam.name}:levels", lambda: fam.levels(decomposition, **params)
-        )
-
-    def _family_ordering(self, fam: HierarchyFamily, levels, params) -> LevelOrdering:
-        return self._get(
-            f"{fam.name}:ordering",
-            lambda: fam.index_ordering(self, levels, **params),
-            persist=(fam, params),
-        )
-
-    def _family_totals(self, fam: HierarchyFamily, decomposition, params):
-        return self._get(
-            f"{fam.name}:totals",
-            lambda: fam.totals(self.graph, decomposition, **params),
-        )
-
-    def _family_level_totals(self, fam, decomposition, levels, ordering, params):
-        def build():
-            twice_inside, boundary = fam.charges(
-                self.graph, decomposition, levels, ordering, **params
-            )
-            return accumulate_level_totals(
-                twice_inside, boundary, ordering.order, ordering.level_start
-            )
-
-        return self._get(f"{fam.name}:level_totals", build, persist=(fam, params))
-
-    def _family_triangle_charges(self, fam: HierarchyFamily, ordering, params) -> np.ndarray:
-        return self._get(
-            f"{fam.name}:triangles",
-            lambda: triangles_by_min_rank_vertex(ordering, backend=self.backend),
-            persist=(fam, params),
-        )
-
-    def _family_level_triangles(self, fam: HierarchyFamily, ordering, params):
-        def build():
-            tri_new, trip_new = triangle_level_increments(
-                ordering,
-                ordering.order,
-                ordering.level_start,
-                backend=self.backend,
-                charges=self._family_triangle_charges(fam, ordering, params),
-                # Only the core family regroups them per forest node too.
-                triplets=self.triplet_charges if fam.name == "core" else None,
-            )
-            return cumulate_from_top(tri_new), cumulate_from_top(trip_new)
-
-        return self._get(f"{fam.name}:level_triangles", build, persist=(fam, params))
+        return self.artifact(family, "decompose", **params)
 
     def artifact(self, family: str | HierarchyFamily, name: str, **params):
         """Fetch (building lazily) the named artifact of a family.
 
-        Generic names (any family): ``decompose``, ``levels``, ``ordering``,
-        ``totals``, ``level_totals``, ``triangles``, ``level_triangles``.
-        The ``core`` family additionally serves its Problem 2 artifacts:
-        ``order``, ``forest``, ``node_totals``, ``node_triangles``.
+        Names, for every family: ``decompose``, ``levels``, ``ordering``,
+        ``totals``, ``level_totals``, ``triangles``, ``triplets``,
+        ``level_triangles`` (Problem 1) and ``forest``, ``node_totals``,
+        ``node_triangles`` (Problem 2).  The triangle names raise
+        :class:`~repro.errors.MetricRequirementError` for a family without
+        triangle support.
         """
         fam = get_family(family)
-        if fam.name == "core" and name in _CORE_ARTIFACTS:
-            return {
-                "order": lambda: self.ordered,
-                "forest": lambda: self.forest,
-                "node_totals": self._node_totals,
-                "node_triangles": self._node_triangles,
-            }[name]()
-        if name not in _GENERIC_ARTIFACTS:
+        if name not in ARTIFACTS:
             raise KeyError(
                 f"unknown artifact {name!r} for family {fam.name!r}; "
-                f"choose from {_GENERIC_ARTIFACTS}"
+                f"choose from {ARTIFACTS}"
             )
         self._sync_token(fam, params)
-        if name == "decompose":
-            return self.family_decomposition(fam, **params)
-        decomposition = self.family_decomposition(fam, **params)
-        levels = self._family_levels(fam, decomposition, params)
-        if name == "levels":
-            return levels
-        if name == "totals":
-            return self._family_totals(fam, decomposition, params)
-        ordering = self._family_ordering(fam, levels, params)
-        if name == "ordering":
-            return ordering
-        if name == "level_totals":
-            return self._family_level_totals(fam, decomposition, levels, ordering, params)
-        if not fam.supports_triangles:
-            raise MetricRequirementError(
-                f"family {fam.name!r} does not support triangle-based artifacts"
-            )
-        if name == "triangles":
-            return self._family_triangle_charges(fam, ordering, params)
-        return self._family_level_triangles(fam, ordering, params)
+        return getattr(self._chain(fam, params), name)()
 
     # ------------------------------------------------------------------
     # Parallel prebuild
@@ -468,10 +367,7 @@ class BestKIndex:
         self, fam: HierarchyFamily, metrics, problem2: bool
     ) -> list[str]:
         """Artifact names one family needs to serve the given metrics."""
-        names = ["decompose"]
-        if fam.name == "core":
-            names.append("order")
-        names += ["levels", "ordering", "totals", "level_totals"]
+        names = ["decompose", "levels", "ordering", "totals", "level_totals"]
         need_triangles = False
         if fam.supports_triangles:
             for m in (fam.batch_metrics if metrics is None else metrics):
@@ -483,7 +379,7 @@ class BestKIndex:
                     continue
         if need_triangles:
             names += ["triangles", "level_triangles"]
-        if problem2 and fam.name == "core":
+        if problem2:
             names += ["forest", "node_totals"]
             if need_triangles:
                 names.append("node_triangles")
@@ -527,7 +423,7 @@ class BestKIndex:
         ``metrics`` (a tuple, or a dict keyed by family name) decides
         whether the triangle pass is included; ``family_params`` supplies
         per-family ``**params`` (e.g. the weighted family's
-        ``edge_weights``); ``problem2`` adds the core forest artifacts.
+        ``edge_weights``); ``problem2`` adds the Problem 2 (forest) artifacts.
         Families whose params are invalid (exactly the errors the serial
         sweeps skip) are skipped.  Returns the per-family tuple of planned
         artifact names now present.
@@ -618,7 +514,8 @@ class BestKIndex:
         """Scores of every level set of ``family`` under ``metric`` (memoized).
 
         The index-backed twin of :func:`repro.engine.family_set_scores`:
-        same arithmetic, every intermediate served from the artifact cache.
+        the same :class:`~repro.engine.chain.ArtifactChain`, every
+        intermediate served from the artifact cache.
         """
         fam = get_family(family)
         metric = fam.resolve_metric(metric)
@@ -630,25 +527,7 @@ class BestKIndex:
             "index:score", family=fam.name, metric=metric.name, phase="score"
         ):
             score_start = time.perf_counter()
-            decomposition = self.family_decomposition(fam, **params)
-            levels = self._family_levels(fam, decomposition, params)
-            ordering = self._family_ordering(fam, levels, params)
-            totals = self._family_totals(fam, decomposition, params)
-            num_k, twice_in_k, out_k = self._family_level_totals(
-                fam, decomposition, levels, ordering, params
-            )
-            tri_k = trip_k = None
-            if fam.metric_requires_triangles(metric):
-                if not fam.supports_triangles:
-                    raise MetricRequirementError(
-                        f"family {fam.name!r} does not support triangle-based metrics"
-                    )
-                tri_k, trip_k = self._family_level_triangles(fam, ordering, params)
-            thresholds = fam.thresholds(decomposition, len(num_k) - 2, **params)
-            result = scores_from_level_totals(
-                metric, totals, num_k, twice_in_k, out_k, tri_k, trip_k,
-                make_values=fam.make_values, thresholds=thresholds,
-            )
+            result = self._chain(fam, params).set_scores(metric)
             obs.observe(
                 "index.score_seconds", time.perf_counter() - score_start,
                 family=fam.name, metric=metric.name,
@@ -681,107 +560,56 @@ class BestKIndex:
         }
 
     # ------------------------------------------------------------------
-    # Core-family artifacts (Problem 2 needs the OrderedGraph + forest)
+    # Problem 2, any family: forest-node scores and the best node
     # ------------------------------------------------------------------
+    def node_scores(self, family: str | HierarchyFamily, metric, **params) -> LevelNodeScores:
+        """Scores of every connected level set of ``family`` (memoized).
+
+        The index-backed twin of :func:`repro.engine.family_node_scores`:
+        Algorithm 5 over the cached ``forest``, ``node_totals`` and
+        ``node_triangles``.  The per-node primary values are built once
+        per family (with or without triangle counts) and shared by every
+        metric.
+        """
+        fam = get_family(family)
+        metric = fam.resolve_metric(metric)
+        self._sync_token(fam, params)
+        cached = self._node_scores.get((fam.name, metric.name))
+        if cached is not None:
+            return cached
+        with obs.span(
+            "index:score", family=fam.name, metric=metric.name, phase="score",
+            problem=2,
+        ):
+            score_start = time.perf_counter()
+            chain = self._chain(fam, params)
+            key = (fam.name, fam.metric_requires_triangles(metric))
+            if key not in self._node_values:
+                self._node_values[key] = chain.node_values(key[1])
+            result = chain.node_scores(metric, self._node_values[key])
+            obs.observe(
+                "index.score_seconds", time.perf_counter() - score_start,
+                family=fam.name, metric=metric.name,
+            )
+        self._node_scores[(fam.name, metric.name)] = result
+        return result
+
+    def best_node(self, family: str | HierarchyFamily, metric=None, **params) -> BestLevelResult:
+        """The best connected level set of ``family`` under ``metric`` (Problem 2).
+
+        Equal to :func:`repro.engine.best_connected_level_set`; ``metric``
+        defaults to the family's default metric.
+        """
+        fam = get_family(family)
+        scored = self.node_scores(
+            fam, fam.default_metric if metric is None else metric, **params
+        )
+        return best_node_result(scored, fam.name, self._chain(fam, params).thresholds())
+
     @property
-    def decomposition(self) -> CoreDecomposition:
+    def decomposition(self):
         """The core decomposition (built on first use)."""
         return self.family_decomposition("core")
-
-    @property
-    def ordered(self) -> OrderedGraph:
-        """Algorithm 1's rank-ordered adjacency with position tags.
-
-        ``core:ordering`` (the engine-facing
-        :class:`~repro.engine.levels.LevelOrdering`) is a zero-copy view of
-        this artifact via :func:`~repro.core.family.core_level_view`.
-        """
-        # Touch the decomposition *outside* the builder so store hydration
-        # (which may bring ``core:order`` along) precedes the build check.
-        decomposition = self.decomposition
-
-        def build() -> OrderedGraph:
-            # A patched apply leaves the previous epoch's ordering behind;
-            # the build consumes it (patching only the affected rows).
-            base, touched = self._order_base or (None, None)
-            self._order_base = None
-            return order_vertices(self.graph, decomposition, base=base, touched=touched)
-
-        return self._get("core:order", build, persist=(get_family("core"), {}))
-
-    @property
-    def totals(self) -> GraphTotals:
-        """Global graph totals consumed by the relative metrics."""
-        return self._get("core:totals", lambda: graph_totals(self.graph))
-
-    @property
-    def forest(self) -> CoreForest:
-        """The core forest (built only when a single-core query needs it)."""
-        # Touch the decomposition first: a store hit on it brings the
-        # forest along, and then no ordering is built.
-        self.decomposition
-        return self._get(
-            "core:forest",
-            lambda: build_core_forest(self.graph, ordered=self.ordered),
-            persist=(get_family("core"), {}),
-        )
-
-    @property
-    def triangle_charges(self) -> np.ndarray:
-        """Per-vertex min-rank triangle charges — the O(m^1.5) artifact.
-
-        Only metrics with ``requires_triangles`` reach this; scoring the
-        O(m) metrics leaves it unbuilt.  Shared between the per-level
-        (Problem 1) and per-forest-node (Problem 2) aggregations.
-        """
-        ordered = self.ordered
-        return self._get(
-            "core:triangles",
-            lambda: triangles_by_min_rank_vertex(ordered, backend=self.backend),
-            persist=(get_family("core"), {}),
-        )
-
-    @property
-    def triplet_charges(self) -> np.ndarray:
-        """Per-vertex triplet charges — O(m), shared like the triangle charges.
-
-        Summed per shell for Problem 1 and per forest node for Problem 2,
-        so one pass serves both; cheap enough that it is never persisted.
-        """
-        ordered = self.ordered
-        return self._get(
-            "core:triplets", lambda: triplet_charges(ordered, backend=self.backend)
-        )
-
-    def _node_totals(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        ordered, forest = self.ordered, self.forest
-        return self._get(
-            "core:node_totals",
-            # The core family's charges: the unweighted Algorithm 1 tags.
-            lambda: node_totals(forest, *unweighted_level_charges(ordered)),
-            persist=(get_family("core"), {}),
-        )
-
-    def _node_triangles(self) -> tuple[np.ndarray, np.ndarray]:
-        ordered, forest = self.ordered, self.forest
-        return self._get(
-            "core:node_triangles",
-            lambda: node_triangles(
-                ordered, forest,
-                charges=self.triangle_charges,
-                triplets=self.triplet_charges,
-            ),
-            persist=(get_family("core"), {}),
-        )
-
-    def _node_values(self, with_triangles: bool) -> tuple:
-        """Per-node primary values, built once and shared by every metric."""
-        values = self._core_values.get(with_triangles)
-        if values is None:
-            tri_trip = self._node_triangles() if with_triangles else ()
-            values = node_values(get_family("core"), *self._node_totals(), *tri_trip)
-            self._core_values[with_triangles] = values
-        return values
 
     # ------------------------------------------------------------------
     # Problem 1, core vocabulary: best k-core set
@@ -815,29 +643,11 @@ class BestKIndex:
     # ------------------------------------------------------------------
     def core_scores(self, metric: str | Metric) -> LevelNodeScores:
         """Scores of every connected k-core under ``metric`` (memoized)."""
-        metric = get_metric(metric)
-        cached = self._core_scores.get(metric.name)
-        if cached is not None:
-            return cached
-        with obs.span(
-            "index:score", family="core", metric=metric.name, phase="score",
-            problem=2,
-        ):
-            score_start = time.perf_counter()
-            result = score_nodes(
-                metric, self.totals, self.forest,
-                self._node_values(metric.requires_triangles),
-            )
-            obs.observe(
-                "index.score_seconds", time.perf_counter() - score_start,
-                family="core", metric=metric.name,
-            )
-        self._core_scores[metric.name] = result
-        return result
+        return self.node_scores("core", metric)
 
     def best_core(self, metric: str | Metric) -> BestLevelResult:
         """The best single connected k-core under ``metric`` (Problem 2)."""
-        return best_node_result(self.core_scores(metric), "core")
+        return self.best_node("core", metric)
 
     def score_cores_all_metrics(
         self, metrics: tuple[str, ...] = PAPER_METRICS
@@ -888,7 +698,7 @@ class BestKIndex:
           :func:`~repro.dynamic.incremental_core_numbers` (the repaired
           coreness rebuilds the decomposition deterministically), so the
           peel never reruns even though downstream core artifacts
-          (orderings, totals, forest) rebuild lazily — ``core:order`` by
+          (ordering, totals, forest) rebuild lazily — ``core:ordering`` by
           patching the old ordering's affected rows
           (:func:`~repro.core.ordering.order_vertices` with ``base=``) when
           it was built before the apply — whether the repair
@@ -935,7 +745,7 @@ class BestKIndex:
             patched: list[str] = []
             retained: list[str] = []
             invalidated: list[str] = []
-            old_order = self._artifacts.get("core:order")
+            old_ordering = self._artifacts.get("core:ordering")
             if noop:
                 retained = list(families)
             else:
@@ -947,13 +757,13 @@ class BestKIndex:
                         )
                         self._artifacts["core:decompose"] = decomp
                         self.build_seconds["core:decompose"] = 0.0
-                        if old_order is not None:
-                            self._order_base = (old_order, eff.touched_vertices())
+                        if old_ordering is not None:
+                            self._order_bases["core"] = (
+                                old_ordering, eff.touched_vertices()
+                            )
                         patched.append(name)
                     else:
                         invalidated.append(name)
-                self._core_scores.clear()
-                self._core_values.clear()
             # The new snapshot's stamped digest keys different bundles, so
             # every family must be re-probed (and re-persisted) against it.
             self._hydrated.clear()

@@ -6,7 +6,7 @@ A *bundle* is one directory holding every persisted artifact of one
     <root>/<family>-<key>/
         meta.json                     # format version, identity, manifest
         decompose.coreness.npy        # one .npy per array field
-        ordering.rank.npy
+        ordering.rows.npy
         ...
 
 The bundle key is a SHA-256 over the graph's content digest
@@ -50,13 +50,11 @@ from pathlib import Path
 import numpy as np
 
 from .. import obs
-from ..core.decomposition import CoreDecomposition
-from ..core.forest import CoreForest
-from ..core.ordering import OrderedGraph
 from ..dynamic.versioned import (
     VersionedGraph, edge_set_hash, edge_set_token, stamp_epoch_digest,
 )
 from ..engine.family import HierarchyFamily
+from ..engine.forest import LevelForest
 from ..engine.levels import LevelOrdering
 from ..errors import GraphIntegrityError
 from ..graph.csr import Graph
@@ -77,7 +75,11 @@ __all__ = [
 #: Version 3: epoch snapshots are stamped over the edge-set token
 #: (:func:`~repro.dynamic.versioned.edge_set_token`) instead of the
 #: whole-CSR SHA-256, which changes every epoch's bundle key.
-FORMAT_VERSION = 3
+#: Version 4: the core family persists ``core:ordering`` like every family,
+#: in place of its own core-only ordering artifact, so a version 3 core
+#: bundle would hydrate no ordering; an ordering's per-vertex arrays are
+#: stored as the rows of one array.
+FORMAT_VERSION = 4
 
 logger = logging.getLogger(__name__)
 
@@ -90,33 +92,24 @@ class _BundleAnomaly(Exception):
         self.reason = reason
         self.detail = detail
 
-_ORDERING_FIELDS = (
-    "levels", "rank", "indptr", "indices", "same", "plus", "high",
-    "order", "level_start",
-)
-_ORDER_FIELDS = ("rank", "indptr", "indices", "same", "plus", "high")
+#: The ordering's per-vertex arrays, persisted as the rows of one
+#: ``(6, n)`` array: a warm start maps one file for them, not six.  Its
+#: ``indptr`` is the graph's own and is not stored.
+_ORDERING_ROWS = ("levels", "rank", "same", "plus", "high", "order")
 _FOREST_FIELDS = ("k", "parent", "vert_ptr", "vertices")
 
-#: Artifact names persisted for a non-core family with / without triangle
-#: support.  ``levels`` and ``totals`` are O(n) recomputations from the
-#: decomposition — cheaper to rebuild than to map.
-_GENERIC_PERSISTED = ("decompose", "ordering", "level_totals")
-_TRIANGLE_PERSISTED = ("triangles", "level_triangles")
-#: The core family persists its Problem 2 artifacts too; ``core:ordering``
-#: is deliberately absent — it is a zero-copy view of ``core:order``
-#: (:func:`repro.core.family.core_level_view`) and would double the bytes.
-_CORE_PERSISTED = (
-    "decompose", "order", "forest", "level_totals",
-    "triangles", "level_triangles", "node_totals", "node_triangles",
-)
+#: Artifact names persisted for a family with / without triangle support,
+#: the same for every family.  ``levels`` and ``totals`` are O(n)
+#: recomputations from the decomposition and ``triplets`` an O(m) pass —
+#: cheaper to rebuild than to map.
+_GENERIC_PERSISTED = ("decompose", "ordering", "level_totals", "forest", "node_totals")
+_TRIANGLE_PERSISTED = ("triangles", "level_triangles", "node_triangles")
 
 
 def persisted_names(fam: HierarchyFamily) -> tuple[str, ...]:
     """Artifact names of ``fam`` eligible for the disk store."""
     if not fam.supports_store:
         return ()
-    if fam.name == "core":
-        return _CORE_PERSISTED
     if fam.supports_triangles:
         return _GENERIC_PERSISTED + _TRIANGLE_PERSISTED
     return _GENERIC_PERSISTED
@@ -131,9 +124,11 @@ def dump_artifact(fam: HierarchyFamily, name: str, value) -> dict[str, np.ndarra
     if name == "decompose":
         return fam.dump_decomposition(value)
     if name == "ordering":
-        return {field: getattr(value, field) for field in _ORDERING_FIELDS}
-    if name == "order":
-        return {field: getattr(value, field) for field in _ORDER_FIELDS}
+        return {
+            "rows": np.stack([getattr(value, row) for row in _ORDERING_ROWS]),
+            "indices": value.indices,
+            "level_start": value.level_start,
+        }
     if name == "forest":
         return {field: getattr(value, field) for field in _FOREST_FIELDS}
     if name == "level_totals":
@@ -153,21 +148,17 @@ def dump_artifact(fam: HierarchyFamily, name: str, value) -> dict[str, np.ndarra
     return None
 
 
-def _load_artifact(graph, fam, name, fields, *, decomposition, params):
+def _load_artifact(graph, fam, name, fields, params):
     if name == "decompose":
         return fam.load_decomposition(graph, fields, **params)
     if name == "ordering":
         return LevelOrdering(
-            graph=graph, **{f: np.asarray(fields[f]) for f in _ORDERING_FIELDS}
-        )
-    if name == "order":
-        return OrderedGraph(
-            graph=graph,
-            decomposition=decomposition,
-            **{f: np.asarray(fields[f]) for f in _ORDER_FIELDS},
+            graph=graph, indptr=graph.indptr, indices=np.asarray(fields["indices"]),
+            level_start=np.asarray(fields["level_start"]),
+            **dict(zip(_ORDERING_ROWS, np.asarray(fields["rows"]))),
         )
     if name == "forest":
-        return CoreForest(*(fields[f] for f in _FOREST_FIELDS), graph.num_vertices)
+        return LevelForest(*(fields[f] for f in _FOREST_FIELDS), graph.num_vertices)
     if name == "level_totals":
         return tuple(np.asarray(fields[f]) for f in ("num_k", "twice_in_k", "out_k"))
     if name == "triangles":
@@ -187,26 +178,15 @@ def hydrate_arrays(
     arrays_by_name: dict[str, dict[str, np.ndarray]],
     params: dict,
 ) -> dict[str, object]:
-    """Reconstruct index artifacts from their array form, in dependency order.
+    """Reconstruct index artifacts from their array form.
 
     Shared by the disk-bundle loader and the pool-worker result path.
-    Artifacts whose prerequisites are missing (an ``order`` without its
-    ``decompose``) are skipped rather than failing the whole set.
+    Each artifact stands alone: none needs another to be rebuilt.
     """
-    out: dict[str, object] = {}
-    decomposition = None
-    ordered = sorted(arrays_by_name, key=lambda n: (n != "decompose", n != "order"))
-    for name in ordered:
-        if name == "order" and decomposition is None:
-            continue
-        value = _load_artifact(
-            graph, fam, name, arrays_by_name[name],
-            decomposition=decomposition, params=params,
-        )
-        if name == "decompose":
-            decomposition = value
-        out[name] = value
-    return out
+    return {
+        name: _load_artifact(graph, fam, name, fields, params)
+        for name, fields in arrays_by_name.items()
+    }
 
 
 # ----------------------------------------------------------------------

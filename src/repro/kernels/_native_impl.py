@@ -11,7 +11,7 @@ them *uncompiled* on small graphs, so the logic is tested even on machines
 without numba or a C toolchain.
 
 All functions take preprocessed ``int64``/``float64`` arrays — never Graph
-or OrderedGraph objects — and every implementation is algorithmically
+or LevelOrdering objects — and every implementation is algorithmically
 identical to the scalar reference in :mod:`repro.kernels.python_backend`,
 so the answers are bit-identical across all three backends.
 

@@ -116,9 +116,8 @@ class KernelBackend:
     def triangle_charges(self, ordered) -> np.ndarray:
         """Per-vertex triangle charges under a rank order (Algorithm 3).
 
-        ``ordered`` is any rank-ordered adjacency with position tags — a
-        :class:`repro.core.ordering.OrderedGraph` or
-        :class:`repro.engine.levels.LevelOrdering`; the kernel reads its
+        ``ordered`` is a rank-ordered adjacency with position tags (a
+        :class:`repro.engine.levels.LevelOrdering`); the kernel reads its
         ``graph``, ``indptr``, ``indices``, ``rank`` and ``high`` arrays.
         ``result[v]`` is the number of triangles whose minimum-rank corner
         is ``v``; O(m^1.5) total work under a degeneracy-compatible order.

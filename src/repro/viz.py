@@ -22,14 +22,14 @@ import numpy as np
 
 from .bench.figures import sparkline
 from .core.decomposition import CoreDecomposition
-from .core.forest import CoreForest
+from .engine.forest import LevelForest
 from .engine.levels import LevelSetScores
 
 __all__ = ["render_forest", "render_shell_histogram", "render_score_profile"]
 
 
 def render_forest(
-    forest: CoreForest,
+    forest: LevelForest,
     *,
     scores: np.ndarray | None = None,
     max_nodes: int = 200,

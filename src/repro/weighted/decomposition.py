@@ -16,7 +16,7 @@ supplies the decomposition it needs.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -68,6 +68,19 @@ class WeightedDecomposition:
     level: np.ndarray
     #: Peeling order (ascending level).
     peel_order: np.ndarray
+    #: :func:`arc_weights` of ``edge_weights``; ``None`` until first use.
+    _arc_weights: np.ndarray | None = field(default=None, repr=False, compare=False)
+
+    @property
+    def arc_weights(self) -> np.ndarray:
+        """Per-arc weights aligned with ``graph.indices``, expanded once.
+
+        The peel passes its expansion in; a decomposition rebuilt from
+        stored arrays expands on first use.
+        """
+        if self._arc_weights is None:
+            object.__setattr__(self, "_arc_weights", arc_weights(self.graph, self.edge_weights))
+        return self._arc_weights
 
     @property
     def smax(self) -> float:
@@ -155,4 +168,5 @@ def s_core_decomposition(
         edge_weights,
         np.array(level, dtype=np.float64),
         np.array(order, dtype=np.int64),
+        weights,
     )

@@ -24,7 +24,7 @@ import hashlib
 import numpy as np
 
 from ..engine.family import HierarchyFamily, register_family
-from .decomposition import WeightedDecomposition, arc_weights, s_core_decomposition
+from .decomposition import WeightedDecomposition, s_core_decomposition
 from .metrics import (
     WeightedPrimaryValues,
     WeightedTotals,
@@ -40,7 +40,7 @@ def weight_charges(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Per-vertex ``(2*inside, boundary)`` weight contributions at its level."""
     n = graph.num_vertices
-    weights = arc_weights(graph, decomposition.edge_weights)
+    weights = decomposition.arc_weights
     src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
     dst = graph.indices
     gt = levels[dst] > levels[src]
@@ -121,7 +121,7 @@ class WeightedFamily(HierarchyFamily):
         # both the internal and the boundary sum visit each edge from both
         # endpoints, hence the symmetric halving.
         n = graph.num_vertices
-        weights = arc_weights(graph, decomposition.edge_weights)
+        weights = decomposition.arc_weights
         src = np.repeat(np.arange(n, dtype=np.int64), graph.degrees())
         dst = graph.indices
         member = np.zeros(n, dtype=bool)

@@ -45,7 +45,7 @@ class TestAgainstNaive:
         scored = kcore_scores(figure2, metric)
         forest = scored.forest
         by_core = {
-            frozenset(forest.core_vertices(node.node_id).tolist()): scored.scores[node.node_id]
+            frozenset(forest.component_vertices(node.node_id).tolist()): scored.scores[node.node_id]
             for node in forest.nodes
         }
         for k, core, score in kcore_scores_naive(figure2, metric):
@@ -101,7 +101,7 @@ class TestIntegrity:
         scored = kcore_scores(graph, "ad")
         forest = scored.forest
         for node in forest.nodes:
-            members = forest.core_vertices(node.node_id)
+            members = forest.component_vertices(node.node_id)
             member_set = set(members.tolist())
             # Minimum degree within the core >= k.
             for v in members:

@@ -10,7 +10,6 @@ from repro.core import (
     baseline_kcore_set_scores,
     best_kcore_set,
     core_decomposition,
-    core_level_view,
     kcore_set_scores,
     order_vertices,
 )
@@ -88,7 +87,7 @@ def _level_totals(ordering):
 
 class TestAccumulators:
     def test_level_accumulate_totals(self, figure2):
-        num, twice_in, out = _level_totals(core_level_view(order_vertices(figure2)))
+        num, twice_in, out = _level_totals(order_vertices(figure2))
         # k = 0: the whole graph.
         assert twice_in[0] == 2 * figure2.num_edges
         assert out[0] == 0
@@ -98,18 +97,18 @@ class TestAccumulators:
 
     def test_boundary_counts(self, figure2):
         od = order_vertices(figure2)
-        _, _, out = _level_totals(core_level_view(od))
+        _, _, out = _level_totals(od)
         # The 3-core set has 5 boundary edges: (v3,v5), (v3,v6), (v9,v8)
         # leave the 3-core... count from the construction: edges with
         # exactly one endpoint of coreness 3.
         expected = sum(
             1 for u, v in figure2.edges()
-            if (od.decomposition.coreness[u] == 3) != (od.decomposition.coreness[v] == 3)
+            if (od.levels[u] == 3) != (od.levels[v] == 3)
         )
         assert out[3] == expected
 
     def test_triangle_increments_sum(self, figure2):
-        view = core_level_view(order_vertices(figure2))
+        view = order_vertices(figure2)
         tri_new, trip_new = triangle_level_increments(view, view.order, view.level_start)
         assert tri_new.sum() == 10  # whole graph has 10 triangles
         assert trip_new[3] == 24

@@ -79,7 +79,7 @@ class TestSingleCoreCombination:
             net.graph, [("average_degree", 1.0), ("conductance", 1.0)]
         )
         forest = build_core_forest(net.graph)
-        winner = set(forest.core_vertices(result.node_id).tolist())
+        winner = set(forest.component_vertices(result.node_id).tolist())
         lab = set(net.lab.tolist())
         isolated = set(net.isolated_group.tolist())
         assert winner in (lab, isolated)

@@ -281,7 +281,9 @@ class TestCanonicalTieBreak:
                 assert (result.k, result.node_id) == (4, 0)
                 assert result.vertices.tolist() == [0, 2, 4, 6, 8]
         assert states[-1].build_seconds["core:forest"] == 0.0  # hydrated, not built
-        assert_same_arrays(states[0].forest, states[-1].forest)
+        assert_same_arrays(
+            states[0].artifact("core", "forest"), states[-1].artifact("core", "forest")
+        )
 
     def test_twin_pendant_triangles_pinned(self, tmp_path):
         """Two copies of a triangle with a pendant vertex: every metric ties
@@ -352,7 +354,7 @@ class TestStructuralInvariants:
         key = lambda pair: (pair[0], sorted(pair[1]))
         reconstructed = sorted(
             (
-                (node.k, frozenset(forest.core_vertices(node.node_id).tolist()))
+                (node.k, frozenset(forest.component_vertices(node.node_id).tolist()))
                 for node in forest.nodes
             ),
             key=key,
@@ -439,21 +441,21 @@ class TestQueries:
 
     def test_core_containing_exact_level(self, figure2):
         forest = build_core_forest(figure2)
-        node_id = forest.core_containing(0, 3)
+        node_id = forest.containing(0, 3)
         assert forest.nodes[node_id].k == 3
-        assert set(forest.core_vertices(node_id).tolist()) == {0, 1, 2, 3}
+        assert set(forest.component_vertices(node_id).tolist()) == {0, 1, 2, 3}
 
     def test_core_containing_skipped_level(self, figure2):
         # No 1-core node exists; the 1-core coincides with the 2-core root.
         forest = build_core_forest(figure2)
-        node_id = forest.core_containing(0, 1)
+        node_id = forest.containing(0, 1)
         assert forest.nodes[node_id].k == 2
-        assert len(forest.core_vertices(node_id)) == 12
+        assert len(forest.component_vertices(node_id)) == 12
 
     def test_core_containing_rejects_high_k(self, figure2):
         forest = build_core_forest(figure2)
         with pytest.raises(ValueError):
-            forest.core_containing(4, 3)  # v5 has coreness 2
+            forest.containing(4, 3)  # v5 has coreness 2
 
     def test_empty_graph(self, empty_graph):
         forest = build_core_forest(empty_graph)
@@ -504,17 +506,15 @@ class TestTripletOracle:
         assert trip_k.tolist() == [
             brute_triplets(graph, np.flatnonzero(levels >= k)) for k in range(len(trip_k))
         ]
-        if family == "core":
-            forest = index.forest
-            _, trip = index.artifact("core", "node_triangles")
-        else:
-            scored = family_node_scores(
-                graph, fam, "clustering_coefficient",
-                decomposition=index.family_decomposition(fam), backend=backend,
-            )
-            forest = scored.forest
-            trip = [values.num_triplets for values in scored.values]
+        forest = index.artifact(fam, "forest")
+        _, trip = index.artifact(fam, "node_triangles")
         assert list(trip) == [
             brute_triplets(graph, forest.component_vertices(i))
             for i in range(forest.num_nodes)
         ]
+        scored = family_node_scores(
+            graph, fam, "clustering_coefficient",
+            decomposition=index.family_decomposition(fam), backend=backend,
+        )
+        assert_same_arrays(scored.forest, forest)
+        assert [values.num_triplets for values in scored.values] == list(trip)

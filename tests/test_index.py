@@ -16,7 +16,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-import repro.index.bestk_index as bi
+import repro.core.family as core_family
+import repro.engine.chain as chain
 from repro import BestKIndex
 from repro.core import (
     PAPER_METRICS,
@@ -117,29 +118,31 @@ class TestEntryPointPassthrough:
         assert best_single_kcore(graph, "mod", index=index).k == index.best_core("mod").k
 
 
-def _count_calls(monkeypatch, name: str) -> list:
-    """Wrap builder ``name`` in :mod:`repro.index.bestk_index`, counting calls."""
+def _count_calls(monkeypatch, name: str, module=chain) -> list:
+    """Wrap builder ``name`` in ``module`` (the artifact chain), counting calls."""
     calls: list = []
-    original = getattr(bi, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(bi, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
-#: Module-level builders the index must run at most once.  Generic family
-#: artifacts (decompose, totals, level accumulations) route through
-#: :class:`repro.engine.HierarchyFamily` hooks and are covered by the
-#: artifact-cache assertions instead.
+#: Module-level builders the index must run at most once: the core
+#: family's Algorithm 1 and the chain's forest sweep, charging passes and
+#: node aggregations.  Generic family artifacts (decompose, totals, level
+#: accumulations) route through :class:`repro.engine.HierarchyFamily`
+#: hooks and are covered by the artifact-cache assertions instead.
 BUILDERS = (
-    "order_vertices",
-    "build_core_forest",
-    "triangles_by_min_rank_vertex",
-    "node_totals",
-    "node_triangles",
+    (core_family, "order_vertices"),
+    (chain, "shell_sweep"),
+    (chain, "triangles_by_min_rank_vertex"),
+    (chain, "triplet_charges"),
+    (chain, "node_totals"),
+    (chain, "node_triangles"),
 )
 
 
@@ -159,7 +162,9 @@ class TestLaziness:
         assert index.build_seconds == {}
 
     def test_each_builder_runs_at_most_once(self, graph, monkeypatch):
-        counters = {name: _count_calls(monkeypatch, name) for name in BUILDERS}
+        counters = {
+            name: _count_calls(monkeypatch, name, module) for module, name in BUILDERS
+        }
         index = BestKIndex(graph, jobs=1, store=False)
         for _ in range(2):  # everything twice: second pass must be free
             index.score_set_all_metrics(PAPER_METRICS)

@@ -34,26 +34,26 @@ def gowalla_index(gowalla):
     decomp = core_decomposition(gowalla)
     ordered = order_vertices(gowalla, decomp)
     forest = build_core_forest(gowalla, decomp)
-    return ordered, forest
+    return decomp, ordered, forest
 
 
 class TestFullAgreementOnRealisticGraph:
     @pytest.mark.parametrize("metric", PAPER_METRICS)
     def test_set_scores_all_metrics(self, gowalla, gowalla_index, metric):
-        ordered, _ = gowalla_index
+        decomp, ordered, _ = gowalla_index
         fast = kcore_set_scores(gowalla, metric, ordered=ordered)
-        slow = baseline_kcore_set_scores(gowalla, metric, decomposition=ordered.decomposition)
+        slow = baseline_kcore_set_scores(gowalla, metric, decomposition=decomp)
         np.testing.assert_allclose(fast.scores, slow.scores, equal_nan=True)
 
     @pytest.mark.parametrize("metric", PAPER_METRICS)
     def test_core_scores_all_metrics(self, gowalla, gowalla_index, metric):
-        ordered, forest = gowalla_index
+        _, ordered, forest = gowalla_index
         fast = kcore_scores(gowalla, metric, ordered=ordered, forest=forest)
         slow = baseline_kcore_scores(gowalla, metric, forest=forest)
         np.testing.assert_allclose(fast.scores, slow.scores, equal_nan=True)
 
     def test_best_set_contains_best_core_k_range(self, gowalla, gowalla_index):
-        ordered, forest = gowalla_index
+        _, ordered, forest = gowalla_index
         for metric in ("ad", "mod"):
             set_best = best_kcore_set(gowalla, metric, ordered=ordered)
             core_best = best_single_kcore(gowalla, metric, ordered=ordered, forest=forest)
@@ -66,19 +66,17 @@ class TestFullAgreementOnRealisticGraph:
 
 class TestBestKRelationships:
     def test_density_prefers_deepest(self, gowalla, gowalla_index):
-        ordered, _ = gowalla_index
-        decomp = ordered.decomposition
+        decomp, ordered, _ = gowalla_index
         result = best_kcore_set(gowalla, "den", ordered=ordered)
         assert result.k >= decomp.kmax - 1
 
     def test_conductance_prefers_shallow(self, gowalla, gowalla_index):
-        ordered, _ = gowalla_index
+        _, ordered, _ = gowalla_index
         result = best_kcore_set(gowalla, "con", ordered=ordered)
         assert result.k <= 3
 
     def test_modularity_in_between(self, gowalla, gowalla_index):
-        ordered, _ = gowalla_index
-        decomp = ordered.decomposition
+        _, ordered, _ = gowalla_index
         mod_k = best_kcore_set(gowalla, "mod", ordered=ordered).k
         con_k = best_kcore_set(gowalla, "con", ordered=ordered).k
         den_k = best_kcore_set(gowalla, "den", ordered=ordered).k

@@ -15,7 +15,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import core_decomposition, core_level_view, order_vertices
+from repro.core import core_decomposition, order_vertices
 from repro.core.naive import coreness_naive
 from repro.engine import (
     build_level_forest,
@@ -377,7 +377,7 @@ class TestChargeKernelEquivalence:
 
     @zoo_case
     def test_triplet_group_deltas_identical(self, graph):
-        ordering = core_level_view(order_vertices(graph))
+        ordering = order_vertices(graph)
         want = PY.triplet_charges(ordering)
         got = NP.triplet_charges(ordering)
         assert got.dtype == np.int64
@@ -388,7 +388,7 @@ class TestChargeKernelEquivalence:
     def test_triplet_deltas_sum_to_total(self, graph):
         # Top-down, the per-shell increments must add up to every triplet
         # of the whole graph (C_0 is the full vertex set).
-        ordering = core_level_view(order_vertices(graph))
+        ordering = order_vertices(graph)
         charges = NP.triplet_charges(ordering)
         assert int(charges.sum()) == count_triplets(graph)
         assert int(_shell_deltas(ordering, charges).sum()) == count_triplets(graph)
@@ -451,7 +451,7 @@ class TestTripletGroupings:
         assert not got[1::2].any()
 
     def test_empty_graph(self):
-        ordering = core_level_view(order_vertices(Graph.empty(0)))
+        ordering = order_vertices(Graph.empty(0))
         for backend in (PY, NP, NATIVE):
             got = backend.triplet_charges(ordering)
             assert got.dtype == np.int64

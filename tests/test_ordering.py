@@ -5,7 +5,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.core import core_decomposition, core_level_view, order_vertices
+from repro.core import core_decomposition, order_vertices
 from repro.engine import level_ordering
 from repro.graph import Graph, GraphBuilder
 from conftest import random_graph, zoo_params
@@ -20,6 +20,16 @@ def brute_force_tags(graph, coreness, rank, v):
     return nbrs, same, plus, high
 
 
+def tag_slices(od, v):
+    """Table II's neighbour classes of ``v``: slices of its rank-ordered row."""
+    row = od.indices[od.indptr[v]:od.indptr[v + 1]]
+    same, plus, high = od.same[v], od.plus[v], od.high[v]
+    return {
+        "lt": row[:same], "eq": row[same:plus], "gt": row[plus:],
+        "ge": row[same:], "gt_rank": row[high:],
+    }
+
+
 class TestRank:
     def test_rank_is_permutation(self, figure2):
         od = order_vertices(figure2)
@@ -27,7 +37,7 @@ class TestRank:
 
     def test_rank_respects_coreness_then_id(self, figure2):
         od = order_vertices(figure2)
-        coreness = od.decomposition.coreness
+        coreness = od.levels
         for u in range(12):
             for v in range(12):
                 if coreness[v] > coreness[u]:
@@ -41,21 +51,22 @@ class TestAdjacencyOrdering:
     def test_slices_sorted_by_rank(self, graph):
         od = order_vertices(graph)
         for v in range(graph.num_vertices):
-            ranks = od.rank[od.neighbors(v)]
+            ranks = od.rank[od.indices[od.indptr[v]:od.indptr[v + 1]]]
             assert np.all(np.diff(ranks) > 0)
 
     @zoo_params()
     def test_same_multiset_of_neighbors(self, graph):
         od = order_vertices(graph)
         for v in range(graph.num_vertices):
-            assert sorted(od.neighbors(v).tolist()) == sorted(graph.neighbors(v).tolist())
+            row = od.indices[od.indptr[v]:od.indptr[v + 1]]
+            assert sorted(row.tolist()) == sorted(graph.neighbors(v).tolist())
 
 
 class TestPositionTags:
     @zoo_params()
     def test_tags_match_definitions(self, graph):
         od = order_vertices(graph)
-        coreness = od.decomposition.coreness
+        coreness = od.levels
         for v in range(graph.num_vertices):
             _, same, plus, high = brute_force_tags(graph, coreness, od.rank, v)
             assert od.same[v] == same
@@ -66,7 +77,7 @@ class TestPositionTags:
     def test_tags_on_random(self, seed):
         g = random_graph(40, 120, seed)
         od = order_vertices(g)
-        coreness = od.decomposition.coreness
+        coreness = od.levels
         for v in range(g.num_vertices):
             _, same, plus, high = brute_force_tags(g, coreness, od.rank, v)
             assert (od.same[v], od.plus[v], od.high[v]) == (same, plus, high)
@@ -75,40 +86,51 @@ class TestPositionTags:
 class TestCountQueries:
     def test_counts_partition_degree(self, figure2):
         od = order_vertices(figure2)
+        deg = np.diff(od.indptr)
+        assert np.all((0 <= od.same) & (od.same <= od.plus) & (od.plus <= deg))
+        assert np.all((0 <= od.high) & (od.high <= deg))
         for v in range(12):
-            assert od.n_lt(v) + od.n_eq(v) + od.n_gt(v) == figure2.degree(v)
-            assert od.n_ge(v) == od.n_eq(v) + od.n_gt(v)
+            classes = tag_slices(od, v)
+            assert len(classes["lt"]) + len(classes["eq"]) + len(classes["gt"]) == figure2.degree(v)
+            assert len(classes["ge"]) == len(classes["eq"]) + len(classes["gt"])
 
     def test_example3_queries(self, figure2):
         # Paper Example 3: |N(v6, >)| = 1 (v6 is index 5; its only
         # higher-coreness neighbour is v3).
         od = order_vertices(figure2)
-        assert od.n_gt(5) == 1
-        assert od.n_eq(5) == 3
-        assert od.n_lt(5) == 0
+        deg = np.diff(od.indptr)
+        assert deg[5] - od.plus[5] == 1
+        assert od.plus[5] - od.same[5] == 3
+        assert od.same[5] == 0
         # v1 (index 0) has plus == |N(v1)|: no neighbour has larger coreness.
-        assert od.n_gt(0) == 0
+        assert deg[0] - od.plus[0] == 0
 
     def test_slices_match_counts(self, figure2):
         od = order_vertices(figure2)
-        coreness = od.decomposition.coreness
+        coreness = od.levels
+        deg = np.diff(od.indptr)
         for v in range(12):
-            assert len(od.nbrs_lt(v)) == od.n_lt(v)
-            assert len(od.nbrs_eq(v)) == od.n_eq(v)
-            assert len(od.nbrs_gt(v)) == od.n_gt(v)
-            assert len(od.nbrs_ge(v)) == od.n_ge(v)
-            assert len(od.nbrs_gt_rank(v)) == od.n_gt_rank(v)
-            assert all(coreness[u] < coreness[v] for u in od.nbrs_lt(v))
-            assert all(coreness[u] == coreness[v] for u in od.nbrs_eq(v))
-            assert all(coreness[u] > coreness[v] for u in od.nbrs_gt(v))
-            assert all(od.rank[u] > od.rank[v] for u in od.nbrs_gt_rank(v))
+            classes = tag_slices(od, v)
+            assert len(classes["lt"]) == od.same[v]
+            assert len(classes["eq"]) == od.plus[v] - od.same[v]
+            assert len(classes["gt"]) == deg[v] - od.plus[v]
+            assert len(classes["ge"]) == deg[v] - od.same[v]
+            assert len(classes["gt_rank"]) == deg[v] - od.high[v]
+            assert all(coreness[u] < coreness[v] for u in classes["lt"])
+            assert all(coreness[u] == coreness[v] for u in classes["eq"])
+            assert all(coreness[u] > coreness[v] for u in classes["gt"])
+            assert all(coreness[u] >= coreness[v] for u in classes["ge"])
+            assert all(od.rank[u] > od.rank[v] for u in classes["gt_rank"])
+            # The row before ``high`` is exactly the lower-rank neighbours.
+            row = od.indices[od.indptr[v]:od.indptr[v + 1]]
+            assert all(od.rank[u] < od.rank[v] for u in row[:od.high[v]])
 
 
 class TestConstruction:
     def test_accepts_precomputed_decomposition(self, figure2):
         decomp = core_decomposition(figure2)
         od = order_vertices(figure2, decomp)
-        assert od.decomposition is decomp
+        assert od.levels is decomp.coreness
 
     def test_empty_graph(self, empty_graph):
         od = order_vertices(empty_graph)
@@ -120,7 +142,7 @@ class TestConstruction:
             od.same[0] = 3
 
     def test_repr(self, figure2):
-        assert "kmax=3" in repr(order_vertices(figure2))
+        assert "max_level=3" in repr(order_vertices(figure2))
 
 
 # ----------------------------------------------------------------------
@@ -194,21 +216,28 @@ class TestAgainstReference:
     @given(graphs_with_levels().map(lambda case: case[0]))
     def test_order_vertices(self, graph):
         od = order_vertices(graph)
-        assert_matches_reference(od, graph, od.decomposition.coreness)
+        assert_matches_reference(od, graph, od.levels)
 
     @pytest.mark.parametrize("name", EDGE_CASES)
     def test_edge_cases(self, name):
         graph, levels = EDGE_CASES[name]
         assert_matches_reference(level_ordering(graph, levels), graph, levels)
         od = order_vertices(graph)
-        assert_matches_reference(od, graph, od.decomposition.coreness)
+        assert_matches_reference(od, graph, od.levels)
 
     @zoo_params()
     def test_core_level_view_is_level_ordering(self, graph):
-        view = core_level_view(order_vertices(graph))
-        direct = level_ordering(graph, core_decomposition(graph).coreness)
+        """``order_vertices``, Algorithm 1's coreness view, is the level
+        ordering of coreness, built on the decomposition's own arrays."""
+        decomp = core_decomposition(graph)
+        od = order_vertices(graph, decomp)
+        direct = level_ordering(graph, decomp.coreness)
         for field in ("levels", "rank", "indptr", "indices", "same", "plus", "high",
                       "order", "level_start"):
-            a, b = getattr(view, field), getattr(direct, field)
+            a, b = getattr(od, field), getattr(direct, field)
             assert a.dtype == b.dtype and np.array_equal(a, b), field
-        assert view.graph is direct.graph
+        assert od.graph is direct.graph
+        # The decomposition's arrays are reused, not sorted or copied again.
+        assert od.levels is decomp.coreness
+        assert od.order is decomp.order
+        assert np.shares_memory(od.level_start, decomp.shell_start)

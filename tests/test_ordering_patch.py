@@ -1,9 +1,9 @@
 """The patched Algorithm 1 ordering after ``BestKIndex.apply``.
 
-After a delta, ``core:order`` is rebuilt by re-sorting only the rows whose
-neighbour order or tags can move (``repro.core.ordering._affected_rows``)
+After a delta, ``core:ordering`` is rebuilt by re-sorting only the rows
+whose neighbour order or tags can move (``repro.engine.levels._affected_rows``)
 and copying every other row from the previous epoch's ordering.  The
-contract is bit-identity: every ``OrderedGraph`` array equals
+contract is bit-identity: every ``LevelOrdering`` array equals
 ``order_vertices`` on a cold copy of the snapshot, at every epoch, and so
 do the Problem 2 answers.
 """
@@ -25,7 +25,7 @@ from repro.generators import gnm_random_graph
 from repro.graph import Graph
 from repro.index import ArtifactStore, BestKIndex
 
-FIELDS = ("rank", "indptr", "indices", "same", "plus", "high")
+FIELDS = ("levels", "rank", "indptr", "indices", "same", "plus", "high", "order", "level_start")
 ZOO = small_graph_zoo()
 
 
@@ -34,7 +34,8 @@ def cold_copy(graph: Graph) -> Graph:
 
 
 def assert_matches_cold(index: BestKIndex, metric: str = "average_degree") -> None:
-    ordered = index.ordered  # first, so a SortSpy sees the index's sort first
+    # First, so a SortSpy sees the index's sort first.
+    ordered = index.artifact("core", "ordering")
     cold_graph = cold_copy(index.graph)
     expected = order_vertices(cold_graph)
     for field in FIELDS:
@@ -105,7 +106,7 @@ def test_patched_ordering_stream_matches_cold(cut_over, monkeypatch, which, seed
         monkeypatch.setattr(engine_levels, "PATCH_MAX_ARC_SHARE", 1.0)
     rng = random.Random(seed)
     index = BestKIndex(ZOO[which][1], store=False)
-    index.ordered
+    index.artifact("core", "ordering")
     for size, grow, query in steps:
         delta = random_delta(rng, index.graph, size, grow)
         if grow and rng.random() < 0.3:
@@ -124,7 +125,7 @@ def graph():
 class TestPatchPaths:
     def test_small_delta_patches_a_row_subset(self, graph, monkeypatch):
         index = BestKIndex(graph, store=False)
-        index.ordered
+        index.artifact("core", "ordering")
         spy = SortSpy(monkeypatch)
         edge = tuple(graph.edge_array()[0])
         index.apply(GraphDelta.from_edges(delete=[edge]))
@@ -133,7 +134,7 @@ class TestPatchPaths:
 
     def test_isolated_vertex_growth(self, graph, monkeypatch):
         index = BestKIndex(graph, store=False)
-        index.ordered
+        index.artifact("core", "ordering")
         spy = SortSpy(monkeypatch)
         n = graph.num_vertices
         index.apply(GraphDelta.from_edges(num_vertices=n + 5))
@@ -145,7 +146,7 @@ class TestPatchPaths:
 
     def test_row_emptied_by_deletes(self, graph):
         index = BestKIndex(graph, store=False)
-        index.ordered
+        index.artifact("core", "ordering")
         v = int(np.argmax(graph.degrees()))
         index.apply(GraphDelta.from_edges(delete=[(min(v, int(u)), max(v, int(u))) for u in graph.neighbors(v)]))
         assert index.graph.degree(v) == 0
@@ -153,7 +154,7 @@ class TestPatchPaths:
 
     def test_large_delta_takes_the_full_sort(self, graph, monkeypatch):
         index = BestKIndex(graph, store=False)
-        index.ordered
+        index.artifact("core", "ordering")
         spy = SortSpy(monkeypatch)
         edges = graph.edge_array()
         index.apply(GraphDelta.from_edges(delete=edges[: len(edges) // 3]))
@@ -162,12 +163,12 @@ class TestPatchPaths:
 
     def test_two_applies_without_a_query_drop_the_base(self, graph, monkeypatch):
         index = BestKIndex(graph, store=False)
-        index.ordered
+        index.artifact("core", "ordering")
         spy = SortSpy(monkeypatch)
         edges = graph.edge_array()
         index.apply(GraphDelta.from_edges(delete=[tuple(edges[0])]))
         index.apply(GraphDelta.from_edges(delete=[tuple(edges[1])]))
-        assert index._order_base is None
+        assert "core" not in index._order_bases
         assert_matches_cold(index)
         assert spy.take()[0] is False
         # The next epoch has a fresh base again and patches.
@@ -180,8 +181,8 @@ class TestPatchPaths:
         BestKIndex(graph, store=store).best_core("average_degree")
         warm = BestKIndex(graph, store=store)
         spy = SortSpy(monkeypatch)
-        warm.ordered
-        assert spy.take() == []  # core:order came from the store
+        warm.artifact("core", "ordering")
+        assert spy.take() == []  # core:ordering came from the store
         edge = tuple(graph.edge_array()[5])
         warm.apply(GraphDelta.from_edges(delete=[edge], insert=[(0, graph.num_vertices)]))
         assert_matches_cold(warm)
@@ -189,6 +190,6 @@ class TestPatchPaths:
 
     def test_noop_apply_keeps_the_built_ordering(self, graph):
         index = BestKIndex(graph, store=False)
-        before = index.ordered
+        before = index.artifact("core", "ordering")
         index.apply(GraphDelta.from_edges(), strict=False)
-        assert index.ordered is before
+        assert index.artifact("core", "ordering") is before

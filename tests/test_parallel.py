@@ -218,9 +218,9 @@ class TestWorker:
     def test_worker_payload_round_trips(self, graph):
         handle = GraphHandle("pickle", arrays=(graph.indptr, graph.indices))
         _, payloads, seconds, _, _, _ = build_family_artifacts(
-            (handle, "core", {}, "numpy", ("decompose", "order", "level_totals"))
+            (handle, "core", {}, "numpy", ("decompose", "ordering", "level_totals"))
         )
-        assert set(payloads) == {"decompose", "order", "level_totals"}
+        assert set(payloads) == {"decompose", "ordering", "level_totals"}
         assert seconds["core:decompose"] >= 0.0
         serial = BestKIndex(graph, jobs=1, store=False)
         assert np.array_equal(
@@ -265,7 +265,7 @@ class TestPrebuildBitIdentity:
         par.score_cores_all_metrics(PAPER_METRICS)
         # Scoring after a full prebuild adds only O(n) leftovers, never the
         # heavy passes (which would dominate build_seconds).
-        heavy = {"core:triangles", "core:forest", "core:order", "core:decompose"}
+        heavy = {"core:triangles", "core:forest", "core:ordering", "core:decompose"}
         assert heavy <= set(par.built_artifacts())
         after_keys = set(par.build_seconds)
         par.score_set_all_metrics(PAPER_METRICS)

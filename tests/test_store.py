@@ -21,7 +21,8 @@ import json
 import numpy as np
 import pytest
 
-import repro.index.bestk_index as bi
+import repro.core.family as core_family
+import repro.engine.chain as chain
 from repro import BestKIndex
 from repro.core import PAPER_METRICS
 from repro.engine import get_family
@@ -42,15 +43,15 @@ def store(tmp_path) -> ArtifactStore:
     return ArtifactStore(tmp_path / "cache")
 
 
-def _count_calls(monkeypatch, name: str) -> list:
+def _count_calls(monkeypatch, name: str, module=chain) -> list:
     calls: list = []
-    original = getattr(bi, name)
+    original = getattr(module, name)
 
     def counted(*args, **kwargs):
         calls.append(name)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(bi, name, counted)
+    monkeypatch.setattr(module, name, counted)
     return calls
 
 
@@ -75,9 +76,11 @@ class TestWarmStart:
         assert cold.total_build_seconds() > 0.0
 
         counters = {
-            name: _count_calls(monkeypatch, name)
-            for name in ("order_vertices", "build_core_forest",
-                         "triangles_by_min_rank_vertex")
+            name: _count_calls(monkeypatch, name, module)
+            for module, name in (
+                (core_family, "order_vertices"), (chain, "shell_sweep"),
+                (chain, "triangles_by_min_rank_vertex"), (chain, "triplet_charges"),
+            )
         }
         warm = BestKIndex(graph, jobs=1, store=store)
         assert _answers(warm) == expected
@@ -229,12 +232,18 @@ class TestPlumbing:
         assert resolve_store(tmp_path).root == tmp_path
 
     def test_persisted_names_gating(self):
-        assert "forest" in persisted_names(get_family("core"))
-        assert "ordering" not in persisted_names(get_family("core"))
-        assert persisted_names(get_family("truss")) == (
-            "decompose", "ordering", "level_totals", "triangles", "level_triangles",
+        # One list for every family: no family has its own artifacts.
+        assert persisted_names(get_family("core")) == persisted_names(get_family("truss")) == (
+            "decompose", "ordering", "level_totals", "forest", "node_totals",
+            "triangles", "level_triangles", "node_triangles",
         )
-        assert "triangles" not in persisted_names(get_family("weighted"))
+        assert persisted_names(get_family("weighted")) == (
+            "decompose", "ordering", "level_totals", "forest", "node_totals",
+        )
+        for fam in ("core", "truss", "weighted"):
+            names = persisted_names(get_family(fam))
+            assert "levels" not in names and "totals" not in names
+            assert "triplets" not in names
 
     def test_save_artifact_skips_ineligible_names(self, graph, store):
         fam = get_family("core")

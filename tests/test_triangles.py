@@ -97,8 +97,8 @@ class TestIncrementalCharges:
 
     @zoo_params()
     def test_triplet_group_deltas_sum_to_total(self, graph):
-        od = order_vertices(graph)
-        decomp = od.decomposition
+        decomp = core_decomposition(graph)
+        od = order_vertices(graph, decomp)
         _, deltas = triangle_level_increments(od, decomp.order, decomp.shell_start)
         assert len(deltas) == decomp.kmax + 1
         assert deltas.sum() == count_triplets(graph)
@@ -107,8 +107,8 @@ class TestIncrementalCharges:
     @pytest.mark.parametrize("seed", range(4))
     def test_group_deltas_random(self, seed):
         g = random_graph(30, 100, seed)
-        od = order_vertices(g)
-        decomp = od.decomposition
+        decomp = core_decomposition(g)
+        od = order_vertices(g, decomp)
         trip = triplet_charges(od)
         assert trip.sum() == count_triplets(g)
         for k in range(decomp.kmax + 1):

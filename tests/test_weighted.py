@@ -274,3 +274,54 @@ class TestScoring:
         )
         with pytest.raises(ValueError):
             scores.best_level()
+
+
+class TestArcWeightsExpandedOnce:
+    """The per-edge weights are expanded to arcs once per decomposition."""
+
+    @staticmethod
+    def count_expansions(monkeypatch) -> list:
+        import repro.weighted.decomposition as wd
+
+        calls: list = []
+        original = wd.arc_weights
+
+        def counted(graph, edge_weights):
+            calls.append(1)
+            return original(graph, edge_weights)
+
+        monkeypatch.setattr(wd, "arc_weights", counted)
+        return calls
+
+    def test_one_expansion_per_weighted_build(self, monkeypatch):
+        graph = random_graph(60, 240, 5)
+        weights = random_weights(graph, seed=5)
+        expected = {
+            m: family_set_scores(graph, "weighted", m, edge_weights=weights).scores
+            for m in available_weighted_metrics()
+        }
+        calls = self.count_expansions(monkeypatch)
+        index = BestKIndex(graph, jobs=1, store=False)
+        for m in available_weighted_metrics():
+            got = index.level_scores("weighted", m, edge_weights=weights).scores
+            assert np.array_equal(got, expected[m], equal_nan=True)
+            index.best_node("weighted", m, edge_weights=weights)
+        assert len(calls) == 1
+
+    def test_cached_expansion_is_the_expansion(self):
+        graph = random_graph(40, 150, 2)
+        weights = random_weights(graph, seed=2)
+        decomp = s_core_decomposition(graph, weights)
+        assert np.array_equal(decomp.arc_weights, arc_weights(graph, weights))
+
+    def test_hydrated_decomposition_expands_lazily(self, monkeypatch, tmp_path):
+        graph = random_graph(40, 150, 3)
+        weights = random_weights(graph, seed=3)
+        metric = "weighted_average_degree"
+        BestKIndex(graph, jobs=1, store=tmp_path).best_level("weighted", metric, edge_weights=weights)
+        calls = self.count_expansions(monkeypatch)
+        warm = BestKIndex(graph, jobs=1, store=tmp_path)
+        decomp = warm.family_decomposition("weighted", edge_weights=weights)
+        assert calls == []
+        assert np.array_equal(decomp.arc_weights, arc_weights(graph, weights))
+        assert decomp.arc_weights is decomp.arc_weights
