@@ -7,18 +7,16 @@ graphs and times, per delta:
 
 * ``apply_seconds`` — the localized CSR rebuild producing the next
   epoch's snapshot;
-* ``edge_seconds`` — :func:`repro.dynamic.incremental_core_numbers`
-  forced onto the per-edge overlay walk (``plan="edge"``; skipped above
-  ``EDGE_PATH_MAX`` changes, where the interpreted walk takes minutes);
-* ``batched_seconds`` — the same repair forced through one
-  ``subcore_repair`` kernel dispatch (``plan="batched"``);
+* ``batched_seconds`` — :func:`repro.dynamic.incremental_core_numbers`
+  forced through one ``subcore_repair`` kernel dispatch
+  (``plan="batched"``);
 * ``full_seconds`` — a from-scratch ``peel_coreness`` on the new
   snapshot (what a non-incremental index would pay).
 
-Every repaired coreness — per-edge and batched — is asserted
-bit-identical to the full peel before its timing is trusted.  Each row
-also records ``planner_choice``: what the cost model would pick
-unforced, so planner drift shows up in the report diff.  The
+Every repaired coreness is asserted bit-identical to the full peel
+before its timing is trusted.  Each row also records
+``planner_choice``: what the cost model would pick unforced, so
+planner drift shows up in the report diff.  The
 ``dynamic.maintain`` path counts are stamped into the report through
 :func:`repro.bench.harness.execution_metadata`'s obs summary plus an
 explicit ``maintain_paths`` block, and a ``crossover`` block records the
@@ -28,7 +26,7 @@ peel.
 The acceptance gates (enforced in full mode, skipped under ``--quick``),
 all on the largest dataset:
 
-* single-edge deltas must maintain (best path) >= ``GATE_SPEEDUP``x
+* single-edge deltas must maintain (batched) >= ``GATE_SPEEDUP``x
   faster than the full rebuild;
 * batched repair must beat the full peel >= ``GATE_BATCHED_100``x at
   100-edge deltas and >= ``GATE_BATCHED_1000``x at 1000-edge deltas.
@@ -44,6 +42,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import pathlib
 import sys
 import time
@@ -71,12 +70,7 @@ QUICK_SUITE = ("cl-100k",)
 DELTA_SIZES = (1, 10, 100, 1000, 10000)
 QUICK_DELTA_SIZES = (1, 10, 100)
 
-#: Largest delta the per-edge walk is timed on; beyond this the
-#: interpreted overlay traversal takes minutes per delta and the
-#: comparison is meaningless (the planner would never choose it).
-EDGE_PATH_MAX = 1000
-
-#: Gate: single-edge deltas must maintain (best path) at least this many
+#: Gate: single-edge deltas must maintain (batched) at least this many
 #: times faster than the full rebuild on the largest dataset.
 GATE_SPEEDUP = 5.0
 #: Gates on the batched kernel path (full peel / batched repair).
@@ -116,14 +110,6 @@ def bench_dataset(name: str, graph, sizes: tuple[int, ...], repeats: int) -> lis
             nxt = vg.apply(delta)
             apply_seconds = time.perf_counter() - start
 
-            edge_seconds = None
-            if size <= EDGE_PATH_MAX:
-                start = time.perf_counter()
-                edge_result = incremental_core_numbers(
-                    vg.graph, core, nxt.applied, new_graph=nxt.graph, plan="edge"
-                )
-                edge_seconds = time.perf_counter() - start
-
             start = time.perf_counter()
             result = incremental_core_numbers(
                 vg.graph, core, nxt.applied, new_graph=nxt.graph, plan="batched"
@@ -138,12 +124,6 @@ def bench_dataset(name: str, graph, sizes: tuple[int, ...], repeats: int) -> lis
                 raise AssertionError(
                     f"batched coreness diverged on {name} size={size}"
                 )
-            if edge_seconds is not None and not np.array_equal(
-                edge_result.coreness, full
-            ):
-                raise AssertionError(
-                    f"per-edge coreness diverged on {name} size={size}"
-                )
             choice = plan_maintenance(
                 delta.num_changes, nxt.graph.num_edges, backend_name=backend.name
             ).choice
@@ -155,7 +135,6 @@ def bench_dataset(name: str, graph, sizes: tuple[int, ...], repeats: int) -> lis
                     "n": nxt.graph.num_vertices,
                     "m": nxt.graph.num_edges,
                     "apply_seconds": apply_seconds,
-                    "edge_seconds": edge_seconds,
                     "batched_seconds": batched_seconds,
                     "full_seconds": full_seconds,
                     "path": result.path,
@@ -164,11 +143,9 @@ def bench_dataset(name: str, graph, sizes: tuple[int, ...], repeats: int) -> lis
                     "changed": int(len(result.changed)),
                 }
             )
-            edge_ms = "     skip" if edge_seconds is None else f"{edge_seconds * 1e3:8.2f}ms"
             print(
                 f"  size={size:5d} epoch={nxt.epoch:3d} "
                 f"apply={apply_seconds * 1e3:8.2f}ms "
-                f"edge={edge_ms} "
                 f"batched={batched_seconds * 1e3:8.2f}ms "
                 f"full={full_seconds * 1e3:8.2f}ms "
                 f"(plan would pick {choice}; {len(result.changed)} changed)",
@@ -187,16 +164,13 @@ def _median_cells(rows: list[dict], field: str) -> dict[tuple[str, int], float]:
 
 
 def summarise(rows: list[dict]) -> dict:
-    """Median speedups (full / strategy) per (dataset, delta size)."""
+    """Median speedups (full / batched) per (dataset, delta size)."""
     full = _median_cells(rows, "full_seconds")
     out: dict[str, dict[str, float]] = {}
-    for field, label in (("edge_seconds", "edge"), ("batched_seconds", "batched")):
-        for key, med in _median_cells(rows, field).items():
-            if med > 0:
-                dataset, size = key
-                out.setdefault(f"{dataset}/size-{size}", {})[label] = round(
-                    full[key] / med, 2
-                )
+    for key, med in _median_cells(rows, "batched_seconds").items():
+        if med > 0:
+            dataset, size = key
+            out[f"{dataset}/size-{size}"] = {"batched": round(full[key] / med, 2)}
     return dict(sorted(out.items()))
 
 
@@ -251,14 +225,13 @@ def check_gate(report: dict, largest: str) -> bool:
     speedups = report["speedups"]
     ok = True
 
-    cell = speedups.get(f"{largest}/size-1", {})
-    best = max((v for v in cell.values()), default=None)
-    if best is None:
+    single = speedups.get(f"{largest}/size-1", {}).get("batched")
+    if single is None:
         print(f"GATE FAILED: no single-edge measurement for {largest}")
         ok = False
     else:
-        print(f"gate: single-edge maintain-vs-rebuild on {largest}: {best:.1f}x")
-        if best < GATE_SPEEDUP:
+        print(f"gate: single-edge maintain-vs-rebuild on {largest}: {single:.1f}x")
+        if single < GATE_SPEEDUP:
             print(
                 f"GATE FAILED: maintain < {GATE_SPEEDUP}x full rebuild "
                 f"for single-edge deltas on {largest}"
@@ -315,7 +288,10 @@ def main(argv: list[str] | None = None) -> int:
         "maintain_paths": maintain_path_counts(),
         "output": {"quick": args.quick, "repeats": repeats, "delta_sizes": list(sizes)},
         "execution": execution_metadata(jobs=1, cache_dir=None),
-        "metadata": machine_metadata(get_backend().name),
+        "metadata": {
+            **machine_metadata(get_backend().name),
+            "nproc": len(os.sched_getaffinity(0)),
+        },
     }
     args.output.write_text(json.dumps(report, indent=2) + "\n", encoding="utf-8")
     print(f"wrote {args.output}")

@@ -5,9 +5,10 @@ drives the production dynamic-graph path:
 
 * :meth:`repro.BestKIndex.apply` advances the index by one
   :class:`repro.GraphDelta` per round and keeps the cached coreness
-  current — a cost-model planner picks per delta between a per-edge or
-  batched subcore repair and a re-peel (on a graph this small the peel
-  wins) — while invalidating only what the delta can have changed, and
+  current — a cost-model planner picks per delta between one batched
+  ``subcore_repair`` kernel dispatch and a re-peel (on a graph this small
+  with 400-edge rounds the peel wins) — while invalidating
+  only what the delta can have changed, and
 * the optimal best-k machinery re-scores the hierarchy from that index.
 
 A social network grows by random attachment, with occasional edge churn;

@@ -42,7 +42,7 @@ import numpy as np
 sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 
 from repro.core import core_decomposition, order_vertices
-from repro.dynamic import GraphDelta
+from repro.dynamic import PLAN_CHOICES, GraphDelta
 from repro.generators import gnm_random_graph
 from repro.graph import Graph
 from repro.index import ArtifactStore, BestKIndex
@@ -120,8 +120,8 @@ def main(argv: list[str] | None = None) -> int:
              "(overrides --max-changes randomisation)",
     )
     parser.add_argument(
-        "--plan", default=None, choices=("auto", "edge", "batched", "rebuild"),
-        help="force the maintenance strategy (default: cost-model planner)",
+        "--plan", default=None, choices=PLAN_CHOICES,
+        help="force the maintenance outcome (default: cost-model planner)",
     )
     args = parser.parse_args(argv)
     sizes = (
@@ -136,7 +136,7 @@ def main(argv: list[str] | None = None) -> int:
         store = ArtifactStore(tmp)
         index = BestKIndex(graph, store=store)
         index.best_set(METRICS[0])  # core baseline for incremental repair
-        paths = {"incremental": 0, "batched": 0, "rebuild": 0, "none": 0}
+        paths = {"batched": 0, "rebuild": 0, "none": 0}
         for step in range(args.steps):
             size = (
                 sizes[step % len(sizes)] if sizes

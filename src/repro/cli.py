@@ -64,6 +64,7 @@ from .core import (
     best_single_kcore,
     core_decomposition,
 )
+from .dynamic import PLAN_CHOICES
 from .engine import available_families, get_family
 from .errors import ReproError
 from .generators import DATASETS, load_dataset
@@ -193,8 +194,8 @@ def build_parser() -> argparse.ArgumentParser:
         help="delete the edges instead of inserting them",
     )
     p.add_argument(
-        "--plan", default=None, choices=("auto", "edge", "batched", "rebuild"),
-        help="force the core-maintenance strategy "
+        "--plan", default=None, choices=PLAN_CHOICES,
+        help="force the core-maintenance outcome "
              "(default: cost-model planner; env REPRO_DYNAMIC_PLAN)",
     )
     p.add_argument(

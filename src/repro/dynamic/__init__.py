@@ -12,13 +12,13 @@ next one*:
     digest is epoch-stamped (:func:`stamp_epoch_digest`), so artifact
     store identity stays correct by construction.
 :func:`incremental_core_numbers`
-    Traversal-style core maintenance: repair coreness inside the touched
-    subcores — per edge over a python overlay, or batched through the
-    ``subcore_repair`` kernel — falling back to a full kernel peel when
-    locality cannot pay off (classified on the ``dynamic.maintain`` obs
-    counter).  A measured cost model (:func:`plan_maintenance`) picks the
-    strategy per delta; ``REPRO_DYNAMIC_PLAN`` or ``plan=`` overrides it,
-    and the verdict lands on ``dynamic.plan{choice,reason}``.
+    Core maintenance: repair coreness inside the touched subcores with
+    one ``subcore_repair`` kernel dispatch, or fall back to a full kernel
+    peel when locality cannot pay off (classified on the
+    ``dynamic.maintain`` obs counter).  A measured cost model
+    (:func:`plan_maintenance`) picks between the two per delta;
+    ``REPRO_DYNAMIC_PLAN`` or ``plan=`` overrides it, and the verdict
+    lands on ``dynamic.plan{choice,reason}``.
 
 Layering: this package sits beside :mod:`repro.parallel` — it may import
 ``graph``, ``errors``, ``kernels`` and ``obs``, and must never import

@@ -1,13 +1,8 @@
-"""Cost-model selection of the maintenance strategy for one delta.
+"""Cost-model selection of the maintenance outcome for one delta.
 
-:func:`incremental_core_numbers` has three ways to produce the next
+:func:`incremental_core_numbers` has two ways to produce the next
 epoch's coreness, with very different cost shapes:
 
-``edge``
-    The per-edge subcore walk over the copy-on-write python overlay —
-    unbeatable for one or two edges (no array setup at all), but its
-    per-change cost is the full traversal of every touched subcore in
-    interpreted python.
 ``batched``
     One :meth:`~repro.kernels.base.KernelBackend.subcore_repair` kernel
     dispatch over raw CSR arrays — pays a fixed setup (an arc-active
@@ -18,10 +13,10 @@ epoch's coreness, with very different cost shapes:
     the delta size, and the only option without a baseline.
 
 :func:`plan_maintenance` picks between them from a measured cost model:
-every candidate's cost is estimated as ``fixed + work * seconds_per_arc``
+each candidate's cost is estimated as ``fixed + work * seconds_per_arc``
 with coefficients calibrated on the reference ~500k-edge Chung–Lu graph
 by ``benchmarks/bench_dynamic.py`` (the bench records the measured
-crossovers next to the model in ``BENCH_dynamic.json``).  The estimated
+crossover next to the model in ``BENCH_dynamic.json``).  The estimated
 work unit is the *affected-region arc count*: measured subcore
 traversals on the calibration graph scan about ``m / 280`` arcs per
 changed edge, floored at 64 for small graphs.
@@ -29,9 +24,9 @@ changed edge, floored at 64 for small graphs.
 The choice is observable on the ``dynamic.plan{choice=,reason=}``
 counter and overridable — the ``plan=`` argument (CLI ``--plan``) beats
 the ``REPRO_DYNAMIC_PLAN`` environment variable; both accept
-``auto``/``edge``/``batched``/``rebuild``.  Overrides skip the
-large-delta guard (the caller asked for that path), but never the
-no-baseline guard: repairing nothing is not an option.
+``auto``/``batched``/``rebuild``.  Overrides skip the large-delta guard
+(the caller asked for that path), but never the no-baseline guard:
+repairing nothing is not an option.
 """
 
 from __future__ import annotations
@@ -53,7 +48,7 @@ __all__ = [
 PLAN_ENV_VAR = "REPRO_DYNAMIC_PLAN"
 
 #: Accepted plan names (``auto`` defers to the cost model).
-PLAN_CHOICES = ("auto", "edge", "batched", "rebuild")
+PLAN_CHOICES = ("auto", "batched", "rebuild")
 
 _log = logging.getLogger("repro.dynamic.planner")
 
@@ -61,10 +56,8 @@ _log = logging.getLogger("repro.dynamic.planner")
 # of benchmarks/bench_dynamic.py (native backend; see BENCH_dynamic.json
 # for the raw medians).  Region arcs are walked once per pass; the
 # per-arc figures fold the pass count in.  The fit reproduces the
-# measured crossovers: edge -> batched near 2 changes, batched ->
-# rebuild near ~3.6k changes on the ~500k-edge graph.
-_EDGE_SECONDS_PER_ARC = 8e-7         # python overlay traversal
-_EDGE_SECONDS_PER_CHANGE = 2e-5      # dict/set bookkeeping per edge
+# measured batched -> rebuild crossover near ~3.6k changes on the
+# ~500k-edge graph.
 _BATCHED_FIXED_SECONDS = 2.5e-4      # op arrays + extra-CSR assembly
 _BATCHED_SETUP_SECONDS_PER_ARC = 2e-9   # arc-active mask + scratch
 _BATCHED_SECONDS_PER_ARC = {"native": 3e-9, "numpy": 2.5e-7, "python": 2.5e-6}
@@ -76,7 +69,7 @@ _REBUILD_SECONDS_PER_ARC = {"native": 2e-8, "numpy": 5e-8, "python": 1.2e-6}
 class MaintenancePlan:
     """The planner's verdict for one delta.
 
-    ``choice`` is ``edge``/``batched``/``rebuild``; ``reason`` is
+    ``choice`` is ``batched``/``rebuild``; ``reason`` is
     ``cost_model`` (the estimates decided), ``override`` (caller or
     environment forced the choice), ``no_baseline`` or ``large_delta``
     (guards forced a rebuild).  ``estimates`` holds the modelled seconds
@@ -117,13 +110,12 @@ def estimated_region_arcs(num_edges: int) -> int:
 
 
 def cost_estimates(num_changes: int, num_edges: int, backend_name: str) -> dict[str, float]:
-    """Modelled seconds per strategy for a ``num_changes``-edge delta."""
+    """Modelled seconds per outcome for a ``num_changes``-edge delta."""
     region = estimated_region_arcs(num_edges)
     arcs = 2 * num_edges
     batched_per_arc = _BATCHED_SECONDS_PER_ARC.get(backend_name, _BATCHED_SECONDS_PER_ARC["numpy"])
     rebuild_per_arc = _REBUILD_SECONDS_PER_ARC.get(backend_name, _REBUILD_SECONDS_PER_ARC["numpy"])
     return {
-        "edge": num_changes * (region * _EDGE_SECONDS_PER_ARC + _EDGE_SECONDS_PER_CHANGE),
         "batched": (
             _BATCHED_FIXED_SECONDS
             + arcs * _BATCHED_SETUP_SECONDS_PER_ARC
@@ -141,7 +133,7 @@ def plan_maintenance(
     override: str | None = None,
     has_baseline: bool = True,
 ) -> MaintenancePlan:
-    """Choose the maintenance strategy for one delta.
+    """Choose the maintenance outcome for one delta.
 
     ``num_edges`` is the *new* snapshot's edge count (the quantity the
     rebuild pays for); ``override`` is a pre-resolved plan name from

@@ -701,9 +701,9 @@ class BestKIndex:
           (ordering, totals, forest) rebuild lazily — ``core:ordering`` by
           patching the old ordering's affected rows
           (:func:`~repro.core.ordering.order_vertices` with ``base=``) when
-          it was built before the apply — whether the repair
-          walks per edge, runs the batched ``subcore_repair`` kernel, or
-          re-peels is decided by the cost-model planner
+          it was built before the apply — whether the repair runs one
+          batched ``subcore_repair`` kernel dispatch or re-peels is
+          decided by the cost-model planner
           (:func:`~repro.dynamic.plan_maintenance`), forceable via
           ``plan=`` or ``REPRO_DYNAMIC_PLAN``;
         * **invalidated** — rebuild-on-change families (truss, weighted,

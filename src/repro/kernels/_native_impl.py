@@ -40,8 +40,8 @@ ops_u, ops_v, ops_kind, limit) -> applied``
     (old CSR + arc-active mask, plus a tiny "extra" CSR of the delta's
     inserted arcs).  Deletes are repaired by an exact chaotic h-index
     descent from the old coreness (any fixpoint of the h-index operator
-    below a sound upper bound *is* the coreness); inserts replay the
-    per-edge optimistic subcore peel of :mod:`repro.dynamic.maintain`.
+    below a sound upper bound *is* the coreness); inserts are replayed
+    one edge at a time as optimistic subcore peels.
     ``core`` / ``active`` / ``xactive`` are mutated in place; the return
     value is the number of ops applied — anything short of ``len(ops_u)``
     means an insert's subcore traversal blew past ``limit`` and the caller
@@ -367,7 +367,7 @@ def subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,
 
     # Phase 2 — inserts, one at a time (simultaneous multi-insert inside a
     # subcore can under-raise): activate the edge's two extra arcs, then
-    # the optimistic subcore peel of the per-edge path, with op-stamped
+    # the optimistic subcore peel of the subcore theorem, with op-stamped
     # scratch so nothing is re-zeroed between edges.
     for i in range(nops):
         if ops_kind[i] != 1:

@@ -55,7 +55,7 @@ NUM_LEVELS = 32
 #: to re-run per sweep; the numpy backend (itself bit-identical to python
 #: by the kernel contract, enforced in tests/test_kernels.py) serves as
 #: the reference and the record says so.
-REFERENCE_EDGE_LIMIT = 200_000
+REFERENCE_MAX_EDGES = 200_000
 
 
 def _build_graph(scenario: Scenario):
@@ -73,7 +73,7 @@ def _family_params(scenario: Scenario, graph) -> dict:
 
 
 def _reference_backend(graph) -> str:
-    return "python" if graph.num_edges <= REFERENCE_EDGE_LIMIT else "numpy"
+    return "python" if graph.num_edges <= REFERENCE_MAX_EDGES else "numpy"
 
 
 def _delta_stream(graph, epochs: int) -> list[GraphDelta]:

@@ -88,8 +88,8 @@ def random_graph(n: int, m: int, seed: int) -> Graph:
     return Graph.from_edges(sorted(chosen), num_vertices=n)
 
 
-#: every strategy ``incremental_core_numbers(plan=)`` can be forced into
-MAINTENANCE_PLANS = ("edge", "batched", "rebuild")
+#: every outcome ``incremental_core_numbers(plan=)`` can be forced into
+MAINTENANCE_PLANS = ("batched", "rebuild")
 
 
 class CorenessStream:

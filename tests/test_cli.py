@@ -148,7 +148,7 @@ class TestDynamicCommands:
         assert main(["apply", graph_file, "--edges", delta_file]) == 0
         out = capsys.readouterr().out
         assert "epoch 1" in out and "+2 -0 edges" in out
-        assert "path=incremental" in out
+        assert "path=batched" in out
         assert "epoch not persisted" in out
 
     def test_apply_chains_through_cache(self, graph_file, delta_file, tmp_path, capsys):
@@ -157,7 +157,7 @@ class TestDynamicCommands:
         first = capsys.readouterr().out
         assert "epoch 1" in first and "1 epoch record(s)" in first
         # The second apply resumes epoch 1 from the store and deletes the
-        # same edges, chaining to epoch 2 on the incremental path.
+        # same edges, chaining to epoch 2 on the batched repair path.
         assert main([
             "apply", graph_file, "--edges", delta_file, "--delete",
             "--cache-dir", cache,
@@ -165,7 +165,13 @@ class TestDynamicCommands:
         second = capsys.readouterr().out
         assert "resuming lineage" in second and "at epoch 1" in second
         assert "epoch 2" in second and "+0 -2 edges" in second
-        assert "path=incremental" in second
+        assert "path=batched" in second
+
+    def test_apply_rejects_removed_edge_plan(self, graph_file, delta_file, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["apply", graph_file, "--edges", delta_file, "--plan", "edge"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'edge'" in capsys.readouterr().err
 
     def test_apply_strict_rejects_noop_edge(self, graph_file, tmp_path, capsys, monkeypatch):
         monkeypatch.delenv("REPRO_CACHE_DIR", raising=False)

@@ -3,9 +3,9 @@
 Every edge update is one :class:`~repro.dynamic.GraphDelta` applied through
 :meth:`~repro.dynamic.VersionedGraph.apply`, with the coreness repaired by
 :func:`~repro.dynamic.incremental_core_numbers` under each forced
-maintenance plan (per-edge walk, batched ``subcore_repair`` kernel, and
+maintenance plan (one batched ``subcore_repair`` kernel dispatch, and
 re-peel).  The per-plan loop lives inside each test so every case checks
-all three strategies against the same stream.
+both outcomes against the same stream.
 """
 
 import numpy as np
@@ -39,7 +39,7 @@ class TestConstruction:
             stream.assert_exact()
 
     def test_empty_start(self):
-        stream = CorenessStream(Graph.empty(), "edge")
+        stream = CorenessStream(Graph.empty(), "batched")
         assert stream.graph.num_vertices == 0
         assert len(stream.coreness) == 0
 

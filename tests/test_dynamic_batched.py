@@ -1,14 +1,13 @@
 """Tests for batched subcore repair and the maintenance planner.
 
-The per-edge walk's churn equivalence lives in
-``tests/test_dynamic_incremental.py``; this module covers what PR 9
-added: the ``subcore_repair`` kernel path (forced via ``plan="batched"``
+Single-edge churn equivalence lives in ``tests/test_dynamic.py`` and
+``tests/test_dynamic_incremental.py``; this module covers the
+``subcore_repair`` kernel path at scale (forced via ``plan="batched"``
 so the cost model cannot route around it), the planner's guard/override
 chain, and the native kernel's bit-identical fallback.  The load-bearing
 property is the same — after any delta stream, maintained coreness must
 equal a cold ``core_decomposition`` of the final snapshot at every
-epoch — but here the stream runs at delta sizes the per-edge walk was
-never asked to survive (up to 10k edges per delta).
+epoch — here at delta sizes up to 10k edges per delta.
 """
 
 from __future__ import annotations
@@ -149,7 +148,7 @@ class TestBatchedChurnEquivalence:
 
 class TestPlanner:
     def test_choices_are_closed(self):
-        assert PLAN_CHOICES == ("auto", "edge", "batched", "rebuild")
+        assert PLAN_CHOICES == ("auto", "batched", "rebuild")
 
     def test_explicit_override_beats_env(self, monkeypatch):
         monkeypatch.setenv(PLAN_ENV_VAR, "rebuild")
@@ -171,6 +170,38 @@ class TestPlanner:
         monkeypatch.setenv(PLAN_ENV_VAR, "bogus")
         assert resolve_plan_override() is None
 
+    def test_removed_edge_plan_raises(self):
+        # The per-edge python walk is gone; its plan name is not an alias.
+        graph = random_graph(60, 150, seed=1)
+        core = core_decomposition(graph).coreness
+        delta = GraphDelta.from_edges(delete=[tuple(graph.edge_array()[0])])
+        vg = VersionedGraph(graph).apply(delta)
+        with pytest.raises(ValueError, match="unknown maintenance plan"):
+            incremental_core_numbers(
+                graph, core, vg.applied, new_graph=vg.graph, plan="edge",
+            )
+
+    def test_removed_edge_plan_in_env_defers_to_cost_model(
+        self, monkeypatch, caplog
+    ):
+        monkeypatch.setenv(PLAN_ENV_VAR, "edge")
+        with caplog.at_level("WARNING", logger="repro.dynamic.planner"):
+            assert resolve_plan_override() is None
+        assert any(PLAN_ENV_VAR in r.getMessage() for r in caplog.records)
+        graph = random_graph(60, 150, seed=1)
+        core = core_decomposition(graph).coreness
+        delta = GraphDelta.from_edges(delete=[tuple(graph.edge_array()[0])])
+        vg = VersionedGraph(graph).apply(delta)
+        before = obs.counter("dynamic.plan", choice="batched", reason="cost_model")
+        result = incremental_core_numbers(
+            graph, core, vg.applied, new_graph=vg.graph, backend="numpy",
+        )
+        assert result.path == "batched"
+        assert (
+            obs.counter("dynamic.plan", choice="batched", reason="cost_model")
+            == before + 1
+        )
+
     def test_no_baseline_guard_beats_override(self):
         plan = plan_maintenance(3, 1000, override="batched", has_baseline=False)
         assert plan.choice == "rebuild" and plan.reason == "no_baseline"
@@ -183,9 +214,9 @@ class TestPlanner:
         plan = plan_maintenance(900, 1000)
         assert plan.choice == "rebuild" and plan.reason == "large_delta"
 
-    def test_cost_model_picks_edge_for_single_change(self):
+    def test_cost_model_picks_batched_for_single_change(self):
         plan = plan_maintenance(1, 500_000, backend_name="native")
-        assert plan.choice == "edge" and plan.reason == "cost_model"
+        assert plan.choice == "batched" and plan.reason == "cost_model"
 
     def test_cost_model_picks_batched_for_medium_delta(self):
         plan = plan_maintenance(100, 500_000, backend_name="native")
@@ -193,7 +224,7 @@ class TestPlanner:
 
     def test_estimates_cover_every_strategy(self):
         est = cost_estimates(10, 500_000, "numpy")
-        assert set(est) == {"edge", "batched", "rebuild"}
+        assert set(est) == {"batched", "rebuild"}
         assert all(v > 0 for v in est.values())
 
     def test_plan_counter_emitted(self):
@@ -298,3 +329,13 @@ class TestIndexApplyPlan:
         assert result.path == "batched"
         cold = core_decomposition(index.graph).coreness
         assert np.array_equal(index.decomposition.coreness, cold)
+
+    def test_apply_rejects_removed_edge_plan(self):
+        from repro.index import BestKIndex
+
+        graph = random_graph(100, 320, seed=6)
+        index = BestKIndex(graph, store=False)
+        index.family_decomposition("core")
+        delta = random_delta(random.Random(2), edge_set(graph), 100, 3)
+        with pytest.raises(ValueError, match="unknown maintenance plan"):
+            index.apply(delta, strict=False, plan="edge")

@@ -64,7 +64,7 @@ class TestApplyScopedInvalidation:
         result = index.apply(delta)
         assert result.patched == ("core",)
         assert result.invalidated == ("truss",)
-        assert result.path == "incremental" and result.epoch == 1
+        assert result.path == "batched" and result.epoch == 1
         # Core queries are served from the patched decomposition.
         assert same_best(index.best_set("average_degree"), expected)
 
@@ -304,12 +304,12 @@ class TestApplyObservability:
     def test_apply_span_and_maintain_counter(self, figure2):
         index = BestKIndex(figure2, store=False)
         index.best_set("average_degree")
-        before = obs.counter("dynamic.maintain", path="incremental", reason="ok")
+        before = obs.counter("dynamic.maintain", path="batched", reason="ok")
         index.apply(GraphDelta.from_edges(insert=[(0, 8)]))
-        after = obs.counter("dynamic.maintain", path="incremental", reason="ok")
+        after = obs.counter("dynamic.maintain", path="batched", reason="ok")
         assert after == before + 1
         spans = obs.find_spans("index:apply")
-        assert spans and spans[-1].attrs["path"] == "incremental"
+        assert spans and spans[-1].attrs["path"] == "batched"
         assert spans[-1].attrs["epoch"] == 1
 
     def test_apply_result_fields(self, figure2):
