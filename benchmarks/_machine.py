@@ -46,11 +46,11 @@ def machine_metadata(
 
 
 def native_metadata() -> dict:
-    """Native-backend runtime facts (JIT provider, numba version, cache).
+    """Native-backend runtime facts (the C compiler, and whether disabled).
 
-    Stamped into every report — even numpy/python runs record whether a
-    JIT was *available*, so a regression hunt can tell "native was slower"
-    apart from "native silently fell back to numpy".
+    Stamped into every report — even numpy/python runs record whether the
+    native kernels were *available*, so a regression hunt can tell "native
+    was slower" apart from "native silently fell back to numpy".
     """
     from repro.kernels.native_backend import native_runtime_metadata
 

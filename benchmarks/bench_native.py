@@ -1,18 +1,18 @@
 #!/usr/bin/env python
-"""Benchmark the native JIT backend against the python and numpy backends.
+"""Benchmark the native backend against the python and numpy backends.
 
-Times the six hot-path kernels the ``native`` backend JIT-compiles —
-``peel_coreness``, ``hindex_fixpoint``, ``edge_supports``,
-``triangle_charges``, ``triplet_charges`` and ``vertex_strengths`` —
-under all three registered backends on a suite of synthetic generator
+Times the five hot-path kernels the ``native`` backend runs as compiled
+C — ``peel_coreness``, ``hindex_fixpoint``, ``triangle_charges``,
+``triplet_charges`` and ``vertex_strengths`` — under all three
+registered backends on a suite of synthetic generator
 graphs, the largest of which has ~500k edges.  Results are written as JSON
 with one row per ``(kernel, backend, dataset)``::
 
     {"kernel": ..., "backend": ..., "dataset": ..., "n": ..., "m": ...,
      "seconds": ...}
 
-Warm-JIT numbers are what the rows report: the native backend's first call
-per kernel — which includes provider build / JIT compilation — is timed
+Warm numbers are what the rows report: the native backend's first call
+per kernel — which includes building or loading the C library — is timed
 separately into the ``first_call`` section, so compile latency never
 pollutes the steady-state comparison.  Every backend's answer is asserted
 identical before any timing is trusted (bit-identical for the integer
@@ -87,7 +87,6 @@ class DatasetInputs:
         n, m = graph.num_vertices, graph.num_edges
         self.estimate = graph.degrees().astype(np.int64)
         self.vertices = np.arange(n, dtype=np.int64)
-        self.edges = graph.edge_array()
         self.ordering = order_vertices(graph)
         weights = np.random.default_rng(m).random(m)
         self.arcs = arc_weights(graph, weights) if m else np.empty(0, dtype=np.float64)
@@ -97,7 +96,6 @@ class DatasetInputs:
 KERNELS = {
     "peel_coreness": lambda kb, d: kb.peel_coreness(d.graph),
     "hindex_fixpoint": lambda kb, d: kb.hindex_fixpoint(d.graph, d.estimate, d.vertices),
-    "edge_supports": lambda kb, d: kb.edge_supports(d.graph, d.edges),
     "triangle_charges": lambda kb, d: kb.triangle_charges(d.ordering),
     "triplet_charges": lambda kb, d: kb.triplet_charges(d.ordering),
     "vertex_strengths": lambda kb, d: kb.vertex_strengths(d.graph, d.arcs),
@@ -139,7 +137,7 @@ def assert_equivalent(kernel: str, dataset: str, results: dict) -> None:
 
 
 def measure_first_calls(dataset_names: tuple[str, ...]) -> dict:
-    """Time the native backend's first call per kernel (includes JIT build).
+    """Time the native backend's first call per kernel (includes the C build).
 
     Uses the smallest dataset so the number is dominated by compilation,
     not graph work.  Must run before the warm timing loops.
@@ -245,14 +243,14 @@ def main(argv: list[str] | None = None) -> int:
     repeats = 1 if args.quick else args.repeats
 
     first_call = measure_first_calls(names)
-    print("native first-call (includes JIT build):")
+    print("native first-call (includes the C build):")
     for kernel, seconds in first_call.items():
         print(f"  {kernel:22s} {seconds * 1e3:10.2f} ms")
 
     report = run_benchmarks(names, repeats)
     report["first_call"] = {
-        "note": "native backend first dispatch per kernel; includes provider "
-        "build / JIT compile, measured on the smallest dataset",
+        "note": "native backend first dispatch per kernel; includes building "
+        "or loading the C library, measured on the smallest dataset",
         "dataset": names[0],
         "seconds": first_call,
     }

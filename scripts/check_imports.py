@@ -103,11 +103,11 @@ for _family in FAMILY_PACKAGES:
 #: full module name -> repro subpackages that *specific module* must not
 #: import, on top of its package's FORBIDDEN entry.
 FORBIDDEN_MODULES: dict[str, tuple[str, ...]] = {
-    # The native backend and its JIT providers are self-contained: raw
-    # arrays in, raw arrays out, nothing from repro outside the kernels
-    # package (obs, the stdlib-only leaf, is the one sanctioned import —
-    # the fallback counter must be visible).  Keeps the compiled seam
-    # trivially portable and numba's type inference free of repro types.
+    # The native backend and its C/loop-twin modules are self-contained:
+    # raw arrays in, raw arrays out, nothing from repro outside the
+    # kernels package (obs, the stdlib-only leaf, is the one sanctioned
+    # import — the fallback counter must be visible).  Keeps the compiled
+    # seam trivially portable: the ctypes boundary sees only raw arrays.
     "repro.kernels.native_backend": ("graph", "errors", "generators", "viz"),
     "repro.kernels._native_impl": ("graph", "errors", "generators", "viz"),
     "repro.kernels._native_cc": ("graph", "errors", "generators", "viz"),

@@ -13,7 +13,7 @@ Installed as the ``bestk`` console script (also ``python -m repro``):
   of a graph's lineage in the artifact cache
 * ``bestk families``                   — list the hierarchy-family registry
 * ``bestk backends``                   — list kernel backends; for the
-  native backend, the per-kernel JIT/fallback status and numba version
+  native backend, the C compiler and the per-kernel native/fallback status
   (``--check NAME`` exits nonzero when NAME cannot serve natively)
 * ``bestk densest GRAPH``              — Opt-D vs CoreApp
 * ``bestk forest GRAPH``               — ASCII core-forest tree
@@ -108,8 +108,8 @@ def _backend_arg(p: argparse.ArgumentParser) -> None:
     p.add_argument(
         "--backend", default=None, choices=available_backends(),
         help="kernel backend (bit-identical; default: REPRO_BACKEND or numpy; "
-             "'native' JIT-compiles the hot kernels and degrades per kernel "
-             "to numpy — see 'bestk backends')",
+             "'native' runs the hot kernels as compiled C and degrades per "
+             "kernel to numpy — see 'bestk backends')",
     )
 
 
@@ -221,7 +221,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "backends",
-        help="list kernel backends; for native, per-kernel JIT status",
+        help="list kernel backends; for native, per-kernel native/fallback status",
     )
     p.add_argument(
         "--check", default=None, metavar="NAME",
@@ -459,14 +459,12 @@ def _backend_unavailable(name: str) -> str | None:
     status = kernel_status()
     if any(state["mode"] == "native" for state in status.values()):
         return None
-    reasons = sorted({
-        state.get("reason") or "" for state in status.values()
-        if state["mode"] == "fallback"
-    })
-    detail = "; ".join(r for r in reasons if r) or "no JIT provider"
+    reasons = "; ".join(sorted({
+        state["reason"] for state in status.values() if state["mode"] == "fallback"
+    }))
     return (
         f"backend {name!r} was requested explicitly but every kernel would "
-        f"fall back to numpy ({detail}); install numba or a C toolchain, "
+        f"fall back to numpy ({reasons}); install a C compiler (or set $CC), "
         f"unset REPRO_NATIVE_DISABLE, or drop the explicit backend request"
     )
 
@@ -592,7 +590,7 @@ def _cmd_families(_args) -> int:
 
 def _cmd_backends(args) -> int:
     from .kernels import available_backends, get_backend
-    from .kernels.native_backend import NativeBackend, numba_version
+    from .kernels.native_backend import NativeBackend
 
     if getattr(args, "check", None):
         message = _backend_unavailable(args.check)
@@ -605,18 +603,15 @@ def _cmd_backends(args) -> int:
     blurbs = {
         "python": "scalar reference loops (bit-identical yardstick)",
         "numpy": "vectorised whole-frontier array passes (default)",
-        "native": "JIT-compiled hot kernels with per-kernel numpy fallback",
+        "native": "compiled C hot kernels with per-kernel numpy fallback",
     }
     for name in available_backends():
         backend = get_backend(name)
         print(f"{name:9s} {blurbs.get(name, type(backend).__name__)}")
         if not isinstance(backend, NativeBackend):
             continue
-        provider = backend.provider_name()
-        numba = numba_version()
         print(
-            f"          provider={provider or 'none'} "
-            f"numba={numba or 'not installed'} "
+            f"          provider={backend.provider_name() or 'none'} "
             f"jit-cache={backend.jit_cache_state() or '-'}"
         )
         for kernel, state in sorted(backend.kernel_status().items()):

@@ -55,7 +55,6 @@ from .triangles import (
     count_triangles_and_triplets,
     count_triplets,
     triangles_by_min_rank_vertex,
-    triangles_per_vertex,
     triplet_charges,
 )
 
@@ -97,7 +96,6 @@ __all__ = [
     "scores_from_level_totals",
     "triangle_level_increments",
     "triangles_by_min_rank_vertex",
-    "triangles_per_vertex",
     "triplet_charges",
     "unweighted_level_charges",
 ]

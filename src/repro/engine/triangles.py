@@ -25,7 +25,6 @@ __all__ = [
     "count_triangles",
     "count_triplets",
     "count_triangles_and_triplets",
-    "triangles_per_vertex",
     "triangles_by_min_rank_vertex",
     "triplet_charges",
 ]
@@ -47,17 +46,6 @@ def count_triangles_and_triplets(
 ) -> tuple[int, int]:
     """Both counts in one call (the pair every triangle metric needs)."""
     return count_triangles(graph, backend=backend), count_triplets(graph)
-
-
-def triangles_per_vertex(
-    graph: Graph, *, backend: str | KernelBackend | None = None
-) -> np.ndarray:
-    """Number of triangles through each vertex (length ``n`` array).
-
-    Needed by per-vertex metrics such as local clustering; also a stronger
-    test oracle than the global count.
-    """
-    return get_backend(backend).triangles_per_vertex(graph)
 
 
 # ----------------------------------------------------------------------

@@ -180,11 +180,11 @@ class BestKIndex:
             self._versioned = None
             self.graph = graph
         self.backend = backend
-        #: Resolved kernel-backend identity token; part of every store
-        #: bundle key so artifacts built by different backends never alias
-        #: on disk.  For all shipped backends (including ``native``, whose
-        #: per-kernel fallback is bit-identical) this is the backend name.
-        self.backend_name = get_backend(backend).store_token()
+        #: Resolved kernel-backend name; part of every store bundle key so
+        #: artifacts built by different backends never alias on disk.
+        #: Backends are bit-identical (``native`` fallback included), so
+        #: the name is the whole identity.
+        self.backend_name = get_backend(backend).name
         self.jobs = jobs
         self.store = resolve_store(store)
         self._artifacts: dict[str, object] = {}

@@ -1,10 +1,11 @@
 """Pluggable kernel backends for the O(m) hot paths.
 
 Every algorithm in the package funnels through a handful of inner kernels —
-degree peeling, forward triangle counting, per-edge supports, truss
-peeling, Algorithm 3's per-vertex triangle and triplet charges, connected
-components, strength accumulation.  This subsystem
-keeps one *registry* of interchangeable implementations of those kernels:
+degree peeling, the h-index fixpoint round, forward triangle counting,
+truss peeling, Algorithm 3's per-vertex triangle and triplet charges,
+batched subcore repair, connected components, strength accumulation.
+This subsystem keeps one *registry* of interchangeable implementations of
+those kernels:
 
 ``python``
     The scalar reference: the original per-vertex loops, bit-identical to
@@ -13,11 +14,11 @@ keeps one *registry* of interchangeable implementations of those kernels:
     Whole-frontier array passes (repeated pruning, batched hash-table
     probes, vectorised union-find); ~5-30x faster on graphs with 10^5+ edges.
 ``native``
-    JIT-compiled scalar loops (numba ``@njit`` when installed, otherwise a
-    C translation built with the system toolchain) for the hot kernels:
-    exact O(m) bucket peeling, the h-index fixpoint round, the
-    merge-intersection triangle kernels and the one-pass triplet charges.  Degrades *per kernel* to
-    the numpy implementation when a JIT is unavailable or fails — see
+    Scalar loops in C, compiled once with the system toolchain, for the
+    hot kernels: exact O(m) bucket peeling, the h-index fixpoint round,
+    Algorithm 3's triangle and triplet charges, strength accumulation and
+    the batched subcore repair.  Degrades *per kernel* to the numpy
+    implementation when no compiler is found or a kernel fails — see
     :mod:`repro.kernels.native_backend`; every degradation is counted on
     the ``kernel.native_fallback`` obs counter.
 
@@ -82,8 +83,6 @@ KERNEL_METHODS = (
     "peel_exact",
     "hindex_fixpoint",
     "count_triangles",
-    "triangles_per_vertex",
-    "edge_supports",
     "truss_peel",
     "triangle_charges",
     "triplet_charges",
@@ -131,7 +130,7 @@ def _instrument_backend(backend: KernelBackend) -> KernelBackend:
 def register_backend(backend: KernelBackend, *, overwrite: bool = False) -> KernelBackend:
     """Add a backend instance to the registry under ``backend.name``.
 
-    Third-party accelerator backends (numba, GPU, ...) register themselves
+    Third-party accelerator backends (GPU, ...) register themselves
     here; ``overwrite=True`` replaces an existing entry of the same name.
     Every kernel method is wrapped with :mod:`repro.obs` dispatch
     instrumentation on the way in (see :func:`_instrument_backend`).
@@ -167,7 +166,7 @@ def get_backend(backend: str | KernelBackend | None = None) -> KernelBackend:
 
 register_backend(PythonBackend())
 register_backend(NumpyBackend())
-# Always registered: construction is free (no JIT work happens until a
+# Always registered: construction is free (nothing is compiled until a
 # kernel is dispatched) and an unusable toolchain degrades per kernel to
 # the numpy implementations, never to an import error.
 register_backend(NativeBackend())

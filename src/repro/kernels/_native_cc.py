@@ -1,19 +1,16 @@
-"""C fallback provider for the native backend: gcc/clang + ctypes.
+"""The native backend's kernels: one C unit, compiled once, bound by ctypes.
 
-The preferred native provider is numba (see
-:mod:`repro.kernels.native_backend`), but numba is an optional dependency;
-machines with a plain C toolchain still deserve native-speed kernels.  This
-module carries a single C translation unit mirroring the raw kernels of
-:mod:`repro.kernels._native_impl` statement for statement, compiles it once
-with the system compiler (``$CC``, ``cc`` or ``gcc``) into a shared
-library, and binds the symbols through :mod:`ctypes`.
+This module carries a single C translation unit, compiles it once with the
+system compiler (``$CC``, ``cc``, ``gcc`` or ``clang``) into a shared
+library, and binds the symbols through :mod:`ctypes`.  Every C function
+must return exactly what a named python function returns; its comment
+names that reference, and the equivalence suite holds it to it.
 
-JIT-cache behaviour mirrors numba's ``cache=True``: the compiled library is
-keyed by a SHA-256 of the C source and stored under
-``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-native``), so the compile
-cost is paid once per source revision per machine, not once per process.
-A failed compile raises :class:`NativeCompileError`; the backend catches it
-and degrades that machine to the numpy implementations.
+The compiled library is keyed by a SHA-256 of the C source and stored
+under ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-native``), so the
+compile cost is paid once per source revision per machine, not once per
+process.  A failed compile raises :class:`NativeCompileError`; the backend
+catches it and degrades that machine to the numpy implementations.
 
 Everything here is arrays-in/arrays-out — no Graph objects, no imports
 from the rest of ``repro`` (the layering contract pins this module inside
@@ -51,9 +48,10 @@ class NativeCompileError(RuntimeError):
 _SOURCE = r"""
 #include <stdint.h>
 
-/* Exact Batagelj-Zaversnik bucket peel.  deg is destroyed; coreness and
- * vert (the peel order) are outputs; pos / bin_start / cursor are scratch
- * (n, max_deg + 2, max_deg + 2). */
+/* Exact Batagelj-Zaversnik bucket peel; must equal
+ * repro.kernels.common.exact_peel, removal order included.  deg is
+ * destroyed; coreness and vert (the peel order) are outputs; pos /
+ * bin_start / cursor are scratch (n, max_deg + 2, max_deg + 2). */
 void repro_peel_exact(int64_t n, const int64_t *indptr, const int64_t *indices,
                       int64_t *deg, int64_t max_deg,
                       int64_t *coreness, int64_t *vert,
@@ -93,8 +91,9 @@ void repro_peel_exact(int64_t n, const int64_t *indptr, const int64_t *indices,
     }
 }
 
-/* One Jacobi round of the h-index fixpoint over the vertices slice.
- * counts is zeroed scratch of size max_deg + 1 (and is left zeroed). */
+/* One Jacobi round of the h-index fixpoint over the vertices slice; must
+ * equal PythonBackend.hindex_fixpoint.  counts is zeroed scratch of size
+ * max_deg + 1 (and is left zeroed). */
 void repro_hindex_fixpoint(int64_t nv, const int64_t *vertices,
                            const int64_t *indptr, const int64_t *indices,
                            const int64_t *estimate, int64_t *out,
@@ -126,27 +125,9 @@ void repro_hindex_fixpoint(int64_t nv, const int64_t *vertices,
     }
 }
 
-/* Per-edge triangle supports by sorted-merge intersection. */
-void repro_edge_supports(int64_t m, const int64_t *eu, const int64_t *ev,
-                         const int64_t *indptr, const int64_t *indices,
-                         int64_t *support) {
-    for (int64_t i = 0; i < m; i++) {
-        int64_t u = eu[i], v = ev[i];
-        int64_t p = indptr[u], b = indptr[u + 1];
-        int64_t q = indptr[v], d = indptr[v + 1];
-        int64_t count = 0;
-        while (p < b && q < d) {
-            int64_t x = indices[p], y = indices[q];
-            if (x < y) p++;
-            else if (y < x) q++;
-            else { count++; p++; q++; }
-        }
-        support[i] = count;
-    }
-}
-
-/* Algorithm 3 triangle charges: merge-intersect higher-rank suffixes.
- * Only the part of H(v) after u can meet H(u), so the merge starts there. */
+/* Algorithm 3 triangle charges: merge-intersect higher-rank suffixes;
+ * must equal _native_impl.triangle_charges.  Only the part of H(v) after
+ * u can meet H(u), so the merge starts there. */
 void repro_triangle_charges(int64_t n, const int64_t *indptr,
                             const int64_t *indices, const int64_t *nbr_rank,
                             const int64_t *high, int64_t *charges) {
@@ -171,8 +152,8 @@ void repro_triangle_charges(int64_t n, const int64_t *indptr,
 }
 
 /* Per-vertex triplet charges (Algorithm 3): C(|N(x,>=)|, 2) at x, plus
- * one charge per (lower-level arc x->y, later arc in x's row) pair at y.
- * charges must arrive zeroed. */
+ * one charge per (lower-level arc x->y, later arc in x's row) pair at y;
+ * must equal _native_impl.triplet_charges.  charges must arrive zeroed. */
 void repro_triplet_charges(int64_t n, const int64_t *indptr,
                            const int64_t *indices, const int64_t *same,
                            int64_t *charges) {
@@ -186,7 +167,8 @@ void repro_triplet_charges(int64_t n, const int64_t *indptr,
     }
 }
 
-/* Sequential per-slice accumulation (reduceat addition order). */
+/* Sequential per-slice accumulation; must equal
+ * NumpyBackend.vertex_strengths (np.add.reduceat, same addition order). */
 void repro_vertex_strengths(int64_t n, const int64_t *indptr,
                             const double *arc_weights, double *strength) {
     for (int64_t v = 0; v < n; v++) {
@@ -199,7 +181,8 @@ void repro_vertex_strengths(int64_t n, const int64_t *indptr,
 
 /* Batched incremental core maintenance: deletes by chaotic h-index
  * descent, inserts by per-edge optimistic subcore peels, over the old CSR
- * (arc-active mask) plus an extra CSR of the delta's inserted arcs.
+ * (arc-active mask) plus an extra CSR of the delta's inserted arcs; must
+ * equal _native_impl.subcore_repair, in-place updates included.
  * Mutates core / active / xactive in place and returns the number of ops
  * applied; a short count means an insert traversal exceeded `limit`.
  * stamp / removed must arrive filled with -1, inq with 0, counts (size
@@ -397,7 +380,6 @@ _SIGNATURES = {
     "repro_peel_exact": (ctypes.c_int64, _I64, _I64, _I64, ctypes.c_int64,
                          _I64, _I64, _I64, _I64, _I64),
     "repro_hindex_fixpoint": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64, _I64),
-    "repro_edge_supports": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64),
     "repro_triangle_charges": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64),
     "repro_triplet_charges": (ctypes.c_int64, _I64, _I64, _I64, _I64),
     "repro_vertex_strengths": (ctypes.c_int64, _I64, _F64, _F64),
@@ -435,10 +417,6 @@ def cache_dir() -> Path:
 
 def _ptr(arr: np.ndarray, ctype):
     return arr.ctypes.data_as(ctype)
-
-
-def _i64(arr) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.int64)
 
 
 class CcProvider:
@@ -487,7 +465,7 @@ class CcProvider:
         os.replace(tmp_lib, lib_path)  # atomic: concurrent builders converge
         return ctypes.CDLL(str(lib_path))
 
-    # -- raw kernels (same signatures as _native_impl) ------------------
+    # -- raw kernels (arrays in, arrays out) -----------------------------
     def peel_exact(self, indptr, indices, deg):
         n = indptr.shape[0] - 1
         coreness = np.zeros(n, dtype=np.int64)
@@ -518,17 +496,6 @@ class CcProvider:
             _ptr(estimate, _I64), _ptr(out, _I64), _ptr(counts, _I64),
         )
         return out
-
-    def edge_supports(self, indptr, indices, eu, ev):
-        m = eu.shape[0]
-        support = np.zeros(m, dtype=np.int64)
-        if m == 0:
-            return support
-        self._lib.repro_edge_supports(
-            m, _ptr(eu, _I64), _ptr(ev, _I64), _ptr(indptr, _I64),
-            _ptr(indices, _I64), _ptr(support, _I64),
-        )
-        return support
 
     def triangle_charges(self, indptr, indices, nbr_rank, high):
         n = indptr.shape[0] - 1

@@ -1,39 +1,19 @@
-"""Loop-shaped raw kernels for the native backend.
+"""Loop-shaped python twins of three native C kernels.
 
-Every function here is the *source of truth* for one native kernel: a tight
-integer loop over raw CSR arrays, written in the numba-compilable subset of
-python (no object mode, no fancy indexing, allocations limited to
-``np.zeros``/``np.empty``).  The native backend's numba provider compiles
-these functions verbatim with ``@njit(cache=True, nogil=True)``; the C
-provider (:mod:`repro.kernels._native_cc`) mirrors them statement for
-statement.  Because they are plain python, the equivalence suite also runs
-them *uncompiled* on small graphs, so the logic is tested even on machines
-without numba or a C toolchain.
+Each function here is a tight integer loop over raw CSR arrays (no Graph
+or LevelOrdering objects, allocations limited to ``np.zeros``/``np.full``)
+that the C unit of :mod:`repro.kernels._native_cc` translates statement
+for statement.  Because they are plain python, the equivalence suite runs
+them *uncompiled* next to the compiled kernels, and the ``python``
+backend serves ``subcore_repair`` from here.  The C kernels without a
+loop twin here mirror :func:`repro.kernels.common.exact_peel` or a
+backend method instead; each C function names its reference.
 
-All functions take preprocessed ``int64``/``float64`` arrays — never Graph
-or LevelOrdering objects — and every implementation is algorithmically
-identical to the scalar reference in :mod:`repro.kernels.python_backend`,
-so the answers are bit-identical across all three backends.
-
-Raw signature registry (shared by every provider):
-
-``peel_exact(indptr, indices, deg) -> (coreness, order)``
-    The exact Batagelj–Zaversnik bucket peel; ``deg`` is a scratch copy
-    that is destroyed.  Replicates :func:`repro.kernels.common.exact_peel`
-    including the removal sequence.
-``hindex_fixpoint(indptr, indices, estimate, vertices) -> refreshed``
-    One Jacobi round of the h-index fixpoint over the ``vertices`` slice,
-    by counting-bucket h-index (no per-vertex sort).
-``edge_supports(indptr, indices, eu, ev) -> support``
-    Per-edge triangle supports by sorted-merge intersection.
 ``triangle_charges(indptr, indices, nbr_rank, high) -> charges``
     Algorithm 3 charging by merge-intersection of higher-rank suffixes.
 ``triplet_charges(indptr, indices, same) -> charges``
     Algorithm 3's per-vertex triplet charges: one pass over every row's
     lower-level prefix.
-``vertex_strengths(indptr, arc_weights) -> strengths``
-    Sequential per-slice accumulation (same addition order as
-    ``np.add.reduceat``).
 ``subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,
 ops_u, ops_v, ops_kind, limit) -> applied``
     Batched incremental core maintenance over a masked two-part adjacency
@@ -52,147 +32,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "RAW_KERNELS",
-    "edge_supports",
-    "hindex_fixpoint",
-    "peel_exact",
-    "subcore_repair",
-    "triangle_charges",
-    "triplet_charges",
-    "vertex_strengths",
-]
-
-#: Names of the raw kernels every native provider must implement.
-RAW_KERNELS = (
-    "peel_exact",
-    "hindex_fixpoint",
-    "edge_supports",
-    "triangle_charges",
-    "triplet_charges",
-    "vertex_strengths",
-    "subcore_repair",
-)
-
-
-def peel_exact(indptr, indices, deg):
-    n = indptr.shape[0] - 1
-    coreness = np.zeros(n, dtype=np.int64)
-    vert = np.zeros(n, dtype=np.int64)
-    if n == 0:
-        return coreness, vert
-    max_deg = np.int64(0)
-    for v in range(n):
-        if deg[v] > max_deg:
-            max_deg = deg[v]
-    # Counting sort by degree, stable in vertex id — identical to the
-    # reference's stable argsort.  bin_start[d] = first slot of bucket d.
-    bin_start = np.zeros(max_deg + 2, dtype=np.int64)
-    for v in range(n):
-        bin_start[deg[v] + 1] += 1
-    for d in range(1, max_deg + 2):
-        bin_start[d] += bin_start[d - 1]
-    cursor = bin_start.copy()
-    pos = np.zeros(n, dtype=np.int64)
-    for v in range(n):
-        d = deg[v]
-        p = cursor[d]
-        vert[p] = v
-        pos[v] = p
-        cursor[d] = p + 1
-    # The bucket peel: remove min-degree vertices left to right; a degree
-    # decrement is a swap with the bucket head plus a bucket shrink.
-    for i in range(n):
-        v = vert[i]
-        dv = deg[v]
-        coreness[v] = dv
-        for j in range(indptr[v], indptr[v + 1]):
-            u = indices[j]
-            du = deg[u]
-            if du > dv:
-                first = bin_start[du]
-                w = vert[first]
-                if u != w:
-                    pu = pos[u]
-                    vert[first] = u
-                    vert[pu] = w
-                    pos[u] = first
-                    pos[w] = pu
-                bin_start[du] = first + 1
-                deg[u] = du - 1
-    return coreness, vert
-
-
-def hindex_fixpoint(indptr, indices, estimate, vertices):
-    nv = vertices.shape[0]
-    out = np.zeros(nv, dtype=np.int64)
-    max_deg = np.int64(0)
-    for i in range(nv):
-        v = vertices[i]
-        d = indptr[v + 1] - indptr[v]
-        if d > max_deg:
-            max_deg = d
-    counts = np.zeros(max_deg + 1, dtype=np.int64)
-    for i in range(nv):
-        v = vertices[i]
-        a = indptr[v]
-        b = indptr[v + 1]
-        d = b - a
-        # Bucket-count neighbour estimates clipped to d (values above the
-        # degree cannot raise the h-index); then the h-index is the
-        # largest x with at least x values >= x — a single descending scan.
-        for j in range(a, b):
-            val = estimate[indices[j]]
-            if val < 0:
-                val = 0
-            if val > d:
-                val = d
-            counts[val] += 1
-        h = np.int64(0)
-        acc = np.int64(0)
-        for x in range(d, 0, -1):
-            acc += counts[x]
-            if acc >= x:
-                h = x
-                break
-        for j in range(a, b):
-            val = estimate[indices[j]]
-            if val < 0:
-                val = 0
-            if val > d:
-                val = d
-            counts[val] = 0
-        ev = estimate[v]
-        out[i] = h if h < ev else ev
-    return out
-
-
-def edge_supports(indptr, indices, eu, ev):
-    m = eu.shape[0]
-    support = np.zeros(m, dtype=np.int64)
-    for i in range(m):
-        u = eu[i]
-        v = ev[i]
-        p = indptr[u]
-        b = indptr[u + 1]
-        q = indptr[v]
-        d = indptr[v + 1]
-        count = np.int64(0)
-        # Sorted-merge intersection |N(u) ∩ N(v)| (adjacency slices are
-        # id-sorted): O(deg(u) + deg(v)), no temporaries.
-        while p < b and q < d:
-            x = indices[p]
-            y = indices[q]
-            if x < y:
-                p += 1
-            elif y < x:
-                q += 1
-            else:
-                count += 1
-                p += 1
-                q += 1
-        support[i] = count
-    return support
+__all__ = ["subcore_repair", "triangle_charges", "triplet_charges"]
 
 
 def triangle_charges(indptr, indices, nbr_rank, high):
@@ -473,14 +313,3 @@ def subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,
             if removed[w] != i:
                 core[w] = level + 1
     return nops
-
-
-def vertex_strengths(indptr, arc_weights):
-    n = indptr.shape[0] - 1
-    strength = np.zeros(n, dtype=np.float64)
-    for v in range(n):
-        s = 0.0
-        for j in range(indptr[v], indptr[v + 1]):
-            s += arc_weights[j]
-        strength[v] = s
-    return strength

@@ -1,18 +1,20 @@
 """The kernel backend interface.
 
 A *kernel* is one of the O(m)-ish inner computations every algorithm in the
-package funnels through: degree peeling, forward triangle counting,
-per-edge triangle supports, edge-support (truss) peeling, connected
-components, and weighted strength accumulation.  A *backend* is one
-implementation strategy for all of them; the ``python`` backend is the
-bit-identical scalar reference and the ``numpy`` backend replaces the
-per-vertex loops with whole-frontier array passes (see
-:mod:`repro.kernels.numpy_backend`).
+package funnels through: degree peeling, the h-index fixpoint round,
+forward triangle counting, truss peeling, Algorithm 3's triangle and
+triplet charges, batched subcore repair, connected components, and
+weighted strength accumulation.  A *backend* is one implementation
+strategy for all of them; the ``python`` backend is the bit-identical
+scalar reference, the ``numpy`` backend replaces the per-vertex loops with
+whole-frontier array passes (see :mod:`repro.kernels.numpy_backend`) and
+the ``native`` backend runs compiled C loops.
 
 Backends are stateless: every method takes the graph (plus kernel-specific
-inputs) and returns plain numpy arrays.  Both backends must return *exactly*
-the same values — the equivalence suite in ``tests/test_kernels.py`` holds
-them to integer-for-integer equality.
+inputs) and returns plain numpy arrays.  Every backend must return
+*exactly* the same values — the equivalence suite in
+``tests/test_kernels.py`` holds them to integer-for-integer equality — so
+a backend's ``name`` is all an artifact-store key needs to record.
 """
 
 from __future__ import annotations
@@ -30,20 +32,6 @@ class KernelBackend:
 
     #: Registry key (``REPRO_BACKEND`` value) identifying the backend.
     name: str = "abstract"
-
-    def store_token(self) -> str:
-        """Identity token for on-disk artifacts built through this backend.
-
-        :class:`repro.index.store.ArtifactStore` keys every bundle by this
-        token so artifacts from different backends never alias.  The
-        default — the backend name — is correct for any backend honouring
-        the bit-identity contract; a backend whose results could legally
-        differ (e.g. an approximate GPU kernel) must override this to
-        fragment the cache further.  The ``native`` backend keeps the
-        plain name even when individual kernels fall back to numpy,
-        because fallback is bit-identical by construction.
-        """
-        return self.name
 
     # ------------------------------------------------------------------
     # Core peeling
@@ -90,17 +78,6 @@ class KernelBackend:
     # ------------------------------------------------------------------
     def count_triangles(self, graph: Graph) -> int:
         """Number of triangles in ``graph`` (each counted once)."""
-        raise NotImplementedError
-
-    def triangles_per_vertex(self, graph: Graph) -> np.ndarray:
-        """Number of triangles through each vertex (length-``n`` array)."""
-        raise NotImplementedError
-
-    def edge_supports(self, graph: Graph, edges: np.ndarray) -> np.ndarray:
-        """Triangles through each edge of ``edges`` (an ``(m, 2)`` array).
-
-        This is the truss decomposition's initial *support* vector.
-        """
         raise NotImplementedError
 
     def truss_peel(self, graph: Graph, edges: np.ndarray) -> np.ndarray:

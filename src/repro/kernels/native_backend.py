@@ -1,48 +1,39 @@
 """The native-speed kernel backend (``REPRO_BACKEND=native``).
 
 Compiled implementations of the hot kernels — exact O(m) bucket peeling,
-the h-index fixpoint round, merge-intersection triangle supports/charges,
-per-vertex triplet charges, and strength accumulation — behind a **per-kernel
-soft fallback**: anything that cannot run native (numba not installed, no
-C toolchain, a compile failure, a runtime error) transparently delegates to
-the numpy implementation of exactly that kernel, and the degradation is
-counted per reason on the ``kernel.native_fallback{kernel=,reason=}``
-counter so ``bestk stats`` shows what actually ran native.
+the h-index fixpoint round, Algorithm 3's merge-intersection triangle
+charges and one-pass triplet charges, strength accumulation and the
+batched subcore repair — behind a **per-kernel soft fallback**: anything
+that cannot run native (no C compiler, a compile failure, a runtime error)
+transparently delegates to the numpy implementation of exactly that
+kernel, and the degradation is counted per reason on the
+``kernel.native_fallback{kernel=,reason=}`` counter so ``bestk stats``
+shows what actually ran native.
 
-Two JIT providers implement the raw kernels of
-:mod:`repro.kernels._native_impl`:
-
-``numba``
-    Preferred when importable: ``@njit(cache=True, nogil=True)`` over the
-    raw loop functions verbatim.  Install with ``pip install repro[native]``.
-``cc``
-    A C translation of the same loops, compiled once with the system
-    compiler and bound through ctypes (:mod:`repro.kernels._native_cc`).
-    Keeps native speed available on boxes with a toolchain but no numba.
-
-Selection: ``REPRO_NATIVE_PROVIDER`` forces ``numba``/``cc``;
+The compiled code is one C translation unit, built once with the system
+compiler and bound through ctypes (:mod:`repro.kernels._native_cc`).
 ``REPRO_NATIVE_DISABLE=1`` forces every kernel to the numpy fallback
-(useful for bit-identity A/B checks).  Both are consulted dynamically, so
-flipping them in a test takes effect on the registered singleton.
+(useful for bit-identity A/B checks); it is consulted dynamically, so
+flipping it in a test takes effect on the registered singleton.
 
 Fallback reasons (the ``reason`` label):
 
 * ``disabled`` — ``REPRO_NATIVE_DISABLE`` is set;
-* ``import`` — no provider could load (numba missing and no C toolchain);
-* ``compile`` — a provider loaded but this kernel failed to compile;
+* ``import`` — no C compiler was found;
+* ``compile`` — the C library failed to build or a kernel failed its
+  warm-up call;
 * ``runtime`` — the compiled kernel raised at call time (poisoned from
   then on);
 * ``delegated`` — the kernel has no native implementation by design
-  (``count_triangles``, ``triangles_per_vertex``,
-  ``connected_components`` — already memory-bandwidth-bound under numpy;
-  ``truss_peel`` — a whole-frontier array pass under numpy, with no
-  compiled form yet).
+  (``count_triangles`` and ``connected_components`` — already
+  memory-bandwidth-bound under numpy; ``truss_peel`` — a whole-frontier
+  array pass under numpy, with no compiled form yet).
 
-All answers are bit-identical to the other backends — compiled kernels
-mirror the scalar reference statement for statement and the equivalence
-suite (``tests/test_kernels.py``, ``tests/test_native.py``) enforces it —
-so artifact-store bundle keys and index identity tokens may treat
-``native`` as just another backend name.
+All answers are bit-identical to the other backends — each C function
+must equal a named python function, and the equivalence suite
+(``tests/test_kernels.py``, ``tests/test_native.py``) enforces it — so
+artifact-store bundle keys and index identity tokens treat ``native`` as
+just another backend name.
 
 Layering: this module (and its provider modules) imports nothing from
 ``repro`` outside ``repro.kernels`` except the :mod:`repro.obs` leaf for
@@ -57,30 +48,24 @@ import os
 import numpy as np
 
 from .. import obs
-from ._native_impl import RAW_KERNELS
+from . import _native_cc
 from .base import KernelBackend
 from .numpy_backend import NumpyBackend
 
 __all__ = [
     "DISABLE_ENV_VAR",
-    "PROVIDER_ENV_VAR",
     "NativeBackend",
     "native_runtime_metadata",
-    "numba_version",
 ]
 
 #: Set to any non-empty value to force every kernel to the numpy fallback.
 DISABLE_ENV_VAR = "REPRO_NATIVE_DISABLE"
 
-#: Force a specific JIT provider: ``numba`` or ``cc``.
-PROVIDER_ENV_VAR = "REPRO_NATIVE_PROVIDER"
-
-#: Kernel-method name -> raw provider kernel implementing it.
+#: Kernel-method name -> C provider kernel implementing it.
 KERNEL_RAW = {
     "peel_coreness": "peel_exact",
     "peel_exact": "peel_exact",
     "hindex_fixpoint": "hindex_fixpoint",
-    "edge_supports": "edge_supports",
     "triangle_charges": "triangle_charges",
     "triplet_charges": "triplet_charges",
     "vertex_strengths": "vertex_strengths",
@@ -89,88 +74,40 @@ KERNEL_RAW = {
 
 #: Kernels that intentionally stay on the numpy implementation: their numpy
 #: forms are already whole-array passes with no scalar inner loop left.
-DELEGATED_KERNELS = (
-    "count_triangles", "triangles_per_vertex", "truss_peel", "connected_components",
-)
+DELEGATED_KERNELS = ("count_triangles", "truss_peel", "connected_components")
 
 _log = logging.getLogger("repro.kernels.native")
 
-#: provider key -> loaded provider instance or load-failure reason.
-#: Module-level so every NativeBackend instance shares one compiled set
-#: (numba caches per function; the cc library is one dlopen).
-_PROVIDER_CACHE: dict[str, object] = {}
+#: The loaded C provider, or why it could not load (``"import: ..."`` /
+#: ``"compile: ..."``).  Module-level so every NativeBackend instance
+#: shares one dlopen.
+_PROVIDER: object = None
 
 _WARNED = False
 
 
-def numba_version() -> str | None:
-    """Installed numba version, or ``None`` (without importing eagerly)."""
-    try:
-        import numba  # type: ignore
-
-        return numba.__version__
-    except Exception:
-        return None
-
-
-def _load_numba():
-    import numba
-
-    from . import _native_impl as impl
-
-    jit = numba.njit(cache=True, nogil=True)
-    fns = {name: jit(getattr(impl, name)) for name in RAW_KERNELS}
-
-    class _NumbaProvider:
-        name = f"numba-{numba.__version__}"
-        # numba's on-disk cache state is per-function; report the cache
-        # directory policy rather than guessing warm/cold.
-        cache_state = "numba-cache"
-
-    provider = _NumbaProvider()
-    for raw, fn in fns.items():
-        setattr(provider, raw, fn)
-    return provider
-
-
-def _load_cc():
-    from . import _native_cc
-
-    if _native_cc.compiler_path() is None:
-        raise ImportError("no C compiler found (checked $CC, cc, gcc, clang)")
-    return _native_cc.load_provider()
-
-
-def _provider_order() -> tuple[str, ...]:
-    forced = os.environ.get(PROVIDER_ENV_VAR, "").strip().lower()
-    if forced in ("numba", "cc"):
-        return (forced,)
-    if forced:
-        _log.warning("%s=%r is not a known provider; trying numba, cc", PROVIDER_ENV_VAR, forced)
-    return ("numba", "cc")
+def _disabled() -> bool:
+    return bool(os.environ.get(DISABLE_ENV_VAR, "").strip())
 
 
 def _get_provider():
-    """``(provider, reason)`` — the first loadable provider, else a reason."""
-    last_reason = "import"
-    for key in _provider_order():
-        cached = _PROVIDER_CACHE.get(key)
-        if cached is None:
+    """``(provider, None)``, or ``(None, detail)`` when it cannot load."""
+    global _PROVIDER
+    if _PROVIDER is None:
+        if _native_cc.compiler_path() is None:
+            _PROVIDER = "import: no C compiler found (checked $CC, cc, gcc, clang)"
+        else:
             try:
-                cached = _load_numba() if key == "numba" else _load_cc()
+                _PROVIDER = _native_cc.load_provider()
             except Exception as exc:
-                cached = f"compile: {exc}" if key == "cc" and not isinstance(
-                    exc, ImportError
-                ) else f"import: {exc}"
-            _PROVIDER_CACHE[key] = cached
-        if not isinstance(cached, str):
-            return cached, None
-        last_reason = cached.split(":", 1)[0]
-    return None, last_reason
+                _PROVIDER = f"compile: {exc}"
+    if isinstance(_PROVIDER, str):
+        return None, _PROVIDER
+    return _PROVIDER, None
 
 
-#: Tiny warm-up graph (a triangle plus a pendant edge) used to force JIT
-#: compilation at resolve time, so compile errors are classified as
+#: Tiny warm-up graph (a triangle plus a pendant edge) used to exercise
+#: every kernel at resolve time, so a broken build is classified as
 #: ``compile`` rather than surfacing mid-query as ``runtime``.
 _WARM_INDPTR = np.array([0, 3, 5, 7, 8], dtype=np.int64)
 _WARM_INDICES = np.array([1, 2, 3, 0, 2, 0, 1, 0], dtype=np.int64)
@@ -181,9 +118,6 @@ _WARMUP_ARGS = {
     "hindex_fixpoint": lambda: (_WARM_INDPTR, _WARM_INDICES,
                                 np.diff(_WARM_INDPTR).astype(np.int64),
                                 np.arange(4, dtype=np.int64)),
-    "edge_supports": lambda: (_WARM_INDPTR, _WARM_INDICES,
-                              np.array([0, 0], dtype=np.int64),
-                              np.array([1, 2], dtype=np.int64)),
     "triangle_charges": lambda: (_WARM_INDPTR, _WARM_INDICES,
                                  np.arange(8, dtype=np.int64),
                                  np.zeros(4, dtype=np.int64)),
@@ -231,72 +165,61 @@ class NativeBackend(KernelBackend):
         return None if provider is None else provider.cache_state
 
     def kernel_status(self) -> dict[str, dict]:
-        """Per-kernel ``{"mode": ..., "reason": ...}`` map (resolves JITs).
+        """Per-kernel ``{"mode": ..., "reason": ...}`` map (loads the C library).
 
         ``mode`` is ``native`` (compiled code runs), ``fallback`` (numpy
         runs, ``reason`` says why) or ``delegated`` (numpy by design).
         """
         status: dict[str, dict] = {}
         for kernel in KERNEL_RAW:
-            fn = self._resolve(kernel, count=False)
-            if fn is not None:
+            if self._resolve(kernel, count=False) is not None:
                 status[kernel] = {"mode": "native", "reason": None}
             else:
-                status[kernel] = {"mode": "fallback", "reason": self._fallen.get(kernel)}
+                status[kernel] = {"mode": "fallback", "reason": self._fallback_reason(kernel)}
         for kernel in DELEGATED_KERNELS:
             status[kernel] = {"mode": "delegated", "reason": "delegated"}
         return status
 
     # -- dispatch machinery -----------------------------------------------
+    def _fallback_reason(self, kernel: str) -> str:
+        """Why ``kernel`` runs on numpy.  ``disabled`` is re-read per call
+        so the env var can be flipped at runtime; the rest is sticky."""
+        return "disabled" if _disabled() else self._fallen[kernel]
+
     def _resolve(self, kernel: str, *, count: bool = True):
         """The compiled raw kernel behind ``kernel``, or ``None`` (fallback).
 
         Counts one ``kernel.native_fallback`` per dispatch that lands on
-        numpy; classification (disabled / import / compile / runtime) is
-        sticky except for ``disabled``, which is re-read per call so the
-        env var can be flipped at runtime.
+        numpy, labelled with :meth:`_fallback_reason`.
         """
-        if os.environ.get(DISABLE_ENV_VAR, "").strip():
-            if count:
-                obs.add("kernel.native_fallback", kernel=kernel, reason="disabled")
-            return None
-        reason = self._fallen.get(kernel)
-        if reason is not None:
-            if count:
-                obs.add("kernel.native_fallback", kernel=kernel, reason=reason)
-            return None
-        raw = KERNEL_RAW[kernel]
-        fn = self._compiled.get(raw)
-        if fn is None:
-            fn = self._compile(raw)
-            if fn is None:
-                # _compile recorded the reason for every kernel sharing raw.
-                if count:
-                    obs.add(
-                        "kernel.native_fallback", kernel=kernel,
-                        reason=self._fallen.get(kernel, "compile"),
-                    )
-                return None
+        fn = None
+        if not _disabled() and kernel not in self._fallen:
+            raw = KERNEL_RAW[kernel]
+            # _compile records the reason for every kernel sharing raw.
+            fn = self._compiled.get(raw) or self._compile(raw)
+        if fn is None and count:
+            obs.add("kernel.native_fallback", kernel=kernel,
+                    reason=self._fallback_reason(kernel))
         return fn
 
     def _compile(self, raw: str):
-        provider, load_reason = _get_provider()
+        provider, detail = _get_provider()
         global _WARNED
         if provider is None:
-            self._mark_fallen(raw, load_reason or "import")
+            self._mark_fallen(raw, detail.split(":", 1)[0])
             if not _WARNED:
                 _WARNED = True
                 _log.warning(
-                    "native backend unavailable (%s): no JIT provider could be "
-                    "loaded (tried: %s); kernels fall back to the numpy backend "
-                    "(bit-identical, slower). Install with `pip install repro[native]`.",
-                    load_reason or "import", ", ".join(_provider_order()),
+                    "native backend unavailable (%s); kernels fall back to the "
+                    "numpy backend (bit-identical, slower). Native kernels need "
+                    "a working C compiler (cc, gcc or clang, or $CC).",
+                    detail,
                 )
             return None
         try:
             fn = getattr(provider, raw)
-            # Force JIT compilation now, on a toy input, so failures are
-            # classified as compile errors instead of mid-query surprises.
+            # Call the kernel once on a toy input, so a broken build is
+            # classified as a compile error instead of a mid-query surprise.
             fn(*_WARMUP_ARGS[raw]())
         except Exception as exc:
             self._mark_fallen(raw, "compile")
@@ -353,22 +276,6 @@ class NativeBackend(KernelBackend):
     def count_triangles(self, graph) -> int:
         self._delegate("count_triangles")
         return self._numpy.count_triangles(graph)
-
-    def triangles_per_vertex(self, graph) -> np.ndarray:
-        self._delegate("triangles_per_vertex")
-        return self._numpy.triangles_per_vertex(graph)
-
-    def edge_supports(self, graph, edges) -> np.ndarray:
-        fn = self._resolve("edge_supports")
-        if fn is not None:
-            try:
-                edges = _i64(edges)
-                eu = np.ascontiguousarray(edges[:, 0])
-                ev = np.ascontiguousarray(edges[:, 1])
-                return fn(graph.indptr, graph.indices, eu, ev)
-            except Exception as exc:
-                self._poison("edge_supports", exc)
-        return self._numpy.edge_supports(graph, edges)
 
     def truss_peel(self, graph, edges) -> np.ndarray:
         self._delegate("truss_peel")
@@ -432,23 +339,16 @@ class NativeBackend(KernelBackend):
 def native_runtime_metadata(*, resolve: bool = False) -> dict:
     """Provider facts for ``BENCH_*.json`` / ``execution_metadata`` stamping.
 
-    Cheap by default — reports availability without triggering any JIT
-    compilation.  ``resolve=True`` additionally compiles the kernels (via
-    the registered backend) and reports per-kernel native/fallback status.
+    Cheap by default — reports availability without building the C
+    library.  ``resolve=True`` additionally loads the kernels (via the
+    registered backend) and reports per-kernel native/fallback status.
     """
     from . import get_backend
 
     info: dict = {
-        "numba_version": numba_version(),
-        "disabled": bool(os.environ.get(DISABLE_ENV_VAR, "").strip()),
-        "provider_preference": list(_provider_order()),
+        "disabled": _disabled(),
+        "cc_compiler": _native_cc.compiler_path(),
     }
-    try:
-        from . import _native_cc
-
-        info["cc_compiler"] = _native_cc.compiler_path()
-    except Exception:
-        info["cc_compiler"] = None
     if resolve:
         backend = get_backend("native")
         if isinstance(backend, NativeBackend):

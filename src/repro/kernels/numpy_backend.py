@@ -15,12 +15,11 @@ Three ideas carry all the kernels:
   for the adjacency slices.
 
 * **Hashed, tail-bounded probes** (`triangle_charges`, `count_triangles`,
-  `triangles_per_vertex`, `truss_peel`, `edge_supports`).  A family of
-  per-vertex lists collapses into one set of keys ``owner * n + value``
-  (ids and ranks are ``< n``, so the key is collision-free in int64), held
-  in one exact open-addressing `_KeyTable`.  Intersecting many list pairs
-  then becomes a single batched lookup of needle keys, about one probe per
-  needle instead of a binary search.  The triangle kernels also bound each
+  `truss_peel`).  A family of per-vertex lists collapses into one set of
+  keys ``owner * n + value`` (ids and ranks are ``< n``, so the key is
+  collision-free in int64), held in one exact open-addressing `_KeyTable`.
+  Intersecting many list pairs then becomes a single batched lookup of
+  needle keys, about one probe per needle instead of a binary search.  The triangle kernels also bound each
   probe by the tail: for arc ``v -> u`` at slot ``j`` of ``v``'s
   rank-sorted higher-rank list, only the entries after ``j`` outrank ``u``,
   so each arc probes ``min(tail, |H(u)|)`` needles.  Needle batches are
@@ -120,38 +119,6 @@ class NumpyBackend(KernelBackend):
     # ------------------------------------------------------------------
     def count_triangles(self, graph: Graph) -> int:
         return sum(len(v) for v, _, _ in _graph_triangles(graph))
-
-    def triangles_per_vertex(self, graph: Graph) -> np.ndarray:
-        n = graph.num_vertices
-        per_vertex = np.zeros(n, dtype=np.int64)
-        for corners in _graph_triangles(graph):
-            per_vertex += np.bincount(np.concatenate(corners), minlength=n)
-        return per_vertex
-
-    def edge_supports(self, graph: Graph, edges: np.ndarray) -> np.ndarray:
-        m = len(edges)
-        support = np.zeros(m, dtype=np.int64)
-        if m == 0:
-            return support
-        n = graph.num_vertices
-        indptr, indices = graph.indptr, graph.indices
-        deg = graph.degrees()
-        # Probe from the lower-degree endpoint of each edge (the paper's
-        # degree-based swap); count hits in the other endpoint's list.
-        u, v = edges[:, 0], edges[:, 1]
-        swap = deg[u] > deg[v]
-        small = np.where(swap, v, u)
-        big = np.where(swap, u, v)
-        # Every (owner, neighbour) pair as one key.
-        table = _KeyTable(np.repeat(np.arange(n, dtype=np.int64), deg) * n + indices)
-        block_len = deg[small]
-        for lo, hi in _chunk_edges(block_len):
-            starts = indptr[small[lo:hi]]
-            needles = concat_ranges(indices, starts, starts + block_len[lo:hi])
-            needles += np.repeat(big[lo:hi] * n, block_len[lo:hi])
-            seg = np.repeat(np.arange(hi - lo, dtype=np.int64), block_len[lo:hi])
-            support[lo:hi] = np.bincount(seg[table.contains(needles)], minlength=hi - lo)
-        return support
 
     def truss_peel(self, graph: Graph, edges: np.ndarray) -> np.ndarray:
         m = len(edges)

@@ -67,43 +67,6 @@ class PythonBackend(KernelBackend):
                 total += int((ranks_u[pos[valid]] == ranks_v[valid]).sum())
         return total
 
-    def triangles_per_vertex(self, graph: Graph) -> np.ndarray:
-        out_ptr, out_idx, order_val = rank_forward_adjacency(graph)
-        out_rank = order_val[out_idx]
-        n = graph.num_vertices
-        per_vertex = np.zeros(n, dtype=np.int64)
-        for v in range(n):
-            a, b = out_ptr[v], out_ptr[v + 1]
-            if b - a < 1:
-                continue
-            ranks_v = out_rank[a:b]
-            for j in range(a, b):
-                u = out_idx[j]
-                ua, ub = out_ptr[u], out_ptr[u + 1]
-                if ua == ub:
-                    continue
-                ranks_u = out_rank[ua:ub]
-                pos = np.searchsorted(ranks_u, ranks_v)
-                valid = pos < len(ranks_u)
-                hits = np.flatnonzero(valid)[ranks_u[pos[valid]] == ranks_v[valid]]
-                if len(hits):
-                    per_vertex[v] += len(hits)
-                    per_vertex[u] += len(hits)
-                    np.add.at(per_vertex, out_idx[a:b][hits], 1)
-        return per_vertex
-
-    def edge_supports(self, graph: Graph, edges: np.ndarray) -> np.ndarray:
-        m = len(edges)
-        support = np.zeros(m, dtype=np.int64)
-        if m == 0:
-            return support
-        adj = [set(map(int, graph.neighbors(v))) for v in range(graph.num_vertices)]
-        for i, (u, v) in enumerate(edges):
-            u, v = int(u), int(v)
-            small, large = (u, v) if len(adj[u]) <= len(adj[v]) else (v, u)
-            support[i] = sum(1 for w in adj[small] if w in adj[large])
-        return support
-
     def truss_peel(self, graph: Graph, edges: np.ndarray) -> np.ndarray:
         m = len(edges)
         truss = np.zeros(m, dtype=np.int64)
@@ -116,10 +79,12 @@ class PythonBackend(KernelBackend):
         def eid(a: int, b: int) -> int:
             return edge_id[(a, b)] if a < b else edge_id[(b, a)]
 
-        # Adjacency as sets for O(1) membership during peeling.
+        # Adjacency as sets for O(1) membership during peeling; an edge's
+        # initial support is the size of its endpoints' common neighbourhood.
         adj = [set(map(int, graph.neighbors(v))) for v in range(n)]
-
-        support = self.edge_supports(graph, edges)
+        support = np.array(
+            [len(adj[u] & adj[v]) for u, v in edges.tolist()], dtype=np.int64
+        )
 
         # Bucket peeling over supports.
         max_support = int(support.max()) if m else 0

@@ -285,7 +285,7 @@ class TestNativeFallback:
 
         backend = NativeBackend()
         if backend._resolve("subcore_repair", count=False) is None:
-            pytest.skip("no JIT provider available")
+            pytest.skip("native kernels unavailable (no C compiler)")
         graph = random_graph(120, 400, seed=9)
         core = core_decomposition(graph).coreness
         present = edge_set(graph)

@@ -147,28 +147,6 @@ class TestTriangleEquivalence:
     def test_counts_identical(self, graph):
         assert PY.count_triangles(graph) == NP.count_triangles(graph)
 
-    @zoo_case
-    def test_per_vertex_identical(self, graph):
-        assert np.array_equal(
-            PY.triangles_per_vertex(graph), NP.triangles_per_vertex(graph)
-        )
-
-    @zoo_case
-    def test_per_vertex_sums_to_three_per_triangle(self, graph):
-        assert NP.triangles_per_vertex(graph).sum() == 3 * NP.count_triangles(graph)
-
-    @zoo_case
-    def test_edge_supports_identical(self, graph):
-        edges = graph.edge_array()
-        assert np.array_equal(
-            PY.edge_supports(graph, edges), NP.edge_supports(graph, edges)
-        )
-
-    @zoo_case
-    def test_edge_supports_sum_to_three_per_triangle(self, graph):
-        edges = graph.edge_array()
-        assert NP.edge_supports(graph, edges).sum() == 3 * NP.count_triangles(graph)
-
 
 def _truss_everywhere(graph):
     """``truss_peel`` under all three backends; asserts they agree."""
@@ -224,9 +202,11 @@ class TestTrussPeelEquivalence:
             builder.add_edges([(u % n, v % n) for u, v in raw])
         graph = builder.build()
         truss = _truss_everywhere(graph)
-        # Supports bound truss numbers: t(e) - 2 <= support(e).
-        support = PY.edge_supports(graph, graph.edge_array())
-        assert all(t - 2 <= s for t, s in zip(truss.values(), support.tolist()))
+        # Supports bound truss numbers: t(e) - 2 <= support(e), the
+        # support being the endpoints' common neighbourhood.
+        adj = [set(graph.neighbors(v).tolist()) for v in range(graph.num_vertices)]
+        for (u, v), t in truss.items():
+            assert t - 2 <= len(adj[u] & adj[v])
 
 
 def _keys_homed_at(slot: int, count: int, table_size: int) -> list[int]:
@@ -336,15 +316,11 @@ class TestMultiChunkProbes:
         assert np.array_equal(
             NP.triangle_charges(ordered), PY.triangle_charges(ordered)
         )
-        assert NP.count_triangles(graph) == PY.count_triangles(graph)
-        assert np.array_equal(
-            NP.triangles_per_vertex(graph), PY.triangles_per_vertex(graph)
-        )
-        assert np.array_equal(
-            NP.edge_supports(graph, edges), PY.edge_supports(graph, edges)
-        )
+        triangles = PY.count_triangles(graph)
+        assert NP.count_triangles(graph) == triangles
         assert np.array_equal(NP.truss_peel(graph, edges), PY.truss_peel(graph, edges))
-        assert max(batches) > 1
+        # A triangle-free graph (the star) probes nothing, so one batch.
+        assert max(batches) > 1 or triangles == 0
 
 
 def _shell_deltas(ordering, triplets):
@@ -511,13 +487,6 @@ class TestNativeEquivalence:
         assert np.array_equal(NATIVE.hindex_fixpoint(graph, estimate, vertices), want)
 
     @zoo_case
-    def test_edge_supports_identical(self, graph):
-        edges = graph.edge_array()
-        assert np.array_equal(
-            NATIVE.edge_supports(graph, edges), PY.edge_supports(graph, edges)
-        )
-
-    @zoo_case
     def test_triangle_charges_identical(self, graph):
         ordered = order_vertices(graph)
         assert np.array_equal(
@@ -569,9 +538,6 @@ class TestNativeEquivalence:
     @zoo_case
     def test_delegated_triangles_identical(self, graph):
         assert NATIVE.count_triangles(graph) == PY.count_triangles(graph)
-        assert np.array_equal(
-            NATIVE.triangles_per_vertex(graph), PY.triangles_per_vertex(graph)
-        )
 
 
 class TestComponentEquivalence:

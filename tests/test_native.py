@@ -3,9 +3,9 @@
 The equivalence of native *answers* with the python/numpy backends lives in
 ``tests/test_kernels.py`` (the three-backend zoo sweep); this module covers
 what makes ``native`` different: per-kernel degradation to numpy, the
-``kernel.native_fallback`` accounting, provider selection, and the clean
-no-provider degradation path (exercised in a subprocess with a sabotaged
-``numba`` and the ``cc`` provider ruled out).
+``kernel.native_fallback`` accounting, the kernel tables staying in step
+with the C provider, and the clean no-compiler degradation path (exercised
+in a subprocess whose ``$CC`` and ``PATH`` hold no compiler).
 """
 
 from __future__ import annotations
@@ -20,13 +20,14 @@ import pytest
 
 from repro import obs
 from repro.bench.harness import kernel_dispatch_summary
-from repro.kernels import get_backend
+from repro.cli import main
+from repro.index import BestKIndex
+from repro.kernels import KERNEL_METHODS, _native_cc, get_backend
 from repro.kernels.native_backend import (
     DELEGATED_KERNELS,
     DISABLE_ENV_VAR,
     KERNEL_RAW,
     NativeBackend,
-    PROVIDER_ENV_VAR,
     native_runtime_metadata,
 )
 
@@ -53,7 +54,7 @@ def has_provider() -> bool:
 
 
 needs_provider = pytest.mark.skipif(
-    not has_provider(), reason="no JIT provider (numba or C toolchain) available"
+    not has_provider(), reason="native kernels unavailable (no C compiler)"
 )
 
 
@@ -85,6 +86,18 @@ class TestDisableSwitch:
         monkeypatch.delenv(DISABLE_ENV_VAR)
         # Not recorded as a permanent fallback: the kernel resolves again.
         assert "peel_coreness" not in backend._fallen
+
+    def test_disabled_is_the_reported_reason(self, monkeypatch, capsys):
+        monkeypatch.setenv(DISABLE_ENV_VAR, "1")
+        status = fresh_backend().kernel_status()
+        for kernel in KERNEL_RAW:
+            assert status[kernel] == {"mode": "fallback", "reason": "disabled"}
+        kernels = native_runtime_metadata(resolve=True)["kernels"]
+        assert {kernels[k] for k in KERNEL_RAW} == {"fallback:disabled"}
+        assert main(["backends"]) == 0
+        assert "numpy (fallback: disabled)" in capsys.readouterr().out
+        assert main(["backends", "--check", "native"]) == 1
+        assert "fall back to numpy (disabled)" in capsys.readouterr().err
 
 
 class TestRuntimePoisoning:
@@ -156,7 +169,7 @@ class TestDelegatedKernels:
 class TestRuntimeMetadata:
     def test_cheap_form_reports_availability(self):
         info = native_runtime_metadata()
-        assert set(info) >= {"numba_version", "disabled", "provider_preference", "cc_compiler"}
+        assert set(info) == {"disabled", "cc_compiler"}
         assert info["disabled"] is False
 
     @needs_provider
@@ -168,9 +181,17 @@ class TestRuntimeMetadata:
             "kernels"
         ]["peel_coreness"].startswith("fallback:")
 
-    def test_store_token_is_plain_name(self):
+    def test_index_keys_by_plain_backend_name(self):
         # Fallback is bit-identical, so artifact-store keys never fragment.
-        assert NATIVE.store_token() == "native"
+        assert BestKIndex(GRAPH, backend="native", store=False).backend_name == "native"
+
+
+class TestKernelTables:
+    def test_tables_cover_the_interface_and_the_c_unit(self):
+        assert set(KERNEL_METHODS) == set(KERNEL_RAW) | set(DELEGATED_KERNELS)
+        for raw in set(KERNEL_RAW.values()):
+            assert callable(getattr(_native_cc.CcProvider, raw, None)), raw
+            assert f"repro_{raw}" in _native_cc._SIGNATURES, raw
 
 
 class TestDispatchSummary:
@@ -186,6 +207,7 @@ SUBPROCESS_SCRIPT = textwrap.dedent(
     """
     import sys
     import numpy as np
+    from repro import obs
     from repro.core import core_decomposition
     from repro.kernels import get_backend
 
@@ -195,28 +217,28 @@ SUBPROCESS_SCRIPT = textwrap.dedent(
     want = core_decomposition(backend="numpy", graph=_graph()).coreness
     assert np.array_equal(got, want)
     print("COERCED-OK", int(got.sum()))
+    print("IMPORT-FALLBACKS", int(obs.counter(
+        "kernel.native_fallback", kernel="peel_coreness", reason="import")))
     """
 )
 
 
-def _subprocess_env(tmp_path) -> dict:
-    """Env where ``import numba`` fails and the forced provider is numba."""
-    shadow = tmp_path / "shadow"
-    shadow.mkdir()
-    (shadow / "numba.py").write_text(
-        "raise ImportError('numba deliberately unavailable for this test')\n"
-    )
+def _no_compiler_env(tmp_path) -> dict:
+    """Env where ``$CC`` names no file and ``PATH`` is one empty directory."""
+    empty = tmp_path / "empty-bin"
+    empty.mkdir()
     src = os.path.join(os.path.dirname(__file__), os.pardir, "src")
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join([str(shadow), os.path.abspath(src)])
+    env["PYTHONPATH"] = os.path.abspath(src)
+    env["PATH"] = str(empty)
+    env["CC"] = "/nonexistent"
     env["REPRO_BACKEND"] = "native"
-    env[PROVIDER_ENV_VAR] = "numba"
     env.pop(DISABLE_ENV_VAR, None)
     return env
 
 
 class TestNoProviderDegradation:
-    def test_missing_numba_degrades_to_numpy_with_warning(self, tmp_path):
+    def test_missing_compiler_degrades_to_numpy_with_warning(self, tmp_path):
         script = (
             "def _graph():\n"
             "    from repro.generators import powerlaw_chung_lu\n"
@@ -224,14 +246,15 @@ class TestNoProviderDegradation:
             + SUBPROCESS_SCRIPT
         )
         proc = subprocess.run(
-            [sys.executable, "-c", script],
-            env=_subprocess_env(tmp_path),
+            [os.path.abspath(sys.executable), "-c", script],
+            env=_no_compiler_env(tmp_path),
             capture_output=True,
             text=True,
             timeout=120,
         )
         assert proc.returncode == 0, proc.stderr
         assert "COERCED-OK" in proc.stdout
-        # The one-time degradation warning lands on stderr via logging.
+        assert "IMPORT-FALLBACKS 1" in proc.stdout
+        # The one-time degradation warning names the missing compiler.
         assert "native backend unavailable" in proc.stderr
-        assert "pip install repro[native]" in proc.stderr
+        assert "no C compiler found" in proc.stderr

@@ -12,7 +12,6 @@ from repro.engine import (
     count_triplets,
     triangles_by_min_rank_vertex,
     triangle_level_increments,
-    triangles_per_vertex,
     triplet_charges,
 )
 from repro.graph import Graph
@@ -57,28 +56,6 @@ class TestExactCounting:
     def test_empty(self, empty_graph):
         assert count_triangles(empty_graph) == 0
         assert count_triplets(empty_graph) == 0
-
-
-class TestPerVertex:
-    @pytest.mark.parametrize("seed", range(4))
-    def test_per_vertex_sums_to_three_times_total(self, seed):
-        g = random_graph(22, 70, seed)
-        per_vertex = triangles_per_vertex(g)
-        assert per_vertex.sum() == 3 * count_triangles(g)
-
-    def test_per_vertex_clique(self, clique6):
-        per_vertex = triangles_per_vertex(clique6)
-        assert (per_vertex == 10).all()  # each vertex in C(5,2) triangles
-
-    def test_per_vertex_brute(self):
-        g = random_graph(15, 40, seed=3)
-        per_vertex = triangles_per_vertex(g)
-        for v in range(g.num_vertices):
-            nbrs = list(map(int, g.neighbors(v)))
-            expected = sum(
-                1 for a, b in combinations(nbrs, 2) if g.has_edge(a, b)
-            )
-            assert per_vertex[v] == expected
 
 
 class TestIncrementalCharges:
