@@ -5,10 +5,11 @@ workload in DESIGN.md's experiment index and writes one self-contained
 markdown report (plus per-experiment artefacts), so a single command
 regenerates the whole evaluation:
 
-    python scripts/run_all_experiments.py --out report/
+    python -m repro report --out report/ [--only table4,fig5]
 
-The CLI's per-experiment command (``bestk experiment NAME``) runs the same
-registry one entry at a time.
+:data:`EXPERIMENT_ORDER` is the one experiment registry: the CLI's
+per-experiment command (``bestk experiment NAME``) runs the same entries,
+under the same names, one at a time.
 """
 
 from __future__ import annotations

@@ -57,7 +57,7 @@ import sys
 from typing import Sequence
 
 from . import __version__, obs
-from .bench import render_series, workloads
+from .bench.report import EXPERIMENT_ORDER, run_all_experiments
 from .core import (
     PAPER_METRICS,
     available_metrics,
@@ -72,29 +72,6 @@ from .graph import load_edge_list, validate_graph
 from .graph.csr import Graph
 
 __all__ = ["main", "build_parser"]
-
-#: Experiment name -> zero-argument callable returning renderable output.
-EXPERIMENTS = {
-    "table3": lambda: workloads.table3_dataset_stats().render(),
-    "table4": lambda: workloads.table4_best_k().render(),
-    "fig5": lambda: render_series(workloads.fig5_set_scores()),
-    "fig6": lambda: render_series(workloads.fig6_core_scores()),
-    "case-study": lambda: "\n\n".join(t.render() for t in workloads.tables5to7_case_study()),
-    "fig7": lambda: workloads.fig7_runtime_set().render(),
-    "fig8": lambda: workloads.fig8_runtime_core().render(),
-    "table8": lambda: workloads.table8_densest_clique().render(),
-    "table9": lambda: workloads.table9_sized_core().render(),
-    "ablation-ordering": lambda: workloads.ablation_ordering().render(),
-    "ablation-forest": lambda: workloads.ablation_forest().render(),
-    "ablation-index-reuse": lambda: workloads.ablation_index_reuse().render(),
-    "ablation-dynamic": lambda: workloads.ablation_dynamic().render(),
-    "extension-truss": lambda: workloads.extension_truss().render(),
-    "extension-weighted": lambda: workloads.extension_weighted().render(),
-    "extension-communities": lambda: workloads.extension_communities().render(),
-    "extension-spreaders": lambda: workloads.extension_spreaders().render(),
-    "extension-ecc": lambda: workloads.extension_ecc().render(),
-}
-
 
 def _load_graph(spec: str) -> Graph:
     if spec.startswith("dataset:"):
@@ -196,7 +173,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--plan", default=None, choices=PLAN_CHOICES,
         help="force the core-maintenance outcome "
-             "(default: cost-model planner; env REPRO_DYNAMIC_PLAN)",
+             "(default: cost-model planner)",
     )
     p.add_argument(
         "--num-vertices", type=int, default=None,
@@ -246,7 +223,8 @@ def build_parser() -> argparse.ArgumentParser:
     graph_arg(p)
 
     p = sub.add_parser("experiment", help="regenerate a paper table/figure")
-    p.add_argument("name", choices=sorted(EXPERIMENTS), help="experiment id")
+    p.add_argument("name", choices=[e.name for e in EXPERIMENT_ORDER],
+                   help="experiment id")
 
     p = sub.add_parser("report", help="run every experiment into one REPORT.md")
     p.add_argument("--out", default="report", help="output directory")
@@ -665,7 +643,8 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_experiment(args) -> int:
-    print(EXPERIMENTS[args.name]())
+    entry = next(e for e in EXPERIMENT_ORDER if e.name == args.name)
+    print(entry.run())
     return 0
 
 
@@ -848,7 +827,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         if args.command == "experiment":
             return _cmd_experiment(args)
         if args.command == "report":
-            from .bench.report import run_all_experiments
             only = tuple(args.only.split(",")) if args.only else None
             path = run_all_experiments(args.out, only=only)
             print(f"report written to {path}")

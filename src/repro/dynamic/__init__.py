@@ -17,8 +17,8 @@ next one*:
     peel when locality cannot pay off (classified on the
     ``dynamic.maintain`` obs counter).  A measured cost model
     (:func:`plan_maintenance`) picks between the two per delta;
-    ``REPRO_DYNAMIC_PLAN`` or ``plan=`` overrides it, and the verdict
-    lands on ``dynamic.plan{choice,reason}``.
+    ``plan=`` overrides it, and the verdict lands on
+    ``dynamic.plan{choice,reason}``.
 
 Layering: this package sits beside :mod:`repro.parallel` — it may import
 ``graph``, ``errors``, ``kernels`` and ``obs``, and must never import
@@ -34,7 +34,6 @@ from .delta import GraphDelta, edges_from_file
 from .maintain import MaintainResult, incremental_core_numbers
 from .planner import (
     PLAN_CHOICES,
-    PLAN_ENV_VAR,
     MaintenancePlan,
     plan_maintenance,
     resolve_plan_override,
@@ -43,7 +42,6 @@ from .versioned import VersionedGraph, stamp_epoch_digest
 
 __all__ = [
     "PLAN_CHOICES",
-    "PLAN_ENV_VAR",
     "GraphDelta",
     "MaintainResult",
     "MaintenancePlan",

@@ -91,8 +91,7 @@ def incremental_core_numbers(
     subcore traversal may visit before bailing to a full peel (default
     ``max(256, n_new // 8)``; deletes walk no subcore).  ``plan``
     forces an outcome (``batched``/``rebuild``; ``auto``/``None`` defers
-    to the cost model, after the ``REPRO_DYNAMIC_PLAN`` environment
-    override).
+    to the cost model).
 
     Every call lands one observation on the
     ``dynamic.maintain_seconds{path=}`` histogram, labelled by the path

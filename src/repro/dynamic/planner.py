@@ -22,35 +22,26 @@ traversals on the calibration graph scan about ``m / 280`` arcs per
 changed edge, floored at 64 for small graphs.
 
 The choice is observable on the ``dynamic.plan{choice=,reason=}``
-counter and overridable — the ``plan=`` argument (CLI ``--plan``) beats
-the ``REPRO_DYNAMIC_PLAN`` environment variable; both accept
-``auto``/``batched``/``rebuild``.  Overrides skip the large-delta guard
-(the caller asked for that path), but never the no-baseline guard:
-repairing nothing is not an option.
+counter and overridable through the ``plan=`` argument (CLI ``--plan``),
+which accepts ``auto``/``batched``/``rebuild``.  Overrides skip the
+large-delta guard (the caller asked for that path), but never the
+no-baseline guard: repairing nothing is not an option.
 """
 
 from __future__ import annotations
 
-import logging
-import os
 from dataclasses import dataclass, field
 
 __all__ = [
     "PLAN_CHOICES",
-    "PLAN_ENV_VAR",
     "MaintenancePlan",
     "estimated_region_arcs",
     "plan_maintenance",
     "resolve_plan_override",
 ]
 
-#: Environment override consulted by :func:`resolve_plan_override`.
-PLAN_ENV_VAR = "REPRO_DYNAMIC_PLAN"
-
 #: Accepted plan names (``auto`` defers to the cost model).
 PLAN_CHOICES = ("auto", "batched", "rebuild")
-
-_log = logging.getLogger("repro.dynamic.planner")
 
 # Measured coefficients (seconds), calibrated against the cl-500k rows
 # of benchmarks/bench_dynamic.py (native backend; see BENCH_dynamic.json
@@ -70,8 +61,8 @@ class MaintenancePlan:
     """The planner's verdict for one delta.
 
     ``choice`` is ``batched``/``rebuild``; ``reason`` is
-    ``cost_model`` (the estimates decided), ``override`` (caller or
-    environment forced the choice), ``no_baseline`` or ``large_delta``
+    ``cost_model`` (the estimates decided), ``override`` (the caller
+    forced the choice), ``no_baseline`` or ``large_delta``
     (guards forced a rebuild).  ``estimates`` holds the modelled seconds
     per candidate, for diagnostics and ``bestk stats``.
     """
@@ -82,26 +73,19 @@ class MaintenancePlan:
 
 
 def resolve_plan_override(explicit: str | None = None) -> str | None:
-    """Normalise the override chain: explicit argument beats environment.
+    """Normalise a ``plan=`` argument to a forced outcome.
 
-    Returns ``None`` when the plan is left to the cost model.  An invalid
-    explicit value raises :class:`ValueError`; an invalid environment
-    value is ignored with a warning (a bad env var must not break apply).
+    Returns ``None`` when the plan is left to the cost model (``None`` or
+    ``auto``).  An unknown value raises :class:`ValueError`.
     """
-    if explicit is not None:
-        value = explicit.strip().lower()
-        if value not in PLAN_CHOICES:
-            raise ValueError(
-                f"unknown maintenance plan {explicit!r}; expected one of {PLAN_CHOICES}"
-            )
-        return None if value == "auto" else value
-    env = os.environ.get(PLAN_ENV_VAR, "").strip().lower()
-    if not env or env == "auto":
+    if explicit is None:
         return None
-    if env not in PLAN_CHOICES:
-        _log.warning("%s=%r is not one of %s; ignoring", PLAN_ENV_VAR, env, PLAN_CHOICES)
-        return None
-    return env
+    value = explicit.strip().lower()
+    if value not in PLAN_CHOICES:
+        raise ValueError(
+            f"unknown maintenance plan {explicit!r}; expected one of {PLAN_CHOICES}"
+        )
+    return None if value == "auto" else value
 
 
 def estimated_region_arcs(num_edges: int) -> int:

@@ -59,8 +59,9 @@ result (both default off; ``tests/test_parallel.py`` and
 
 All results are bit-identical to the from-scratch entry points
 (``tests/test_index.py`` enforces this); the index is purely a performance
-object.  ``benchmarks/bench_index.py`` and ``benchmarks/bench_parallel.py``
-measure cold-vs-warm and serial-vs-parallel gaps.
+object.  Ablation A3 (``benchmarks/bench_ablation_index_reuse.py``)
+measures the gap between one index and a fresh build per query, and
+``benchmarks/bench_parallel.py`` the serial-vs-parallel gap.
 """
 
 from __future__ import annotations
@@ -705,7 +706,7 @@ class BestKIndex:
           batched ``subcore_repair`` kernel dispatch or re-peels is
           decided by the cost-model planner
           (:func:`~repro.dynamic.plan_maintenance`), forceable via
-          ``plan=`` or ``REPRO_DYNAMIC_PLAN``;
+          ``plan=``;
         * **invalidated** — rebuild-on-change families (truss, weighted,
           ecc) drop their artifacts and rebuild on next query.
 

@@ -16,9 +16,9 @@ those kernels:
 ``native``
     Scalar loops in C, compiled once with the system toolchain, for the
     hot kernels: exact O(m) bucket peeling, the h-index fixpoint round,
-    Algorithm 3's triangle and triplet charges, strength accumulation and
-    the batched subcore repair.  Degrades *per kernel* to the numpy
-    implementation when no compiler is found or a kernel fails — see
+    Algorithm 3's triangle and triplet charges and the batched subcore
+    repair.  Degrades *per kernel* to the numpy implementation when no
+    compiler is found or a kernel fails — see
     :mod:`repro.kernels.native_backend`; every degradation is counted on
     the ``kernel.native_fallback`` obs counter.
 
@@ -34,7 +34,7 @@ Selection, in precedence order:
 All three backends return exactly the same values
 (``tests/test_kernels.py`` enforces integer-for-integer equality), so
 switching backends is purely a performance decision.
-``benchmarks/bench_kernels.py`` measures the gap.
+``benchmarks/bench_native.py`` measures the gap on every kernel.
 
 Observability: :func:`register_backend` wraps every kernel method of a
 registered backend with :mod:`repro.obs` instrumentation — each dispatch

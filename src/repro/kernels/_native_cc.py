@@ -167,18 +167,6 @@ void repro_triplet_charges(int64_t n, const int64_t *indptr,
     }
 }
 
-/* Sequential per-slice accumulation; must equal
- * NumpyBackend.vertex_strengths (np.add.reduceat, same addition order). */
-void repro_vertex_strengths(int64_t n, const int64_t *indptr,
-                            const double *arc_weights, double *strength) {
-    for (int64_t v = 0; v < n; v++) {
-        double s = 0.0;
-        for (int64_t j = indptr[v]; j < indptr[v + 1]; j++)
-            s += arc_weights[j];
-        strength[v] = s;
-    }
-}
-
 /* Batched incremental core maintenance: deletes by chaotic h-index
  * descent, inserts by per-edge optimistic subcore peels, over the old CSR
  * (arc-active mask) plus an extra CSR of the delta's inserted arcs; must
@@ -372,7 +360,6 @@ int64_t repro_subcore_repair(int64_t n, const int64_t *indptr,
 """
 
 _I64 = ctypes.POINTER(ctypes.c_int64)
-_F64 = ctypes.POINTER(ctypes.c_double)
 _I8 = ctypes.POINTER(ctypes.c_int8)
 
 #: symbol -> argtypes; ``None`` entries are filled per call site.
@@ -382,7 +369,6 @@ _SIGNATURES = {
     "repro_hindex_fixpoint": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64, _I64),
     "repro_triangle_charges": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64),
     "repro_triplet_charges": (ctypes.c_int64, _I64, _I64, _I64, _I64),
-    "repro_vertex_strengths": (ctypes.c_int64, _I64, _F64, _F64),
     "repro_subcore_repair": (ctypes.c_int64, _I64, _I64, _I8, _I64, _I64, _I8,
                              _I64, ctypes.c_int64, _I64, _I64, _I64,
                              ctypes.c_int64, _I64, _I64, _I64, _I64, _I64,
@@ -518,16 +504,6 @@ class CcProvider:
             _ptr(charges, _I64),
         )
         return charges
-
-    def vertex_strengths(self, indptr, arc_weights):
-        n = indptr.shape[0] - 1
-        strength = np.zeros(n, dtype=np.float64)
-        if n == 0:
-            return strength
-        self._lib.repro_vertex_strengths(
-            n, _ptr(indptr, _I64), _ptr(arc_weights, _F64), _ptr(strength, _F64),
-        )
-        return strength
 
     def subcore_repair(self, indptr, indices, active, xptr, xindices, xactive,
                        core, ops_u, ops_v, ops_kind, limit):

@@ -2,8 +2,7 @@
 
 Compiled implementations of the hot kernels — exact O(m) bucket peeling,
 the h-index fixpoint round, Algorithm 3's merge-intersection triangle
-charges and one-pass triplet charges, strength accumulation and the
-batched subcore repair — behind a **per-kernel soft fallback**: anything
+charges and one-pass triplet charges, and the batched subcore repair — behind a **per-kernel soft fallback**: anything
 that cannot run native (no C compiler, a compile failure, a runtime error)
 transparently delegates to the numpy implementation of exactly that
 kernel, and the degradation is counted per reason on the
@@ -26,8 +25,10 @@ Fallback reasons (the ``reason`` label):
   then on);
 * ``delegated`` — the kernel has no native implementation by design
   (``count_triangles`` and ``connected_components`` — already
-  memory-bandwidth-bound under numpy; ``truss_peel`` — a whole-frontier
-  array pass under numpy, with no compiled form yet).
+  memory-bandwidth-bound under numpy; ``vertex_strengths`` — one
+  ``np.add.reduceat`` per weighted peel, a few ms against a peel of over a
+  second; ``truss_peel`` — a whole-frontier array pass under numpy, with no
+  compiled form yet).
 
 All answers are bit-identical to the other backends — each C function
 must equal a named python function, and the equivalence suite
@@ -68,13 +69,14 @@ KERNEL_RAW = {
     "hindex_fixpoint": "hindex_fixpoint",
     "triangle_charges": "triangle_charges",
     "triplet_charges": "triplet_charges",
-    "vertex_strengths": "vertex_strengths",
     "subcore_repair": "subcore_repair",
 }
 
 #: Kernels that intentionally stay on the numpy implementation: their numpy
 #: forms are already whole-array passes with no scalar inner loop left.
-DELEGATED_KERNELS = ("count_triangles", "truss_peel", "connected_components")
+DELEGATED_KERNELS = (
+    "count_triangles", "truss_peel", "connected_components", "vertex_strengths",
+)
 
 _log = logging.getLogger("repro.kernels.native")
 
@@ -123,7 +125,6 @@ _WARMUP_ARGS = {
                                  np.zeros(4, dtype=np.int64)),
     "triplet_charges": lambda: (_WARM_INDPTR, _WARM_INDICES,
                                 np.zeros(4, dtype=np.int64)),
-    "vertex_strengths": lambda: (_WARM_INDPTR, np.ones(8, dtype=np.float64)),
     # Delete the pendant edge (0,3), then insert (1,3) through the extra
     # CSR — exercises both phases of the batched repair.
     "subcore_repair": lambda: (_WARM_INDPTR, _WARM_INDICES,
@@ -326,13 +327,7 @@ class NativeBackend(KernelBackend):
         return self._numpy.connected_components(graph, active)
 
     def vertex_strengths(self, graph, arc_weights) -> np.ndarray:
-        fn = self._resolve("vertex_strengths")
-        if fn is not None:
-            try:
-                arcs = np.ascontiguousarray(arc_weights, dtype=np.float64)
-                return fn(graph.indptr, arcs)
-            except Exception as exc:
-                self._poison("vertex_strengths", exc)
+        self._delegate("vertex_strengths")
         return self._numpy.vertex_strengths(graph, arc_weights)
 
 

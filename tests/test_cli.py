@@ -2,7 +2,8 @@
 
 import pytest
 
-from repro.cli import EXPERIMENTS, build_parser, main
+from repro.bench.report import EXPERIMENT_ORDER
+from repro.cli import build_parser, main
 from repro.graph import save_edge_list
 
 
@@ -25,7 +26,7 @@ class TestParser:
 
     def test_experiment_choices_cover_registry(self):
         parser = build_parser()
-        for name in EXPERIMENTS:
+        for name in (e.name for e in EXPERIMENT_ORDER):
             args = parser.parse_args(["experiment", name])
             assert args.name == name
 
@@ -121,12 +122,20 @@ class TestVisualisationCommands:
         assert "best k = 3" in out
 
     def test_experiment_registry_includes_extensions(self):
-        assert "extension-truss" in EXPERIMENTS
-        assert "extension-weighted" in EXPERIMENTS
-        assert len(EXPERIMENTS) == 18
+        names = [e.name for e in EXPERIMENT_ORDER]
+        assert "extension_truss" in names
+        assert "extension_weighted" in names
+        assert len(names) == 18
 
 
 class TestReportCommand:
+    def test_experiment_uses_report_spelling(self, capsys, monkeypatch):
+        monkeypatch.setenv("REPRO_BENCH_SCALE", "0.15")
+        assert main(["experiment", "table3"]) == 0
+        assert "Table III" in capsys.readouterr().out
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["experiment", "case-study"])
+
     def test_report_subset(self, tmp_path, capsys, monkeypatch):
         monkeypatch.setenv("REPRO_BENCH_SCALE", "0.15")
         out = tmp_path / "rep"

@@ -82,3 +82,26 @@ class TestReadme:
         for name in ("algorithms.md", "metrics.md", "datasets.md",
                      "architecture.md", "api.md"):
             assert (ROOT / "docs" / name).exists(), name
+
+
+#: Documents whose script and record paths must name files in the tree.
+PATH_DOCUMENTS = ("README.md", "DESIGN.md", "EXPERIMENTS.md", ".github/workflows/ci.yml")
+PATH_PATTERN = re.compile(
+    r"(?<![\w/.-])((?:benchmarks|scripts)/(?:[\w-]+/)*[\w-]+\.py|BENCH_\w+\.json)"
+)
+
+
+class TestNoStalePaths:
+    @pytest.mark.parametrize(
+        "document",
+        PATH_DOCUMENTS + tuple(
+            f"docs/{p.name}" for p in sorted((ROOT / "docs").glob("*.md"))
+        ),
+    )
+    def test_every_named_script_and_record_exists(self, document):
+        text = read(document)
+        # A path a command writes with -o/--output need not exist yet.
+        written = set(re.findall(r"(?:-o|--output)\s+(\S+)", text))
+        named = set(PATH_PATTERN.findall(text)) - written
+        missing = sorted(path for path in named if not (ROOT / path).exists())
+        assert not missing, f"{document} names missing files: {missing}"

@@ -22,7 +22,6 @@ from repro import obs
 from repro.core import core_decomposition
 from repro.dynamic import (
     PLAN_CHOICES,
-    PLAN_ENV_VAR,
     GraphDelta,
     VersionedGraph,
     incremental_core_numbers,
@@ -150,25 +149,14 @@ class TestPlanner:
     def test_choices_are_closed(self):
         assert PLAN_CHOICES == ("auto", "batched", "rebuild")
 
-    def test_explicit_override_beats_env(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV_VAR, "rebuild")
-        assert resolve_plan_override("batched") == "batched"
-        assert resolve_plan_override() == "rebuild"
-
-    def test_auto_means_cost_model(self, monkeypatch):
-        monkeypatch.delenv(PLAN_ENV_VAR, raising=False)
+    def test_auto_means_cost_model(self):
         assert resolve_plan_override(None) is None
         assert resolve_plan_override("auto") is None
-        monkeypatch.setenv(PLAN_ENV_VAR, "auto")
-        assert resolve_plan_override() is None
+        assert resolve_plan_override(" Batched ") == "batched"
 
     def test_invalid_explicit_raises(self):
         with pytest.raises(ValueError):
             resolve_plan_override("bogus")
-
-    def test_invalid_env_is_ignored(self, monkeypatch):
-        monkeypatch.setenv(PLAN_ENV_VAR, "bogus")
-        assert resolve_plan_override() is None
 
     def test_removed_edge_plan_raises(self):
         # The per-edge python walk is gone; its plan name is not an alias.
@@ -181,13 +169,7 @@ class TestPlanner:
                 graph, core, vg.applied, new_graph=vg.graph, plan="edge",
             )
 
-    def test_removed_edge_plan_in_env_defers_to_cost_model(
-        self, monkeypatch, caplog
-    ):
-        monkeypatch.setenv(PLAN_ENV_VAR, "edge")
-        with caplog.at_level("WARNING", logger="repro.dynamic.planner"):
-            assert resolve_plan_override() is None
-        assert any(PLAN_ENV_VAR in r.getMessage() for r in caplog.records)
+    def test_default_plan_defers_to_cost_model(self):
         graph = random_graph(60, 150, seed=1)
         core = core_decomposition(graph).coreness
         delta = GraphDelta.from_edges(delete=[tuple(graph.edge_array()[0])])
@@ -242,16 +224,22 @@ class TestPlanner:
             == before + 1
         )
 
-    def test_env_override_routes_maintenance(self, monkeypatch):
+    def test_env_override_routes_maintenance(self):
+        # The plan= argument is the one override; no environment variable
+        # routes maintenance any more.
         graph = random_graph(60, 150, seed=1)
         core = core_decomposition(graph).coreness
         delta = GraphDelta.from_edges(delete=[tuple(graph.edge_array()[0])])
         vg = VersionedGraph(graph).apply(delta)
-        monkeypatch.setenv(PLAN_ENV_VAR, "batched")
-        result = incremental_core_numbers(
-            graph, core, vg.applied, new_graph=vg.graph, backend="numpy",
-        )
-        assert result.path == "batched"
+        for plan in ("batched", "rebuild"):
+            result = incremental_core_numbers(
+                graph, core, vg.applied, new_graph=vg.graph, backend="numpy",
+                plan=plan,
+            )
+            assert result.path == plan
+            assert np.array_equal(
+                result.coreness, core_decomposition(vg.graph).coreness
+            )
 
 
 class TestNativeFallback:

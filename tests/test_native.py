@@ -158,6 +158,16 @@ class TestDelegatedKernels:
         assert fallback_count("truss_peel", "delegated") == before + 1
         assert fresh_backend().kernel_status()["truss_peel"]["mode"] == "delegated"
 
+    def test_vertex_strengths_delegates(self):
+        assert "vertex_strengths" in DELEGATED_KERNELS
+        arcs = np.linspace(0.5, 2.0, GRAPH.indices.shape[0])
+        before = fallback_count("vertex_strengths", "delegated")
+        assert np.array_equal(
+            NATIVE.vertex_strengths(GRAPH, arcs), NUMPY.vertex_strengths(GRAPH, arcs)
+        )
+        assert fallback_count("vertex_strengths", "delegated") == before + 1
+        assert fresh_backend().kernel_status()["vertex_strengths"]["mode"] == "delegated"
+
     def test_connected_components_delegates(self):
         active = np.ones(GRAPH.num_vertices, dtype=bool)
         labels_nat, count_nat = NATIVE.connected_components(GRAPH, active)
