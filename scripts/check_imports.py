@@ -5,6 +5,11 @@ Layering (DESIGN.md, engine section):
 
 * ``repro.graph``, ``repro.errors``, ``repro.kernels`` — foundation; must
   not import the engine or any family package.
+* ``repro.kernels._native_impl`` — the python bodies of the compiled loop
+  kernels: a leaf that imports numpy at most and no ``repro`` module at
+  all, not even its ``kernels`` siblings.  ``native_backend`` and
+  ``_native_cc`` take nothing from ``repro`` outside ``kernels`` but the
+  ``obs`` leaf.
 * ``repro.engine`` — the generic layer; must not import any family
   package statically (built-ins bootstrap lazily via ``importlib`` inside
   function bodies, which this checker intentionally does not whitelist
@@ -68,6 +73,14 @@ ALL_LAYERS = (
     "apps", "bench", "cli", "generators", "viz", "scenarios",
 ) + FAMILY_PACKAGES
 
+#: every top-level module and subpackage of repro, for leaves that may
+#: import none of them.
+EVERY_SUBPACKAGE = tuple(sorted(
+    path.stem for path in (SRC / PACKAGE).iterdir()
+    if path.name != "__init__.py"
+    and (path.suffix == ".py" or (path / "__init__.py").is_file())
+))
+
 #: subpackage -> the repro subpackages it must never import.
 FORBIDDEN: dict[str, tuple[str, ...]] = {
     "obs": ALL_LAYERS,
@@ -103,13 +116,15 @@ for _family in FAMILY_PACKAGES:
 #: full module name -> repro subpackages that *specific module* must not
 #: import, on top of its package's FORBIDDEN entry.
 FORBIDDEN_MODULES: dict[str, tuple[str, ...]] = {
-    # The native backend and its C/loop-twin modules are self-contained:
-    # raw arrays in, raw arrays out, nothing from repro outside the
-    # kernels package (obs, the stdlib-only leaf, is the one sanctioned
-    # import — the fallback counter must be visible).  Keeps the compiled
-    # seam trivially portable: the ctypes boundary sees only raw arrays.
+    # The native backend and its C module are self-contained: raw arrays
+    # in, raw arrays out, nothing from repro outside the kernels package
+    # (obs, the stdlib-only leaf, is the one sanctioned import — the
+    # fallback counter must be visible).  Keeps the compiled seam
+    # trivially portable: the ctypes boundary sees only raw arrays.
     "repro.kernels.native_backend": ("graph", "errors", "generators", "viz"),
-    "repro.kernels._native_impl": ("graph", "errors", "generators", "viz"),
+    # The loop twins are the C unit's python bodies: plain loops over the
+    # raw arrays they are handed, importing nothing from repro.
+    "repro.kernels._native_impl": EVERY_SUBPACKAGE,
     "repro.kernels._native_cc": ("graph", "errors", "generators", "viz"),
 }
 

@@ -19,8 +19,9 @@ algorithm in this package needs:
 * ``peel_order`` — the exact removal sequence (a degeneracy ordering), used
   by the clique solver and by the LCPS tie-breaking tests.  The frontier
   formulation has no single removal sequence, so under the vectorised
-  backend this is computed lazily by the shared bucket loop on first
-  access — algorithms that only need coreness never pay for it.
+  backend this is computed lazily by the ``peel_exact`` kernel (the
+  shared bucket loop) on first access — algorithms that only need
+  coreness never pay for it.
 """
 
 from __future__ import annotations
@@ -31,7 +32,6 @@ import numpy as np
 
 from ..graph.csr import Graph
 from ..kernels import KernelBackend, get_backend
-from ..kernels.common import exact_peel
 
 __all__ = ["CoreDecomposition", "core_decomposition"]
 
@@ -77,12 +77,13 @@ class CoreDecomposition:
     def peel_order(self) -> np.ndarray:
         """Exact bucket-peel removal sequence (a degeneracy ordering).
 
-        Identical under every backend; computed on first access when the
-        decomposition came from a frontier-peeling backend.
+        Identical under every backend; computed on first access, by the
+        selected backend's ``peel_exact``, when the decomposition came from
+        a frontier-peeling backend.
         """
         peel = self._peel_order
         if peel is None:
-            _, peel = exact_peel(self.graph)
+            _, peel = get_backend().peel_exact(self.graph)
             peel.setflags(write=False)
             object.__setattr__(self, "_peel_order", peel)
         return peel

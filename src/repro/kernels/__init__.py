@@ -8,19 +8,27 @@ This subsystem keeps one *registry* of interchangeable implementations of
 those kernels:
 
 ``python``
-    The scalar reference: the original per-vertex loops, bit-identical to
-    the package's historical behaviour.
+    The scalar reference.  The five *loop kernels* — exact O(m) bucket
+    peeling, the h-index fixpoint round, Algorithm 3's triangle and
+    triplet charges and the batched subcore repair — run their one loop
+    source, the twins in :mod:`repro.kernels._native_impl`, uncompiled;
+    the other kernels are plain per-vertex loops.
 ``numpy``
     Whole-frontier array passes (repeated pruning, batched hash-table
     probes, vectorised union-find); ~5-30x faster on graphs with 10^5+ edges.
 ``native``
-    Scalar loops in C, compiled once with the system toolchain, for the
-    hot kernels: exact O(m) bucket peeling, the h-index fixpoint round,
-    Algorithm 3's triangle and triplet charges and the batched subcore
-    repair.  Degrades *per kernel* to the numpy implementation when no
-    compiler is found or a kernel fails — see
+    The same five loops compiled from C (:mod:`repro.kernels._native_cc`,
+    each C function the statement-for-statement mirror of its twin),
+    numpy for everything else.  Degrades *per kernel* to the numpy
+    implementation when no compiler is found or a kernel fails — see
     :mod:`repro.kernels.native_backend`; every degradation is counted on
-    the ``kernel.native_fallback`` obs counter.
+    the ``kernel.native_fallback`` obs counter.  Kernels that are numpy by
+    design (``delegated``) are not degradations and are not counted.
+
+One adapter, :mod:`repro.kernels.loops`, marshals graphs and orderings
+into the loops' raw arrays for both the ``python`` and the ``native``
+backend.  Adding a compiled kernel takes three steps: a C function, its
+``_native_impl`` twin with the same arguments, and one adapter function.
 
 Selection, in precedence order:
 

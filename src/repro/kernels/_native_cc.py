@@ -3,8 +3,9 @@
 This module carries a single C translation unit, compiles it once with the
 system compiler (``$CC``, ``cc``, ``gcc`` or ``clang``) into a shared
 library, and binds the symbols through :mod:`ctypes`.  Every C function
-must return exactly what a named python function returns; its comment
-names that reference, and the equivalence suite holds it to it.
+``repro_<name>`` has a python twin ``_native_impl.<name>`` that takes the
+same arguments and runs the same loop; its comment names the twin, and
+the equivalence suite holds the two to identical arrays.
 
 The compiled library is keyed by a SHA-256 of the C source and stored
 under ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-native``), so the
@@ -34,7 +35,6 @@ __all__ = [
     "NativeCompileError",
     "CcProvider",
     "compiler_path",
-    "load_provider",
 ]
 
 #: Overrides the on-disk location of compiled kernel libraries.
@@ -49,9 +49,9 @@ _SOURCE = r"""
 #include <stdint.h>
 
 /* Exact Batagelj-Zaversnik bucket peel; must equal
- * repro.kernels.common.exact_peel, removal order included.  deg is
- * destroyed; coreness and vert (the peel order) are outputs; pos /
- * bin_start / cursor are scratch (n, max_deg + 2, max_deg + 2). */
+ * _native_impl.peel_exact, removal order included.  deg is destroyed;
+ * coreness and vert (the peel order) are outputs; pos / bin_start /
+ * cursor are scratch (n, max_deg + 2, max_deg + 2). */
 void repro_peel_exact(int64_t n, const int64_t *indptr, const int64_t *indices,
                       int64_t *deg, int64_t max_deg,
                       int64_t *coreness, int64_t *vert,
@@ -92,7 +92,7 @@ void repro_peel_exact(int64_t n, const int64_t *indptr, const int64_t *indices,
 }
 
 /* One Jacobi round of the h-index fixpoint over the vertices slice; must
- * equal PythonBackend.hindex_fixpoint.  counts is zeroed scratch of size
+ * equal _native_impl.hindex_fixpoint.  counts is zeroed scratch of size
  * max_deg + 1 (and is left zeroed). */
 void repro_hindex_fixpoint(int64_t nv, const int64_t *vertices,
                            const int64_t *indptr, const int64_t *indices,
@@ -127,7 +127,7 @@ void repro_hindex_fixpoint(int64_t nv, const int64_t *vertices,
 
 /* Algorithm 3 triangle charges: merge-intersect higher-rank suffixes;
  * must equal _native_impl.triangle_charges.  Only the part of H(v) after
- * u can meet H(u), so the merge starts there. */
+ * u can meet H(u), so the merge starts there.  charges is an output. */
 void repro_triangle_charges(int64_t n, const int64_t *indptr,
                             const int64_t *indices, const int64_t *nbr_rank,
                             const int64_t *high, int64_t *charges) {
@@ -176,14 +176,14 @@ void repro_triplet_charges(int64_t n, const int64_t *indptr,
  * stamp / removed must arrive filled with -1, inq with 0, counts (size
  * max_deg + 2) with 0; support / members / stack are length-n scratch. */
 int64_t repro_subcore_repair(int64_t n, const int64_t *indptr,
-                             const int64_t *indices, int8_t *active,
+                             const int64_t *indices, uint8_t *active,
                              const int64_t *xptr, const int64_t *xindices,
-                             int8_t *xactive, int64_t *core,
+                             uint8_t *xactive, int64_t *core,
                              int64_t nops, const int64_t *ops_u,
                              const int64_t *ops_v, const int64_t *ops_kind,
                              int64_t limit, int64_t *stamp, int64_t *removed,
                              int64_t *support, int64_t *members,
-                             int64_t *stack, int8_t *inq, int64_t *counts) {
+                             int64_t *stack, uint8_t *inq, int64_t *counts) {
     (void)n;
     int64_t top = 0;
     for (int64_t i = 0; i < nops; i++) {
@@ -359,20 +359,19 @@ int64_t repro_subcore_repair(int64_t n, const int64_t *indptr,
 }
 """
 
-_I64 = ctypes.POINTER(ctypes.c_int64)
-_I8 = ctypes.POINTER(ctypes.c_int8)
+_I64 = np.ctypeslib.ndpointer(np.int64, flags="C_CONTIGUOUS")
+_U8 = np.ctypeslib.ndpointer(np.uint8, flags="C_CONTIGUOUS")
+_N = ctypes.c_int64
 
-#: symbol -> argtypes; ``None`` entries are filled per call site.
+#: symbol -> argtypes.  ndpointer arguments take numpy arrays as they are
+#: and reject a wrong dtype or a strided view with ``ctypes.ArgumentError``.
 _SIGNATURES = {
-    "repro_peel_exact": (ctypes.c_int64, _I64, _I64, _I64, ctypes.c_int64,
-                         _I64, _I64, _I64, _I64, _I64),
-    "repro_hindex_fixpoint": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64, _I64),
-    "repro_triangle_charges": (ctypes.c_int64, _I64, _I64, _I64, _I64, _I64),
-    "repro_triplet_charges": (ctypes.c_int64, _I64, _I64, _I64, _I64),
-    "repro_subcore_repair": (ctypes.c_int64, _I64, _I64, _I8, _I64, _I64, _I8,
-                             _I64, ctypes.c_int64, _I64, _I64, _I64,
-                             ctypes.c_int64, _I64, _I64, _I64, _I64, _I64,
-                             _I8, _I64),
+    "repro_peel_exact": (_N, _I64, _I64, _I64, _N, _I64, _I64, _I64, _I64, _I64),
+    "repro_hindex_fixpoint": (_N, _I64, _I64, _I64, _I64, _I64, _I64),
+    "repro_triangle_charges": (_N, _I64, _I64, _I64, _I64, _I64),
+    "repro_triplet_charges": (_N, _I64, _I64, _I64, _I64),
+    "repro_subcore_repair": (_N, _I64, _I64, _U8, _I64, _I64, _U8, _I64, _N, _I64,
+                             _I64, _I64, _N, _I64, _I64, _I64, _I64, _I64, _U8, _I64),
 }
 
 #: Symbols that return a value (everything else returns void).
@@ -401,12 +400,16 @@ def cache_dir() -> Path:
     return Path(os.path.expanduser("~")) / ".cache" / "repro-native"
 
 
-def _ptr(arr: np.ndarray, ctype):
-    return arr.ctypes.data_as(ctype)
-
-
 class CcProvider:
-    """Raw-kernel provider backed by a JIT-compiled C shared library."""
+    """The compiled loop kernels, one attribute per C function.
+
+    ``provider.<name>`` is the C function ``repro_<name>``, called with the
+    arguments of its twin ``_native_impl.<name>``.  Construction builds
+    the library (or loads it from the cache) and raises
+    :class:`NativeCompileError` when no toolchain is available or the
+    build fails; the native backend maps that to per-kernel numpy
+    fallback with the ``compile`` reason.
+    """
 
     def __init__(self) -> None:
         self.cache_state = "cold"
@@ -415,6 +418,7 @@ class CcProvider:
             fn = getattr(self._lib, symbol)
             fn.argtypes = argtypes
             fn.restype = _RESTYPES.get(symbol)
+            setattr(self, symbol.removeprefix("repro_"), fn)
         cc = compiler_path()
         self.name = f"cc-{Path(cc).name}" if cc else "cc"
 
@@ -450,92 +454,3 @@ class CcProvider:
             )
         os.replace(tmp_lib, lib_path)  # atomic: concurrent builders converge
         return ctypes.CDLL(str(lib_path))
-
-    # -- raw kernels (arrays in, arrays out) -----------------------------
-    def peel_exact(self, indptr, indices, deg):
-        n = indptr.shape[0] - 1
-        coreness = np.zeros(n, dtype=np.int64)
-        vert = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return coreness, vert
-        max_deg = int(deg.max())
-        pos = np.empty(n, dtype=np.int64)
-        bin_start = np.empty(max_deg + 2, dtype=np.int64)
-        cursor = np.empty(max_deg + 2, dtype=np.int64)
-        self._lib.repro_peel_exact(
-            n, _ptr(indptr, _I64), _ptr(indices, _I64), _ptr(deg, _I64),
-            max_deg, _ptr(coreness, _I64), _ptr(vert, _I64),
-            _ptr(pos, _I64), _ptr(bin_start, _I64), _ptr(cursor, _I64),
-        )
-        return coreness, vert
-
-    def hindex_fixpoint(self, indptr, indices, estimate, vertices):
-        nv = vertices.shape[0]
-        out = np.zeros(nv, dtype=np.int64)
-        if nv == 0:
-            return out
-        degs = indptr[vertices + 1] - indptr[vertices]
-        max_deg = int(degs.max()) if nv else 0
-        counts = np.zeros(max_deg + 1, dtype=np.int64)
-        self._lib.repro_hindex_fixpoint(
-            nv, _ptr(vertices, _I64), _ptr(indptr, _I64), _ptr(indices, _I64),
-            _ptr(estimate, _I64), _ptr(out, _I64), _ptr(counts, _I64),
-        )
-        return out
-
-    def triangle_charges(self, indptr, indices, nbr_rank, high):
-        n = indptr.shape[0] - 1
-        charges = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return charges
-        self._lib.repro_triangle_charges(
-            n, _ptr(indptr, _I64), _ptr(indices, _I64), _ptr(nbr_rank, _I64),
-            _ptr(high, _I64), _ptr(charges, _I64),
-        )
-        return charges
-
-    def triplet_charges(self, indptr, indices, same):
-        n = indptr.shape[0] - 1
-        charges = np.zeros(n, dtype=np.int64)
-        if n == 0:
-            return charges
-        self._lib.repro_triplet_charges(
-            n, _ptr(indptr, _I64), _ptr(indices, _I64), _ptr(same, _I64),
-            _ptr(charges, _I64),
-        )
-        return charges
-
-    def subcore_repair(self, indptr, indices, active, xptr, xindices, xactive,
-                       core, ops_u, ops_v, ops_kind, limit):
-        n = indptr.shape[0] - 1
-        nops = ops_u.shape[0]
-        if n == 0 or nops == 0:
-            return np.int64(nops)
-        stamp = np.full(n, -1, dtype=np.int64)
-        removed = np.full(n, -1, dtype=np.int64)
-        support = np.empty(n, dtype=np.int64)
-        members = np.empty(n, dtype=np.int64)
-        stack = np.empty(n, dtype=np.int64)
-        inq = np.zeros(n, dtype=np.uint8)
-        deg = (indptr[1:] - indptr[:-1]) + (xptr[1:] - xptr[:-1])
-        max_deg = int(deg.max()) if n else 0
-        counts = np.zeros(max_deg + 2, dtype=np.int64)
-        applied = self._lib.repro_subcore_repair(
-            n, _ptr(indptr, _I64), _ptr(indices, _I64), _ptr(active, _I8),
-            _ptr(xptr, _I64), _ptr(xindices, _I64), _ptr(xactive, _I8),
-            _ptr(core, _I64), nops, _ptr(ops_u, _I64), _ptr(ops_v, _I64),
-            _ptr(ops_kind, _I64), int(limit), _ptr(stamp, _I64),
-            _ptr(removed, _I64), _ptr(support, _I64), _ptr(members, _I64),
-            _ptr(stack, _I64), _ptr(inq, _I8), _ptr(counts, _I64),
-        )
-        return np.int64(applied)
-
-
-def load_provider() -> CcProvider:
-    """Build (or load from the JIT cache) the C kernel library.
-
-    Raises :class:`NativeCompileError` when no toolchain is available or
-    the build fails; the native backend maps that to per-kernel numpy
-    fallback with the ``compile`` reason.
-    """
-    return CcProvider()

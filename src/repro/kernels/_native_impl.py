@@ -1,46 +1,126 @@
-"""Loop-shaped python twins of three native C kernels.
+"""The loop kernels, as plain python: the one python body of each C function.
 
-Each function here is a tight integer loop over raw CSR arrays (no Graph
-or LevelOrdering objects, allocations limited to ``np.zeros``/``np.full``)
-that the C unit of :mod:`repro.kernels._native_cc` translates statement
-for statement.  Because they are plain python, the equivalence suite runs
-them *uncompiled* next to the compiled kernels, and the ``python``
-backend serves ``subcore_repair`` from here.  The C kernels without a
-loop twin here mirror :func:`repro.kernels.common.exact_peel` or a
-backend method instead; each C function names its reference.
+Every function here takes exactly the arguments of the C function of the
+same name in :mod:`repro.kernels._native_cc` (``repro_<name>``), in the
+same order: sizes, raw CSR arrays, outputs and scratch, all allocated by
+the caller.  Each body is the C loop, statement for statement, so the
+equivalence suite runs a twin uncompiled next to its compiled kernel and
+demands identical arrays.  The one adapter, :mod:`repro.kernels.loops`,
+marshals graphs and orderings into these arguments for both: the
+``python`` backend runs the twins, the ``native`` backend the C.
 
-``triangle_charges(indptr, indices, nbr_rank, high) -> charges``
-    Algorithm 3 charging by merge-intersection of higher-rank suffixes.
-``triplet_charges(indptr, indices, same) -> charges``
-    Algorithm 3's per-vertex triplet charges: one pass over every row's
-    lower-level prefix.
-``subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,
-ops_u, ops_v, ops_kind, limit) -> applied``
-    Batched incremental core maintenance over a masked two-part adjacency
-    (old CSR + arc-active mask, plus a tiny "extra" CSR of the delta's
-    inserted arcs).  Deletes are repaired by an exact chaotic h-index
-    descent from the old coreness (any fixpoint of the h-index operator
-    below a sound upper bound *is* the coreness); inserts are replayed
-    one edge at a time as optimistic subcore peels.
-    ``core`` / ``active`` / ``xactive`` are mutated in place; the return
-    value is the number of ops applied — anything short of ``len(ops_u)``
-    means an insert's subcore traversal blew past ``limit`` and the caller
-    must discard the arrays and fall back to a full peel.
+The whole-graph passes (the peel and both charge kernels) first copy
+their inputs into lists, which CPython indexes several times faster than
+ndarrays, and write their outputs back at the end.  ``hindex_fixpoint``
+and ``subcore_repair`` touch a slice of the graph per call, so they index
+the arrays directly.
+
+* ``peel_exact`` — Batagelj–Zaveršnik bucket peel: coreness plus the
+  exact removal order ``vert`` (a degeneracy ordering).
+* ``hindex_fixpoint`` — one Jacobi round of the clipped h-index operator
+  over ``vertices``, by counting (``counts`` arrives and leaves zeroed).
+* ``triangle_charges`` / ``triplet_charges`` — Algorithm 3's per-vertex
+  charges: merge-intersection of higher-rank suffixes, and one pass over
+  every row's lower-level prefix.
+* ``subcore_repair`` — batched incremental core maintenance over the old
+  CSR with an arc-active mask plus an "extra" CSR of the delta's inserted
+  arcs: deletes by an exact chaotic h-index descent from the old
+  coreness, inserts one edge at a time as optimistic subcore peels.
+  ``core`` / ``active`` / ``xactive`` are mutated in place; a return
+  value short of ``nops`` means an insert's subcore traversal blew past
+  ``limit``, and the caller must discard the arrays and re-peel.
 """
 
 from __future__ import annotations
 
-import numpy as np
+__all__ = ["hindex_fixpoint", "peel_exact", "subcore_repair", "triangle_charges",
+           "triplet_charges"]
 
-__all__ = ["subcore_repair", "triangle_charges", "triplet_charges"]
+
+def peel_exact(n, indptr, indices, deg, max_deg, coreness, vert, pos, bin_start, cursor):
+    indptr, indices, deg = indptr.tolist(), indices.tolist(), deg.tolist()
+    core_l, vert_l = coreness.tolist(), vert.tolist()
+    pos, bin_start, cursor = pos.tolist(), bin_start.tolist(), cursor.tolist()
+    # Counting sort by degree: bin_start[d] is where degree-d vertices
+    # begin in vert, pos[v] is v's slot.
+    for d in range(max_deg + 2):
+        bin_start[d] = 0
+    for v in range(n):
+        bin_start[deg[v] + 1] += 1
+    for d in range(1, max_deg + 2):
+        bin_start[d] += bin_start[d - 1]
+    for d in range(max_deg + 2):
+        cursor[d] = bin_start[d]
+    for v in range(n):
+        d = deg[v]
+        p = cursor[d]
+        vert_l[p] = v
+        pos[v] = p
+        cursor[d] = p + 1
+    for i in range(n):
+        v = vert_l[i]
+        dv = deg[v]
+        core_l[v] = dv
+        for j in range(indptr[v], indptr[v + 1]):
+            u = indices[j]
+            du = deg[u]
+            if du > dv:
+                # Swap u with the first vertex of its bucket, then shrink
+                # the bucket from the left: u's degree drops by one.
+                first = bin_start[du]
+                w = vert_l[first]
+                if u != w:
+                    pu = pos[u]
+                    vert_l[first] = u
+                    vert_l[pu] = w
+                    pos[u] = first
+                    pos[w] = pu
+                bin_start[du] = first + 1
+                deg[u] = du - 1
+    coreness[:] = core_l
+    vert[:] = vert_l
 
 
-def triangle_charges(indptr, indices, nbr_rank, high):
-    n = indptr.shape[0] - 1
-    charges = np.zeros(n, dtype=np.int64)
+def hindex_fixpoint(nv, vertices, indptr, indices, estimate, out, counts):
+    for i in range(nv):
+        v = vertices[i]
+        a = indptr[v]
+        b = indptr[v + 1]
+        d = b - a
+        # Bucket-count the neighbour values clipped to [0, d], then one
+        # descending scan finds the largest x with >= x values at least x.
+        for j in range(a, b):
+            val = estimate[indices[j]]
+            if val < 0:
+                val = 0
+            if val > d:
+                val = d
+            counts[val] += 1
+        h = 0
+        acc = 0
+        for x in range(d, 0, -1):
+            acc += counts[x]
+            if acc >= x:
+                h = x
+                break
+        for j in range(a, b):
+            val = estimate[indices[j]]
+            if val < 0:
+                val = 0
+            if val > d:
+                val = d
+            counts[val] = 0
+        ev = estimate[v]
+        out[i] = h if h < ev else ev
+
+
+def triangle_charges(n, indptr, indices, nbr_rank, high, charges):
+    indptr, indices, high = indptr.tolist(), indices.tolist(), high.tolist()
+    nbr_rank, out = nbr_rank.tolist(), charges.tolist()
     for v in range(n):
         a = indptr[v] + high[v]
         b = indptr[v + 1]
+        total = 0
         for j in range(a, b):
             u = indices[j]
             c = indptr[u] + high[u]
@@ -51,7 +131,6 @@ def triangle_charges(indptr, indices, nbr_rank, high):
             # outranks u, so the merge starts there.
             p = j + 1
             q = c
-            count = np.int64(0)
             while p < b and q < d:
                 x = nbr_rank[p]
                 y = nbr_rank[q]
@@ -60,45 +139,31 @@ def triangle_charges(indptr, indices, nbr_rank, high):
                 elif y < x:
                     q += 1
                 else:
-                    count += 1
+                    total += 1
                     p += 1
                     q += 1
-            charges[v] += count
-    return charges
+        out[v] = total
+    charges[:] = out
 
 
-def triplet_charges(indptr, indices, same):
-    n = indptr.shape[0] - 1
-    charges = np.zeros(n, dtype=np.int64)
+def triplet_charges(n, indptr, indices, same, charges):
+    indptr, indices = indptr.tolist(), indices.tolist()
+    same, out = same.tolist(), charges.tolist()
     for x in range(n):
         a = indptr[x]
         b = indptr[x + 1]
         ge = (b - a) - same[x]
-        charges[x] += ge * (ge - 1) // 2
+        out[x] += ge * (ge - 1) // 2
         # Each lower-level neighbour is the lowest-rank leg of one
         # triplet centred at x per arc after it in the rank-sorted row.
         for j in range(a, a + same[x]):
-            charges[indices[j]] += b - j - 1
-    return charges
+            out[indices[j]] += b - j - 1
+    charges[:] = out
 
 
-def subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,
-                   ops_u, ops_v, ops_kind, limit):
-    n = indptr.shape[0] - 1
-    nops = ops_u.shape[0]
-    stamp = np.full(n, -1, dtype=np.int64)
-    removed = np.full(n, -1, dtype=np.int64)
-    support = np.zeros(n, dtype=np.int64)
-    members = np.zeros(n, dtype=np.int64)
-    stack = np.zeros(n, dtype=np.int64)
-    inq = np.zeros(n, dtype=np.uint8)
-    max_deg = np.int64(0)
-    for v in range(n):
-        d = (indptr[v + 1] - indptr[v]) + (xptr[v + 1] - xptr[v])
-        if d > max_deg:
-            max_deg = d
-    counts = np.zeros(max_deg + 2, dtype=np.int64)
-
+def subcore_repair(n, indptr, indices, active, xptr, xindices, xactive, core,
+                   nops, ops_u, ops_v, ops_kind, limit, stamp, removed, support,
+                   members, stack, inq, counts):
     # Phase 1 — deletes, all at once.  Deactivate every deleted arc, then
     # run a chaotic (Gauss–Seidel, LIFO) descent of the clipped h-index
     # operator seeded at the touched endpoints.  The old coreness is a
@@ -106,7 +171,7 @@ def subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,
     # monotone, and every fixpoint below a sound upper bound equals the
     # coreness (the S_k witness argument), so the drained state is exact —
     # including multi-level cascades no single-edge theorem covers.
-    top = np.int64(0)
+    top = 0
     for i in range(nops):
         if ops_kind[i] != 0:
             continue
@@ -164,8 +229,8 @@ def subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,
                     val = cw
                 if val > 0:
                     counts[val] += 1
-        h = np.int64(0)
-        acc = np.int64(0)
+        h = 0
+        acc = 0
         for x in range(cw, 0, -1):
             acc += counts[x]
             if acc >= x:
@@ -238,12 +303,12 @@ def subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,
         cv = core[v]
         level = cu if cu < cv else cv
         root = u if cu <= cv else v
-        count = np.int64(0)
+        count = 0
         if core[root] == level:
             stamp[root] = i
             members[0] = root
-            count = np.int64(1)
-            head = np.int64(0)
+            count = 1
+            head = 0
             while head < count:
                 w = members[head]
                 head += 1
@@ -267,7 +332,7 @@ def subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,
                                 return i
         for t in range(count):
             w = members[t]
-            s = np.int64(0)
+            s = 0
             for j in range(indptr[w], indptr[w + 1]):
                 if active[j] != 0:
                     x2 = indices[j]
@@ -279,7 +344,7 @@ def subcore_repair(indptr, indices, active, xptr, xindices, xactive, core,
                     if core[x2] > level or stamp[x2] == i:
                         s += 1
             support[w] = s
-        top = np.int64(0)
+        top = 0
         for t in range(count):
             if support[members[t]] <= level:
                 stack[top] = members[t]

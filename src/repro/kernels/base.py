@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.csr import Graph
-from .common import exact_peel
+from . import _native_impl, loops
 
 __all__ = ["KernelBackend"]
 
@@ -50,9 +50,9 @@ class KernelBackend:
         The removal sequence of Batagelj–Zaversnik peeling depends on
         one-at-a-time degree updates and does not vectorise; every backend
         shares the scalar bucket loop so ``peel_order`` is identical
-        everywhere.
+        everywhere.  By default that loop runs uncompiled.
         """
-        return exact_peel(graph)
+        return loops.peel_exact(_native_impl.peel_exact, graph)
 
     def hindex_fixpoint(self, graph: Graph, estimate: np.ndarray, vertices: np.ndarray) -> np.ndarray:
         """One synchronous round of the h-index fixpoint over ``vertices``.

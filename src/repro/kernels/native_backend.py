@@ -1,12 +1,17 @@
 """The native-speed kernel backend (``REPRO_BACKEND=native``).
 
-Compiled implementations of the hot kernels — exact O(m) bucket peeling,
-the h-index fixpoint round, Algorithm 3's merge-intersection triangle
-charges and one-pass triplet charges, and the batched subcore repair — behind a **per-kernel soft fallback**: anything
-that cannot run native (no C compiler, a compile failure, a runtime error)
-transparently delegates to the numpy implementation of exactly that
-kernel, and the degradation is counted per reason on the
-``kernel.native_fallback{kernel=,reason=}`` counter so ``bestk stats``
+The five loop kernels — exact O(m) bucket peeling, the h-index fixpoint
+round, Algorithm 3's merge-intersection triangle charges and one-pass
+triplet charges, and the batched subcore repair — run compiled C through
+the same adapter (:mod:`repro.kernels.loops`) that runs their python
+twins for the ``python`` backend.  Everything else is inherited from
+:class:`~repro.kernels.numpy_backend.NumpyBackend`.
+
+One fault path serves every loop kernel (:meth:`NativeBackend._loop`):
+resolve the compiled kernel, try it, poison it when it raises, and
+otherwise run the numpy implementation of exactly that kernel.  Each
+dispatch that lands on numpy is counted per reason on the
+``kernel.native_fallback{kernel=,reason=}`` counter, so ``bestk stats``
 shows what actually ran native.
 
 The compiled code is one C translation unit, built once with the system
@@ -22,16 +27,19 @@ Fallback reasons (the ``reason`` label):
 * ``compile`` — the C library failed to build or a kernel failed its
   warm-up call;
 * ``runtime`` — the compiled kernel raised at call time (poisoned from
-  then on);
-* ``delegated`` — the kernel has no native implementation by design
-  (``count_triangles`` and ``connected_components`` — already
-  memory-bandwidth-bound under numpy; ``vertex_strengths`` — one
-  ``np.add.reduceat`` per weighted peel, a few ms against a peel of over a
-  second; ``truss_peel`` — a whole-frontier array pass under numpy, with no
-  compiled form yet).
+  then on).  The in-place ``subcore_repair`` then reports zero ops
+  applied instead of re-running numpy on arrays the fault may have
+  half-written: the caller discards them and re-peels the new snapshot.
+
+``count_triangles``, ``truss_peel``, ``connected_components`` and
+``vertex_strengths`` are *delegated*: numpy by design, inherited, and not
+counted as fallbacks (already memory-bandwidth-bound whole-array passes,
+or no compiled form yet).  :meth:`NativeBackend.kernel_status`, ``bestk
+backends`` and :func:`native_runtime_metadata` report them as
+``delegated``.
 
 All answers are bit-identical to the other backends — each C function
-must equal a named python function, and the equivalence suite
+runs the loop of its ``_native_impl`` twin, and the equivalence suite
 (``tests/test_kernels.py``, ``tests/test_native.py``) enforces it — so
 artifact-store bundle keys and index identity tokens treat ``native`` as
 just another backend name.
@@ -45,12 +53,13 @@ from __future__ import annotations
 
 import logging
 import os
+from types import SimpleNamespace
 
 import numpy as np
 
 from .. import obs
 from . import _native_cc
-from .base import KernelBackend
+from .loops import KERNEL_RAW, LOOP_KERNELS, LoopKernels
 from .numpy_backend import NumpyBackend
 
 __all__ = [
@@ -61,16 +70,6 @@ __all__ = [
 
 #: Set to any non-empty value to force every kernel to the numpy fallback.
 DISABLE_ENV_VAR = "REPRO_NATIVE_DISABLE"
-
-#: Kernel-method name -> C provider kernel implementing it.
-KERNEL_RAW = {
-    "peel_coreness": "peel_exact",
-    "peel_exact": "peel_exact",
-    "hindex_fixpoint": "hindex_fixpoint",
-    "triangle_charges": "triangle_charges",
-    "triplet_charges": "triplet_charges",
-    "subcore_repair": "subcore_repair",
-}
 
 #: Kernels that intentionally stay on the numpy implementation: their numpy
 #: forms are already whole-array passes with no scalar inner loop left.
@@ -100,7 +99,7 @@ def _get_provider():
             _PROVIDER = "import: no C compiler found (checked $CC, cc, gcc, clang)"
         else:
             try:
-                _PROVIDER = _native_cc.load_provider()
+                _PROVIDER = _native_cc.CcProvider()
             except Exception as exc:
                 _PROVIDER = f"compile: {exc}"
     if isinstance(_PROVIDER, str):
@@ -108,26 +107,27 @@ def _get_provider():
     return _PROVIDER, None
 
 
-#: Tiny warm-up graph (a triangle plus a pendant edge) used to exercise
-#: every kernel at resolve time, so a broken build is classified as
-#: ``compile`` rather than surfacing mid-query as ``runtime``.
-_WARM_INDPTR = np.array([0, 3, 5, 7, 8], dtype=np.int64)
-_WARM_INDICES = np.array([1, 2, 3, 0, 2, 0, 1, 0], dtype=np.int64)
+#: Tiny warm-up input (a triangle plus a pendant edge), shaped as both a
+#: graph and a rank ordering for the adapter, used to exercise every
+#: kernel at resolve time, so a broken build is classified as ``compile``
+#: rather than surfacing mid-query as ``runtime``.
+_WARM = SimpleNamespace(
+    num_vertices=4,
+    indptr=np.array([0, 3, 5, 7, 8], dtype=np.int64),
+    indices=np.array([1, 2, 3, 0, 2, 0, 1, 0], dtype=np.int64),
+    degrees=lambda: np.array([3, 2, 2, 1], dtype=np.int64),
+    rank=np.arange(4, dtype=np.int64),
+    high=np.zeros(4, dtype=np.int64),
+    same=np.zeros(4, dtype=np.int64),
+)
 
+#: Raw loop -> adapter arguments of its warm-up call, when more than the
+#: warm-up graph alone.
 _WARMUP_ARGS = {
-    "peel_exact": lambda: (_WARM_INDPTR, _WARM_INDICES,
-                           np.diff(_WARM_INDPTR).astype(np.int64)),
-    "hindex_fixpoint": lambda: (_WARM_INDPTR, _WARM_INDICES,
-                                np.diff(_WARM_INDPTR).astype(np.int64),
-                                np.arange(4, dtype=np.int64)),
-    "triangle_charges": lambda: (_WARM_INDPTR, _WARM_INDICES,
-                                 np.arange(8, dtype=np.int64),
-                                 np.zeros(4, dtype=np.int64)),
-    "triplet_charges": lambda: (_WARM_INDPTR, _WARM_INDICES,
-                                np.zeros(4, dtype=np.int64)),
+    "hindex_fixpoint": lambda: (_WARM, _WARM.degrees(), np.arange(4, dtype=np.int64)),
     # Delete the pendant edge (0,3), then insert (1,3) through the extra
     # CSR — exercises both phases of the batched repair.
-    "subcore_repair": lambda: (_WARM_INDPTR, _WARM_INDICES,
+    "subcore_repair": lambda: (_WARM.indptr, _WARM.indices,
                                np.ones(8, dtype=np.uint8),
                                np.array([0, 0, 1, 1, 2], dtype=np.int64),
                                np.array([3, 1], dtype=np.int64),
@@ -140,17 +140,12 @@ _WARMUP_ARGS = {
 }
 
 
-def _i64(arr) -> np.ndarray:
-    return np.ascontiguousarray(arr, dtype=np.int64)
-
-
-class NativeBackend(KernelBackend):
-    """Compiled hot kernels with transparent per-kernel numpy fallback."""
+class NativeBackend(LoopKernels, NumpyBackend):
+    """The loop kernels compiled, everything else (and every fallback) numpy."""
 
     name = "native"
 
     def __init__(self) -> None:
-        self._numpy = NumpyBackend()
         #: raw kernel -> compiled callable (or None when fallen back).
         self._compiled: dict[str, object] = {}
         #: kernel-method -> fallback reason (missing key = runs native).
@@ -182,6 +177,21 @@ class NativeBackend(KernelBackend):
         return status
 
     # -- dispatch machinery -----------------------------------------------
+    def _loop(self, kernel: str, *args):
+        """The one fault path: resolve, try the compiled loop, poison, numpy."""
+        fn = self._resolve(kernel)
+        if fn is not None:
+            try:
+                return LOOP_KERNELS[kernel][1](fn, *args)
+            except Exception as exc:
+                self._poison(kernel, exc)
+                if kernel == "subcore_repair":
+                    # The fault may have half-written core/active/xactive.
+                    # Zero ops applied tells the caller to discard them and
+                    # re-peel; numpy serves the next call.
+                    return np.int64(0)
+        return getattr(NumpyBackend, kernel)(self, *args)
+
     def _fallback_reason(self, kernel: str) -> str:
         """Why ``kernel`` runs on numpy.  ``disabled`` is re-read per call
         so the env var can be flipped at runtime; the rest is sticky."""
@@ -221,7 +231,7 @@ class NativeBackend(KernelBackend):
             fn = getattr(provider, raw)
             # Call the kernel once on a toy input, so a broken build is
             # classified as a compile error instead of a mid-query surprise.
-            fn(*_WARMUP_ARGS[raw]())
+            LOOP_KERNELS[raw][1](fn, *_WARMUP_ARGS.get(raw, lambda: (_WARM,))())
         except Exception as exc:
             self._mark_fallen(raw, "compile")
             _log.warning("native kernel %s failed to compile (%s); using numpy", raw, exc)
@@ -240,95 +250,6 @@ class NativeBackend(KernelBackend):
         self._compiled.pop(KERNEL_RAW[kernel], None)
         _log.warning("native kernel %s raised (%s); falling back to numpy", kernel, exc)
         obs.add("kernel.native_fallback", kernel=kernel, reason="runtime")
-
-    def _delegate(self, kernel: str):
-        obs.add("kernel.native_fallback", kernel=kernel, reason="delegated")
-
-    # -- peeling ----------------------------------------------------------
-    def peel_coreness(self, graph) -> np.ndarray:
-        fn = self._resolve("peel_coreness")
-        if fn is not None:
-            try:
-                coreness, _ = fn(graph.indptr, graph.indices, graph.degrees().copy())
-                return coreness
-            except Exception as exc:
-                self._poison("peel_coreness", exc)
-        return self._numpy.peel_coreness(graph)
-
-    def peel_exact(self, graph):
-        fn = self._resolve("peel_exact")
-        if fn is not None:
-            try:
-                return fn(graph.indptr, graph.indices, graph.degrees().copy())
-            except Exception as exc:
-                self._poison("peel_exact", exc)
-        return self._numpy.peel_exact(graph)
-
-    def hindex_fixpoint(self, graph, estimate, vertices) -> np.ndarray:
-        fn = self._resolve("hindex_fixpoint")
-        if fn is not None:
-            try:
-                return fn(graph.indptr, graph.indices, _i64(estimate), _i64(vertices))
-            except Exception as exc:
-                self._poison("hindex_fixpoint", exc)
-        return self._numpy.hindex_fixpoint(graph, estimate, vertices)
-
-    # -- triangles --------------------------------------------------------
-    def count_triangles(self, graph) -> int:
-        self._delegate("count_triangles")
-        return self._numpy.count_triangles(graph)
-
-    def truss_peel(self, graph, edges) -> np.ndarray:
-        self._delegate("truss_peel")
-        return self._numpy.truss_peel(graph, edges)
-
-    def triangle_charges(self, ordered) -> np.ndarray:
-        fn = self._resolve("triangle_charges")
-        if fn is not None:
-            try:
-                indices = _i64(ordered.indices)
-                nbr_rank = _i64(ordered.rank)[indices]
-                return fn(_i64(ordered.indptr), indices, nbr_rank, _i64(ordered.high))
-            except Exception as exc:
-                self._poison("triangle_charges", exc)
-        return self._numpy.triangle_charges(ordered)
-
-    def triplet_charges(self, ordered) -> np.ndarray:
-        fn = self._resolve("triplet_charges")
-        if fn is not None:
-            try:
-                return fn(_i64(ordered.indptr), _i64(ordered.indices), _i64(ordered.same))
-            except Exception as exc:
-                self._poison("triplet_charges", exc)
-        return self._numpy.triplet_charges(ordered)
-
-    # -- dynamic maintenance ----------------------------------------------
-    def subcore_repair(self, indptr, indices, active, xptr, xindices, xactive,
-                       core, ops_u, ops_v, ops_kind, limit):
-        fn = self._resolve("subcore_repair")
-        if fn is not None:
-            # This kernel mutates core/active/xactive in place; snapshot
-            # them so a runtime failure can fall back on pristine inputs.
-            snapshot = (core.copy(), active.copy(), xactive.copy())
-            try:
-                return fn(indptr, indices, active, xptr, xindices, xactive,
-                          core, ops_u, ops_v, ops_kind, limit)
-            except Exception as exc:
-                self._poison("subcore_repair", exc)
-                core[:], active[:], xactive[:] = snapshot
-        return self._numpy.subcore_repair(
-            indptr, indices, active, xptr, xindices, xactive,
-            core, ops_u, ops_v, ops_kind, limit,
-        )
-
-    # -- connectivity / weights -------------------------------------------
-    def connected_components(self, graph, active):
-        self._delegate("connected_components")
-        return self._numpy.connected_components(graph, active)
-
-    def vertex_strengths(self, graph, arc_weights) -> np.ndarray:
-        self._delegate("vertex_strengths")
-        return self._numpy.vertex_strengths(graph, arc_weights)
 
 
 def native_runtime_metadata(*, resolve: bool = False) -> dict:

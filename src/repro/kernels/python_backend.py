@@ -1,9 +1,13 @@
 """The scalar reference backend.
 
-Every kernel here is the original per-vertex/per-edge loop the package
-shipped with, verbatim — the bit-identical yardstick the vectorised backend
-is tested against.  Keep these implementations boring: their job is to be
-obviously correct, not fast.
+The five loop kernels (the exact peel and its coreness, the h-index round,
+Algorithm 3's triangle and triplet charges, the batched subcore repair)
+run the python twins in :mod:`repro.kernels._native_impl` uncompiled,
+through the one adapter of :mod:`repro.kernels.loops` — the same loop
+bodies the ``native`` backend compiles.  The other four kernels are plain
+per-vertex loops kept here as the reference the vectorised backend is
+tested against.  Keep them boring: their job is to be obviously correct,
+not fast.
 """
 
 from __future__ import annotations
@@ -12,37 +16,16 @@ import numpy as np
 
 from ..graph.csr import Graph
 from .base import KernelBackend
-from .common import exact_peel, rank_forward_adjacency
+from .common import rank_forward_adjacency
+from .loops import LoopKernels
 
 __all__ = ["PythonBackend"]
 
 
-class PythonBackend(KernelBackend):
-    """Reference implementations: scalar loops over ``.tolist()`` copies."""
+class PythonBackend(LoopKernels, KernelBackend):
+    """Reference implementations: the loop twins plus scalar loops."""
 
     name = "python"
-
-    # ------------------------------------------------------------------
-    def peel_coreness(self, graph: Graph) -> np.ndarray:
-        coreness, _ = exact_peel(graph)
-        return coreness
-
-    def hindex_fixpoint(self, graph: Graph, estimate: np.ndarray, vertices: np.ndarray) -> np.ndarray:
-        out = np.empty(len(vertices), dtype=np.int64)
-        indptr, indices = graph.indptr, graph.indices
-        for i, v in enumerate(np.asarray(vertices, dtype=np.int64).tolist()):
-            vals = sorted(
-                (int(estimate[u]) for u in indices[indptr[v]:indptr[v + 1]]),
-                reverse=True,
-            )
-            h = 0
-            for value in vals:
-                if value >= h + 1:
-                    h += 1
-                else:
-                    break
-            out[i] = min(h, int(estimate[v]))
-        return out
 
     # ------------------------------------------------------------------
     def count_triangles(self, graph: Graph) -> int:
@@ -123,53 +106,6 @@ class PythonBackend(KernelBackend):
         return truss
 
     # ------------------------------------------------------------------
-    def triangle_charges(self, ordered) -> np.ndarray:
-        n = ordered.graph.num_vertices
-        indptr, indices = ordered.indptr, ordered.indices
-        rank = ordered.rank
-        hr_start = (indptr[:-1] + ordered.high).tolist()
-        hr_stop = indptr[1:].tolist()
-        nbr_rank = rank[indices]
-        charges = np.zeros(n, dtype=np.int64)
-        for v in range(n):
-            a, b = hr_start[v], hr_stop[v]
-            if b - a < 2:
-                continue
-            ranks_v = nbr_rank[a:b]
-            count = 0
-            for u in indices[a:b].tolist():
-                ua, ub = hr_start[u], hr_stop[u]
-                if ua == ub:
-                    continue
-                ranks_u = nbr_rank[ua:ub]
-                # Intersect the smaller list into the larger (the paper's
-                # degree-based swap) via binary search on sorted ranks.
-                if len(ranks_v) <= len(ranks_u):
-                    needle, hay = ranks_v, ranks_u
-                else:
-                    needle, hay = ranks_u, ranks_v
-                pos = np.searchsorted(hay, needle)
-                valid = pos < len(hay)
-                count += int((hay[pos[valid]] == needle[valid]).sum())
-            charges[v] = count
-        return charges
-
-    def triplet_charges(self, ordered) -> np.ndarray:
-        indptr = ordered.indptr.tolist()
-        indices = ordered.indices.tolist()
-        same = ordered.same.tolist()
-        charges = [0] * (len(indptr) - 1)
-        for x in range(len(charges)):
-            a, b = indptr[x], indptr[x + 1]
-            ge = (b - a) - same[x]
-            charges[x] += ge * (ge - 1) // 2
-            # Lower-level neighbours, ascending rank: each is the
-            # lowest-rank leg of one triplet per later neighbour.
-            for j in range(a, a + same[x]):
-                charges[indices[j]] += b - j - 1
-        return np.array(charges, dtype=np.int64)
-
-    # ------------------------------------------------------------------
     def connected_components(self, graph: Graph, active: np.ndarray) -> tuple[np.ndarray, int]:
         n = graph.num_vertices
         labels = np.full(n, -1, dtype=np.int64)
@@ -201,12 +137,3 @@ class PythonBackend(KernelBackend):
         for v in range(n):
             strength[v] = arc_weights[indptr[v]:indptr[v + 1]].sum()
         return strength
-
-    # ------------------------------------------------------------------
-    def subcore_repair(self, indptr, indices, active, xptr, xindices, xactive,
-                       core, ops_u, ops_v, ops_kind, limit):
-        # The raw loop kernel *is* the scalar reference — run it uncompiled.
-        from ._native_impl import subcore_repair as raw
-
-        return raw(indptr, indices, active, xptr, xindices, xactive,
-                   core, ops_u, ops_v, ops_kind, limit)

@@ -268,7 +268,7 @@ class TestNativeFallback:
             == before + 1
         )
 
-    def test_runtime_crash_restores_inputs_and_falls_back(self):
+    def test_runtime_fault_after_partial_write_rebuilds(self):
         from repro.kernels.native_backend import KERNEL_RAW, NativeBackend
 
         backend = NativeBackend()
@@ -279,18 +279,37 @@ class TestNativeFallback:
         present = edge_set(graph)
         delta = random_delta(random.Random(4), present, 120, 20)
         vg = VersionedGraph(graph).apply(delta, strict=False)
+        want = core_decomposition(vg.graph).coreness
+        calls = []
 
-        def boom(*args):
+        def boom(n, indptr, indices, active, xptr, xindices, xactive, core, *rest):
+            # Scribble over the in-place arrays, then fault: nothing may
+            # re-run on them.
+            calls.append(n)
+            core[:] = 99
+            active[:] = 0
             raise RuntimeError("synthetic kernel crash")
 
         backend._compiled[KERNEL_RAW["subcore_repair"]] = boom
+        runtime = dict(kernel="subcore_repair", reason="runtime")
+        before = obs.counter("kernel.native_fallback", **runtime)
         result = incremental_core_numbers(
             graph, core, vg.applied,
             new_graph=vg.graph, backend=backend, plan="batched",
         )
-        assert np.array_equal(
-            result.coreness, core_decomposition(vg.graph).coreness
+        assert result.path == "rebuild"
+        assert np.array_equal(result.coreness, want)
+        assert obs.counter("kernel.native_fallback", **runtime) == before + 1
+        assert backend._fallen["subcore_repair"] == "runtime"
+
+        # Poisoned: the next delta runs the numpy repair, never the fault.
+        result = incremental_core_numbers(
+            graph, core, vg.applied,
+            new_graph=vg.graph, backend=backend, plan="batched",
         )
+        assert result.path == "batched"
+        assert np.array_equal(result.coreness, want)
+        assert len(calls) == 1
 
 
 class TestStdinDelta:

@@ -495,20 +495,26 @@ class TestNativeEquivalence:
 
     @zoo_case
     def test_uncompiled_triangle_charges_identical(self, graph):
-        # The loop source the C unit mirrors, run as plain python.
+        # The loop source the C unit mirrors, run as plain python, against
+        # the independent numpy formulation.
         ordered = order_vertices(graph)
-        got = _native_impl.triangle_charges(
-            ordered.indptr, ordered.indices, ordered.rank[ordered.indices], ordered.high
+        got = np.zeros(graph.num_vertices, dtype=np.int64)
+        _native_impl.triangle_charges(
+            graph.num_vertices, ordered.indptr, ordered.indices,
+            ordered.rank[ordered.indices], ordered.high, got,
         )
-        assert np.array_equal(got, PY.triangle_charges(ordered))
+        assert np.array_equal(got, NP.triangle_charges(ordered))
 
     @zoo_case
     def test_triplet_group_deltas_identical(self, graph):
         ordered = order_vertices(graph)
-        want = PY.triplet_charges(ordered)
+        want = NP.triplet_charges(ordered)
         assert np.array_equal(NATIVE.triplet_charges(ordered), want)
         # The loop source the C unit mirrors, run as plain python.
-        got = _native_impl.triplet_charges(ordered.indptr, ordered.indices, ordered.same)
+        got = np.zeros(graph.num_vertices, dtype=np.int64)
+        _native_impl.triplet_charges(
+            graph.num_vertices, ordered.indptr, ordered.indices, ordered.same, got
+        )
         assert np.array_equal(got, want)
 
     @zoo_case

@@ -22,7 +22,8 @@ from repro import obs
 from repro.bench.harness import kernel_dispatch_summary
 from repro.cli import main
 from repro.index import BestKIndex
-from repro.kernels import KERNEL_METHODS, _native_cc, get_backend
+from repro.core import order_vertices
+from repro.kernels import KERNEL_METHODS, _native_cc, _native_impl, get_backend, loops
 from repro.kernels.native_backend import (
     DELEGATED_KERNELS,
     DISABLE_ENV_VAR,
@@ -31,7 +32,7 @@ from repro.kernels.native_backend import (
     native_runtime_metadata,
 )
 
-from conftest import random_graph
+from conftest import PATHOLOGICAL, random_graph, small_graph_zoo
 
 NATIVE = get_backend("native")
 NUMPY = get_backend("numpy")
@@ -143,10 +144,13 @@ class TestRuntimePoisoning:
 
 
 class TestDelegatedKernels:
+    """Delegated kernels are numpy by design: inherited, and never counted
+    on ``kernel.native_fallback`` (which records degradations only)."""
+
     def test_delegated_counts_and_matches_numpy(self):
         before = fallback_count("count_triangles", "delegated")
         assert NATIVE.count_triangles(GRAPH) == NUMPY.count_triangles(GRAPH)
-        assert fallback_count("count_triangles", "delegated") == before + 1
+        assert fallback_count("count_triangles", "delegated") == before == 0
 
     def test_truss_peel_counts_and_matches_numpy(self):
         assert "truss_peel" in DELEGATED_KERNELS
@@ -155,7 +159,7 @@ class TestDelegatedKernels:
         assert np.array_equal(
             NATIVE.truss_peel(GRAPH, edges), NUMPY.truss_peel(GRAPH, edges)
         )
-        assert fallback_count("truss_peel", "delegated") == before + 1
+        assert fallback_count("truss_peel", "delegated") == before == 0
         assert fresh_backend().kernel_status()["truss_peel"]["mode"] == "delegated"
 
     def test_vertex_strengths_delegates(self):
@@ -165,7 +169,7 @@ class TestDelegatedKernels:
         assert np.array_equal(
             NATIVE.vertex_strengths(GRAPH, arcs), NUMPY.vertex_strengths(GRAPH, arcs)
         )
-        assert fallback_count("vertex_strengths", "delegated") == before + 1
+        assert fallback_count("vertex_strengths", "delegated") == before == 0
         assert fresh_backend().kernel_status()["vertex_strengths"]["mode"] == "delegated"
 
     def test_connected_components_delegates(self):
@@ -196,12 +200,80 @@ class TestRuntimeMetadata:
         assert BestKIndex(GRAPH, backend="native", store=False).backend_name == "native"
 
 
+def _repair_inputs(graph):
+    """Raw ``subcore_repair`` arguments for a delta on ``graph``: delete
+    every third edge, insert up to ten absent pairs (extra CSR inactive)."""
+    n = graph.num_vertices
+    edges = graph.edge_array()
+    present = set(map(tuple, edges.tolist()))
+    absent = [(u, v) for u in range(n) for v in range(u + 1, n) if (u, v) not in present]
+    delete = edges[::3].reshape(-1, 2)
+    insert = np.array(absent[::3][:10], dtype=np.int64).reshape(-1, 2)
+    ends = np.concatenate([insert[:, 0], insert[:, 1]])
+    order = np.lexsort((np.concatenate([insert[:, 1], insert[:, 0]]), ends))
+    xindices = np.concatenate([insert[:, 1], insert[:, 0]])[order]
+    xptr = np.zeros(n + 1, dtype=np.int64)
+    np.cumsum(np.bincount(ends, minlength=n), out=xptr[1:])
+    ops = np.concatenate([delete, insert])
+    kinds = np.repeat(np.array([0, 1], dtype=np.int64), [len(delete), len(insert)])
+    core = NUMPY.peel_coreness(graph)
+    return (graph.indptr, graph.indices, np.ones(len(graph.indices), dtype=np.uint8),
+            xptr, xindices, np.zeros(len(xindices), dtype=np.uint8), core,
+            ops[:, 0].copy(), ops[:, 1].copy(), kinds, np.int64(n))
+
+
+#: Kernel method -> its inputs on one zoo graph.  Every loop kernel needs
+#: an entry (the table test checks), so a new compiled kernel is compared
+#: against its twin from the day it lands.
+ZOO_INPUTS = {
+    "peel_coreness": lambda g: (g,),
+    "peel_exact": lambda g: (g,),
+    "hindex_fixpoint": lambda g: (g, g.degrees(), np.arange(g.num_vertices)),
+    "triangle_charges": lambda g: (order_vertices(g),),
+    "triplet_charges": lambda g: (order_vertices(g),),
+    "subcore_repair": _repair_inputs,
+}
+
+TWIN_ZOO = small_graph_zoo() + list(PATHOLOGICAL.items()) + [
+    (f"random-{seed}", random_graph(30 + 20 * seed, 60 + 90 * seed, seed)) for seed in range(3)
+]
+
+
+def _arrays_of(value) -> list:
+    """Every ndarray in a kernel result or argument tuple, in order."""
+    items = value if isinstance(value, tuple) else (value,)
+    return [np.asarray(item) for item in items if isinstance(item, (np.ndarray, np.integer))]
+
+
 class TestKernelTables:
     def test_tables_cover_the_interface_and_the_c_unit(self):
         assert set(KERNEL_METHODS) == set(KERNEL_RAW) | set(DELEGATED_KERNELS)
-        for raw in set(KERNEL_RAW.values()):
-            assert callable(getattr(_native_cc.CcProvider, raw, None)), raw
-            assert f"repro_{raw}" in _native_cc._SIGNATURES, raw
+        assert set(ZOO_INPUTS) == set(KERNEL_RAW) == set(loops.LOOP_KERNELS)
+        raws = {symbol.removeprefix("repro_") for symbol in _native_cc._SIGNATURES}
+        assert raws == set(KERNEL_RAW.values())
+        for raw in raws:
+            # The twin takes the C function's arguments, in its order.
+            twin = getattr(_native_impl, raw)
+            assert twin.__code__.co_argcount == len(_native_cc._SIGNATURES[f"repro_{raw}"]), raw
+
+    @needs_provider
+    @pytest.mark.parametrize("graph", [g for _, g in TWIN_ZOO], ids=[name for name, _ in TWIN_ZOO])
+    def test_uncompiled_twin_equals_compiled(self, graph):
+        """Each loop kernel, through the one adapter, on the twin and on the
+        C: equal results and equal in-place writes (``subcore_repair``'s
+        core/active/xactive), the peel's removal order included."""
+        backend = fresh_backend()
+        for kernel, (raw, adapter) in loops.LOOP_KERNELS.items():
+            compiled = backend._resolve(kernel, count=False)
+            assert compiled is not None, kernel
+            inputs = ZOO_INPUTS[kernel](graph)
+            twin_args = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in inputs)
+            c_args = tuple(a.copy() if isinstance(a, np.ndarray) else a for a in inputs)
+            want = adapter(getattr(_native_impl, raw), *twin_args)
+            got = adapter(compiled, *c_args)
+            for x, y in zip(_arrays_of(want) + _arrays_of(twin_args),
+                            _arrays_of(got) + _arrays_of(c_args), strict=True):
+                assert np.array_equal(x, y), kernel
 
 
 class TestDispatchSummary:
