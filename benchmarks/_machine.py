@@ -18,14 +18,14 @@ from repro.bench.harness import execution_metadata
 def machine_metadata(
     backend_name: str,
     *,
-    jobs: int | None = None,
+    jobs: int = 1,
     cache_dir: str | None = None,
     cache_state: str | None = None,
 ) -> dict:
     """Environment facts that make cross-machine trajectory comparisons sane.
 
-    The ``execution`` block (worker count, shared-memory availability,
-    cache directory and temperature) comes from
+    The ``execution`` block (worker count, cache directory and
+    temperature) comes from
     :func:`repro.bench.harness.execution_metadata`; scripts that phase
     through several configurations pass the run-level default here and
     stamp per-phase values next to the numbers themselves.

@@ -5,10 +5,9 @@ Two independent comparisons per synthetic dataset, both against the plain
 serial in-memory :class:`repro.index.BestKIndex`:
 
 * **parallel** — :meth:`BestKIndex.prebuild` over the core + truss
-  families (triangle passes included) at 1, 2 and 4 workers.  Workers
-  attach to the parent's CSR arrays through shared memory
-  (:mod:`repro.parallel`), so the per-task payload is O(1); the serial
-  run (``jobs=1``) is the baseline of the speedup column.
+  families (triangle passes included) at 1, 2 and 4 workers.  Each
+  worker task carries the pickled graph (:mod:`repro.index.worker`); the
+  serial run (``jobs=1``) is the baseline of the speedup column.
 * **store** — the same all-metrics query load answered three times:
   without a store, against a *cold* on-disk cache (builds everything,
   persists as it goes), then again from scratch against the now-*warm*

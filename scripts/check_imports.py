@@ -17,23 +17,17 @@ Layering (DESIGN.md, engine section):
 * family packages (``repro.core``, ``repro.truss``, ``repro.weighted``,
   ``repro.ecc``) — may depend on ``engine``, ``kernels``, ``graph``,
   ``errors``, ``generators`` — and NEVER on each other.
-* ``repro.parallel`` — execution plumbing above the foundation but below
-  the index: may use ``graph``/``errors``, must not import ``kernels``,
-  the engine, a family package, or anything higher (families never fan
-  themselves out; only ``repro.index`` and the apps layer schedule
-  work).
-* ``repro.dynamic`` — the mutability seam, a sibling of ``parallel``:
+* ``repro.dynamic`` — the mutability seam above the foundation:
   may use ``graph``/``errors``/``kernels``/``obs`` (the rebuild fallback
   dispatches through the kernel registry, never through a family), must
-  not import the engine, a family package, ``parallel`` or ``index``.
+  not import the engine, a family package or ``index``.
   Conversely no family ever imports it — incremental maintenance is
   consumed from above, by ``repro.index.BestKIndex.apply``.
 * ``repro.obs`` — the observability leaf: stdlib only, must not import
   *anything* from ``repro``.  Conversely the family packages, ``graph``
   and ``errors`` must never import it — algorithm code stays free of
   instrumentation; spans are emitted by the infrastructure layers that
-  call it (``kernels``, ``engine``, ``parallel``, ``index``, ``bench``,
-  ``cli``).
+  call it (``kernels``, ``engine``, ``index``, ``bench``, ``cli``).
 * ``repro.scenarios`` — the self-measurement harness, directly below the
   CLI: may import ``obs``, ``engine``, ``index``, ``bench``, ``dynamic``
   and the generators, but never ``cli``/``apps``/``viz`` — and no family,
@@ -69,7 +63,7 @@ FAMILY_PACKAGES = ("core", "truss", "weighted", "ecc")
 #: every repro subpackage with layering significance; ``obs`` may import
 #: none of them (it is a stdlib-only leaf).
 ALL_LAYERS = (
-    "graph", "errors", "kernels", "engine", "parallel", "dynamic", "index",
+    "graph", "errors", "kernels", "engine", "dynamic", "index",
     "apps", "bench", "cli", "generators", "viz", "scenarios",
 ) + FAMILY_PACKAGES
 
@@ -84,21 +78,16 @@ EVERY_SUBPACKAGE = tuple(sorted(
 #: subpackage -> the repro subpackages it must never import.
 FORBIDDEN: dict[str, tuple[str, ...]] = {
     "obs": ALL_LAYERS,
-    "graph": ("engine", "parallel", "dynamic", "index", "apps", "bench", "cli", "obs",
-              "scenarios")
+    "graph": ("engine", "dynamic", "index", "apps", "bench", "cli", "obs", "scenarios")
     + FAMILY_PACKAGES,
-    "errors": ("engine", "parallel", "dynamic", "index", "apps", "bench", "cli", "obs",
-               "scenarios")
+    "errors": ("engine", "dynamic", "index", "apps", "bench", "cli", "obs", "scenarios")
     + FAMILY_PACKAGES,
-    "kernels": ("engine", "parallel", "dynamic", "index", "apps", "bench", "cli",
-                "scenarios")
+    "kernels": ("engine", "dynamic", "index", "apps", "bench", "cli", "scenarios")
     + FAMILY_PACKAGES,
     "engine": FAMILY_PACKAGES
-    + ("parallel", "dynamic", "index", "apps", "bench", "cli", "scenarios"),
-    "parallel": FAMILY_PACKAGES
-    + ("kernels", "engine", "dynamic", "index", "apps", "bench", "cli", "scenarios"),
+    + ("dynamic", "index", "apps", "bench", "cli", "scenarios"),
     "dynamic": FAMILY_PACKAGES
-    + ("engine", "parallel", "index", "apps", "bench", "cli", "scenarios"),
+    + ("engine", "index", "apps", "bench", "cli", "scenarios"),
     # The shared index serves every family through the engine's artifact
     # chain and family hooks alone, so it can never grow a family-specific
     # path again.
@@ -110,7 +99,7 @@ FORBIDDEN: dict[str, tuple[str, ...]] = {
 }
 for _family in FAMILY_PACKAGES:
     FORBIDDEN[_family] = tuple(f for f in FAMILY_PACKAGES if f != _family) + (
-        "parallel", "dynamic", "index", "apps", "bench", "cli", "obs", "scenarios",
+        "dynamic", "index", "apps", "bench", "cli", "obs", "scenarios",
     )
 
 #: full module name -> repro subpackages that *specific module* must not

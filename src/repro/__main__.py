@@ -1,19 +1,8 @@
-"""``python -m repro`` entry point (same as the ``bestk`` script).
-
-:func:`repro.cli.main` guarantees shared-memory cleanup on its own exit
-paths; the extra ``finally`` here covers anything that escapes it (e.g.
-``SystemExit`` raised by argparse mid-parse after a partial run).
-"""
+"""``python -m repro`` entry point (same as the ``bestk`` script)."""
 
 import sys
 
 from .cli import main
 
 if __name__ == "__main__":
-    try:
-        code = main()
-    finally:
-        from .parallel import cleanup_shared_memory
-
-        cleanup_shared_memory()
-    sys.exit(code)
+    sys.exit(main())

@@ -15,7 +15,6 @@ from ..engine import BestLevelResult, available_families, get_family
 from ..errors import ReproError
 from ..graph.csr import Graph
 from ..index import BestKIndex
-from ..parallel import resolve_jobs
 
 __all__ = ["best_sets_by_family"]
 
@@ -28,7 +27,7 @@ def best_sets_by_family(
     family_params: dict[str, dict] | None = None,
     index: BestKIndex | None = None,
     backend=None,
-    jobs: int | None = None,
+    jobs: int = 1,
     store=None,
 ) -> dict[str, BestLevelResult]:
     """The best level set of each registered family, from one shared index.
@@ -74,7 +73,7 @@ def best_sets_by_family(
         name: (metric if metric is not None else get_family(name).default_metric,)
         for name in run
     }
-    if resolve_jobs(index.jobs) > 1:
+    if index.jobs > 1:
         # The cross-family sweep is the natural fan-out unit: every family's
         # decompose/ordering/accumulate chain is independent of the others.
         index.prebuild(run, metrics=metrics, family_params=family_params)

@@ -30,7 +30,7 @@ __all__ = [
 
 def execution_metadata(
     *,
-    jobs: int | None = None,
+    jobs: int = 1,
     cache_dir: str | None = None,
     cache_state: str | None = None,
     obs_summary: dict | None = None,
@@ -39,9 +39,8 @@ def execution_metadata(
 
     A benchmark number is only interpretable next to the worker count and
     cache state that produced it: a warm-cache or 8-worker run is not
-    comparable to a cold serial one.  Records the resolved worker count
-    (``jobs`` argument or ``REPRO_JOBS``), the shared-memory availability,
-    the artifact-cache directory (argument or ``REPRO_CACHE_DIR``) and the
+    comparable to a cold serial one.  Records the worker count, the
+    artifact-cache directory (argument or ``REPRO_CACHE_DIR``) and the
     cache temperature — ``"off"`` without a cache, else the caller's
     ``cache_state`` (``"cold"`` / ``"warm"``), or ``"unknown"`` when the
     caller did not track it.  An ``obs`` block carries the compact
@@ -59,16 +58,14 @@ def execution_metadata(
     instead of the run it claims to describe.
     """
     from .. import obs
-    from ..parallel import resolve_jobs, shm_available
 
     if cache_dir is None:
         cache_dir = os.environ.get("REPRO_CACHE_DIR", "").strip() or None
     if cache_state is None:
         cache_state = "off" if cache_dir is None else "unknown"
     return {
-        "jobs": resolve_jobs(jobs),
+        "jobs": jobs,
         "cpu_count": os.cpu_count() or 1,
-        "shm_available": shm_available(),
         "cache_dir": None if cache_dir is None else str(cache_dir),
         "cache_state": cache_state,
         "kernel_dispatch": kernel_dispatch_summary(),

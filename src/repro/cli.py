@@ -36,13 +36,11 @@ Installed as the ``bestk`` console script (also ``python -m repro``):
 registry stand-in (e.g. ``dataset:DBLP``).
 
 The index-backed commands (``set``/``core``, ``cache warm``)
-accept ``--jobs N`` (parallel prebuild; ``REPRO_JOBS`` is the default)
-and ``--cache-dir PATH`` (persistent artifact cache; ``REPRO_CACHE_DIR``
-is the default).  They also accept ``--trace FILE`` — equivalent to the
-``REPRO_TRACE`` environment variable — which appends the run's
-:mod:`repro.obs` spans and counters as JSON lines for ``bestk stats``
-to replay.  Every exit path — success, error, Ctrl-C — releases any
-shared-memory segments the parallel layer created.
+accept ``--cache-dir PATH`` (persistent artifact cache;
+``REPRO_CACHE_DIR`` is the default).  They also accept ``--trace FILE``
+— equivalent to the ``REPRO_TRACE`` environment variable — which
+appends the run's :mod:`repro.obs` spans and counters as JSON lines for
+``bestk stats`` to replay.
 
 Selector strictness: an *explicitly requested* backend (``--backend`` or
 ``REPRO_BACKEND``) that cannot actually serve — unknown name, or the
@@ -92,11 +90,6 @@ def _backend_arg(p: argparse.ArgumentParser) -> None:
 
 def _index_args(p: argparse.ArgumentParser) -> None:
     _backend_arg(p)
-    p.add_argument(
-        "--jobs", type=int, default=None,
-        help="worker processes for the index prebuild "
-             "(default: REPRO_JOBS or serial; 0 means all cores)",
-    )
     p.add_argument(
         "--cache-dir", default=None,
         help="persistent artifact cache directory "
@@ -344,27 +337,21 @@ def _cmd_bestk(args, which: str) -> int:
     import time
 
     from .index import BestKIndex
-    from .parallel import resolve_jobs
 
     graph = _load_graph(args.graph)
     # One shared index across every metric: expensive artifacts (peeling,
     # ordering, forest, triangle charges) are built once and reused, which
-    # is the whole point of --all-metrics.  --jobs prebuilds them across
-    # worker processes; --cache-dir persists them for the next invocation.
+    # is the whole point of --all-metrics.  --cache-dir persists them for
+    # the next invocation.
     with obs.span(
         "cli:" + which, n=graph.num_vertices, m=graph.num_edges,
         all_metrics=bool(args.all_metrics),
     ):
-        index = BestKIndex(
-            graph, backend=args.backend, jobs=args.jobs,
-            store=args.cache_dir or None,
-        )
+        index = BestKIndex(graph, backend=args.backend, store=args.cache_dir or None)
         start = time.perf_counter()
         if which == "core":
             # Problem 2 in the paper's k-core vocabulary (Algorithm 5).
             metrics = PAPER_METRICS if args.all_metrics else (args.metric or "average_degree",)
-            if resolve_jobs(index.jobs) > 1:
-                index.prebuild(("core",), metrics=tuple(metrics), problem2=True)
             for metric in metrics:
                 result = best_single_kcore(graph, metric, index=index)
                 print(
@@ -390,11 +377,6 @@ def _cmd_bestk(args, which: str) -> int:
                 family.batch_metrics if args.all_metrics
                 else (args.metric or family.default_metric,)
             )
-            if resolve_jobs(index.jobs) > 1:
-                index.prebuild(
-                    (family.name,), metrics=tuple(metrics),
-                    family_params={family.name: params},
-                )
             for metric in metrics:
                 result = index.best_level(family, metric, **params)
                 print(
@@ -485,7 +467,7 @@ def _cmd_apply(args) -> int:
         num_vertices=args.num_vertices,
     )
     with obs.span("cli:apply", n=vg.num_vertices, m=vg.num_edges):
-        index = BestKIndex(vg, backend=args.backend, jobs=args.jobs, store=store)
+        index = BestKIndex(vg, backend=args.backend, store=store)
         # Ensure a core baseline exists before applying: hydrated from the
         # store when warm, built once when cold.  The apply then repairs
         # it incrementally and re-persists it under the new epoch's key,
@@ -680,7 +662,7 @@ def _cmd_cache(args) -> int:
 
     graph = _load_graph(args.graph)
     families = tuple(args.family) if args.family else ("core", "truss")
-    index = BestKIndex(graph, backend=args.backend, jobs=args.jobs, store=store)
+    index = BestKIndex(graph, backend=args.backend, store=store)
     built = index.prebuild(families, problem2=True)
     for name, artifacts in built.items():
         print(f"warmed {name}: {', '.join(artifacts)}")
@@ -846,13 +828,6 @@ def main(argv: Sequence[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     finally:
-        # Every exit path — success, error, Ctrl-C — releases any
-        # shared-memory segments the parallel prebuild created (the
-        # atexit hook in repro.parallel is the backstop for harder
-        # deaths).
-        from .parallel import cleanup_shared_memory
-
-        cleanup_shared_memory()
         # Counter totals reach the trace file even on error exits.
         obs.flush_sinks()
     return 2

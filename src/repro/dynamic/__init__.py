@@ -20,9 +20,9 @@ next one*:
     ``plan=`` overrides it, and the verdict lands on
     ``dynamic.plan{choice,reason}``.
 
-Layering: this package sits beside :mod:`repro.parallel` — it may import
+Layering: this package sits above the foundation — it may import
 ``graph``, ``errors``, ``kernels`` and ``obs``, and must never import
-``engine``, ``index``, ``parallel`` or any family package; families in
+``engine``, ``index`` or any family package; families in
 turn never import it (``scripts/check_imports.py`` enforces both
 directions).  :class:`repro.index.BestKIndex` consumes this package from
 above via ``index.apply(delta)``.

@@ -18,8 +18,8 @@ outcomes per delta:
   edge up.
 * ``rebuild`` — a full peel of the new snapshot via the kernel backend,
   forced when there is no baseline, when the delta is a large fraction of
-  the graph, or when an insert's subcore traversal blows past
-  ``subcore_limit``.
+  the graph, when an insert's subcore traversal blows past
+  ``subcore_limit``, or when a compiled ``subcore_repair`` faults.
 
 The outcome lands on ``dynamic.maintain{path,reason}``; the planner's
 verdict (which may differ when a batched run bails to a rebuild) on
@@ -58,7 +58,9 @@ class MaintainResult:
     reason:
         ``"ok"`` for batched; for rebuilds one of
         ``"no_baseline"``, ``"large_delta"``, ``"subcore_limit"``,
-        ``"planner"`` (the cost model or an override chose the peel).
+        ``"kernel_fault"`` (the compiled repair raised; its arrays were
+        discarded), ``"planner"`` (the cost model or an override chose
+        the peel).
     changed:
         Sorted vertex ids whose coreness differs from the (zero-padded)
         baseline; every vertex when there was no baseline.
@@ -139,9 +141,9 @@ def _incremental_core_numbers(
         reason = decision.reason if decision.reason in ("no_baseline", "large_delta") else "planner"
         return _rebuild(old_graph, old_coreness, delta, new_graph, backend, reason)
 
-    core = _batched_repair(old_graph, old_coreness, delta, backend, n_new, subcore_limit)
+    core, reason = _batched_repair(old_graph, old_coreness, delta, backend, n_new, subcore_limit)
     if core is None:
-        return _rebuild(old_graph, old_coreness, delta, new_graph, backend, "subcore_limit")
+        return _rebuild(old_graph, old_coreness, delta, new_graph, backend, reason)
     changed = _changed_vertices(core, old_coreness, n_new)
     obs.add("dynamic.maintain", path="batched", reason="ok")
     return MaintainResult(core, "batched", "ok", changed)
@@ -160,15 +162,16 @@ def _batched_repair(
     backend: str | None,
     n_new: int,
     subcore_limit: int,
-) -> np.ndarray | None:
+) -> tuple[np.ndarray | None, str]:
     """One ``subcore_repair`` kernel dispatch over the whole delta.
 
     Builds the kernel's two-part working adjacency without any O(m) CSR
     merge: the old snapshot's arrays plus a fresh all-ones arc mask, and
     an extra CSR holding only the delta's inserted arcs (initially
     inactive — each insert op activates its own arcs as it is replayed).
-    Returns the repaired coreness, or ``None`` when the kernel bailed on
-    ``subcore_limit`` (the partial arrays are discarded).
+    Returns ``(coreness, "ok")``, or ``(None, reason)`` when the kernel
+    bailed on ``subcore_limit`` or faulted (``kernel_fault``); the partial
+    arrays are discarded.
     """
     indptr = old_graph.indptr
     n_old = old_graph.num_vertices
@@ -205,9 +208,11 @@ def _batched_repair(
         indptr, old_graph.indices, active, xptr, xindices, xactive,
         core, ops_u, ops_v, ops_kind, np.int64(subcore_limit),
     )
-    if int(applied) < len(ops_u):
-        return None
-    return core
+    if applied < 0:
+        return None, "kernel_fault"
+    if applied < len(ops_u):
+        return None, "subcore_limit"
+    return core, "ok"
 
 
 def _rebuild(

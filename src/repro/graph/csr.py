@@ -127,9 +127,8 @@ class Graph:
         """Rebuild a graph from raw CSR arrays.
 
         The inverse of reading :attr:`indptr` / :attr:`indices`; also the
-        reconstruction half of pickling and of the shared-memory handoff in
-        :mod:`repro.parallel` (both pass ``validate=False`` because the
-        arrays come from an already-validated :class:`Graph`).  ``digest``
+        reconstruction half of pickling, which passes ``validate=False``
+        because the arrays come from an already-validated :class:`Graph`.  ``digest``
         presets :meth:`content_digest` (see the class docstring); pickling
         never forwards it, so reconstructed copies always re-derive their
         identity from the arrays alone.

@@ -48,9 +48,9 @@ result (both default off; ``tests/test_parallel.py`` and
 ``tests/test_store.py`` assert bit-identity):
 
 * ``jobs=`` — :meth:`prebuild` fans family builds out across worker
-  processes via :mod:`repro.parallel` (zero-copy shared-memory graph
-  handoff); the batch APIs prebuild automatically when more than one
-  worker is configured.  ``None`` defers to ``REPRO_JOBS``.
+  processes (:mod:`repro.index.worker`; each task carries the pickled
+  graph); the batch APIs prebuild automatically when more than one
+  worker is configured.
 * ``store=`` — a :class:`repro.index.store.ArtifactStore` persists every
   eligible artifact as it is built and hydrates it back (memory-mapped)
   on the first touch of a family, so a warm process skips the build
@@ -88,9 +88,8 @@ from ..dynamic import GraphDelta, VersionedGraph, incremental_core_numbers
 from ..errors import ReproError
 from ..graph.csr import Graph
 from ..kernels import get_backend
-from ..parallel import parallel_map, resolve_jobs, shared_graph
 from .store import hydrate_arrays, resolve_store
-from .worker import build_family_artifacts
+from .worker import build_family_artifacts, parallel_map
 
 __all__ = ["ApplyResult", "BestKIndex"]
 
@@ -109,6 +108,12 @@ _PHASE_BY_ARTIFACT = {
     "level_triangles": "triangles",
     "node_triangles": "triangles",
 }
+
+
+def _positive_jobs(jobs: int) -> int:
+    if jobs < 1:
+        raise ValueError(f"jobs must be a positive worker count, got {jobs!r}")
+    return jobs
 
 
 @dataclass(frozen=True)
@@ -150,9 +155,8 @@ class BestKIndex:
         Kernel backend selector threaded through every kernel the index
         runs (name, instance, or ``None`` for ``REPRO_BACKEND``/default).
     jobs:
-        Worker-process count for :meth:`prebuild` and the batch APIs.
-        ``None`` defers to the ``REPRO_JOBS`` environment variable;
-        values ``<= 1`` keep everything in-process (the default).
+        Worker-process count for :meth:`prebuild` and the batch APIs, a
+        positive int; ``1`` (the default) keeps everything in-process.
     store:
         Persistent artifact cache: an
         :class:`~repro.index.store.ArtifactStore`, a directory path, or
@@ -170,7 +174,7 @@ class BestKIndex:
 
     def __init__(
         self, graph: Graph | VersionedGraph, *, backend=None,
-        jobs: int | None = None, store=None,
+        jobs: int = 1, store=None,
     ):
         if isinstance(graph, VersionedGraph):
             #: Epoch position when the index serves a dynamic lineage
@@ -186,7 +190,7 @@ class BestKIndex:
         #: Backends are bit-identical (``native`` fallback included), so
         #: the name is the whole identity.
         self.backend_name = get_backend(backend).name
-        self.jobs = jobs
+        self.jobs = _positive_jobs(jobs)
         self.store = resolve_store(store)
         self._artifacts: dict[str, object] = {}
         #: Wall seconds spent building each artifact, by artifact key.
@@ -411,11 +415,10 @@ class BestKIndex:
     ) -> dict[str, tuple[str, ...]]:
         """Build every artifact the given queries will need, up front.
 
-        With more than one worker configured (``jobs`` argument, the
-        index's ``jobs=``, or ``REPRO_JOBS``), missing artifacts fan out
-        across a process pool: the graph is handed to workers zero-copy
-        through :mod:`repro.parallel` shared memory, each worker builds
-        one family's artifact group, and the results come back through the
+        With more than one worker configured (``jobs`` argument, else the
+        index's ``jobs=``), missing artifacts fan out across a process
+        pool: each task carries the pickled graph, each worker builds one
+        family's artifact group, and the results come back through the
         same array codec the disk store uses — so the populated cache is
         bit-identical to a serial build.  With one worker (the default)
         everything builds in-process; either way queries afterwards are
@@ -442,7 +445,7 @@ class BestKIndex:
 
     def _prebuild(self, families, metrics, family_params, problem2, jobs, sp):
         family_params = family_params or {}
-        workers = resolve_jobs(self.jobs if jobs is None else jobs)
+        workers = self.jobs if jobs is None else _positive_jobs(jobs)
         sp.update(jobs=workers)
         planned: list[tuple[HierarchyFamily, dict, list[str]]] = []
         for family in families:
@@ -464,16 +467,14 @@ class BestKIndex:
 
         sp.update(tasks=len(tasks), families=",".join(f.name for f, _, _ in planned))
         if workers > 1 and len(tasks) > 1:
-            with shared_graph(self.graph) as sg:
-                sp.set_attr("shm_mode", sg.handle.mode)
-                results = parallel_map(
-                    build_family_artifacts,
-                    [
-                        (sg.handle, fam.name, params, self.backend_name, names)
-                        for fam, params, names in tasks
-                    ],
-                    jobs=workers,
-                )
+            results = parallel_map(
+                build_family_artifacts,
+                [
+                    (self.graph, fam.name, params, self.backend_name, names)
+                    for fam, params, names in tasks
+                ],
+                jobs=workers,
+            )
             for (fam, params, _), (
                 _, payloads, seconds, spans, counters, histograms
             ) in zip(tasks, results):
@@ -550,7 +551,7 @@ class BestKIndex:
         """
         fam = get_family(family)
         names = fam.batch_metrics if metrics is None else metrics
-        if resolve_jobs(self.jobs) > 1:
+        if self.jobs > 1:
             self.prebuild(
                 (fam.name,), metrics=tuple(names),
                 family_params={fam.name: dict(params)},
@@ -627,7 +628,7 @@ class BestKIndex:
         self, metrics: tuple[str, ...] = PAPER_METRICS
     ) -> dict[str, LevelSetScores]:
         """Batch Problem 1: every metric scored from the one shared index."""
-        if resolve_jobs(self.jobs) > 1:
+        if self.jobs > 1:
             self.prebuild(("core",), metrics=tuple(metrics))
         return {get_metric(m).name: self.set_scores(m) for m in metrics}
 
@@ -635,7 +636,7 @@ class BestKIndex:
         self, metrics: tuple[str, ...] = PAPER_METRICS
     ) -> dict[str, BestLevelResult]:
         """Batch Problem 1 winners, keyed by canonical metric name."""
-        if resolve_jobs(self.jobs) > 1:
+        if self.jobs > 1:
             self.prebuild(("core",), metrics=tuple(metrics))
         return {get_metric(m).name: self.best_set(m) for m in metrics}
 
@@ -654,7 +655,7 @@ class BestKIndex:
         self, metrics: tuple[str, ...] = PAPER_METRICS
     ) -> dict[str, LevelNodeScores]:
         """Batch Problem 2: every metric scored from the one shared index."""
-        if resolve_jobs(self.jobs) > 1:
+        if self.jobs > 1:
             self.prebuild(("core",), metrics=tuple(metrics), problem2=True)
         return {get_metric(m).name: self.core_scores(m) for m in metrics}
 
@@ -662,7 +663,7 @@ class BestKIndex:
         self, metrics: tuple[str, ...] = PAPER_METRICS
     ) -> dict[str, BestLevelResult]:
         """Batch Problem 2 winners, keyed by canonical metric name."""
-        if resolve_jobs(self.jobs) > 1:
+        if self.jobs > 1:
             self.prebuild(("core",), metrics=tuple(metrics), problem2=True)
         return {get_metric(m).name: self.best_core(m) for m in metrics}
 

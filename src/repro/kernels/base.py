@@ -136,9 +136,10 @@ class KernelBackend:
         sequential per-edge optimistic subcore peel.  ``core``, ``active``
         and ``xactive`` are mutated in place.  Returns the number of ops
         applied as int64: short of ``len(ops_u)`` means an insert subcore
-        exceeded ``limit`` visited vertices — the arrays are then in an
-        undefined intermediate state and the caller must discard them and
-        re-peel.  Coreness is unique, so every backend is bit-identical.
+        exceeded ``limit`` visited vertices, and ``-1`` means a compiled
+        kernel faulted mid-run — either way the arrays are in an undefined
+        intermediate state and the caller must discard them and re-peel.
+        Coreness is unique, so every backend is bit-identical.
         """
         raise NotImplementedError
 

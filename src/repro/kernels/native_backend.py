@@ -27,9 +27,9 @@ Fallback reasons (the ``reason`` label):
 * ``compile`` — the C library failed to build or a kernel failed its
   warm-up call;
 * ``runtime`` — the compiled kernel raised at call time (poisoned from
-  then on).  The in-place ``subcore_repair`` then reports zero ops
-  applied instead of re-running numpy on arrays the fault may have
-  half-written: the caller discards them and re-peels the new snapshot.
+  then on).  The in-place ``subcore_repair`` then returns ``-1`` instead
+  of re-running numpy on arrays the fault may have half-written: the
+  caller discards them and re-peels the new snapshot.
 
 ``count_triangles``, ``truss_peel``, ``connected_components`` and
 ``vertex_strengths`` are *delegated*: numpy by design, inherited, and not
@@ -187,9 +187,9 @@ class NativeBackend(LoopKernels, NumpyBackend):
                 self._poison(kernel, exc)
                 if kernel == "subcore_repair":
                     # The fault may have half-written core/active/xactive.
-                    # Zero ops applied tells the caller to discard them and
+                    # The -1 sentinel tells the caller to discard them and
                     # re-peel; numpy serves the next call.
-                    return np.int64(0)
+                    return np.int64(-1)
         return getattr(NumpyBackend, kernel)(self, *args)
 
     def _fallback_reason(self, kernel: str) -> str:

@@ -10,7 +10,7 @@ exposition including histogram ``_bucket``/``_sum``/``_count`` series).
 
 This module is a *leaf*: it imports nothing from the rest of ``repro``
 (``scripts/check_imports.py`` enforces it) and the rest of ``repro``
-reaches it only through the engine/kernels/index/parallel seams — family
+reaches it only through the engine/kernels/index seams — family
 packages never import it directly.  Instrumentation never changes any
 result; it only watches.
 

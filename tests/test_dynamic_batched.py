@@ -311,6 +311,34 @@ class TestNativeFallback:
         assert np.array_equal(result.coreness, want)
         assert len(calls) == 1
 
+    def test_runtime_fault_is_labelled_kernel_fault(self):
+        from repro.kernels.native_backend import KERNEL_RAW, NativeBackend
+
+        backend = NativeBackend()
+        if backend._resolve("subcore_repair", count=False) is None:
+            pytest.skip("native kernels unavailable (no C compiler)")
+        graph = random_graph(120, 400, seed=9)
+        core = core_decomposition(graph).coreness
+        delta = random_delta(random.Random(4), edge_set(graph), 120, 20)
+        vg = VersionedGraph(graph).apply(delta, strict=False)
+
+        def boom(*args):
+            raise RuntimeError("synthetic kernel crash")
+
+        backend._compiled[KERNEL_RAW["subcore_repair"]] = boom
+        fault = dict(path="rebuild", reason="kernel_fault")
+        limit = dict(path="rebuild", reason="subcore_limit")
+        before = obs.counter("dynamic.maintain", **fault)
+        before_limit = obs.counter("dynamic.maintain", **limit)
+        result = incremental_core_numbers(
+            graph, core, vg.applied,
+            new_graph=vg.graph, backend=backend, plan="batched",
+        )
+        assert (result.path, result.reason) == ("rebuild", "kernel_fault")
+        assert np.array_equal(result.coreness, core_decomposition(vg.graph).coreness)
+        assert obs.counter("dynamic.maintain", **fault) == before + 1
+        assert obs.counter("dynamic.maintain", **limit) == before_limit
+
 
 class TestStdinDelta:
     def test_edges_from_stdin(self, monkeypatch):

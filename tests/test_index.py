@@ -150,10 +150,10 @@ class TestLaziness:
     """Build-count and laziness assertions.
 
     These pin ``jobs=1, store=False``: the assertions are about *this
-    process's* builders, so an inherited ``REPRO_JOBS``/``REPRO_CACHE_DIR``
-    (the CI matrix sets both) must not satisfy them from a worker or a
-    warm disk bundle.  The bit-identity tests above deliberately stay on
-    the defaults so that same matrix exercises the parallel/store paths.
+    process's* builders, so an inherited ``REPRO_CACHE_DIR`` (the CI
+    matrix sets it) must not satisfy them from a warm disk bundle.  The
+    bit-identity tests above deliberately stay on the defaults so that
+    same matrix exercises the store path.
     """
 
     def test_nothing_built_up_front(self, graph):

@@ -26,7 +26,7 @@ from repro.engine import best_level_set, get_family
 from repro.index import ArtifactStore, BestKIndex
 from repro.kernels import NumpyBackend, _REGISTRY, register_backend
 from repro.obs import JsonlSink, Recorder, load_trace, prometheus_text
-from repro.parallel import parallel_map
+from repro.index.worker import parallel_map
 
 
 @pytest.fixture(autouse=True)

@@ -1,15 +1,13 @@
-"""Tests for :mod:`repro.parallel` — shared memory, pool, prebuild.
+"""Tests for the process fan-out — pool, graph handoff, prebuild.
 
-Three pillars:
+Two pillars:
 
-* **Zero-copy** — a worker attaching to a :class:`SharedGraph` reads the
-  creator's buffers, not a copy (proved by writing through the segment).
-* **Bit-identity** — every parallel configuration (shm, pickle fallback,
-  2-worker prebuild, the cross-family sweep) answers exactly like the
-  serial in-memory index.
-* **Lifecycle** — segments are closed and unlinked on every path:
-  context-manager exit, explicit close (idempotent), and the
-  :func:`cleanup_shared_memory` sweep the CLI and atexit hook run.
+* **Bit-identity** — every parallel configuration (2-worker prebuild,
+  a pool that cannot start, the cross-family sweep) answers exactly
+  like the serial in-memory index.
+* **Degradation** — a pool that fails to start or dies mid-round
+  degrades to the serial path with the same answer and a counted
+  ``parallel.map{degraded=...}`` reason, never an exception.
 """
 
 from __future__ import annotations
@@ -20,20 +18,12 @@ import pickle
 import numpy as np
 import pytest
 
-from repro import BestKIndex
+from repro import BestKIndex, obs
 from repro.apps import best_sets_by_family
 from repro.core import PAPER_METRICS
 from repro.graph import Graph
-from repro.index.worker import build_family_artifacts
-from repro.parallel import (
-    GraphHandle,
-    SharedGraph,
-    cleanup_shared_memory,
-    parallel_map,
-    resolve_jobs,
-    shared_graph,
-    shm_available,
-)
+from repro.index import worker
+from repro.index.worker import build_family_artifacts, parallel_map
 
 from conftest import random_graph
 
@@ -53,38 +43,26 @@ def _raise_on_negative(x: int) -> int:
     return x
 
 
+_PARENT_PID = os.getpid()
+
+
+def _die_in_worker(x: int) -> int:
+    # Forked workers inherit _PARENT_PID, so only a pool worker exits.
+    if os.getpid() != _PARENT_PID:
+        os._exit(3)
+    return 2 * x
+
+
 class TestResolveJobs:
-    def test_default_is_serial(self, monkeypatch):
-        monkeypatch.delenv("REPRO_JOBS", raising=False)
-        assert resolve_jobs() == 1
+    def test_default_is_serial(self, graph):
+        assert BestKIndex(graph, store=False).jobs == 1
 
-    def test_explicit_wins_over_env(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "8")
-        assert resolve_jobs(3) == 3
-
-    def test_env_fallback(self, monkeypatch):
-        monkeypatch.setenv("REPRO_JOBS", "5")
-        assert resolve_jobs() == 5
-
-    def test_invalid_env_is_serial(self, monkeypatch, caplog):
-        monkeypatch.setenv("REPRO_JOBS", "lots")
-        with caplog.at_level("WARNING", logger="repro.parallel.pool"):
-            assert resolve_jobs() == 1
-        assert "REPRO_JOBS" in caplog.text
-
-    @pytest.mark.parametrize("value", ["0", "-3"])
-    def test_nonpositive_env_clamps_to_serial(self, monkeypatch, caplog, value):
-        # Unlike an explicit jobs=0 argument (all cores), a non-positive
-        # environment value is treated as a misconfiguration: clamp to
-        # serial and say so, never silently fan out.
-        monkeypatch.setenv("REPRO_JOBS", value)
-        with caplog.at_level("WARNING", logger="repro.parallel.pool"):
-            assert resolve_jobs() == 1
-        assert "REPRO_JOBS" in caplog.text
-
-    def test_zero_means_all_cores(self):
-        assert resolve_jobs(0) == (os.cpu_count() or 1)
-        assert resolve_jobs(-1) == (os.cpu_count() or 1)
+    @pytest.mark.parametrize("jobs", [0, -1])
+    def test_nonpositive_jobs_raise(self, graph, jobs):
+        with pytest.raises(ValueError):
+            BestKIndex(graph, jobs=jobs, store=False)
+        with pytest.raises(ValueError):
+            BestKIndex(graph, store=False).prebuild(("core",), jobs=jobs)
 
 
 class TestParallelMap:
@@ -101,90 +79,38 @@ class TestParallelMap:
         with pytest.raises(ValueError):
             parallel_map(_raise_on_negative, [1, -1, 2], jobs=2)
 
+    def test_dead_worker_degrades_to_serial(self):
+        degraded = dict(mode="serial", degraded="pool_failure")
+        before = obs.counter("parallel.map", **degraded)
+        assert parallel_map(_die_in_worker, range(6), jobs=2) == [2 * i for i in range(6)]
+        assert obs.counter("parallel.map", **degraded) == before + 1
+
 
 class TestSharedGraph:
+    """The graph a pool worker shares with its parent: one pickle handoff."""
+
     def test_handle_attach_is_bit_identical(self, graph):
-        with shared_graph(graph) as sg:
-            attached, release = sg.handle.attach()
-            try:
-                assert attached == graph
-                assert np.array_equal(attached.indptr, graph.indptr)
-                assert np.array_equal(attached.indices, graph.indices)
-            finally:
-                attached = None
-                release()
-
-    def test_attach_is_zero_copy(self, graph):
-        if not shm_available():
-            pytest.skip("shared memory unavailable")
-        from multiprocessing import shared_memory
-
-        sg = shared_graph(graph)
-        try:
-            assert sg.handle.mode == "shm"
-            name, length = sg.handle.segments[1]  # the indices segment
-            attached, release = sg.handle.attach()
-            # Write through the segment out-of-band: the attached graph must
-            # see the change, proving its arrays map the same buffer.
-            probe = shared_memory.SharedMemory(name=name)
-            try:
-                view = np.ndarray((length,), dtype=np.int64, buffer=probe.buf)
-                original = int(view[0])
-                view[0] = original + 1
-                assert int(attached.indices[0]) == original + 1
-                view[0] = original
-            finally:
-                view = None
-                probe.close()
-            attached = None
-            release()
-        finally:
-            sg.close()
-
-    def test_pickle_fallback_forced_by_env(self, graph, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
-        assert not shm_available()
-        with shared_graph(graph) as sg:
-            assert sg.handle.mode == "pickle"
-            attached, release = sg.handle.attach()
-            assert attached == graph
-            release()
+        clone = pickle.loads(pickle.dumps(graph))
+        assert clone == graph
+        assert np.array_equal(clone.indptr, graph.indptr)
+        assert np.array_equal(clone.indices, graph.indices)
 
     def test_handle_round_trips_through_pickle(self, graph):
-        with shared_graph(graph) as sg:
-            clone = pickle.loads(pickle.dumps(sg.handle))
-            assert clone.mode == sg.handle.mode
-            attached, release = clone.attach()
-            assert attached == graph
-            attached = None
-            release()
-
-    def test_close_is_idempotent(self, graph):
-        sg = shared_graph(graph)
-        first = sg.close()
-        assert sg.close() == 0
-        if sg.handle.mode == "shm":
-            assert first == 2  # indptr + indices
-
-    def test_cleanup_sweeps_unclosed_exports(self, graph):
-        if not shm_available():
-            pytest.skip("shared memory unavailable")
-        sg = shared_graph(graph)  # deliberately never closed
-        names = [name for name, _ in sg.handle.segments]
-        assert cleanup_shared_memory() >= 2
-        from multiprocessing import shared_memory
-
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        task = (graph, "core", {}, "numpy", ("decompose",))
+        _, payloads, _, _, _, _ = build_family_artifacts(pickle.loads(pickle.dumps(task)))
+        _, direct, _, _, _, _ = build_family_artifacts(task)
+        assert np.array_equal(
+            payloads["decompose"]["coreness"], direct["decompose"]["coreness"]
+        )
 
     def test_empty_graph_export(self):
         empty = Graph.empty(3)
-        with shared_graph(empty) as sg:
-            attached, release = sg.handle.attach()
-            assert attached == empty
-            attached = None
-            release()
+        clone = pickle.loads(pickle.dumps(empty))
+        assert clone == empty
+        _, payloads, _, _, _, _ = build_family_artifacts(
+            (clone, "core", {}, "numpy", ("decompose",))
+        )
+        assert np.array_equal(payloads["decompose"]["coreness"], np.zeros(3))
 
     def test_epoch_snapshot_pickle_strips_stamped_digest(self, graph):
         # A VersionedGraph snapshot carries an epoch-stamped digest so
@@ -208,17 +134,15 @@ class TestSharedGraph:
 
 class TestWorker:
     def test_invalid_params_return_empty_payload(self, graph):
-        handle = GraphHandle("pickle", arrays=(graph.indptr, graph.indices))
         name, payloads, seconds, spans, counters, _ = build_family_artifacts(
-            (handle, "weighted", {}, "numpy", ("decompose",))
+            (graph, "weighted", {}, "numpy", ("decompose",))
         )
         assert name == "weighted" and payloads == {} and seconds == {}
         assert any(s["name"] == "worker:build" for s in spans)
 
     def test_worker_payload_round_trips(self, graph):
-        handle = GraphHandle("pickle", arrays=(graph.indptr, graph.indices))
         _, payloads, seconds, _, _, _ = build_family_artifacts(
-            (handle, "core", {}, "numpy", ("decompose", "ordering", "level_totals"))
+            (graph, "core", {}, "numpy", ("decompose", "ordering", "level_totals"))
         )
         assert set(payloads) == {"decompose", "ordering", "level_totals"}
         assert seconds["core:decompose"] >= 0.0
@@ -273,10 +197,16 @@ class TestPrebuildBitIdentity:
         assert par.total_build_seconds() >= before
 
     def test_prebuild_in_fallback_mode_matches(self, graph, monkeypatch):
-        monkeypatch.setenv("REPRO_NO_SHM", "1")
+        def no_pool(*args, **kwargs):
+            raise OSError("no semaphores here")
+
+        monkeypatch.setattr(worker, "ProcessPoolExecutor", no_pool)
+        degraded = dict(mode="serial", degraded="pool_start_failure")
+        before = obs.counter("parallel.map", **degraded)
         serial = BestKIndex(graph, jobs=1, store=False)
         par = BestKIndex(graph, jobs=2, store=False)
         par.prebuild(("core",))
+        assert obs.counter("parallel.map", **degraded) == before + 1
         for metric in PAPER_METRICS:
             assert np.array_equal(
                 serial.set_scores(metric).scores,
