@@ -15,20 +15,15 @@ import numpy as np
 from repro.bench.harness import execution_metadata
 
 
-def machine_metadata(
-    backend_name: str,
-    *,
-    jobs: int = 1,
-    cache_dir: str | None = None,
-    cache_state: str | None = None,
-) -> dict:
+def machine_metadata(backend_name: str) -> dict:
     """Environment facts that make cross-machine trajectory comparisons sane.
 
-    The ``execution`` block (worker count, cache directory and
-    temperature) comes from
-    :func:`repro.bench.harness.execution_metadata`; scripts that phase
-    through several configurations pass the run-level default here and
-    stamp per-phase values next to the numbers themselves.
+    The ``execution`` block is :func:`repro.bench.harness.execution_metadata`
+    at its defaults: one worker, the cache directory named by
+    ``REPRO_CACHE_DIR`` (state ``"off"`` without one, else ``"unknown"``)
+    and the run's :mod:`repro.obs` summary.  Scripts that phase through
+    several worker counts or cache states stamp the per-phase values next
+    to the numbers themselves.
     """
     return {
         "backend": backend_name,
@@ -39,9 +34,7 @@ def machine_metadata(
         "numpy_version": np.__version__,
         "argv": sys.argv[1:],
         "native": native_metadata(),
-        "execution": execution_metadata(
-            jobs=jobs, cache_dir=cache_dir, cache_state=cache_state
-        ),
+        "execution": execution_metadata(),
     }
 
 

@@ -1,46 +1,68 @@
-"""Persistent on-disk artifact cache — versioned ``.npy`` bundles.
+"""Persistent on-disk artifact cache — versioned raw-array bundles.
 
 A *bundle* is one directory holding every persisted artifact of one
 ``(graph, family, parametrisation, backend)`` combination::
 
     <root>/<family>-<key>/
-        meta.json                     # format version, identity, manifest
-        decompose.coreness.npy        # one .npy per array field
-        ordering.rows.npy
+        meta.json          # format version, identity, per-field manifest
+        decompose.bin      # one raw file per artifact
+        ordering.bin
         ...
+
+An artifact file holds the artifact's array fields back to back, each at
+a 64-byte-aligned offset, with no per-field header.  The manifest records
+each field's ``dtype`` (``arr.dtype.str``, byte order included),
+``shape``, ``offset`` and ``nbytes``; the file ends where its last field
+ends.
 
 The bundle key is a SHA-256 over the graph's content digest
 (:meth:`repro.graph.csr.Graph.content_digest`), the family name, the
 family's content-based :meth:`~repro.engine.HierarchyFamily.store_token`
 and the kernel-backend name — any of those changing routes to a different
-bundle, so a stale hit is structurally impossible.  Loads memory-map the
-arrays (``np.load(..., mmap_mode="r")``), so a warm
-:class:`~repro.index.BestKIndex` start maps artifacts instead of
-rebuilding them.
+bundle, so a stale hit is structurally impossible.  A load reads
+``meta.json`` once and maps each artifact file with one read-only
+``mmap``, slicing its fields into ``np.frombuffer`` views (read-only by
+construction), so a warm :class:`~repro.index.BestKIndex` start maps
+artifacts instead of rebuilding them: eight maps for a core bundle.
 
-Robustness rules: array and manifest writes are atomic
-(temp file + ``os.replace``); any load anomaly — unreadable manifest,
-missing field file, dtype/shape mismatch, truncated ``.npy`` — discards
-the bundle and reports a miss, forcing a clean rebuild.  A corrupted
-cache can cost time, never correctness.
+Robustness rules: artifact-file and manifest writes are atomic
+(temp file + ``os.replace``); any load anomaly discards the bundle and
+reports a miss, forcing a clean rebuild.  A corrupted cache can cost
+time, never correctness.
 
 Every anomaly class is *observable*: each discard path increments a
-distinct ``store.discard`` counter label (``corrupt_manifest``,
-``identity_mismatch``, ``missing_field``, ``corrupt_array``,
-``shape_mismatch``, ``hydrate_error``) on :mod:`repro.obs` and emits a
+distinct ``store.discard`` counter label on :mod:`repro.obs` and emits a
 ``logging`` warning naming the bundle key, so a poisoned cache is never
-indistinguishable from a cold miss.  Clean outcomes count too:
-``store.hit``, ``store.miss`` and ``store.persist``.
+indistinguishable from a cold miss:
+
+=====================  ===============================================
+``corrupt_manifest``   unreadable ``meta.json``, or a malformed or
+                       negative field entry
+``identity_mismatch``  another format version, family or graph digest
+``missing_field``      an artifact file the manifest names is absent
+``corrupt_array``      an artifact file shorter than its last field's
+                       ``offset + nbytes`` (an offset past the end)
+``shape_mismatch``     an artifact file longer than declared, or an
+                       entry whose dtype × shape is not its ``nbytes``
+``hydrate_error``      the arrays do not rebuild the artifact
+=====================  ===============================================
+
+Clean outcomes count too: ``store.hit``, ``store.miss`` and
+``store.persist``.
 
 The same dump/load codec (:func:`dump_artifact` / :func:`hydrate_arrays`)
 also carries artifacts from pool workers back to the parent index, which
-is what keeps the parallel path bit-identical to the serial one.
+is what keeps the parallel path bit-identical to the serial one.  Epoch
+records and shard state stay ``.npy`` files (:func:`_load_array`).
 """
 
 from __future__ import annotations
 
 import json
 import logging
+import math
+import mmap
+import operator
 import os
 import shutil
 import hashlib
@@ -79,7 +101,13 @@ __all__ = [
 #: in place of its own core-only ordering artifact, so a version 3 core
 #: bundle would hydrate no ordering; an ordering's per-vertex arrays are
 #: stored as the rows of one array.
-FORMAT_VERSION = 4
+#: Version 5: one raw ``<artifact>.bin`` file per artifact, its fields
+#: placed by the manifest's ``offset``/``nbytes``, in place of one ``.npy``
+#: file per field.
+FORMAT_VERSION = 5
+
+#: Alignment of every field's offset inside an artifact file.
+_ALIGN = 64
 
 logger = logging.getLogger(__name__)
 
@@ -246,9 +274,9 @@ class ArtifactStore:
     ) -> bool:
         """Persist one artifact into its bundle; returns whether written.
 
-        Field files already present are kept (identical content by
-        construction — the key pins graph, token and backend); the manifest
-        is re-merged so concurrent writers converge.
+        The artifact file is written once (an existing one is kept:
+        identical content by construction — the key pins graph, token and
+        backend); the manifest is re-merged so concurrent writers converge.
         """
         if name not in persisted_names(fam):
             return False
@@ -258,17 +286,22 @@ class ArtifactStore:
         bundle = self.bundle_dir(graph, fam, params, backend_name)
         bundle.mkdir(parents=True, exist_ok=True)
         spec: dict[str, dict] = {}
+        arrays = []
+        end = 0
         for field, arr in payload.items():
-            arr = np.asarray(arr)
-            filename = f"{name}.{field}.npy"
+            arr = np.ascontiguousarray(arr)
+            offset = -(-end // _ALIGN) * _ALIGN
             spec[field] = {
-                "file": filename,
-                "dtype": str(arr.dtype),
+                "dtype": arr.dtype.str,
                 "shape": list(arr.shape),
+                "offset": offset,
+                "nbytes": arr.nbytes,
             }
-            path = bundle / filename
-            if not path.exists():
-                _atomic_save_array(path, arr)
+            arrays.append((offset, arr))
+            end = offset + arr.nbytes
+        path = bundle / f"{name}.bin"
+        if not path.exists():
+            _atomic_write_fields(path, arrays)
         meta = self._read_meta(bundle) or {
             "format": FORMAT_VERSION,
             "family": fam.name,
@@ -292,20 +325,20 @@ class ArtifactStore:
     ) -> dict[str, object] | None:
         """All reconstructable artifacts of a bundle, or ``None`` on miss.
 
-        Any anomaly (corrupt manifest, missing/truncated/mis-shaped array
-        file) discards the bundle and returns ``None`` — but never
-        silently: the discard is classified, counted on :mod:`repro.obs`
-        (``store.discard`` with a ``reason`` label) and logged as a
-        warning carrying the bundle key.  A clean absence counts as
-        ``store.miss``; a successful load as ``store.hit``.
+        Any anomaly (see the module's table) discards the bundle and
+        returns ``None`` — but never silently: the discard is classified,
+        counted on :mod:`repro.obs` (``store.discard`` with a ``reason``
+        label) and logged as a warning carrying the bundle key.  A clean
+        absence counts as ``store.miss``; a successful load as
+        ``store.hit``.
         """
         bundle = self.bundle_dir(graph, fam, params, backend_name)
-        if not (bundle / "meta.json").exists():
-            obs.add("store.miss", family=fam.name)
-            return None
         try:
             try:
-                meta = self._read_meta(bundle, strict=True)
+                meta = json.loads((bundle / "meta.json").read_text(encoding="utf-8"))
+            except FileNotFoundError:
+                obs.add("store.miss", family=fam.name)
+                return None
             except Exception as exc:
                 raise _BundleAnomaly("corrupt_manifest", str(exc)) from exc
             if (
@@ -314,23 +347,10 @@ class ArtifactStore:
                 or meta.get("graph", {}).get("digest") != graph.content_digest()
             ):
                 raise _BundleAnomaly("identity_mismatch")
-            arrays_by_name: dict[str, dict[str, np.ndarray]] = {}
-            for name, spec in meta.get("artifacts", {}).items():
-                fields = {}
-                for field, fspec in spec.items():
-                    try:
-                        arr = _load_array(bundle / fspec["file"])
-                    except FileNotFoundError as exc:
-                        raise _BundleAnomaly("missing_field", fspec["file"]) from exc
-                    except Exception as exc:
-                        raise _BundleAnomaly("corrupt_array", fspec["file"]) from exc
-                    if (
-                        str(arr.dtype) != fspec["dtype"]
-                        or list(arr.shape) != fspec["shape"]
-                    ):
-                        raise _BundleAnomaly("shape_mismatch", fspec["file"])
-                    fields[field] = arr
-                arrays_by_name[name] = fields
+            arrays_by_name = {
+                name: _map_artifact(bundle / f"{name}.bin", spec)
+                for name, spec in meta.get("artifacts", {}).items()
+            }
             try:
                 loaded = hydrate_arrays(graph, fam, arrays_by_name, params)
             except Exception as exc:
@@ -567,12 +587,10 @@ class ArtifactStore:
 
     # -- internals ------------------------------------------------------
     @staticmethod
-    def _read_meta(bundle: Path, strict: bool = False) -> dict | None:
+    def _read_meta(bundle: Path) -> dict | None:
         try:
             return json.loads((bundle / "meta.json").read_text(encoding="utf-8"))
         except Exception:
-            if strict:
-                raise
             return None
 
     @staticmethod
@@ -608,6 +626,70 @@ def _atomic_save_array(path: Path, arr: np.ndarray) -> None:
         os.replace(tmp, path)
     finally:
         tmp.unlink(missing_ok=True)
+
+
+def _atomic_write_fields(path: Path, arrays: list[tuple[int, np.ndarray]]) -> None:
+    """Write ``(offset, array)`` pairs as one raw file, zero-padded between."""
+    tmp = path.with_name(f"{path.name}.tmp{os.getpid()}")
+    try:
+        with open(tmp, "wb") as fh:
+            for offset, arr in arrays:
+                fh.write(bytes(offset - fh.tell()))
+                fh.write(arr.data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
+
+
+def _field_layout(fspec: dict) -> tuple[np.dtype, tuple[int, ...], int, int]:
+    """One manifest field entry as ``(dtype, shape, offset, nbytes)``."""
+    try:
+        dtype = np.dtype(fspec["dtype"])
+        shape = tuple(operator.index(d) for d in fspec["shape"])
+        offset = operator.index(fspec["offset"])
+        nbytes = operator.index(fspec["nbytes"])
+    except Exception as exc:
+        raise _BundleAnomaly("corrupt_manifest", f"field entry {fspec!r}") from exc
+    if min((offset, nbytes) + shape) < 0:
+        raise _BundleAnomaly("corrupt_manifest", f"field entry {fspec!r}")
+    if dtype.itemsize * math.prod(shape) != nbytes:
+        raise _BundleAnomaly("shape_mismatch", f"field entry {fspec!r}")
+    return dtype, shape, offset, nbytes
+
+
+def _map_artifact(path: Path, spec: dict) -> dict[str, np.ndarray]:
+    """Map one artifact file and view its fields, read-only.
+
+    One ``open``, one ``fstat`` and at most one ``mmap``; the descriptor is
+    closed at once (the map outlives it).  Zero-length fields become empty
+    arrays without a map.
+    """
+    layout = {field: _field_layout(fspec) for field, fspec in spec.items()}
+    end = max((offset + nbytes for _, _, offset, nbytes in layout.values()), default=0)
+    try:
+        fd = os.open(path, os.O_RDONLY)
+    except FileNotFoundError as exc:
+        raise _BundleAnomaly("missing_field", path.name) from exc
+    try:
+        size = os.fstat(fd).st_size
+        if size < end:
+            raise _BundleAnomaly("corrupt_array", f"{path.name}: {size} < {end} bytes")
+        if size > end:
+            raise _BundleAnomaly("shape_mismatch", f"{path.name}: {size} > {end} bytes")
+        buf = mmap.mmap(fd, size, access=mmap.ACCESS_READ) if size else None
+    finally:
+        os.close(fd)
+    fields = {}
+    for field, (dtype, shape, offset, nbytes) in layout.items():
+        if nbytes:
+            arr = np.frombuffer(
+                buf, dtype=dtype, count=nbytes // dtype.itemsize, offset=offset
+            ).reshape(shape)
+        else:
+            arr = np.empty(shape, dtype=dtype)
+            arr.setflags(write=False)
+        fields[field] = arr
+    return fields
 
 
 def _atomic_write_text(path: Path, text: str) -> None:

@@ -257,14 +257,17 @@ class TestStoreAnomalies:
         [
             (lambda b: (b / "meta.json").write_text("{not json"), "corrupt_manifest"),
             (
-                lambda b: sorted(b.glob("*.npy"))[0].write_bytes(
-                    sorted(b.glob("*.npy"))[0].read_bytes()[:40]
+                lambda b: sorted(b.glob("*.bin"))[0].write_bytes(
+                    sorted(b.glob("*.bin"))[0].read_bytes()[:40]
                 ),
                 "corrupt_array",
             ),
-            (lambda b: sorted(b.glob("*.npy"))[0].unlink(), "missing_field"),
+            (lambda b: sorted(b.glob("*.bin"))[0].unlink(), "missing_field"),
             (
-                lambda b: np.save(sorted(b.glob("*.npy"))[0], np.arange(3)),
+                # Three stray int64 values after the last field.
+                lambda b: sorted(b.glob("*.bin"))[0].write_bytes(
+                    sorted(b.glob("*.bin"))[0].read_bytes() + np.arange(3).tobytes()
+                ),
                 "shape_mismatch",
             ),
         ],

@@ -7,8 +7,9 @@ Three pillars:
   monkeypatched builders, same technique as ``test_index.py``).
 * **Invalidation** — anything that could change an answer routes to a
   different bundle (weight contents, family params, kernel backend,
-  format version) and anything that could corrupt one (truncated array,
-  mangled manifest, missing file) is discarded and rebuilt.  A cache can
+  format version) and anything that could corrupt one (truncated or
+  over-long artifact file, mangled manifest, missing file, a format 4
+  bundle) is discarded with its typed reason and rebuilt.  A cache can
   cost time, never correctness.
 * **Plumbing** — ``resolve_store`` / ``REPRO_CACHE_DIR`` semantics and
   the ``bestk cache {ls,clear,warm}`` CLI.
@@ -23,12 +24,12 @@ import pytest
 
 import repro.core.family as core_family
 import repro.engine.chain as chain
-from repro import BestKIndex
+from repro import BestKIndex, obs
 from repro.core import PAPER_METRICS
 from repro.engine import get_family
 from repro.graph import Graph
 from repro.index import ArtifactStore, resolve_store
-from repro.index.store import persisted_names
+from repro.index.store import FORMAT_VERSION, dump_artifact, persisted_names
 
 from conftest import random_graph
 
@@ -55,12 +56,31 @@ def _count_calls(monkeypatch, name: str, module=chain) -> list:
     return calls
 
 
+def _answer(r) -> tuple:
+    return (r.k, r.score.hex(), r.node_id, r.vertices.tolist())
+
+
 def _answers(index: BestKIndex) -> dict:
     out = {}
     for metric, r in index.best_set_all_metrics(PAPER_METRICS).items():
-        out[("set", metric)] = (r.k, r.score)
+        out[("set", metric)] = _answer(r)
     for metric, r in index.best_core_all_metrics(PAPER_METRICS).items():
-        out[("core", metric)] = (r.k, r.score, r.node_id)
+        out[("core", metric)] = _answer(r)
+    return out
+
+
+def _family_params(family: str, graph: Graph) -> dict:
+    if family == "weighted":
+        return {"edge_weights": np.random.default_rng(9).lognormal(size=graph.num_edges)}
+    return {}
+
+
+def _family_answers(index: BestKIndex, family: str, params: dict) -> dict:
+    """Problem 1 and Problem 2 for every batch metric of one family."""
+    out = {}
+    for metric in get_family(family).batch_metrics:
+        out[("level", metric)] = _answer(index.best_level(family, metric, **params))
+        out[("node", metric)] = _answer(index.best_node(family, metric, **params))
     return out
 
 
@@ -98,6 +118,57 @@ class TestWarmStart:
             assert np.array_equal(
                 cold_scores[m], warm.set_scores(m).scores, equal_nan=True
             )
+
+    @pytest.mark.parametrize("family", ["core", "truss", "weighted", "ecc"])
+    def test_hydrated_artifacts_are_byte_identical(self, graph, store, family):
+        fam = get_family(family)
+        params = _family_params(family, graph)
+        cold = BestKIndex(graph, jobs=1, store=False)
+        expected = _family_answers(cold, family, params)
+        assert _family_answers(BestKIndex(graph, jobs=1, store=store), family, params) == expected
+        warm = BestKIndex(graph, jobs=1, store=store)
+        assert _family_answers(warm, family, params) == expected
+        names = persisted_names(fam)
+        assert all(warm.build_seconds[f"{family}:{name}"] == 0.0 for name in names)
+        dtypes = set()
+        for name in names:
+            want = dump_artifact(fam, name, cold.artifact(family, name, **params))
+            got = dump_artifact(fam, name, warm.artifact(family, name, **params))
+            assert list(got) == list(want)
+            for field, arr in want.items():
+                assert got[field].dtype == arr.dtype and got[field].shape == arr.shape
+                assert np.asarray(got[field]).tobytes() == np.asarray(arr).tobytes()
+                dtypes.add(arr.dtype)
+        if family == "weighted":
+            assert np.dtype(np.float64) in dtypes
+        # ``bestk cache ls`` reads these: artifact names and bytes on disk.
+        (info,) = store.bundles()
+        assert info.family == family
+        assert info.artifacts == tuple(sorted(names))
+        files = sorted(p.name for p in info.path.iterdir())
+        assert files == sorted(["meta.json", *(f"{name}.bin" for name in names)])
+        assert info.nbytes == sum((info.path / f).stat().st_size for f in files)
+        meta = json.loads((info.path / "meta.json").read_text())
+        assert all(
+            fspec["offset"] % 64 == 0
+            for spec in meta["artifacts"].values() for fspec in spec.values()
+        )
+
+    def test_hydrated_arrays_are_read_only(self, graph, store):
+        cold = BestKIndex(graph, jobs=1, store=store)
+        cold.best_set("average_degree")
+        cold.best_core("average_degree")
+        warm = BestKIndex(graph, jobs=1, store=store)
+        coreness = warm.artifact("core", "decompose").coreness
+        assert warm.build_seconds["core:decompose"] == 0.0
+        with pytest.raises(ValueError):
+            coreness[0] = 1
+        # The raw field views themselves, not just flags an artifact sets.
+        loaded = store.load_bundle(graph, get_family("core"), {}, cold.backend_name)
+        for arr in (*loaded["level_totals"], *loaded["node_totals"]):
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0] = 1
 
     def test_parallel_prebuild_populates_the_store(self, graph, store):
         par = BestKIndex(graph, jobs=2, store=store)
@@ -181,36 +252,87 @@ class TestCorruption:
         index = BestKIndex(graph, jobs=1, store=store)
         return _answers(index)
 
-    def _assert_rebuilds(self, graph, store, expected) -> None:
+    def _assert_rebuilds(self, graph, store, expected, reason) -> None:
+        """One discard typed ``reason``, then the same answers, rebuilt."""
+        obs.reset()
         index = BestKIndex(graph, jobs=1, store=store)
         assert _answers(index) == expected
-        assert index.total_build_seconds() > 0.0  # it really rebuilt
+        assert index.build_seconds["core:decompose"] > 0.0  # it really rebuilt
+        assert obs.counter("store.discard", family="core", reason=reason) == 1
+        assert obs.counter_total("store.discard") == 1
 
     def test_corrupt_manifest(self, graph, store):
         expected = self._seed(graph, store)
         bundle = store.bundles()[0].path
         (bundle / "meta.json").write_text("{not json")
-        self._assert_rebuilds(graph, store, expected)
+        self._assert_rebuilds(graph, store, expected, "corrupt_manifest")
 
     def test_truncated_array_file(self, graph, store):
         expected = self._seed(graph, store)
         bundle = store.bundles()[0].path
-        target = sorted(bundle.glob("*.npy"))[0]
+        target = sorted(bundle.glob("*.bin"))[0]
         target.write_bytes(target.read_bytes()[: 40])
-        self._assert_rebuilds(graph, store, expected)
+        self._assert_rebuilds(graph, store, expected, "corrupt_array")
 
     def test_missing_array_file(self, graph, store):
         expected = self._seed(graph, store)
         bundle = store.bundles()[0].path
-        sorted(bundle.glob("*.npy"))[0].unlink()
-        self._assert_rebuilds(graph, store, expected)
+        sorted(bundle.glob("*.bin"))[0].unlink()
+        self._assert_rebuilds(graph, store, expected, "missing_field")
 
     def test_shape_mismatch(self, graph, store):
         expected = self._seed(graph, store)
         bundle = store.bundles()[0].path
-        target = sorted(bundle.glob("*.npy"))[0]
-        np.save(target, np.arange(3, dtype=np.int64))
-        self._assert_rebuilds(graph, store, expected)
+        target = sorted(bundle.glob("*.bin"))[0]
+        # Three stray int64 values after the last declared field.
+        target.write_bytes(target.read_bytes() + np.arange(3, dtype=np.int64).tobytes())
+        self._assert_rebuilds(graph, store, expected, "shape_mismatch")
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda fspec, size: fspec.update(offset=size + 64), "corrupt_array"),
+            (lambda fspec, size: fspec.update(nbytes=fspec["nbytes"] + 8), "shape_mismatch"),
+            (lambda fspec, size: fspec.update(offset=-64), "corrupt_manifest"),
+        ],
+        ids=["offset_past_end", "nbytes_not_dtype_times_shape", "negative_offset"],
+    )
+    def test_field_entry_anomaly(self, graph, store, edit, reason):
+        expected = self._seed(graph, store)
+        bundle = store.bundles()[0].path
+        meta = json.loads((bundle / "meta.json").read_text())
+        name = sorted(meta["artifacts"])[0]
+        fspec = next(iter(meta["artifacts"][name].values()))
+        edit(fspec, (bundle / f"{name}.bin").stat().st_size)
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        self._assert_rebuilds(graph, store, expected, reason)
+
+    def test_format_4_bundle_is_discarded(self, graph, store):
+        # The layout before raw artifact files: one .npy per field and a
+        # version 4 manifest naming each file.
+        fam = get_family("core")
+        cold = BestKIndex(graph, jobs=1, store=False)
+        expected = _answers(cold)
+        bundle = store.bundle_dir(graph, fam, {}, cold.backend_name)
+        bundle.mkdir(parents=True)
+        artifacts = {}
+        for name in persisted_names(fam):
+            spec = {}
+            for field, arr in dump_artifact(fam, name, cold.artifact("core", name)).items():
+                np.save(bundle / f"{name}.{field}.npy", arr)
+                spec[field] = {
+                    "file": f"{name}.{field}.npy", "dtype": str(arr.dtype), "shape": list(arr.shape),
+                }
+            artifacts[name] = spec
+        meta = {
+            "format": 4, "family": "core", "backend": cold.backend_name,
+            "graph": {"digest": graph.content_digest(), "n": graph.num_vertices, "m": graph.num_edges},
+            "token": None, "artifacts": artifacts,
+        }
+        (bundle / "meta.json").write_text(json.dumps(meta))
+        self._assert_rebuilds(graph, store, expected, "identity_mismatch")
+        assert json.loads((bundle / "meta.json").read_text())["format"] == FORMAT_VERSION
+        assert not list(bundle.glob("*.npy"))
 
 
 class TestPlumbing:
