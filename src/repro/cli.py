@@ -22,7 +22,7 @@ Installed as the ``bestk`` console script (also ``python -m repro``):
 * ``bestk experiment NAME``            — regenerate a paper table/figure
 * ``bestk report [--out DIR]``         — all experiments into one REPORT.md
 * ``bestk datasets``                   — list the stand-in registry
-* ``bestk cache {ls,clear,warm}``      — manage the persistent artifact cache
+* ``bestk cache {ls,clear,prune,warm}`` — manage the persistent artifact cache
 * ``bestk bench {list,run,compare,update-baseline}`` — the closed-loop
   scenario harness: sweep the registered benchmark scenarios
   (``run --quick`` for the CI subset), compare a sweep against the
@@ -306,6 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     pc.add_argument("--cache-dir", default=None,
                     help="cache directory (default: REPRO_CACHE_DIR)")
     pc = cache_sub.add_parser("clear", help="delete every cached bundle")
+    pc.add_argument("--cache-dir", default=None,
+                    help="cache directory (default: REPRO_CACHE_DIR)")
+    pc = cache_sub.add_parser(
+        "prune", help="delete bundles and epoch records of another store format"
+    )
     pc.add_argument("--cache-dir", default=None,
                     help="cache directory (default: REPRO_CACHE_DIR)")
     pc = cache_sub.add_parser(
@@ -654,6 +659,10 @@ def _cmd_cache(args) -> int:
     if args.cache_command == "clear":
         removed = store.clear()
         print(f"removed {removed} bundle(s) from {store.root}")
+        return 0
+    if args.cache_command == "prune":
+        removed = store.prune()
+        print(f"removed {removed} stale bundle(s) or epoch record(s) from {store.root}")
         return 0
     # warm: prebuild every persistable artifact (batch metrics, so the
     # triangle pass is included, plus every family's Problem 2 forest) so

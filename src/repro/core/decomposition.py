@@ -16,6 +16,8 @@ algorithm in this package needs:
 * ``kmax`` — graph degeneracy (largest non-empty core);
 * ``order`` — vertices sorted by ascending coreness (bin sort, paper III-A),
   with ``shell_start`` giving O(1) slicing of any shell or k-core set;
+  sorted on first access, so a store-hydrated decomposition whose ordering
+  was hydrated beside it never sorts;
 * ``peel_order`` — the exact removal sequence (a degeneracy ordering), used
   by the clique solver and by the LCPS tie-breaking tests.  The frontier
   formulation has no single removal sequence, so under the vectorised
@@ -49,11 +51,11 @@ class CoreDecomposition:
     coreness: np.ndarray
     #: Exact peeling sequence; ``None`` until first ``peel_order`` access.
     _peel_order: np.ndarray | None = None
-    #: Vertices sorted by ascending coreness, ties by ascending id.
-    order: np.ndarray = field(init=False)
     #: ``order[shell_start[k]:shell_start[k+1]]`` is the k-shell;
     #: ``order[shell_start[k]:]`` is the vertex set of the k-core set.
     shell_start: np.ndarray = field(init=False)
+    #: Bin-sorted vertex order; ``None`` until first ``order`` access.
+    _order: np.ndarray | None = field(default=None, init=False)
 
     def __post_init__(self) -> None:
         coreness = self.coreness
@@ -61,18 +63,26 @@ class CoreDecomposition:
         counts = np.bincount(coreness, minlength=kmax + 1) if len(coreness) else np.zeros(1, np.int64)
         shell_start = np.zeros(kmax + 2, dtype=np.int64)
         np.cumsum(counts, out=shell_start[1:])
-        # Stable sort by coreness keeps ids ascending within a shell.  For
-        # 16-bit keys numpy's stable sort is a radix sort: O(n), same order.
-        keys = coreness.astype(np.uint16) if kmax < 2**16 else coreness
-        order = np.argsort(keys, kind="stable").astype(np.int64, copy=False)
-        object.__setattr__(self, "order", order)
         object.__setattr__(self, "shell_start", shell_start)
-        arrays = (self.coreness, self._peel_order, order, shell_start)
-        for arr in arrays:
+        for arr in (self.coreness, self._peel_order, shell_start):
             if arr is not None:
                 arr.setflags(write=False)
 
     # ------------------------------------------------------------------
+    @property
+    def order(self) -> np.ndarray:
+        """Vertices sorted by ascending coreness, ties by ascending id.
+
+        Built on first access: a decomposition hydrated from the artifact
+        store next to its ordering answers every query without it.
+        """
+        order = self._order
+        if order is None:
+            order = _coreness_order(self.coreness, self.kmax)
+            order.setflags(write=False)
+            object.__setattr__(self, "_order", order)
+        return order
+
     @property
     def peel_order(self) -> np.ndarray:
         """Exact bucket-peel removal sequence (a degeneracy ordering).
@@ -112,10 +122,18 @@ class CoreDecomposition:
         """``|V(C_k)|`` in O(1)."""
         if k > self.kmax:
             return 0
-        return int(len(self.order) - self.shell_start[max(k, 0)])
+        return int(len(self.coreness) - self.shell_start[max(k, 0)])
 
     def __repr__(self) -> str:
         return f"CoreDecomposition(n={len(self.coreness)}, kmax={self.kmax})"
+
+
+def _coreness_order(coreness: np.ndarray, kmax: int) -> np.ndarray:
+    """Vertices sorted by ascending coreness, ties by ascending id."""
+    # Stable sort by coreness keeps ids ascending within a shell.  For
+    # 16-bit keys numpy's stable sort is a radix sort: O(n), same order.
+    keys = coreness.astype(np.uint16) if kmax < 2**16 else coreness
+    return np.argsort(keys, kind="stable").astype(np.int64, copy=False)
 
 
 def core_decomposition(

@@ -43,8 +43,8 @@ class CoreFamily(HierarchyFamily):
         return order_vertices(graph, decomposition, base=base, touched=touched)
 
     def dump_decomposition(self, decomposition: CoreDecomposition):
-        # order/shell_start are derived in __post_init__, peel_order is
-        # lazy; the coreness array alone reconstructs everything.
+        # shell_start is derived in __post_init__, order and peel_order
+        # are lazy; the coreness array alone reconstructs everything.
         return {"coreness": decomposition.coreness}
 
     def load_decomposition(self, graph, arrays, **params) -> CoreDecomposition:

@@ -57,7 +57,7 @@ class Graph:
         round-tripped graph recomputes the pure content digest.
     """
 
-    __slots__ = ("_indptr", "_indices", "_degrees", "_digest")
+    __slots__ = ("_indptr", "_indices", "_degrees", "_digest", "_validated")
 
     def __init__(
         self, indptr: np.ndarray, indices: np.ndarray, *,
@@ -65,16 +65,22 @@ class Graph:
     ):
         indptr = np.ascontiguousarray(indptr, dtype=np.int64)
         indices = np.ascontiguousarray(indices, dtype=np.int64)
+        # Cached once: every decomposition/ordering/stats pass reads degrees,
+        # and int64 diff of indptr is already the canonical dtype.  The
+        # validation reuses the same diff.
         if validate:
-            _check_shape(indptr, indices)
+            degrees = _check_shape(indptr, indices)
+        else:
+            degrees = np.diff(indptr)
         self._indptr = indptr
         self._indices = indices
         self._indptr.setflags(write=False)
         self._indices.setflags(write=False)
-        # Cached once: every decomposition/ordering/stats pass reads degrees,
-        # and int64 diff of indptr is already the canonical dtype.
-        self._degrees = np.diff(indptr)
+        self._degrees = degrees
         self._degrees.setflags(write=False)
+        # A validated graph has every id in [0, n) and indptr within
+        # [0, len(indices)], which content_digest uses to skip a range scan.
+        self._validated = validate
         # Content digest is lazy: hashing is O(m) and most graphs are never
         # used as a persistent-cache key.  A caller-provided digest (epoch
         # stamping) short-circuits the hash.
@@ -211,12 +217,31 @@ class Graph:
         epoch-qualified digest (``digest=`` construction parameter), so
         store bundles of different epochs never alias even when their CSR
         content happens to coincide.
+
+        The hashed message is a preamble, ``b"csr:i4"`` or ``b"csr:i8"``
+        (the width tag) followed by ``n`` and ``len(indices)`` as int64,
+        then ``indptr`` and ``indices`` at that width, little-endian.  The
+        int32 width is used when narrowing is lossless: ``n``,
+        ``len(indices)`` and every value of both arrays lie in
+        ``[0, 2**31)``.  A validated graph has that from its checks (ids
+        in ``[0, n)``, row pointers in ``[0, len(indices)]``); any other
+        graph is range-scanned here.  The encoding is injective over every
+        :class:`Graph`, ``validate=False`` ones included: the tag fixes
+        the width, the two lengths fix where each array ends, and a value
+        outside the int32 range forces the int64 width, so it can never
+        alias a narrowed value.  The arrays are hashed in place; only the
+        narrowing makes a half-size int32 copy.
         """
         if self._digest is None:
-            h = hashlib.sha256()
-            h.update(np.int64(self.num_vertices).tobytes())
-            h.update(self._indptr.tobytes())
-            h.update(self._indices.tobytes())
+            indptr, indices = self._indptr, self._indices
+            narrow = self.num_vertices < 2**31 and len(indices) < 2**31 and (
+                self._validated or (_fits_int32(indptr) and _fits_int32(indices))
+            )
+            width = "<i4" if narrow else "<i8"
+            h = hashlib.sha256(b"csr:i4" if narrow else b"csr:i8")
+            h.update(np.array([self.num_vertices, len(indices)], dtype="<i8"))
+            h.update(indptr.astype(width, copy=False))
+            h.update(indices.astype(width, copy=False))
             self._digest = h.hexdigest()
         return self._digest
 
@@ -334,13 +359,29 @@ def arc_positions(
         hi = np.where(open_ & ~go, mid, hi)
 
 
-def _check_shape(indptr: np.ndarray, indices: np.ndarray) -> None:
-    """Cheap structural checks run on every public construction."""
+def _check_shape(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
+    """Cheap structural checks run on every public construction.
+
+    Returns the degrees, ``np.diff(indptr)``, which the monotonicity check
+    computes anyway.  The id range is one reduction: viewed as uint64 a
+    negative id is at least ``2**63``, so ``max < n`` rejects it too.
+    """
     if indptr.ndim != 1 or len(indptr) < 1:
         raise GraphFormatError("indptr must be a 1-D array of length >= 1")
     if indptr[0] != 0 or indptr[-1] != len(indices):
         raise GraphFormatError("indptr must start at 0 and end at len(indices)")
-    if len(indptr) > 1 and (np.diff(indptr) < 0).any():
+    degrees = np.diff(indptr)
+    if len(degrees) and degrees.min() < 0:
         raise GraphFormatError("indptr must be non-decreasing")
-    if len(indices) and (indices.min() < 0 or indices.max() >= len(indptr) - 1):
+    if len(indices) and indices.view(np.uint64).max() >= len(indptr) - 1:
         raise GraphFormatError("adjacency index out of range")
+    return degrees
+
+
+def _fits_int32(arr: np.ndarray) -> bool:
+    """Whether every value of an int64 array lies in ``[0, 2**31)``.
+
+    Viewed as uint64 a negative value is at least ``2**63``, so one
+    reduction bounds both ends.
+    """
+    return not len(arr) or int(arr.view(np.uint64).max()) < 2**31

@@ -45,6 +45,8 @@ indistinguishable from a cold miss:
 ``shape_mismatch``     an artifact file longer than declared, or an
                        entry whose dtype × shape is not its ``nbytes``
 ``hydrate_error``      the arrays do not rebuild the artifact
+``stale_format``       :meth:`ArtifactStore.prune` only: a bundle or
+                       epoch record of another format version
 =====================  ===============================================
 
 Clean outcomes count too: ``store.hit``, ``store.miss`` and
@@ -104,10 +106,17 @@ __all__ = [
 #: Version 5: one raw ``<artifact>.bin`` file per artifact, its fields
 #: placed by the manifest's ``offset``/``nbytes``, in place of one ``.npy``
 #: file per field.
-FORMAT_VERSION = 5
+#: Version 6: :meth:`~repro.graph.csr.Graph.content_digest` hashes the CSR
+#: as int32 behind a width tag when that is lossless, which changes every
+#: bundle key and every lineage an epoch record is filed under.
+FORMAT_VERSION = 6
 
 #: Alignment of every field's offset inside an artifact file.
 _ALIGN = 64
+
+#: Directory name prefixes of the root's two non-bundle kinds.
+_SHARD_PREFIX = "shardstate-"
+_EPOCHS_PREFIX = "epochs-"
 
 logger = logging.getLogger(__name__)
 
@@ -386,7 +395,7 @@ class ArtifactStore:
         arbitrary strings are filesystem-safe.
         """
         digest = hashlib.sha256(key.encode()).hexdigest()
-        return self.root / f"shardstate-{digest[:20]}"
+        return self.root / f"{_SHARD_PREFIX}{digest[:20]}"
 
     def save_shard_state(self, key: str, estimate: np.ndarray, round_: int) -> None:
         """Persist the fixpoint state (whole estimate vector + round).
@@ -444,7 +453,7 @@ class ArtifactStore:
     # -- epoch snapshots (repro.dynamic lineages) -----------------------
     def epochs_dir(self, lineage: str) -> Path:
         """Directory grouping every epoch record of one graph lineage."""
-        return self.root / f"epochs-{lineage[:20]}"
+        return self.root / f"{_EPOCHS_PREFIX}{lineage[:20]}"
 
     def save_epoch(self, versioned: VersionedGraph) -> Path:
         """Persist one epoch's CSR snapshot so warm restarts can resume it.
@@ -573,6 +582,39 @@ class ArtifactStore:
                 path=path,
             ))
         return out
+
+    def prune(self) -> int:
+        """Delete every bundle and epoch record of another format.
+
+        A format bump changes every bundle key (the key hashes the
+        version), so older bundles are never opened again; this removes
+        them, and epoch records likewise, along with any whose manifest
+        cannot be read (a write cut short).  Each removal counts as
+        ``store.discard`` with reason ``stale_format``, or
+        ``corrupt_manifest`` for an unreadable manifest.  Shard-state
+        checkpoints are left alone: they carry no format.  Nothing calls
+        this on open, so a restart never pays for it; like :meth:`clear`
+        it is meant for a store no writer is using.  Returns the number
+        removed.
+        """
+        removed = 0
+        for path in sorted(p for p in self.root.iterdir() if p.is_dir()):
+            if path.name.startswith(_SHARD_PREFIX):
+                continue
+            if path.name.startswith(_EPOCHS_PREFIX):
+                family, targets = "dynamic", [p for p in path.iterdir() if p.is_dir()]
+            else:
+                family, targets = path.name.split("-", 1)[0], [path]
+            for target in targets:
+                meta = self._read_meta(target)
+                if meta is not None and meta.get("format") == FORMAT_VERSION:
+                    continue
+                reason = "corrupt_manifest" if meta is None else "stale_format"
+                obs.add("store.discard", family=family, reason=reason)
+                logger.info("pruning %s: %s", target.name, reason)
+                self._discard(target)
+                removed += 1
+        return removed
 
     def clear(self) -> int:
         """Delete every bundle directory; returns the number removed."""

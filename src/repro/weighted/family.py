@@ -146,8 +146,10 @@ class WeightedFamily(HierarchyFamily):
         # array can never hit a stale one.
         if edge_weights is None:
             raise TypeError("the weighted family requires edge_weights=")
+        # The contiguous float64 buffer is hashed in place: the same bytes
+        # as ``tobytes()``, without the copy.
         weights = np.ascontiguousarray(edge_weights, dtype=np.float64)
-        digest = hashlib.sha256(weights.tobytes()).hexdigest()
+        digest = hashlib.sha256(weights).hexdigest()
         return f"w={digest}:L={int(num_levels)}"
 
     def dump_decomposition(self, decomposition: WeightedDecomposition):

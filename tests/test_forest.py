@@ -8,6 +8,7 @@ from collections import deque
 import numpy as np
 import pytest
 
+import repro.engine.forest as forest_module
 from repro.core import (
     best_single_kcore,
     build_core_forest,
@@ -470,6 +471,28 @@ class TestQueries:
     def test_repr(self, figure2):
         forest = build_core_forest(figure2)
         assert "nodes=3" in repr(forest)
+
+    @zoo_params()
+    @pytest.mark.parametrize("branch", ["sort", "mask"])
+    def test_component_vertices_both_branches(self, graph, branch, monkeypatch):
+        # Force one branch for every node: the sort by an unreachable
+        # minimum size, the mask by a zero minimum and a share of n + 1.
+        if branch == "sort":
+            monkeypatch.setattr(forest_module, "_MASK_MIN", graph.num_vertices + 1)
+        else:
+            monkeypatch.setattr(forest_module, "_MASK_MIN", 0)
+            monkeypatch.setattr(forest_module, "_MASK_SHARE", graph.num_vertices + 1)
+        forest = build_core_forest(graph)
+        for node_id in range(forest.num_nodes):
+            subtree, stack = [], [node_id]
+            while stack:
+                i = stack.pop()
+                subtree.append(i)
+                stack.extend(forest.children[i])
+            expected = np.sort(np.concatenate([forest.nodes[i].vertices for i in subtree]))
+            got = forest.component_vertices(node_id)
+            assert got.dtype == expected.dtype
+            assert np.array_equal(got, expected)
 
 
 #: The degenerate graphs plus seeded sparse Chung–Lu graphs, each of which

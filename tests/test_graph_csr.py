@@ -1,5 +1,8 @@
 """Unit tests for the CSR graph representation."""
 
+import hashlib
+import pickle
+
 import numpy as np
 import pytest
 
@@ -64,6 +67,17 @@ class TestConstruction:
     def test_out_of_range_index_rejected(self):
         with pytest.raises(GraphFormatError):
             Graph(np.array([0, 1, 2]), np.array([5, 0]))
+
+    @pytest.mark.parametrize("bad", [-1, 2, 2**32, -(2**63)])
+    def test_negative_and_too_large_ids_rejected(self, bad):
+        # The range check is one uint64 reduction: negatives wrap above n.
+        with pytest.raises(GraphFormatError, match="adjacency index out of range"):
+            Graph(np.array([0, 1, 2]), np.array([1, bad]))
+
+    def test_degrees_are_the_validated_diff(self, figure2):
+        g = Graph(figure2.indptr, figure2.indices)
+        assert np.array_equal(g.degrees(), np.diff(figure2.indptr))
+        assert not g.degrees().flags.writeable
 
 
 def shuffled_edges(n: int, m: int, seed: int) -> np.ndarray:
@@ -231,3 +245,54 @@ class TestPickle:
             clone = pickle.loads(pickle.dumps(g))
             assert clone == g
             assert clone.num_vertices == g.num_vertices
+
+
+class TestContentDigest:
+    """The store key: SHA-256 over a width-tagged, injective CSR encoding."""
+
+    def test_validated_unvalidated_and_pickled_agree(self, figure2):
+        indptr, indices = np.array(figure2.indptr), np.array(figure2.indices)
+        validated = Graph(indptr.copy(), indices.copy())
+        unvalidated = Graph(indptr.copy(), indices.copy(), validate=False)
+        clone = pickle.loads(pickle.dumps(validated))
+        digests = {g.content_digest() for g in (validated, unvalidated, clone)}
+        assert len(digests) == 1
+
+    def test_narrow_encoding_is_pinned(self, figure2):
+        # int32 arrays behind the "csr:i4" tag and the two int64 lengths.
+        h = hashlib.sha256(b"csr:i4")
+        h.update(np.array([figure2.num_vertices, len(figure2.indices)], "<i8").tobytes())
+        h.update(figure2.indptr.astype("<i4").tobytes())
+        h.update(figure2.indices.astype("<i4").tobytes())
+        assert figure2.content_digest() == h.hexdigest()
+
+    def test_wide_values_never_alias_narrowed_ones(self):
+        indptr = np.array([0, 1, 2])
+        low = Graph(indptr, np.array([1, 0]), validate=False)
+        high = Graph(indptr, np.array([1 + 2**32, 0]), validate=False)
+        negative = Graph(indptr, np.array([1 - 2**32, 0]), validate=False)
+        assert len({g.content_digest() for g in (low, high, negative)}) == 3
+        # The out-of-range graph is hashed at int64 width.
+        h = hashlib.sha256(b"csr:i8")
+        h.update(np.array([2, 2], "<i8").tobytes())
+        h.update(indptr.astype("<i8").tobytes())
+        h.update(np.array([1 + 2**32, 0], "<i8").tobytes())
+        assert high.content_digest() == h.hexdigest()
+
+    def test_wide_row_pointers_never_alias(self):
+        indices = np.array([1, 0])
+        low = Graph(np.array([0, 1, 2]), indices, validate=False)
+        high = Graph(np.array([0, 1 + 2**32, 2]), indices, validate=False)
+        assert low.content_digest() != high.content_digest()
+
+    def test_isolated_vertex_changes_the_digest(self, figure2):
+        indptr = np.append(figure2.indptr, figure2.indptr[-1])
+        grown = Graph(indptr, figure2.indices)
+        assert grown.num_vertices == figure2.num_vertices + 1
+        assert grown.content_digest() != figure2.content_digest()
+
+    def test_array_boundary_is_part_of_the_encoding(self):
+        # Same bytes concatenated, split differently between the arrays.
+        a = Graph(np.array([0, 0]), np.array([0]), validate=False)
+        b = Graph(np.array([0]), np.array([0, 0]), validate=False)
+        assert a.content_digest() != b.content_digest()

@@ -268,9 +268,9 @@ class TestEpochStore:
         assert resumed is not None and resumed.epoch == 1
 
     # 3 is the format before the bump that dropped the core-only ordering
-    # artifact and 4 the one before raw artifact files: their records are
-    # stale too.
-    @pytest.mark.parametrize("format_number", [2, 3, 4, FORMAT_VERSION])
+    # artifact, 4 the one before raw artifact files and 5 the one before
+    # the int32 content digest: their records are stale too.
+    @pytest.mark.parametrize("format_number", [2, 3, 4, 5, FORMAT_VERSION])
     def test_format_2_epoch_record_is_never_misread(
         self, figure2, tmp_path, format_number
     ):

@@ -12,20 +12,22 @@ Three pillars:
   bundle) is discarded with its typed reason and rebuilt.  A cache can
   cost time, never correctness.
 * **Plumbing** — ``resolve_store`` / ``REPRO_CACHE_DIR`` semantics and
-  the ``bestk cache {ls,clear,warm}`` CLI.
+  the ``bestk cache {ls,clear,prune,warm}`` CLI.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 
 import numpy as np
 import pytest
 
+import repro.core.decomposition as decomposition_module
 import repro.core.family as core_family
 import repro.engine.chain as chain
 from repro import BestKIndex, obs
-from repro.core import PAPER_METRICS
+from repro.core import PAPER_METRICS, core_decomposition
 from repro.engine import get_family
 from repro.graph import Graph
 from repro.index import ArtifactStore, resolve_store
@@ -109,6 +111,33 @@ class TestWarmStart:
         assert warm.hydrate_seconds > 0.0
         # Hydrated artifacts keep the built == timed invariant at zero cost.
         assert set(warm.build_seconds) == set(warm.built_artifacts())
+
+    def test_hydrated_decomposition_equals_a_cold_one(self, graph, store):
+        BestKIndex(graph, jobs=1, store=store).best_set("average_degree")
+        warm = BestKIndex(graph, jobs=1, store=store)
+        hydrated = warm.artifact("core", "decompose")
+        assert warm.build_seconds["core:decompose"] == 0.0  # really hydrated
+        cold = core_decomposition(graph)
+        assert hydrated.kmax == cold.kmax
+        assert np.array_equal(hydrated.shell_start, cold.shell_start)
+        assert np.array_equal(hydrated.order, cold.order)
+        assert not hydrated.order.flags.writeable
+
+    def test_warm_restart_never_sorts_the_vertex_order(self, graph, store, monkeypatch):
+        # The 12 paper queries: both problems for the six paper metrics.
+        def twelve(index):
+            return [
+                _answer(query("core", m))
+                for m in PAPER_METRICS for query in (index.best_level, index.best_node)
+            ]
+
+        calls = _count_calls(monkeypatch, "_coreness_order", decomposition_module)
+        expected = twelve(BestKIndex(graph, jobs=1, store=store))
+        assert calls, "the cold build sorts the order once"
+        calls.clear()
+        restarted = Graph(np.array(graph.indptr), np.array(graph.indices))
+        assert twelve(BestKIndex(restarted, jobs=1, store=store)) == expected
+        assert calls == []
 
     def test_warm_scores_arrays_equal(self, graph, store):
         cold = BestKIndex(graph, jobs=1, store=store)
@@ -231,6 +260,14 @@ class TestInvalidation:
         plain = BestKIndex(g, jobs=1, store=False)
         r_plain = plain.best_level("ecc", "average_degree", max_k=2)
         assert (r_cold.k, r_cold.score) == (r_warm.k, r_warm.score) == (r_plain.k, r_plain.score)
+
+    def test_weighted_token_hashes_the_weight_bytes(self, graph):
+        fam = get_family("weighted")
+        w = np.random.default_rng(9).lognormal(size=graph.num_edges)
+        token = fam.store_token(edge_weights=w, num_levels=16)
+        assert token == f"w={hashlib.sha256(w.tobytes()).hexdigest()}:L=16"
+        # A strided input hashes its contiguous copy: the same bytes.
+        assert fam.store_token(edge_weights=np.repeat(w, 2)[::2], num_levels=16) == token
 
     def test_format_version_mismatch_discards(self, graph, store):
         fam = get_family("core")
@@ -379,6 +416,43 @@ class TestPlumbing:
         assert store.clear() >= 1
         assert store.bundles() == []
 
+    def test_prune_removes_exactly_the_stale_entries(self, graph, store):
+        from repro.dynamic import GraphDelta
+
+        index = BestKIndex(graph, jobs=1, store=store)
+        _answers(index)
+        index.apply(GraphDelta.from_edges(insert=[(0, graph.num_vertices - 1)]))
+        index.best_set("average_degree")
+        current = {p.relative_to(store.root) for p in store.root.rglob("meta.json")}
+        assert any(p.parts[0].startswith("epochs-") for p in current)
+        # One hand-written format 5 bundle and one format 5 epoch record.
+        old_bundle = store.root / "core-0123456789abcdef0123"
+        old_bundle.mkdir()
+        (old_bundle / "meta.json").write_text(json.dumps({"format": 5, "family": "core"}))
+        (old_bundle / "decompose.bin").write_bytes(bytes(64))
+        lineage = index.versioned.lineage
+        old_epoch = store.epochs_dir(lineage) / "epoch-000009"
+        old_epoch.mkdir()
+        (old_epoch / "meta.json").write_text(json.dumps({"format": 5, "lineage": lineage}))
+        # A shard-state checkpoint carries no format and must survive.
+        store.save_shard_state("edges.txt", np.arange(3), 1)
+        obs.reset()
+        assert store.prune() == 2
+        assert not old_bundle.exists() and not old_epoch.exists()
+        assert current <= {p.relative_to(store.root) for p in store.root.rglob("meta.json")}
+        assert store.load_shard_state("edges.txt")[1] == 1
+        assert obs.counter("store.discard", family="core", reason="stale_format") == 1
+        assert obs.counter("store.discard", family="dynamic", reason="stale_format") == 1
+        assert obs.counter_total("store.discard") == 2
+        assert store.prune() == 0
+
+    def test_prune_removes_an_unreadable_manifest(self, graph, store):
+        BestKIndex(graph, jobs=1, store=store).best_set("average_degree")
+        bundle = store.bundles()[0].path
+        (bundle / "meta.json").write_text("{not json")
+        assert store.prune() == 1
+        assert not bundle.exists()
+
     def test_empty_graph_round_trip(self, store):
         for empty in (Graph.empty(0), Graph.empty(5)):
             cold = BestKIndex(empty, jobs=1, store=store)
@@ -413,6 +487,9 @@ class TestCacheCli:
         assert main(["cache", "ls", "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
         assert "2 bundle(s)" in out
+
+        assert main(["cache", "prune", "--cache-dir", cache]) == 0
+        assert "removed 0 stale" in capsys.readouterr().out
 
         assert main(["cache", "clear", "--cache-dir", cache]) == 0
         out = capsys.readouterr().out
