@@ -17,9 +17,9 @@ Run:  python examples/weighted_cores.py
 import numpy as np
 
 from repro.bench.figures import sparkline
-from repro.engine import best_level_set, family_set_scores
+from repro.engine import WEIGHTED_METRICS, best_level_set, family_set_scores
 from repro.generators import powerlaw_chung_lu
-from repro.weighted import available_weighted_metrics, s_core_decomposition
+from repro.weighted import s_core_decomposition
 
 
 def main() -> None:
@@ -34,7 +34,7 @@ def main() -> None:
     print(f"innermost s-core has {len(decomp.s_core_vertices(decomp.smax))} vertices\n")
 
     params = {"edge_weights": weights, "num_levels": 48}
-    for metric in available_weighted_metrics():
+    for metric in WEIGHTED_METRICS:
         result = best_level_set(graph, "weighted", metric, decomposition=decomp, **params)
         print(f"{metric:28s} best s = {result.s:8.3f}  score = {result.score:10.4f}  "
               f"|V| = {len(result.vertices)}")

@@ -305,7 +305,9 @@ def build_parser() -> argparse.ArgumentParser:
     pc = cache_sub.add_parser("ls", help="list cached bundles")
     pc.add_argument("--cache-dir", default=None,
                     help="cache directory (default: REPRO_CACHE_DIR)")
-    pc = cache_sub.add_parser("clear", help="delete every cached bundle")
+    pc = cache_sub.add_parser(
+        "clear", help="delete every cached bundle, shard state and epoch lineage"
+    )
     pc.add_argument("--cache-dir", default=None,
                     help="cache directory (default: REPRO_CACHE_DIR)")
     pc = cache_sub.add_parser(
@@ -658,7 +660,10 @@ def _cmd_cache(args) -> int:
         return 0
     if args.cache_command == "clear":
         removed = store.clear()
-        print(f"removed {removed} bundle(s) from {store.root}")
+        print(
+            f"removed {removed['bundles']} bundle(s), {removed['shard_states']} shard "
+            f"state(s) and {removed['epoch_lineages']} epoch lineage(s) from {store.root}"
+        )
         return 0
     if args.cache_command == "prune":
         removed = store.prune()

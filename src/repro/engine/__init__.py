@@ -44,12 +44,13 @@ from .levels import (
 )
 from .metrics import (
     PAPER_METRICS,
+    WEIGHTED_METRICS,
     Metric,
     available_metrics,
     get_metric,
     register_metric,
 )
-from .primary import GraphTotals, PrimaryValues, graph_totals, primary_values
+from .primary import GraphTotals, PrimaryColumns, PrimaryValues, graph_totals, primary_values
 from .triangles import (
     count_triangles,
     count_triangles_and_triplets,
@@ -69,6 +70,7 @@ __all__ = [
     "LevelSetScores",
     "Metric",
     "PAPER_METRICS",
+    "PrimaryColumns",
     "PrimaryValues",
     "RAW_LEVELS",
     "accumulate_level_totals",
@@ -98,4 +100,5 @@ __all__ = [
     "triangles_by_min_rank_vertex",
     "triplet_charges",
     "unweighted_level_charges",
+    "WEIGHTED_METRICS",
 ]

@@ -24,7 +24,6 @@ from .forest import (
     LevelNodeScores,
     node_totals,
     node_triangles,
-    node_values,
     score_nodes,
     shell_sweep,
 )
@@ -36,6 +35,7 @@ from .levels import (
     scores_from_level_totals,
     triangle_level_increments,
 )
+from .primary import PrimaryColumns
 from .triangles import triangles_by_min_rank_vertex, triplet_charges
 
 __all__ = ["ARTIFACTS", "ArtifactChain"]
@@ -104,7 +104,7 @@ class ArtifactChain:
         return self.get("ordering", build)
 
     def totals(self):
-        """Host-graph totals passed to ``metric.score``."""
+        """Host-graph totals every metric is scored against."""
         return self.get("totals", lambda: self.family.totals(
             self.graph, self.decompose(), **self.params
         ))
@@ -115,10 +115,12 @@ class ArtifactChain:
             self.graph, self.decompose(), self.levels(), self.ordering(), **self.params
         )
 
-    def thresholds(self) -> np.ndarray | None:
-        """Per-level thresholds of a quantised family, else ``None``."""
-        levels = self.levels()
-        max_level = int(levels.max()) if len(levels) else 0
+    def thresholds(self, max_level: int) -> np.ndarray | None:
+        """Per-level thresholds of a quantised family, else ``None``.
+
+        ``max_level`` comes from an artifact the caller already holds (the
+        level totals or the forest), so no pass over the levels runs.
+        """
         return self.family.thresholds(self.decompose(), max_level, **self.params)
 
     def _require_triangles(self) -> None:
@@ -166,14 +168,13 @@ class ArtifactChain:
 
     def set_scores(self, metric) -> LevelSetScores:
         """Scores of every level set under a resolved ``metric``."""
-        fam = self.family
-        num_k, twice_in_k, out_k = self.level_totals()
-        tri_k = trip_k = None
-        if fam.metric_requires_triangles(metric):
-            tri_k, trip_k = self.level_triangles()
+        num_k, twice_in_k, out_k = (col[:-1] for col in self.level_totals())
+        tri_trip = ()
+        if self.family.metric_requires_triangles(metric):
+            tri_trip = (col[:-1] for col in self.level_triangles())
+        columns = self.family.columns(num_k, twice_in_k, out_k, *tri_trip)
         return scores_from_level_totals(
-            metric, self.totals(), num_k, twice_in_k, out_k, tri_k, trip_k,
-            make_values=fam.make_values, thresholds=self.thresholds(),
+            metric, self.totals(), columns, self.thresholds(len(num_k) - 1)
         )
 
     # -- Problem 2: connected level sets -----------------------------------
@@ -194,16 +195,17 @@ class ArtifactChain:
             self.forest(), self.triangles(), self.triplets()
         ))
 
-    def node_values(self, with_triangles: bool) -> tuple:
-        """Every forest node's primary values, shared by all metrics."""
+    def node_columns(self, with_triangles: bool) -> PrimaryColumns:
+        """Every forest node's primary-value columns, shared by all metrics."""
+        twice_in, out, num = self.node_totals()
         tri_trip = self.node_triangles() if with_triangles else ()
-        return node_values(self.family, *self.node_totals(), *tri_trip)
+        return self.family.columns(num, twice_in, out, *tri_trip)
 
-    def node_scores(self, metric, values: tuple | None = None) -> LevelNodeScores:
+    def node_scores(self, metric, columns: PrimaryColumns | None = None) -> LevelNodeScores:
         """Scores of every forest node under a resolved ``metric``.
 
-        ``values`` are :meth:`node_values` when the caller keeps them.
+        ``columns`` are :meth:`node_columns` when the caller keeps them.
         """
-        if values is None:
-            values = self.node_values(self.family.metric_requires_triangles(metric))
-        return score_nodes(metric, self.totals(), self.forest(), values)
+        if columns is None:
+            columns = self.node_columns(self.family.metric_requires_triangles(metric))
+        return score_nodes(metric, self.totals(), self.forest(), columns)

@@ -39,10 +39,11 @@ from .levels import (
     LevelOrdering,
     LevelSetScores,
     level_ordering,
+    scores_from_level_totals,
     unweighted_level_charges,
 )
 from .metrics import PAPER_METRICS, get_metric
-from .primary import graph_totals, primary_values
+from .primary import PrimaryColumns, graph_totals, primary_values
 
 __all__ = [
     "HierarchyFamily",
@@ -53,6 +54,7 @@ __all__ = [
     "family_set_scores",
     "baseline_family_set_scores",
     "best_level_set",
+    "level_result",
     "RAW_LEVELS",
 ]
 
@@ -121,7 +123,7 @@ class HierarchyFamily:
     # -- scoring hooks ---------------------------------------------------
 
     def totals(self, graph, decomposition, **params):
-        """Host-graph totals record passed to ``metric.score``."""
+        """Host-graph totals record every metric is scored against."""
         return graph_totals(graph)
 
     def ordering(
@@ -142,11 +144,16 @@ class HierarchyFamily:
         """Per-vertex ``(2*inside, boundary)`` charges at each vertex's level."""
         return unweighted_level_charges(ordering)
 
-    def make_values(self, num, twice_inside, boundary, triangles=None, triplets=None):
-        """Primary-values record of one level set from its accumulated charges."""
-        from .levels import _unweighted_values
+    def columns(
+        self, num, twice_inside, boundary, triangles=None, triplets=None
+    ) -> PrimaryColumns:
+        """Primary-value columns of many sets from their accumulated charges.
 
-        return _unweighted_values(num, twice_inside, boundary, triangles, triplets)
+        One row per level set (Problem 1) or forest node (Problem 2); the
+        arguments are aligned arrays of the accumulated ``(num, 2*inside,
+        boundary)`` charges and, when counted, triangles and triplets.
+        """
+        return PrimaryColumns(num, twice_inside // 2, boundary, triangles, triplets)
 
     def thresholds(self, decomposition, max_level: int, **params):
         """Per-level thresholds for quantised hierarchies, else ``None``."""
@@ -330,20 +337,18 @@ def baseline_family_set_scores(
         decomposition = fam.decompose(graph, backend=backend, **params)
     levels = fam.levels(decomposition, **params)
     max_level = int(levels.max()) if len(levels) else 0
-    totals = fam.totals(graph, decomposition, **params)
     count_triangles = fam.metric_requires_triangles(metric)
-
-    values = []
-    scores = np.full(max_level + 1, np.nan)
-    for k in range(max_level + 1):
-        members = fam.members(graph, decomposition, levels, k, **params)
-        pv = fam.subset_values(
-            graph, decomposition, members, count_triangles=count_triangles, **params
+    columns = PrimaryColumns.of(
+        fam.subset_values(
+            graph, decomposition, fam.members(graph, decomposition, levels, k, **params),
+            count_triangles=count_triangles, **params,
         )
-        values.append(pv)
-        scores[k] = metric.score(pv, totals)
-    thresholds = fam.thresholds(decomposition, max_level, **params)
-    return LevelSetScores(metric, totals, scores, tuple(values), thresholds)
+        for k in range(max_level + 1)
+    )
+    return scores_from_level_totals(
+        metric, fam.totals(graph, decomposition, **params), columns,
+        fam.thresholds(decomposition, max_level, **params),
+    )
 
 
 @dataclass(frozen=True)
@@ -401,32 +406,37 @@ def best_level_set(
     ``metric`` defaults to the family's :attr:`~HierarchyFamily.default_metric`.
     Set ``use_baseline=True`` to route through the from-scratch baseline
     (identical results; useful for benchmarking).  Passing a
-    :class:`~repro.index.BestKIndex` as ``index`` reuses its cached
-    artifacts.
+    :class:`~repro.index.BestKIndex` as ``index`` answers through
+    :meth:`~repro.index.BestKIndex.best_level`, over its cached artifacts
+    (``decomposition`` and ``ordering`` are then unused).
     """
     fam = get_family(family)
     metric = fam.resolve_metric(fam.default_metric if metric is None else metric)
+    if index is not None and not use_baseline:
+        return index.best_level(fam, metric, **params)
     if decomposition is None:
-        if index is not None and not use_baseline:
-            decomposition = index.family_decomposition(fam, **params)
-        else:
-            decomposition = fam.decompose(graph, backend=backend, **params)
+        decomposition = fam.decompose(graph, backend=backend, **params)
     if use_baseline:
         scores = baseline_family_set_scores(
             graph, fam, metric, decomposition=decomposition, backend=backend, **params
         )
     else:
         scores = family_set_scores(
-            graph, fam, metric,
-            decomposition=decomposition, ordering=ordering, index=index,
+            graph, fam, metric, decomposition=decomposition, ordering=ordering,
             backend=backend, **params,
         )
     k = scores.best_k()
-    levels = fam.levels(decomposition, **params)
-    vertices = fam.members(graph, decomposition, levels, k, **params)
+    vertices = fam.members(graph, decomposition, fam.levels(decomposition, **params), k, **params)
+    return level_result(scores, fam.name, k, vertices)
+
+
+def level_result(
+    scores: LevelSetScores, family: str, k: int, vertices: np.ndarray
+) -> BestLevelResult:
+    """The Problem 1 answer: level ``k`` of ``scores``, whose set is ``vertices``."""
     threshold = None if scores.thresholds is None else float(scores.thresholds[k])
     return BestLevelResult(
-        metric.name, k, float(scores.scores[k]), scores, vertices, threshold, fam.name
+        scores.metric.name, k, float(scores.scores[k]), scores, vertices, threshold, family
     )
 
 

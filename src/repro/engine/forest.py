@@ -16,11 +16,11 @@ Algorithm 5 aggregates them for cores, for every registered family.
   :class:`~repro.engine.chain.ArtifactChain` behind every Problem 2 path;
 * :class:`LevelForest` — the flat ``(k, parent, vert_ptr, vertices)``
   layout every built and every store-hydrated forest is constructed from;
-* :func:`node_totals` / :func:`node_triangles` / :func:`node_values` /
-  :func:`score_nodes` — the package's one Algorithm 5, split into the
-  pieces the shared :class:`~repro.index.BestKIndex` caches: each node's
-  own per-vertex charges plus its children's totals (one forward scan),
-  the node's primary values, and the O(#nodes) score tail;
+* :func:`node_totals` / :func:`node_triangles` / :func:`score_nodes` — the
+  package's one Algorithm 5, split into the pieces the shared
+  :class:`~repro.index.BestKIndex` caches: each node's own per-vertex
+  charges plus its children's totals (one forward scan), then the
+  O(#nodes) score tail over the nodes' primary-value columns;
 * :func:`family_node_scores` — those pieces chained for any family;
 * :func:`best_node_result` — the winning node as a Problem 2 answer;
 * :func:`baseline_family_node_scores` — the from-scratch per-component
@@ -35,7 +35,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import repeat
 
 import numpy as np
 
@@ -44,7 +43,7 @@ from ..graph.csr import Graph
 from ..kernels.common import concat_ranges
 from .family import BestLevelResult, HierarchyFamily, get_family
 from .levels import level_ordering
-from .primary import PrimaryValues
+from .primary import PrimaryColumns, PrimaryValues
 
 __all__ = [
     "LevelNode",
@@ -54,7 +53,6 @@ __all__ = [
     "build_level_forest",
     "node_totals",
     "node_triangles",
-    "node_values",
     "score_nodes",
     "best_node_result",
     "family_node_scores",
@@ -126,6 +124,11 @@ class LevelForest:
         return len(self.k)
 
     @property
+    def max_level(self) -> int:
+        """Largest level of any node (nodes come by descending k), 0 if none."""
+        return int(self.k[0]) if len(self.k) else 0
+
+    @property
     def roots(self) -> tuple[int, ...]:
         """Node ids of the tree roots (one per connected component)."""
         return tuple(np.flatnonzero(self.parent == -1).tolist())
@@ -182,10 +185,10 @@ class LevelForest:
 
     def best_node(self, scores: np.ndarray) -> int:
         """Id of the best-scoring node; ties towards largest k, then lowest id."""
-        finite = ~np.isnan(scores)
-        if not finite.any():
+        best = np.fmax.reduce(scores) if len(scores) else np.nan
+        if np.isnan(best):
             raise EmptyGraphError("no candidate node to choose from")
-        candidates = np.flatnonzero(finite & (scores == np.nanmax(scores)))
+        candidates = np.flatnonzero(scores == best)
         ks = self.k[candidates]
         return int(candidates[ks == ks.max()][0])
 
@@ -365,8 +368,13 @@ class LevelNodeScores:
     forest: LevelForest
     #: ``scores[i]`` = metric score of forest node i's component.
     scores: np.ndarray
-    #: ``values[i]`` = primary values of forest node i's component.
-    values: tuple
+    #: Row i = primary values of forest node i's component.
+    columns: PrimaryColumns
+
+    @property
+    def values(self) -> tuple[PrimaryValues, ...]:
+        """``values[i]`` = primary values of node i's component, built on first use."""
+        return self.columns.records
 
     def best_node(self) -> int:
         """Node id of the best component; ties towards largest k, then lowest id.
@@ -420,54 +428,21 @@ def node_triangles(
     return tri, trip
 
 
-def node_values(
-    family: HierarchyFamily,
-    twice_in: np.ndarray,
-    out: np.ndarray,
-    num: np.ndarray,
-    tri: np.ndarray | None = None,
-    trip: np.ndarray | None = None,
-) -> tuple:
-    """Every node's primary-values record, from its aggregated totals.
-
-    Metric-independent, so the shared :class:`~repro.index.BestKIndex`
-    builds it once (with or without triangle counts) and every metric's
-    scores share the tuple.  A family that overrides
-    :meth:`~repro.engine.HierarchyFamily.make_values` gets one call per
-    node; the default unweighted records are mapped straight over the
-    integer columns, about three times faster on large forests.
-    """
-    if type(family).make_values is not HierarchyFamily.make_values:
-        return tuple(map(
-            family.make_values, num, twice_in, out,
-            repeat(None) if tri is None else tri,
-            repeat(None) if trip is None else trip,
-        ))
-    return tuple(map(
-        PrimaryValues,
-        num.tolist(),
-        (twice_in // 2).tolist(),
-        out.tolist(),
-        repeat(None) if tri is None else tri.tolist(),
-        repeat(None) if trip is None else trip.tolist(),
-    ))
-
-
-def score_nodes(metric, totals, forest: LevelForest, values: tuple) -> LevelNodeScores:
-    """The O(#nodes) scoring tail of Algorithm 5 over prebuilt node values."""
-    scores = np.fromiter(
-        (metric.score(pv, totals) for pv in values), dtype=np.float64, count=len(values)
-    )
-    return LevelNodeScores(metric, totals, forest, scores, values)
+def score_nodes(metric, totals, forest: LevelForest, columns: PrimaryColumns) -> LevelNodeScores:
+    """The O(#nodes) scoring tail of Algorithm 5: one column-scorer call."""
+    return LevelNodeScores(metric, totals, forest, metric.score_columns(columns, totals), columns)
 
 
 def best_node_result(
-    scored: LevelNodeScores, family: str, thresholds: np.ndarray | None = None
+    scored: LevelNodeScores, family: str, thresholds: np.ndarray | None = None,
+    component=None,
 ) -> BestLevelResult:
     """The Problem 2 answer held by a node-scores record.
 
     The winner is :meth:`LevelNodeScores.best_node`; its full component is
     the answer's ``vertices`` and its id the answer's ``node_id``.
+    ``component`` maps a node id to its component's vertices (a memo);
+    by default :meth:`LevelForest.component_vertices` computes it.
     """
     forest = scored.forest
     node_id = scored.best_node()
@@ -477,7 +452,7 @@ def best_node_result(
         k,
         float(scored.scores[node_id]),
         scored,
-        forest.component_vertices(node_id),
+        (component or forest.component_vertices)(node_id),
         None if thresholds is None else float(thresholds[k]),
         family,
         node_id,
@@ -534,19 +509,15 @@ def baseline_family_node_scores(
         decomposition = fam.decompose(graph, backend=backend, **params)
     if forest is None:
         forest = build_level_forest(graph, fam.levels(decomposition, **params))
-    totals = fam.totals(graph, decomposition, **params)
     count_triangles = fam.metric_requires_triangles(metric)
-
-    values = []
-    scores = np.full(forest.num_nodes, np.nan)
-    for i in range(forest.num_nodes):
-        members = forest.component_vertices(i)
-        pv = fam.subset_values(
-            graph, decomposition, members, count_triangles=count_triangles, **params
+    columns = PrimaryColumns.of(
+        fam.subset_values(
+            graph, decomposition, forest.component_vertices(i),
+            count_triangles=count_triangles, **params,
         )
-        values.append(pv)
-        scores[i] = metric.score(pv, totals)
-    return LevelNodeScores(metric, totals, forest, scores, tuple(values))
+        for i in range(forest.num_nodes)
+    )
+    return score_nodes(metric, fam.totals(graph, decomposition, **params), forest, columns)
 
 
 def best_connected_level_set(
@@ -580,4 +551,4 @@ def best_connected_level_set(
         )
     else:
         scored = chain.node_scores(metric)
-    return best_node_result(scored, fam.name, chain.thresholds())
+    return best_node_result(scored, fam.name, chain.thresholds(scored.forest.max_level))

@@ -16,8 +16,8 @@ k-truss, weighted s-core, k-ECC, and anything registered later):
   :func:`triangle_level_increments` — the per-vertex charges and suffix-sum
   accumulation of Algorithms 2/3, backend-aware via :mod:`repro.kernels`;
 * :func:`scores_from_level_totals` — the one O(L) scoring tail every
-  family routes through (there is deliberately no other per-level scan
-  loop anywhere in the package);
+  family routes through: a few array passes of the metric's column
+  function;
 * :func:`level_set_scores` — the raw-levels entry point, itself expressed
   through the generic family machinery.
 """
@@ -33,7 +33,7 @@ from ..errors import EmptyGraphError
 from ..graph.csr import Graph, sorted_arc_keys
 from ..kernels.common import concat_ranges
 from .metrics import Metric
-from .primary import GraphTotals, PrimaryValues
+from .primary import GraphTotals, PrimaryColumns, PrimaryValues
 from .triangles import triangles_by_min_rank_vertex, triplet_charges
 
 __all__ = [
@@ -253,20 +253,24 @@ def _sort_rows(
 class LevelSetScores:
     """Scores of every level set ``S_k = G[{v : level(v) >= k}]``.
 
-    One record type serves every family: for unweighted families ``values``
-    holds :class:`~repro.engine.primary.PrimaryValues`, for the weighted
-    family :class:`~repro.weighted.metrics.WeightedPrimaryValues` plus the
-    per-level strength ``thresholds``.
+    One record type serves every family: ``columns`` holds the primary
+    values of every level set (float weight sums for the weighted family,
+    which also sets the per-level strength ``thresholds``).
     """
 
     metric: Metric
     totals: GraphTotals
     #: ``scores[k]`` = metric score of ``S_k``; ``nan`` for empty sets.
     scores: np.ndarray
-    #: ``values[k]`` = primary values of ``S_k``.
-    values: tuple
+    #: Row k = primary values of ``S_k``.
+    columns: PrimaryColumns
     #: Per-level thresholds for quantised (weighted) hierarchies, else None.
     thresholds: np.ndarray | None = None
+
+    @property
+    def values(self) -> tuple[PrimaryValues, ...]:
+        """``values[k]`` = primary values of ``S_k``, built on first use."""
+        return self.columns.records
 
     @property
     def max_level(self) -> int:
@@ -280,11 +284,11 @@ class LevelSetScores:
 
     def best_k(self) -> int:
         """Argmax of the scores; ties broken towards the largest k."""
-        finite = ~np.isnan(self.scores)
-        if not finite.any():
+        # fmax skips nan, and nan equals nothing, so empty sets never win.
+        best = np.fmax.reduce(self.scores)
+        if np.isnan(best):
             raise EmptyGraphError("no non-empty level set to choose from")
-        best = np.nanmax(self.scores)
-        return int(np.flatnonzero(finite & (self.scores == best)).max())
+        return int(np.flatnonzero(self.scores == best)[-1])
 
     def best_level(self) -> int:
         """Alias of :meth:`best_k` (the weighted vocabulary)."""
@@ -382,54 +386,20 @@ def _shell_sums(per_vertex: np.ndarray, order: np.ndarray, level_start: np.ndarr
     return np.diff(cum[level_start])
 
 
-def _unweighted_values(
-    num: int, twice_inside, boundary, triangles=None, triplets=None
-) -> PrimaryValues:
-    """Default value assembly: integer edge counts (the unweighted case)."""
-    return PrimaryValues(
-        num_vertices=int(num),
-        num_edges=int(twice_inside) // 2,
-        num_boundary=int(boundary),
-        num_triangles=None if triangles is None else int(triangles),
-        num_triplets=None if triplets is None else int(triplets),
-    )
-
-
 def scores_from_level_totals(
     metric: Metric,
     totals: GraphTotals,
-    num_k: np.ndarray,
-    twice_in_k: np.ndarray,
-    out_k: np.ndarray,
-    tri_k: np.ndarray | None = None,
-    trip_k: np.ndarray | None = None,
-    *,
-    make_values=None,
+    columns: PrimaryColumns,
     thresholds: np.ndarray | None = None,
 ) -> LevelSetScores:
-    """Assemble :class:`LevelSetScores` from accumulated per-set totals.
+    """Score every level set of Algorithms 2/3 from its primary-value columns.
 
-    This is THE per-level scan loop of Algorithms 2/3 — the only one in the
-    package.  Every family (and the shared :class:`~repro.index.BestKIndex`)
-    funnels through it; ``make_values`` is the family hook that turns one
-    level's accumulated charges into its primary-values record.
+    Every family (and the shared :class:`~repro.index.BestKIndex`) funnels
+    through it: one :meth:`~repro.engine.metrics.Metric.score_columns`
+    call over the accumulated per-set totals, which the family's
+    :meth:`~repro.engine.HierarchyFamily.columns` hook turned into columns.
     """
-    if make_values is None:
-        make_values = _unweighted_values
-    max_level = len(num_k) - 2
-    values = []
-    scores = np.full(max_level + 1, np.nan)
-    for k in range(max_level + 1):
-        pv = make_values(
-            num_k[k],
-            twice_in_k[k],
-            out_k[k],
-            None if tri_k is None else tri_k[k],
-            None if trip_k is None else trip_k[k],
-        )
-        values.append(pv)
-        scores[k] = metric.score(pv, totals)
-    return LevelSetScores(metric, totals, scores, tuple(values), thresholds)
+    return LevelSetScores(metric, totals, metric.score_columns(columns, totals), columns, thresholds)
 
 
 def level_set_scores(

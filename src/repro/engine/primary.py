@@ -9,15 +9,18 @@ subgraph ``S`` under evaluation (plus the global graph totals):
 * ``Δ(S)`` — number of triangles,
 * ``t(S)`` — number of triplets (paths of length two, counted per centre).
 
-:class:`PrimaryValues` is the record every scoring algorithm produces, and
-:func:`primary_values` computes it from scratch for an arbitrary vertex set —
-this is the work the paper's baselines repeat once per k, and the incremental
-algorithms avoid.
+:class:`PrimaryColumns` holds them for many vertex sets at once (every
+level set, or every forest node), one array per value: the form every
+metric scores (:mod:`repro.engine.metrics`).  :class:`PrimaryValues` is the
+record of one set, and :func:`primary_values` computes it from scratch for
+an arbitrary vertex set — this is the work the paper's baselines repeat
+once per k, and the incremental algorithms avoid.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import Iterable
 
 import numpy as np
@@ -26,7 +29,7 @@ from ..graph.csr import Graph
 from ..graph.views import induced_subgraph, subgraph_counts
 from .triangles import count_triangles_and_triplets
 
-__all__ = ["PrimaryValues", "GraphTotals", "primary_values", "graph_totals"]
+__all__ = ["PrimaryValues", "PrimaryColumns", "GraphTotals", "primary_values", "graph_totals"]
 
 
 @dataclass(frozen=True)
@@ -52,6 +55,44 @@ class PrimaryValues:
     def __post_init__(self) -> None:
         if self.num_vertices < 0 or self.num_edges < 0 or self.num_boundary < 0:
             raise ValueError("primary values must be non-negative")
+
+
+@dataclass(frozen=True)
+class PrimaryColumns:
+    """The primary values of many vertex sets, one array entry per set.
+
+    Integer columns for the edge-count families; the weighted family fills
+    ``num_edges`` and ``num_boundary`` with float weight sums (``W(S)`` and
+    ``Wb(S)``).  ``num_triangles``/``num_triplets`` are ``None`` when the
+    producer did not count triangles.  :attr:`records` turns the columns
+    into one :class:`PrimaryValues` per set on first use, so metrics that
+    share a columns record share its records too.
+    """
+
+    num_vertices: np.ndarray
+    num_edges: np.ndarray
+    num_boundary: np.ndarray
+    num_triangles: np.ndarray | None = None
+    num_triplets: np.ndarray | None = None
+
+    def __len__(self) -> int:
+        return len(self.num_vertices)
+
+    @cached_property
+    def records(self) -> tuple[PrimaryValues, ...]:
+        """One :class:`PrimaryValues` per set, built from the columns once."""
+        present = (getattr(self, f.name) for f in fields(self))
+        return tuple(map(PrimaryValues, *(c.tolist() for c in present if c is not None)))
+
+    @classmethod
+    def of(cls, records: Iterable[PrimaryValues]) -> "PrimaryColumns":
+        """Columns of ``records`` (which must agree on having triangles)."""
+        records = tuple(records)
+        counted = bool(records) and records[0].has_triangles
+        names = [f.name for f in fields(PrimaryValues)][:5 if counted else 3]
+        columns = cls(*(np.asarray([getattr(pv, name) for pv in records]) for name in names))
+        columns.__dict__["records"] = records
+        return columns
 
 
 @dataclass(frozen=True)

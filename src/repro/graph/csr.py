@@ -218,30 +218,42 @@ class Graph:
         store bundles of different epochs never alias even when their CSR
         content happens to coincide.
 
-        The hashed message is a preamble, ``b"csr:i4"`` or ``b"csr:i8"``
-        (the width tag) followed by ``n`` and ``len(indices)`` as int64,
-        then ``indptr`` and ``indices`` at that width, little-endian.  The
-        int32 width is used when narrowing is lossless: ``n``,
-        ``len(indices)`` and every value of both arrays lie in
-        ``[0, 2**31)``.  A validated graph has that from its checks (ids
-        in ``[0, n)``, row pointers in ``[0, len(indices)]``); any other
-        graph is range-scanned here.  The encoding is injective over every
-        :class:`Graph`, ``validate=False`` ones included: the tag fixes
-        the width, the two lengths fix where each array ends, and a value
-        outside the int32 range forces the int64 width, so it can never
-        alias a narrowed value.  The arrays are hashed in place; only the
-        narrowing makes a half-size int32 copy.
+        The hashed message is a preamble, a six-byte width tag followed by
+        ``n`` and ``len(indices)`` as int64, then ``indptr`` and
+        ``indices``, little-endian, at the widths the tag names:
+
+        * ``b"csr:u2"``: ``indptr`` as int32, ``indices`` as uint16, when
+          ``n <= 2**16`` (every id fits in 16 bits) and int32 fits too;
+        * ``b"csr:i4"``: both as int32, when ``n``, ``len(indices)`` and
+          every value lie in ``[0, 2**31)``;
+        * ``b"csr:i8"``: both as int64 otherwise.
+
+        A validated graph has its ranges from its checks (ids in
+        ``[0, n)``, row pointers in ``[0, len(indices)]``); any other graph
+        is range-scanned here.  The encoding is injective over every
+        :class:`Graph`, ``validate=False`` ones included: the tags have one
+        length, so the tag fixes both widths, the two lengths fix where
+        each array ends, and a value outside a width's range forces a wider
+        tag, so it can never alias a narrowed value.  The arrays are hashed
+        in place; only narrowing makes a copy, at the narrow width.
         """
         if self._digest is None:
             indptr, indices = self._indptr, self._indices
             narrow = self.num_vertices < 2**31 and len(indices) < 2**31 and (
-                self._validated or (_fits_int32(indptr) and _fits_int32(indices))
+                self._validated or (_fits(indptr, 2**31) and _fits(indices, 2**31))
             )
-            width = "<i4" if narrow else "<i8"
-            h = hashlib.sha256(b"csr:i4" if narrow else b"csr:i8")
+            if narrow and self.num_vertices <= 2**16 and (
+                self._validated or _fits(indices, 2**16)
+            ):
+                tag, widths = b"csr:u2", ("<i4", "<u2")
+            elif narrow:
+                tag, widths = b"csr:i4", ("<i4", "<i4")
+            else:
+                tag, widths = b"csr:i8", ("<i8", "<i8")
+            h = hashlib.sha256(tag)
             h.update(np.array([self.num_vertices, len(indices)], dtype="<i8"))
-            h.update(indptr.astype(width, copy=False))
-            h.update(indices.astype(width, copy=False))
+            h.update(indptr.astype(widths[0], copy=False))
+            h.update(indices.astype(widths[1], copy=False))
             self._digest = h.hexdigest()
         return self._digest
 
@@ -378,10 +390,10 @@ def _check_shape(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     return degrees
 
 
-def _fits_int32(arr: np.ndarray) -> bool:
-    """Whether every value of an int64 array lies in ``[0, 2**31)``.
+def _fits(arr: np.ndarray, bound: int) -> bool:
+    """Whether every value of an int64 array lies in ``[0, bound)``.
 
     Viewed as uint64 a negative value is at least ``2**63``, so one
     reduction bounds both ends.
     """
-    return not len(arr) or int(arr.view(np.uint64).max()) < 2**31
+    return not len(arr) or int(arr.view(np.uint64).max()) < bound

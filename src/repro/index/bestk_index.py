@@ -78,12 +78,13 @@ from ..engine.chain import ARTIFACTS, ArtifactChain
 from ..engine.family import (
     BestLevelResult,
     HierarchyFamily,
-    best_level_set,
     get_family,
+    level_result,
 )
 from ..engine.forest import LevelNodeScores, best_node_result
 from ..engine.levels import LevelOrdering, LevelSetScores
 from ..engine.metrics import PAPER_METRICS, Metric, get_metric
+from ..engine.primary import PrimaryColumns
 from ..dynamic import GraphDelta, VersionedGraph, incremental_core_numbers
 from ..errors import ReproError
 from ..graph.csr import Graph
@@ -205,9 +206,13 @@ class BestKIndex:
         self._scores: dict[tuple[str, str], LevelSetScores] = {}
         #: Memoized per-(family, metric) forest-node scores (Problem 2).
         self._node_scores: dict[tuple[str, str], LevelNodeScores] = {}
-        #: Per-forest-node primary values, keyed by (family, "with
+        #: Per-forest-node primary-value columns, keyed by (family, "with
         #: triangle counts") and shared by every metric.
-        self._node_values: dict[tuple[str, bool], tuple] = {}
+        self._node_values: dict[tuple[str, bool], PrimaryColumns] = {}
+        #: Answer vertex sets keyed (family, "level", k) for Problem 1 and
+        #: (family, "node", node id) for Problem 2; read-only, shared by
+        #: every metric with that winner.
+        self._answers: dict[tuple[str, str, int], np.ndarray] = {}
         #: Last-seen :meth:`HierarchyFamily.cache_token` per family.
         self._tokens: dict[str, object] = {}
         #: ``(old ordering, touched vertices)`` per family, left by a
@@ -282,7 +287,7 @@ class BestKIndex:
         for key in [k for k in self._artifacts if k.startswith(prefix)]:
             del self._artifacts[key]
             self.build_seconds.pop(key, None)
-        for memo in (self._scores, self._node_scores, self._node_values):
+        for memo in (self._scores, self._node_scores, self._node_values, self._answers):
             for key in [k for k in memo if k[0] == family_name]:
                 del memo[key]
         # A token change selects a different bundle key, so the store must
@@ -537,9 +542,29 @@ class BestKIndex:
         self._scores[(fam.name, metric.name)] = result
         return result
 
+    def _answer_vertices(self, key: tuple[str, str, int], build: Callable) -> np.ndarray:
+        """The memoized answer vertex set ``key``, built read-only on first use."""
+        if key not in self._answers:
+            self._answers[key] = build()
+            self._answers[key].setflags(write=False)
+        return self._answers[key]
+
     def best_level(self, family: str | HierarchyFamily, metric=None, **params) -> BestLevelResult:
-        """The best level of ``family`` under ``metric`` (Problem 1)."""
-        return best_level_set(self.graph, family, metric, index=self, **params)
+        """The best level of ``family`` under ``metric`` (Problem 1).
+
+        Equal to :func:`repro.engine.best_level_set`; metrics that pick the
+        same level share its memoized vertex set.
+        """
+        fam = get_family(family)
+        scores = self.level_scores(
+            fam, fam.default_metric if metric is None else metric, **params
+        )
+        k = scores.best_k()
+        chain = self._chain(fam, params)
+        vertices = self._answer_vertices((fam.name, "level", k), lambda: fam.members(
+            self.graph, chain.decompose(), chain.levels(), k, **params
+        ))
+        return level_result(scores, fam.name, k, vertices)
 
     def best_level_all_metrics(
         self, family: str | HierarchyFamily, metrics: tuple[str, ...] | None = None, **params
@@ -569,9 +594,9 @@ class BestKIndex:
 
         The index-backed twin of :func:`repro.engine.family_node_scores`:
         Algorithm 5 over the cached ``forest``, ``node_totals`` and
-        ``node_triangles``.  The per-node primary values are built once
-        per family (with or without triangle counts) and shared by every
-        metric.
+        ``node_triangles``.  The per-node primary-value columns are built
+        once per family (with or without triangle counts) and shared by
+        every metric.
         """
         fam = get_family(family)
         metric = fam.resolve_metric(metric)
@@ -587,7 +612,7 @@ class BestKIndex:
             chain = self._chain(fam, params)
             key = (fam.name, fam.metric_requires_triangles(metric))
             if key not in self._node_values:
-                self._node_values[key] = chain.node_values(key[1])
+                self._node_values[key] = chain.node_columns(key[1])
             result = chain.node_scores(metric, self._node_values[key])
             obs.observe(
                 "index.score_seconds", time.perf_counter() - score_start,
@@ -600,13 +625,20 @@ class BestKIndex:
         """The best connected level set of ``family`` under ``metric`` (Problem 2).
 
         Equal to :func:`repro.engine.best_connected_level_set`; ``metric``
-        defaults to the family's default metric.
+        defaults to the family's default metric.  Metrics that pick the
+        same node share its memoized component.
         """
         fam = get_family(family)
         scored = self.node_scores(
             fam, fam.default_metric if metric is None else metric, **params
         )
-        return best_node_result(scored, fam.name, self._chain(fam, params).thresholds())
+        forest = scored.forest
+        return best_node_result(
+            scored, fam.name, self._chain(fam, params).thresholds(forest.max_level),
+            lambda node: self._answer_vertices(
+                (fam.name, "node", node), partial(forest.component_vertices, node)
+            ),
+        )
 
     @property
     def decomposition(self):

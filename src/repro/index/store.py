@@ -68,6 +68,7 @@ import operator
 import os
 import shutil
 import hashlib
+from collections import Counter
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -109,7 +110,9 @@ __all__ = [
 #: Version 6: :meth:`~repro.graph.csr.Graph.content_digest` hashes the CSR
 #: as int32 behind a width tag when that is lossless, which changes every
 #: bundle key and every lineage an epoch record is filed under.
-FORMAT_VERSION = 6
+#: Version 7: the digest hashes ``indices`` as uint16 when ``n <= 2**16``,
+#: under its own width tag, which changes those graphs' keys and lineages.
+FORMAT_VERSION = 7
 
 #: Alignment of every field's offset inside an artifact file.
 _ALIGN = 64
@@ -564,9 +567,16 @@ class ArtifactStore:
 
     # -- maintenance ----------------------------------------------------
     def bundles(self) -> list[BundleInfo]:
-        """Readable bundles under the root, sorted by key."""
+        """Readable bundles under the root, sorted by key.
+
+        Shard-state checkpoints and epoch lineages are not bundles and are
+        not listed.
+        """
         out = []
-        for path in sorted(p for p in self.root.iterdir() if p.is_dir()):
+        for path in sorted(
+            p for p in self.root.iterdir()
+            if p.is_dir() and not p.name.startswith((_SHARD_PREFIX, _EPOCHS_PREFIX))
+        ):
             meta = self._read_meta(path)
             if meta is None:
                 continue
@@ -616,15 +626,16 @@ class ArtifactStore:
                 removed += 1
         return removed
 
-    def clear(self) -> int:
-        """Delete every bundle directory; returns the number removed."""
-        removed = 0
-        if not self.root.exists():
-            return removed
-        for path in self.root.iterdir():
+    def clear(self) -> Counter:
+        """Delete every directory under the root; counts of ``bundles``,
+        ``shard_states`` and ``epoch_lineages`` removed."""
+        removed = Counter(bundles=0, shard_states=0, epoch_lineages=0)
+        for path in self.root.iterdir() if self.root.exists() else ():
             if path.is_dir():
+                removed["shard_states" if path.name.startswith(_SHARD_PREFIX) else
+                        "epoch_lineages" if path.name.startswith(_EPOCHS_PREFIX) else
+                        "bundles"] += 1
                 self._discard(path)
-                removed += 1
         return removed
 
     # -- internals ------------------------------------------------------

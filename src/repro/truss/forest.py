@@ -27,7 +27,7 @@ import numpy as np
 from ..errors import EmptyGraphError
 from ..graph.csr import Graph
 from ..engine.metrics import Metric, get_metric
-from ..engine.primary import graph_totals, primary_values
+from ..engine.primary import PrimaryColumns, graph_totals, primary_values
 from .decomposition import TrussDecomposition, truss_decomposition
 
 __all__ = ["TrussNode", "TrussForest", "build_truss_forest", "best_single_ktruss",
@@ -198,22 +198,22 @@ def best_single_ktruss(
         forest = build_truss_forest(graph)
     if forest.num_nodes == 0:
         raise EmptyGraphError("graph has no edges, hence no k-truss")
-    totals = graph_totals(graph)
-    best_id = -1
-    best_key: tuple[float, int] | None = None
-    best_score = float("nan")
-    for node in forest.nodes:
-        members = forest.truss_vertices(node.node_id)
-        pv = primary_values(graph, members, count_triangles=metric.requires_triangles)
-        score = metric.score(pv, totals)
-        if score != score:  # nan
-            continue
-        key = (score, node.k)
-        if best_key is None or key > best_key:
-            best_key = key
-            best_id = node.node_id
-            best_score = score
-    node = forest.nodes[best_id]
+    columns = PrimaryColumns.of(
+        primary_values(
+            graph, forest.truss_vertices(node.node_id),
+            count_triangles=metric.requires_triangles,
+        )
+        for node in forest.nodes
+    )
+    scores = metric.score_columns(columns, graph_totals(graph))
+    # Best score, then the largest k, then the lowest node id.
+    finite = ~np.isnan(scores)
+    if not finite.any():
+        raise EmptyGraphError("no k-truss has a defined score")
+    candidates = np.flatnonzero(finite & (scores == np.nanmax(scores)))
+    ks = np.array([forest.nodes[i].k for i in candidates.tolist()])
+    best_id = int(candidates[ks == ks.max()][0])
     return BestSingleTrussResult(
-        metric.name, node.k, float(best_score), best_id, forest.truss_vertices(best_id)
+        metric.name, forest.nodes[best_id].k, float(scores[best_id]), best_id,
+        forest.truss_vertices(best_id),
     )

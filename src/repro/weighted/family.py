@@ -8,13 +8,16 @@ it from the unweighted families, both expressed as hook overrides:
   :meth:`cache_token` so a :class:`~repro.index.BestKIndex` can
   invalidate when they change;
 * the per-vertex charges are *weight sums*, not edge counts, so
-  :meth:`charges`, :meth:`make_values`, :meth:`totals` and
-  :meth:`subset_values` speak :class:`WeightedPrimaryValues` /
-  :class:`WeightedTotals`, and :meth:`thresholds` exposes the real-valued
-  strength of each quantised level.
+  :meth:`charges`, :meth:`columns`, :meth:`totals` and
+  :meth:`subset_values` fill the primary-value ``num_edges`` and
+  ``num_boundary`` with float weights (W(S) and Wb(S)) and the host total
+  ``num_edges`` with the total weight, and :meth:`thresholds` exposes the
+  real-valued strength of each quantised level.
 
-The suffix-sum accumulation itself is the engine's — identical arithmetic
-to the unweighted families, evaluated in float64.
+The suffix-sum accumulation and the metrics are the engine's: the same
+arithmetic and the same column functions as the unweighted families,
+evaluated in float64.  The metric names are the weighted aliases of
+:data:`~repro.engine.metrics.WEIGHTED_METRICS`.
 """
 
 from __future__ import annotations
@@ -24,13 +27,10 @@ import hashlib
 import numpy as np
 
 from ..engine.family import HierarchyFamily, register_family
+from ..engine.metrics import WEIGHTED_METRICS, get_metric
+from ..engine.primary import GraphTotals, PrimaryColumns, PrimaryValues
+from ..errors import UnknownMetricError
 from .decomposition import WeightedDecomposition, s_core_decomposition
-from .metrics import (
-    WeightedPrimaryValues,
-    WeightedTotals,
-    available_weighted_metrics,
-    get_weighted_metric,
-)
 
 __all__ = ["WeightedFamily", "weight_charges"]
 
@@ -69,7 +69,7 @@ class WeightedFamily(HierarchyFamily):
     #: Weight charges are floats; Algorithm 3's triangle path does not apply.
     supports_triangles = False
     default_metric = "weighted_average_degree"
-    batch_metrics = available_weighted_metrics()
+    batch_metrics = WEIGHTED_METRICS
     supports_store = True
     #: Quantised strengths shift globally with any weight change — rebuild on change.
     supports_incremental = False
@@ -87,24 +87,25 @@ class WeightedFamily(HierarchyFamily):
         return decomposition.integer_levels(num_levels)
 
     def resolve_metric(self, metric):
-        return get_weighted_metric(metric)
+        name = getattr(metric, "name", metric)
+        if name not in WEIGHTED_METRICS:
+            raise UnknownMetricError(name, WEIGHTED_METRICS)
+        return get_metric(metric)
 
-    def totals(self, graph, decomposition, *, edge_weights=None, **params) -> WeightedTotals:
+    def totals(self, graph, decomposition, *, edge_weights=None, **params) -> GraphTotals:
         if edge_weights is None:
             edge_weights = decomposition.edge_weights
-        return WeightedTotals(
+        return GraphTotals(
             graph.num_vertices, float(np.asarray(edge_weights, dtype=np.float64).sum())
         )
 
     def charges(self, graph, decomposition, levels, ordering, **params):
         return weight_charges(graph, decomposition, levels)
 
-    def make_values(self, num, twice_inside, boundary, triangles=None, triplets=None):
-        return WeightedPrimaryValues(
-            num_vertices=int(num),
-            weight_inside=float(twice_inside) / 2.0,
-            weight_boundary=max(float(boundary), 0.0),
-        )
+    def columns(self, num, twice_inside, boundary, triangles=None, triplets=None):
+        # A boundary sum a rounding below zero is clamped to 0.0; -0.0
+        # stays -0.0, as ``max(b, 0.0)`` leaves it.
+        return PrimaryColumns(num, twice_inside / 2.0, np.where(boundary < 0.0, 0.0, boundary))
 
     def thresholds(
         self, decomposition: WeightedDecomposition, max_level: int, *, num_levels: int = 64, **params
@@ -116,7 +117,7 @@ class WeightedFamily(HierarchyFamily):
 
     def subset_values(
         self, graph, decomposition, vertices, *, count_triangles=False, **params
-    ) -> WeightedPrimaryValues:
+    ) -> PrimaryValues:
         # From-scratch weight sums over the arc list (the weighted baseline):
         # both the internal and the boundary sum visit each edge from both
         # endpoints, hence the symmetric halving.
@@ -128,10 +129,10 @@ class WeightedFamily(HierarchyFamily):
         member[np.asarray(vertices, dtype=np.int64)] = True
         inside_mask = member[src] & member[dst]
         boundary_mask = member[src] != member[dst]
-        return WeightedPrimaryValues(
+        return PrimaryValues(
             num_vertices=int(member.sum()),
-            weight_inside=float(weights[inside_mask].sum()) / 2.0,
-            weight_boundary=float(weights[boundary_mask].sum()) / 2.0,
+            num_edges=float(weights[inside_mask].sum()) / 2.0,
+            num_boundary=float(weights[boundary_mask].sum()) / 2.0,
         )
 
     def cache_token(self, *, edge_weights=None, num_levels: int = 64, **params):

@@ -258,13 +258,44 @@ class TestContentDigest:
         digests = {g.content_digest() for g in (validated, unvalidated, clone)}
         assert len(digests) == 1
 
+    @staticmethod
+    def encoding(tag: bytes, graph: Graph, widths: tuple[str, str]) -> str:
+        h = hashlib.sha256(tag)
+        h.update(np.array([graph.num_vertices, len(graph.indices)], "<i8").tobytes())
+        h.update(np.asarray(graph.indptr).astype(widths[0]).tobytes())
+        h.update(np.asarray(graph.indices).astype(widths[1]).tobytes())
+        return h.hexdigest()
+
     def test_narrow_encoding_is_pinned(self, figure2):
-        # int32 arrays behind the "csr:i4" tag and the two int64 lengths.
-        h = hashlib.sha256(b"csr:i4")
-        h.update(np.array([figure2.num_vertices, len(figure2.indices)], "<i8").tobytes())
-        h.update(figure2.indptr.astype("<i4").tobytes())
-        h.update(figure2.indices.astype("<i4").tobytes())
-        assert figure2.content_digest() == h.hexdigest()
+        # n <= 2**16: int32 row pointers and uint16 ids behind the "csr:u2"
+        # tag and the two int64 lengths.
+        assert figure2.content_digest() == self.encoding(b"csr:u2", figure2, ("<i4", "<u2"))
+
+    @staticmethod
+    def boundary_graph(n: int, validate: bool = True) -> Graph:
+        # Vertex n-1 joined to vertex 0: the largest id sits at the edge of
+        # the uint16 range when n = 2**16.
+        indptr = np.zeros(n + 1, dtype=np.int64)
+        indptr[1:] = 1
+        indptr[-1] = 2
+        return Graph(indptr, np.array([n - 1, 0]), validate=validate)
+
+    def test_width_tag_at_the_uint16_boundary(self):
+        at, above = self.boundary_graph(2**16), self.boundary_graph(2**16 + 1)
+        assert at.content_digest() == self.encoding(b"csr:u2", at, ("<i4", "<u2"))
+        assert above.content_digest() == self.encoding(b"csr:i4", above, ("<i4", "<i4"))
+        assert at.content_digest() != above.content_digest()
+        for n in (2**16, 2**16 + 1):
+            assert (self.boundary_graph(n, validate=False).content_digest()
+                    == self.boundary_graph(n).content_digest())
+
+    def test_wide_ids_never_alias_uint16_ones(self):
+        # Unvalidated ids past 2**16 on a small graph would wrap in uint16.
+        indptr = np.array([0, 1, 2])
+        low = Graph(indptr, np.array([1, 0]), validate=False)
+        wrapped = Graph(indptr, np.array([1 + 2**16, 0]), validate=False)
+        assert low.content_digest() != wrapped.content_digest()
+        assert wrapped.content_digest() == self.encoding(b"csr:i4", wrapped, ("<i4", "<i4"))
 
     def test_wide_values_never_alias_narrowed_ones(self):
         indptr = np.array([0, 1, 2])

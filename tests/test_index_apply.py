@@ -48,6 +48,42 @@ def same_best(a, b):
     return True
 
 
+class TestAnswerMemo:
+    """Answer vertex sets are memoized per level and per node, and apply drops them."""
+
+    def test_metrics_with_one_winner_share_its_vertices(self, figure2):
+        index = BestKIndex(figure2, store=False)
+        # internal_density and clustering_coefficient both pick level 3 and
+        # forest node 0 on figure 2.
+        level = index.best_set("internal_density").vertices
+        assert index.best_set("clustering_coefficient").vertices is level
+        node = index.best_core("internal_density").vertices
+        assert index.best_core("clustering_coefficient").vertices is node
+        assert not level.flags.writeable and not node.flags.writeable
+        cold = BestKIndex(figure2, store=False)
+        for metric in ("internal_density", "clustering_coefficient"):
+            assert same_best(index.best_set(metric), cold.best_set(metric))
+            assert same_best(index.best_core(metric), cold.best_core(metric))
+
+    def test_apply_drops_the_memoized_answers(self, figure2):
+        index = BestKIndex(figure2, store=False)
+        metrics = ("internal_density", "clustering_coefficient")
+        before = {m: (index.best_set(m), index.best_core(m)) for m in metrics}
+        # Inserting (0, 6) keeps both winners' level and node id but
+        # changes their vertex sets, so a stale memo would show.
+        delta = GraphDelta.from_edges(insert=[(0, 6)])
+        index.apply(delta)
+        cold = BestKIndex(VersionedGraph(figure2).apply(delta).graph, store=False)
+        for m in metrics:
+            p1, p2 = index.best_set(m), index.best_core(m)
+            assert p1.k == before[m][0].k and p2.node_id == before[m][1].node_id
+            assert not np.array_equal(p1.vertices, before[m][0].vertices)
+            assert not np.array_equal(p2.vertices, before[m][1].vertices)
+            assert same_best(p1, cold.best_set(m))
+            assert same_best(p2, cold.best_core(m))
+            assert p2.node_id == cold.best_core(m).node_id
+
+
 class TestApplyScopedInvalidation:
     def test_core_is_patched_not_rebuilt(self, figure2, monkeypatch):
         index = BestKIndex(figure2, store=False)
@@ -268,9 +304,10 @@ class TestEpochStore:
         assert resumed is not None and resumed.epoch == 1
 
     # 3 is the format before the bump that dropped the core-only ordering
-    # artifact, 4 the one before raw artifact files and 5 the one before
-    # the int32 content digest: their records are stale too.
-    @pytest.mark.parametrize("format_number", [2, 3, 4, 5, FORMAT_VERSION])
+    # artifact, 4 the one before raw artifact files, 5 the one before the
+    # int32 content digest and 6 the one before its uint16 width: their
+    # records are stale too.
+    @pytest.mark.parametrize("format_number", [2, 3, 4, 5, 6, FORMAT_VERSION])
     def test_format_2_epoch_record_is_never_misread(
         self, figure2, tmp_path, format_number
     ):

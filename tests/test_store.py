@@ -413,8 +413,24 @@ class TestPlumbing:
     def test_clear_empties_the_root(self, graph, store):
         BestKIndex(graph, jobs=1, store=store).best_set("average_degree")
         assert store.bundles()
-        assert store.clear() >= 1
+        assert store.clear()["bundles"] >= 1
         assert store.bundles() == []
+
+    def test_shard_states_and_epochs_are_not_bundles(self, graph, store):
+        from repro.dynamic import GraphDelta
+
+        store.save_shard_state("edges.txt", np.arange(3), 1)
+        assert store.bundles() == []
+        index = BestKIndex(graph, jobs=1, store=store)
+        index.best_set("average_degree")
+        index.apply(GraphDelta.from_edges(insert=[(0, graph.num_vertices - 1)]))
+        index.best_set("average_degree")
+        bundles = store.bundles()
+        assert bundles and all(info.family == "core" for info in bundles)
+        assert store.clear() == {
+            "bundles": len(bundles), "shard_states": 1, "epoch_lineages": 1,
+        }
+        assert list(store.root.iterdir()) == []
 
     def test_prune_removes_exactly_the_stale_entries(self, graph, store):
         from repro.dynamic import GraphDelta
@@ -497,6 +513,20 @@ class TestCacheCli:
 
         assert main(["cache", "ls", "--cache-dir", cache]) == 0
         assert "0 bundle(s)" in capsys.readouterr().out
+
+    def test_prune_removes_a_format_6_bundle(self, tmp_path, edge_file, capsys):
+        from repro.cli import main
+
+        cache = tmp_path / "prunecache"
+        assert main(["cache", "warm", edge_file, "--cache-dir", str(cache)]) == 0
+        old = cache / "core-0123456789abcdef0123"
+        old.mkdir()
+        (old / "meta.json").write_text(json.dumps({"format": 6, "family": "core"}))
+        capsys.readouterr()
+        assert main(["cache", "prune", "--cache-dir", str(cache)]) == 0
+        assert "removed 1 stale" in capsys.readouterr().out
+        assert not old.exists()
+        assert len(ArtifactStore(cache).bundles()) == 2
 
     def test_cache_requires_a_directory(self, capsys, monkeypatch):
         from repro.cli import main

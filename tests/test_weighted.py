@@ -9,19 +9,21 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.core import core_decomposition
-from repro.engine import baseline_family_set_scores, best_level_set, family_set_scores
+from repro.engine import (
+    WEIGHTED_METRICS,
+    GraphTotals,
+    PrimaryValues,
+    baseline_family_set_scores,
+    best_level_set,
+    family_set_scores,
+    get_family,
+    get_metric,
+)
 from repro.errors import UnknownMetricError
 from repro.graph import Graph, GraphBuilder
 from repro.index import BestKIndex
 from repro.kernels import get_backend
-from repro.weighted import (
-    WeightedPrimaryValues,
-    WeightedTotals,
-    arc_weights,
-    available_weighted_metrics,
-    get_weighted_metric,
-    s_core_decomposition,
-)
+from repro.weighted import arc_weights, s_core_decomposition
 from conftest import random_graph, zoo_params
 
 
@@ -193,26 +195,35 @@ class TestListPeelBitIdentical:
 
 class TestMetrics:
     def test_registry(self):
-        assert "weighted_average_degree" in available_weighted_metrics()
-        metric = get_weighted_metric("weighted_conductance")
-        assert get_weighted_metric(metric) is metric
-        with pytest.raises(UnknownMetricError):
-            get_weighted_metric("nope")
+        # The weighted names are aliases in the one metric registry: their
+        # own names over the unweighted metrics' column functions.
+        assert "weighted_average_degree" in WEIGHTED_METRICS
+        assert get_family("weighted").batch_metrics == WEIGHTED_METRICS
+        family = get_family("weighted")
+        metric = family.resolve_metric("weighted_conductance")
+        assert metric.name == "weighted_conductance"
+        assert metric.fn is get_metric("conductance").fn
+        assert family.resolve_metric(metric) is metric
+        for name in ("nope", "average_degree", "clustering_coefficient"):
+            with pytest.raises(UnknownMetricError):
+                family.resolve_metric(name)
 
     def test_formulas(self):
-        totals = WeightedTotals(10, 100.0)
-        pv = WeightedPrimaryValues(4, 6.0, 2.0)
-        assert get_weighted_metric("weighted_average_degree").score(pv, totals) == 3.0
-        assert get_weighted_metric("weighted_density").score(pv, totals) == 1.0
-        assert get_weighted_metric("weighted_conductance").score(pv, totals) == pytest.approx(1 - 2 / 14)
-        assert get_weighted_metric("weighted_cut_ratio").score(pv, totals) == pytest.approx(1 - 2 / 24)
-        mod = get_weighted_metric("weighted_modularity").score(pv, totals)
+        # num_edges / num_boundary hold W(S) / Wb(S); the host's num_edges
+        # its total weight.
+        totals = GraphTotals(10, 100.0)
+        pv = PrimaryValues(4, 6.0, 2.0)
+        assert get_metric("weighted_average_degree").score(pv, totals) == 3.0
+        assert get_metric("weighted_density").score(pv, totals) == 1.0
+        assert get_metric("weighted_conductance").score(pv, totals) == pytest.approx(1 - 2 / 14)
+        assert get_metric("weighted_cut_ratio").score(pv, totals) == pytest.approx(1 - 2 / 24)
+        mod = get_metric("weighted_modularity").score(pv, totals)
         assert mod == pytest.approx(6 / 100 - (14 / 200) ** 2)
 
     def test_empty_is_nan(self):
-        pv = WeightedPrimaryValues(0, 0.0, 0.0)
+        pv = PrimaryValues(0, 0.0, 0.0)
         assert math.isnan(
-            get_weighted_metric("weighted_average_degree").score(pv, WeightedTotals(5, 1.0))
+            get_metric("weighted_average_degree").score(pv, GraphTotals(5, 1.0))
         )
 
 
@@ -233,7 +244,7 @@ class TestScoring:
     def test_incremental_equals_baseline_random(self, seed):
         g = random_graph(30, 90, seed)
         w = random_weights(g, seed=seed + 10)
-        for metric in available_weighted_metrics():
+        for metric in WEIGHTED_METRICS:
             params = {"edge_weights": w, "num_levels": 24}
             fast = family_set_scores(g, "weighted", metric, **params)
             slow = baseline_family_set_scores(g, "weighted", metric, **params)
@@ -298,11 +309,11 @@ class TestArcWeightsExpandedOnce:
         weights = random_weights(graph, seed=5)
         expected = {
             m: family_set_scores(graph, "weighted", m, edge_weights=weights).scores
-            for m in available_weighted_metrics()
+            for m in WEIGHTED_METRICS
         }
         calls = self.count_expansions(monkeypatch)
         index = BestKIndex(graph, jobs=1, store=False)
-        for m in available_weighted_metrics():
+        for m in WEIGHTED_METRICS:
             got = index.level_scores("weighted", m, edge_weights=weights).scores
             assert np.array_equal(got, expected[m], equal_nan=True)
             index.best_node("weighted", m, edge_weights=weights)
