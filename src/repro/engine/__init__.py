@@ -48,6 +48,7 @@ from .metrics import (
     Metric,
     available_metrics,
     get_metric,
+    get_weighted_metric,
     register_metric,
 )
 from .primary import GraphTotals, PrimaryColumns, PrimaryValues, graph_totals, primary_values
@@ -89,6 +90,7 @@ __all__ = [
     "family_set_scores",
     "get_family",
     "get_metric",
+    "get_weighted_metric",
     "graph_totals",
     "level_ordering",
     "level_set_scores",

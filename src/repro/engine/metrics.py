@@ -24,7 +24,9 @@ plus four further metrics from the community-analysis survey the paper cites
 [11] that are also primary-value expressible: ``edges_inside``,
 ``expansion``, ``separability`` and ``normalized_cut``.  The weighted
 family's five metrics (:data:`WEIGHTED_METRICS`) are aliases: the same
-functions under their own names, evaluated over float weight columns.
+functions under their own names, evaluated over float weight columns.  They
+form their own vocabulary, resolved by :func:`get_weighted_metric`;
+:func:`get_metric`, and so every unweighted family, rejects them.
 
 Edge-case conventions (all deterministic, see DESIGN.md §3): an empty
 subgraph scores ``nan`` for every metric; degenerate denominators score the
@@ -48,6 +50,7 @@ __all__ = [
     "Metric",
     "register_metric",
     "get_metric",
+    "get_weighted_metric",
     "available_metrics",
     "PAPER_METRICS",
     "WEIGHTED_METRICS",
@@ -112,11 +115,14 @@ class Metric:
 
 
 _REGISTRY: dict[str, Metric] = {}
+#: The weighted family's aliases, by name; kept apart from :data:`_REGISTRY`
+#: so neither family vocabulary resolves the other's names.
+_WEIGHTED: dict[str, Metric] = {}
 
 
 def _register(metric: Metric) -> Metric:
     for key in filter(None, (metric.name, metric.abbreviation)):
-        if key in _REGISTRY:
+        if key in _REGISTRY or key in _WEIGHTED:
             raise ValueError(f"metric name or abbreviation {key!r} already registered")
     _REGISTRY[metric.name] = metric
     if metric.abbreviation:
@@ -164,8 +170,14 @@ def register_metric(
 
 
 def get_metric(metric: str | Metric) -> Metric:
-    """Resolve a metric by name, abbreviation, or pass through an instance."""
+    """Resolve a metric by name, abbreviation, or pass through an instance.
+
+    The weighted aliases are not part of this vocabulary: they resolve only
+    through :func:`get_weighted_metric`.
+    """
     if isinstance(metric, Metric):
+        if metric.name in _WEIGHTED:
+            raise UnknownMetricError(metric.name, available_metrics())
         return metric
     found = _REGISTRY.get(metric)
     if found is None:
@@ -173,8 +185,16 @@ def get_metric(metric: str | Metric) -> Metric:
     return found
 
 
+def get_weighted_metric(metric: str | Metric) -> Metric:
+    """Resolve one of the weighted family's :data:`WEIGHTED_METRICS`."""
+    found = _WEIGHTED.get(getattr(metric, "name", metric))
+    if found is None:
+        raise UnknownMetricError(getattr(metric, "name", metric), WEIGHTED_METRICS)
+    return found
+
+
 def available_metrics() -> tuple[str, ...]:
-    """Canonical names of all registered metrics, sorted."""
+    """Canonical names of all registered (unweighted) metrics, sorted."""
     return tuple(sorted({m.name for m in _REGISTRY.values()}))
 
 
@@ -326,7 +346,9 @@ _WEIGHTED_ALIASES = {
     "weighted_modularity": ("modularity", "weighted single-community modularity contribution"),
 }
 for _alias, (_base, _description) in _WEIGHTED_ALIASES.items():
-    _register(replace(_REGISTRY[_base], name=_alias, abbreviation=None, description=_description))
+    _WEIGHTED[_alias] = replace(
+        _REGISTRY[_base], name=_alias, abbreviation=None, description=_description
+    )
 
 #: The weighted family's metrics, sorted.
 WEIGHTED_METRICS: tuple[str, ...] = tuple(sorted(_WEIGHTED_ALIASES))

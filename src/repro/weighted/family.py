@@ -27,9 +27,8 @@ import hashlib
 import numpy as np
 
 from ..engine.family import HierarchyFamily, register_family
-from ..engine.metrics import WEIGHTED_METRICS, get_metric
+from ..engine.metrics import WEIGHTED_METRICS, get_weighted_metric
 from ..engine.primary import GraphTotals, PrimaryColumns, PrimaryValues
-from ..errors import UnknownMetricError
 from .decomposition import WeightedDecomposition, s_core_decomposition
 
 __all__ = ["WeightedFamily", "weight_charges"]
@@ -87,10 +86,7 @@ class WeightedFamily(HierarchyFamily):
         return decomposition.integer_levels(num_levels)
 
     def resolve_metric(self, metric):
-        name = getattr(metric, "name", metric)
-        if name not in WEIGHTED_METRICS:
-            raise UnknownMetricError(name, WEIGHTED_METRICS)
-        return get_metric(metric)
+        return get_weighted_metric(metric)
 
     def totals(self, graph, decomposition, *, edge_weights=None, **params) -> GraphTotals:
         if edge_weights is None:

@@ -26,10 +26,12 @@ from repro.engine import (
     family_node_scores,
     family_set_scores,
     get_family,
+    best_level_set,
     get_metric,
+    get_weighted_metric,
     register_metric,
 )
-from repro.errors import MetricRequirementError
+from repro.errors import MetricRequirementError, UnknownMetricError
 
 
 # ----------------------------------------------------------------------
@@ -172,7 +174,36 @@ def columns_of(rows, with_triangles=True) -> PrimaryColumns:
 
 
 def test_every_registered_metric_has_an_oracle():
-    assert set(available_metrics()) == set(SCALAR)
+    assert set(available_metrics()) == set(UNWEIGHTED)
+    assert set(WEIGHTED_METRICS) == set(SCALAR) - set(UNWEIGHTED)
+
+
+class TestVocabularies:
+    """Each family resolves only its own metric names."""
+
+    @pytest.mark.parametrize("family", ("core", "truss", "ecc"))
+    def test_unweighted_families_reject_weighted_names(self, family):
+        graph = random_graph(20, 50, 1)
+        for name in WEIGHTED_METRICS:
+            with pytest.raises(UnknownMetricError):
+                best_level_set(graph, family, name)
+            with pytest.raises(UnknownMetricError):
+                best_level_set(graph, family, get_weighted_metric(name))
+
+    def test_weighted_family_rejects_unweighted_names(self):
+        family = get_family("weighted")
+        for name in UNWEIGHTED + ("ad", "con"):
+            with pytest.raises(UnknownMetricError):
+                family.resolve_metric(name)
+            with pytest.raises(UnknownMetricError):
+                get_weighted_metric(name)
+        with pytest.raises(UnknownMetricError):
+            family.resolve_metric(get_metric("conductance"))
+
+    def test_weighted_names_stay_reserved(self):
+        assert not set(WEIGHTED_METRICS) & set(available_metrics())
+        with pytest.raises(ValueError):
+            register_metric("weighted_density", lambda v, t: 0.0)
 
 
 # ----------------------------------------------------------------------
@@ -183,7 +214,7 @@ class TestZoo:
     @zoo_params()
     @pytest.mark.parametrize("family", ("core", "truss", "ecc"))
     def test_unweighted_families(self, graph, family):
-        for metric in UNWEIGHTED + WEIGHTED_METRICS:
+        for metric in UNWEIGHTED:
             for scored in (
                 family_set_scores(graph, family, metric),
                 family_node_scores(graph, family, metric),
@@ -269,7 +300,7 @@ def test_random_weighted_columns(case):
     # The family's clamp keeps -0.0 as ``max(b, 0.0)`` does.
     values = [PrimaryValues(int(a), float(b), max(float(c), 0.0)) for a, b, c in rows]
     for name in WEIGHTED_METRICS:
-        got = get_metric(name).score_columns(columns, totals)
+        got = get_weighted_metric(name).score_columns(columns, totals)
         assert_same_bits(got, oracle(name, values, totals))
 
 
@@ -312,7 +343,8 @@ def test_negative_zero_boundary_is_kept_as_the_clamp_keeps_it():
     totals = GraphTotals(10, 7.5)
     for name in WEIGHTED_METRICS:
         assert_same_bits(
-            get_metric(name).score_columns(columns, totals), oracle(name, values, totals)
+            get_weighted_metric(name).score_columns(columns, totals),
+            oracle(name, values, totals),
         )
 
 

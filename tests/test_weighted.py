@@ -18,6 +18,7 @@ from repro.engine import (
     family_set_scores,
     get_family,
     get_metric,
+    get_weighted_metric,
 )
 from repro.errors import UnknownMetricError
 from repro.graph import Graph, GraphBuilder
@@ -200,30 +201,32 @@ class TestMetrics:
         assert "weighted_average_degree" in WEIGHTED_METRICS
         assert get_family("weighted").batch_metrics == WEIGHTED_METRICS
         family = get_family("weighted")
-        metric = family.resolve_metric("weighted_conductance")
-        assert metric.name == "weighted_conductance"
+        metric = get_weighted_metric("weighted_conductance")
+        assert family.resolve_metric("weighted_conductance") is metric
         assert metric.fn is get_metric("conductance").fn
-        assert family.resolve_metric(metric) is metric
+        assert get_weighted_metric(metric) is metric
         for name in ("nope", "average_degree", "clustering_coefficient"):
             with pytest.raises(UnknownMetricError):
                 family.resolve_metric(name)
+        with pytest.raises(UnknownMetricError):
+            get_metric("weighted_conductance")
 
     def test_formulas(self):
         # num_edges / num_boundary hold W(S) / Wb(S); the host's num_edges
         # its total weight.
         totals = GraphTotals(10, 100.0)
         pv = PrimaryValues(4, 6.0, 2.0)
-        assert get_metric("weighted_average_degree").score(pv, totals) == 3.0
-        assert get_metric("weighted_density").score(pv, totals) == 1.0
-        assert get_metric("weighted_conductance").score(pv, totals) == pytest.approx(1 - 2 / 14)
-        assert get_metric("weighted_cut_ratio").score(pv, totals) == pytest.approx(1 - 2 / 24)
-        mod = get_metric("weighted_modularity").score(pv, totals)
+        assert get_weighted_metric("weighted_average_degree").score(pv, totals) == 3.0
+        assert get_weighted_metric("weighted_density").score(pv, totals) == 1.0
+        assert get_weighted_metric("weighted_conductance").score(pv, totals) == pytest.approx(1 - 2 / 14)
+        assert get_weighted_metric("weighted_cut_ratio").score(pv, totals) == pytest.approx(1 - 2 / 24)
+        mod = get_weighted_metric("weighted_modularity").score(pv, totals)
         assert mod == pytest.approx(6 / 100 - (14 / 200) ** 2)
 
     def test_empty_is_nan(self):
         pv = PrimaryValues(0, 0.0, 0.0)
         assert math.isnan(
-            get_metric("weighted_average_degree").score(pv, GraphTotals(5, 1.0))
+            get_weighted_metric("weighted_average_degree").score(pv, GraphTotals(5, 1.0))
         )
 
 
