@@ -366,7 +366,10 @@ class BestLevelResult:
     k: int
     score: float
     scores: LevelSetScores
-    #: Vertices of the winning level set (sorted ascending).
+    #: Vertices of the winning level set (sorted ascending).  Answers from a
+    #: :class:`~repro.index.BestKIndex` hold its memoized array: read-only
+    #: and shared by every metric and call with the same winner, so copy
+    #: it before editing.
     vertices: np.ndarray
     #: Real-valued threshold of the winning level for quantised
     #: hierarchies (the weighted family's strength ``s``), else ``None``.

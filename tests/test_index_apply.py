@@ -60,6 +60,8 @@ class TestAnswerMemo:
         node = index.best_core("internal_density").vertices
         assert index.best_core("clustering_coefficient").vertices is node
         assert not level.flags.writeable and not node.flags.writeable
+        with pytest.raises(ValueError):
+            level.sort()
         cold = BestKIndex(figure2, store=False)
         for metric in ("internal_density", "clustering_coefficient"):
             assert same_best(index.best_set(metric), cold.best_set(metric))
