@@ -1,9 +1,17 @@
 #!/usr/bin/env python
 """Benchmark incremental core maintenance against full rebuilds.
 
-Streams random insert/delete deltas of increasing size through
+Streams insert/delete deltas of increasing size through
 :class:`repro.dynamic.VersionedGraph` on the 100k–500k-edge generator
-graphs and times, per delta:
+graphs, in two kinds:
+
+* ``uniform`` — inserts join uniformly random vertex pairs (on a
+  power-law graph, nearly always two low-degree vertices);
+* ``held-out`` — inserts re-add edges held out of the generated graph,
+  so their endpoints follow the graph's own degree distribution, as in a
+  real edge stream (and in the end-to-end churn workload).
+
+Deletes remove random present edges in both.  Per delta it times:
 
 * ``apply_seconds`` — the localized CSR rebuild producing the next
   epoch's snapshot;
@@ -14,9 +22,13 @@ graphs and times, per delta:
   snapshot (what a non-incremental index would pay).
 
 Every repaired coreness is asserted bit-identical to the full peel
-before its timing is trusted.  Each row also records
+before its timing is trusted.  Each row also records the delta's
+``work`` (:func:`repro.dynamic.planner.delta_work`) and
 ``planner_choice``: what the cost model would pick unforced, so
-planner drift shows up in the report diff.  The
+planner drift shows up in the report diff.  A ``fit`` block gives the
+coefficients the planner's model implies per backend and kind (seconds
+per batched work unit, seconds per rebuilt arc) and the share of rows
+where the planner's choice ran within 1.25x of the better path.  The
 ``dynamic.maintain`` path counts are stamped into the report through
 :func:`repro.bench.harness.execution_metadata`'s obs summary plus an
 explicit ``maintain_paths`` block, and a ``crossover`` block records the
@@ -24,7 +36,7 @@ interpolated delta size where the batched repair stops beating the full
 peel.
 
 The acceptance gates (enforced in full mode, skipped under ``--quick``),
-all on the largest dataset:
+all on the largest dataset's uniform deltas:
 
 * single-edge deltas must maintain (batched) >= ``GATE_SPEEDUP``x
   faster than the full rebuild;
@@ -54,7 +66,9 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent.parent / "src"))
 from _machine import machine_metadata
 from repro import obs
 from repro.dynamic import GraphDelta, VersionedGraph, incremental_core_numbers, plan_maintenance
+from repro.dynamic import planner
 from repro.generators.random_graphs import powerlaw_chung_lu
+from repro.graph.csr import Graph
 from repro.kernels import get_backend
 
 DEFAULT_OUTPUT = pathlib.Path(__file__).resolve().parent.parent / "BENCH_dynamic.json"
@@ -69,6 +83,10 @@ QUICK_SUITE = ("cl-100k",)
 
 DELTA_SIZES = (1, 10, 100, 1000, 10000)
 QUICK_DELTA_SIZES = (1, 10, 100)
+#: Held-out deltas stop here: beyond it the pool would thin the graph.
+MAX_HELD_OUT_SIZE = 1000
+#: A planner choice within this factor of the better path counts as right.
+PLANNER_SLACK = 1.25
 
 #: Gate: single-edge deltas must maintain (batched) at least this many
 #: times faster than the full rebuild on the largest dataset.
@@ -95,16 +113,45 @@ def random_delta(rng: np.random.Generator, graph, size: int) -> GraphDelta:
     return GraphDelta.from_edges(sorted(insert), delete)
 
 
-def bench_dataset(name: str, graph, sizes: tuple[int, ...], repeats: int) -> list[dict]:
+def held_out_split(graph, pool: int, seed: int = 7):
+    """``(base, held)``: ``graph`` minus ``pool`` random edges, and those."""
+    edges = graph.edge_array()
+    held = np.zeros(len(edges), dtype=bool)
+    held[np.random.default_rng([seed, 1]).permutation(len(edges))[:pool]] = True
+    return Graph.from_edges(edges[~held], num_vertices=graph.num_vertices), edges[held]
+
+
+def held_out_deltas(rng: np.random.Generator, held: np.ndarray):
+    """Delta factory re-adding the held-out edges in a random order."""
+    order = rng.permutation(len(held))
+    taken = 0
+
+    def make(graph, size: int) -> GraphDelta:
+        nonlocal taken
+        num_insert = size - size // 2
+        insert = held[order[taken:taken + num_insert]]
+        taken += num_insert
+        edges = graph.edge_array()
+        delete = edges[rng.choice(len(edges), size=size // 2, replace=False)]
+        return GraphDelta.from_edges(insert, delete)
+
+    return make
+
+
+def bench_dataset(name: str, graph, sizes: tuple[int, ...], repeats: int,
+                  kind: str = "uniform", make_delta=None) -> list[dict]:
     backend = get_backend()
     rng = np.random.default_rng(42)
+    if make_delta is None:
+        make_delta = lambda g, size: random_delta(rng, g, size)  # noqa: E731
     rows: list[dict] = []
     vg = VersionedGraph(graph)
     core = backend.peel_coreness(graph)
-    print(f"[{name}] n={graph.num_vertices} m={graph.num_edges}", flush=True)
+    print(f"[{name} {kind}] n={graph.num_vertices} m={graph.num_edges}", flush=True)
     for size in sizes:
         for _ in range(repeats):
-            delta = random_delta(rng, vg.graph, size)
+            delta = make_delta(vg.graph, size)
+            work = planner.delta_work(delta.insert, len(delta.delete), vg.graph.degrees())
 
             start = time.perf_counter()
             nxt = vg.apply(delta)
@@ -125,12 +172,15 @@ def bench_dataset(name: str, graph, sizes: tuple[int, ...], repeats: int) -> lis
                     f"batched coreness diverged on {name} size={size}"
                 )
             choice = plan_maintenance(
-                delta.num_changes, nxt.graph.num_edges, backend_name=backend.name
+                delta.num_changes, nxt.graph.num_edges, backend_name=backend.name,
+                work=work,
             ).choice
             rows.append(
                 {
                     "dataset": name,
+                    "kind": kind,
                     "delta_size": delta.num_changes,
+                    "work": work,
                     "epoch": nxt.epoch,
                     "n": nxt.graph.num_vertices,
                     "m": nxt.graph.num_edges,
@@ -156,10 +206,13 @@ def bench_dataset(name: str, graph, sizes: tuple[int, ...], repeats: int) -> lis
 
 
 def _median_cells(rows: list[dict], field: str) -> dict[tuple[str, int], float]:
+    """Median of ``field`` per (dataset, delta size); held-out rows file
+    under the dataset name ``<dataset>/held-out``."""
     cells: dict[tuple[str, int], list[float]] = {}
     for row in rows:
         if row.get(field) is not None:
-            cells.setdefault((row["dataset"], row["delta_size"]), []).append(row[field])
+            dataset = row["dataset"] if row["kind"] == "uniform" else f"{row['dataset']}/{row['kind']}"
+            cells.setdefault((dataset, row["delta_size"]), []).append(row[field])
     return {key: float(np.median(vals)) for key, vals in cells.items()}
 
 
@@ -172,6 +225,42 @@ def summarise(rows: list[dict]) -> dict:
             dataset, size = key
             out[f"{dataset}/size-{size}"] = {"batched": round(full[key] / med, 2)}
     return dict(sorted(out.items()))
+
+
+def planner_fit(rows: list[dict], backend_name: str) -> dict:
+    """The coefficients the rows imply for the planner's cost model, per
+    kind, and how often its choice ran within ``PLANNER_SLACK`` of the
+    better path (rows past the large-delta guard are left out)."""
+    out: dict[str, dict] = {}
+    for kind in sorted({row["kind"] for row in rows}):
+        mine = [r for r in rows if r["kind"] == kind and r["delta_size"] <= r["m"] // 4]
+        per_unit = [
+            (r["batched_seconds"] - planner._BATCHED_FIXED_SECONDS
+             - 2 * r["m"] * planner._BATCHED_SETUP_SECONDS_PER_ARC) / r["work"]
+            for r in mine if r["delta_size"] >= 100
+        ]
+        per_arc = [
+            (r["full_seconds"] - planner._REBUILD_FIXED_SECONDS) / (2 * r["m"]) for r in mine
+        ]
+        right = [
+            {"batched": r["batched_seconds"], "rebuild": r["full_seconds"]}[r["planner_choice"]]
+            <= PLANNER_SLACK * min(r["batched_seconds"], r["full_seconds"])
+            for r in mine
+        ]
+        out[kind] = {
+            "batched_seconds_per_unit": float(np.median(per_unit)) if per_unit else None,
+            "rebuild_seconds_per_arc": float(np.median(per_arc)) if per_arc else None,
+            "planner_within_slack": round(float(np.mean(right)), 3) if right else None,
+        }
+    return {
+        "backend": backend_name,
+        "model": {
+            "batched_seconds_per_unit": planner._BATCHED_SECONDS_PER_UNIT.get(backend_name),
+            "rebuild_seconds_per_arc": planner._REBUILD_SECONDS_PER_ARC.get(backend_name),
+        },
+        "slack": PLANNER_SLACK,
+        "kinds": out,
+    }
 
 
 def crossover(rows: list[dict], dataset: str) -> dict:
@@ -277,13 +366,21 @@ def main(argv: list[str] | None = None) -> int:
     sizes = QUICK_DELTA_SIZES if args.quick else DELTA_SIZES
     repeats = 2 if args.quick else args.repeats
 
+    held_sizes = tuple(size for size in sizes if size <= MAX_HELD_OUT_SIZE)
     rows: list[dict] = []
     for name in names:
-        rows.extend(bench_dataset(name, SUITE[name](), sizes, repeats))
+        graph = SUITE[name]()
+        rows.extend(bench_dataset(name, graph, sizes, repeats))
+        base, held = held_out_split(graph, sum(held_sizes) * repeats)
+        rows.extend(bench_dataset(
+            name, base, held_sizes, repeats, "held-out",
+            held_out_deltas(np.random.default_rng(43), held),
+        ))
 
     report = {
         "rows": rows,
         "speedups": summarise(rows),
+        "fit": planner_fit(rows, get_backend().name),
         "crossover": crossover(rows, names[-1]),
         "maintain_paths": maintain_path_counts(),
         "output": {"quick": args.quick, "repeats": repeats, "delta_sizes": list(sizes)},

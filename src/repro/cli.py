@@ -12,8 +12,9 @@ Installed as the ``bestk`` console script (also ``python -m repro``):
 * ``bestk epochs GRAPH``               — list the recorded epoch snapshots
   of a graph's lineage in the artifact cache
 * ``bestk families``                   — list the hierarchy-family registry
-* ``bestk backends``                   — list kernel backends; for the
-  native backend, the C compiler and the per-kernel native/fallback status
+* ``bestk backends``                   — list kernel backends, marking the
+  resolved default; for the native backend, the C compiler, why it falls
+  back to numpy when it does, and the per-kernel native/fallback status
   (``--check NAME`` exits nonzero when NAME cannot serve natively)
 * ``bestk densest GRAPH``              — Opt-D vs CoreApp
 * ``bestk forest GRAPH``               — ASCII core-forest tree
@@ -82,8 +83,8 @@ def _backend_arg(p: argparse.ArgumentParser) -> None:
 
     p.add_argument(
         "--backend", default=None, choices=available_backends(),
-        help="kernel backend (bit-identical; default: REPRO_BACKEND or numpy; "
-             "'native' runs the hot kernels as compiled C and degrades per "
+        help="kernel backend (bit-identical; default: REPRO_BACKEND or native, "
+             "which runs the hot kernels as compiled C and degrades per "
              "kernel to numpy — see 'bestk backends')",
     )
 
@@ -191,7 +192,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser(
         "backends",
-        help="list kernel backends; for native, per-kernel native/fallback status",
+        help="list kernel backends and the default; for native, per-kernel "
+             "native/fallback status",
     )
     p.add_argument(
         "--check", default=None, metavar="NAME",
@@ -569,18 +571,23 @@ def _cmd_backends(args) -> int:
 
     blurbs = {
         "python": "scalar reference loops (bit-identical yardstick)",
-        "numpy": "vectorised whole-frontier array passes (default)",
+        "numpy": "vectorised whole-frontier array passes",
         "native": "compiled C hot kernels with per-kernel numpy fallback",
     }
+    default = get_backend().name
     for name in available_backends():
         backend = get_backend(name)
-        print(f"{name:9s} {blurbs.get(name, type(backend).__name__)}")
+        mark = " (default)" if name == default else ""
+        print(f"{name:9s} {blurbs.get(name, type(backend).__name__)}{mark}")
         if not isinstance(backend, NativeBackend):
             continue
         print(
             f"          provider={backend.provider_name() or 'none'} "
             f"jit-cache={backend.jit_cache_state() or '-'}"
         )
+        reason = backend.unavailable_reason()
+        if reason:
+            print(f"          runs numpy instead: {reason}")
         for kernel, state in sorted(backend.kernel_status().items()):
             if state["mode"] == "native":
                 detail = "native"

@@ -37,7 +37,7 @@ from .. import obs
 from ..graph.csr import Graph
 from ..kernels import get_backend
 from .delta import GraphDelta
-from .planner import plan_maintenance, resolve_plan_override
+from .planner import delta_work, plan_maintenance, resolve_plan_override
 from .versioned import VersionedGraph
 
 __all__ = ["MaintainResult", "incremental_core_numbers"]
@@ -134,6 +134,7 @@ def _incremental_core_numbers(
         backend_name=get_backend(backend).name,
         override=resolve_plan_override(plan),
         has_baseline=old_coreness is not None,
+        work=delta_work(delta.insert, len(delta.delete), old_graph.degrees()),
     )
     obs.add("dynamic.plan", choice=decision.choice, reason=decision.reason)
 

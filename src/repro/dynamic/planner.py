@@ -13,13 +13,16 @@ epoch's coreness, with very different cost shapes:
     the delta size, and the only option without a baseline.
 
 :func:`plan_maintenance` picks between them from a measured cost model:
-each candidate's cost is estimated as ``fixed + work * seconds_per_arc``
-with coefficients calibrated on the reference ~500k-edge Chung–Lu graph
-by ``benchmarks/bench_dynamic.py`` (the bench records the measured
-crossover next to the model in ``BENCH_dynamic.json``).  The estimated
-work unit is the *affected-region arc count*: measured subcore
-traversals on the calibration graph scan about ``m / 280`` arcs per
-changed edge, floored at 64 for small graphs.
+each candidate's cost is estimated as ``fixed + size * seconds_per_unit``.
+A rebuild's size is the new snapshot's arc count.  A repair's size is the
+delta's *work* (:func:`delta_work`): one unit per delete, plus the lower
+endpoint degree of each insert.  An insert's subcore traversal grows with
+the degree of the vertices it joins, so on power-law graphs an edge
+between hubs (what a real edge stream re-adds) costs an order of
+magnitude more than one between two leaves (what uniformly random pairs
+make); the per-change cost hardly depends on the graph's size.  The
+coefficients are fitted by ``benchmarks/bench_dynamic.py`` over both
+kinds of delta (the fit is recorded in ``BENCH_dynamic.json``).
 
 The choice is observable on the ``dynamic.plan{choice=,reason=}``
 counter and overridable through the ``plan=`` argument (CLI ``--plan``),
@@ -32,10 +35,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+import numpy as np
+
 __all__ = [
     "PLAN_CHOICES",
     "MaintenancePlan",
-    "estimated_region_arcs",
+    "delta_work",
     "plan_maintenance",
     "resolve_plan_override",
 ]
@@ -43,16 +48,20 @@ __all__ = [
 #: Accepted plan names (``auto`` defers to the cost model).
 PLAN_CHOICES = ("auto", "batched", "rebuild")
 
-# Measured coefficients (seconds), calibrated against the cl-500k rows
-# of benchmarks/bench_dynamic.py (native backend; see BENCH_dynamic.json
-# for the raw medians).  Region arcs are walked once per pass; the
-# per-arc figures fold the pass count in.  The fit reproduces the
-# measured batched -> rebuild crossover near ~3.6k changes on the
-# ~500k-edge graph.
+# Measured coefficients (seconds), fitted to the batched and full-peel
+# medians of benchmarks/bench_dynamic.py on cl-100k, cl-500k and cl-250k
+# with uniform and held-out deltas (see the "fit" block of
+# BENCH_dynamic.json).  Batched repair costs 1.3-4.6 us per work unit on
+# native across those rows, and 33-71 us on numpy; the figures below sit
+# near the top of each range, so a misprediction falls on the side of the
+# rebuild, whose O(m) cost is bounded.
 _BATCHED_FIXED_SECONDS = 2.5e-4      # op arrays + extra-CSR assembly
 _BATCHED_SETUP_SECONDS_PER_ARC = 2e-9   # arc-active mask + scratch
-_BATCHED_SECONDS_PER_ARC = {"native": 3e-9, "numpy": 2.5e-7, "python": 2.5e-6}
-_REBUILD_FIXED_SECONDS = 3e-4        # peel dispatch + round overhead
+_BATCHED_SECONDS_PER_UNIT = {"native": 4.5e-6, "numpy": 5e-5, "python": 3e-4}
+#: Arc scans one work unit stands for (4.5 us at ~4 ns a scan): no change
+#: scans more arcs than the graph has, which caps the work on small graphs.
+_ARCS_PER_UNIT = 1000
+_REBUILD_FIXED_SECONDS = 5e-4        # peel dispatch + numpy's round overhead
 _REBUILD_SECONDS_PER_ARC = {"native": 2e-8, "numpy": 5e-8, "python": 1.2e-6}
 
 
@@ -88,22 +97,31 @@ def resolve_plan_override(explicit: str | None = None) -> str | None:
     return None if value == "auto" else value
 
 
-def estimated_region_arcs(num_edges: int) -> int:
-    """Modelled adjacency arcs a single change's repair traverses."""
-    return int(min(2 * num_edges, max(64, num_edges // 280)))
+def delta_work(insert: np.ndarray, num_deletes: int, degrees: np.ndarray) -> int:
+    """Work units of a repair: one per delete, plus, per inserted edge,
+    the lower of its endpoints' degrees in the old snapshot (at least 1;
+    a vertex the delta creates has degree 0).  ``insert`` is ``(k, 2)``."""
+    ends = np.asarray(insert, dtype=np.int64).reshape(-1, 2)
+    deg = np.zeros(ends.shape, dtype=np.int64)
+    known = ends < len(degrees)
+    deg[known] = degrees[ends[known]]
+    return int(num_deletes) + int(np.maximum(deg.min(axis=1), 1).sum())
 
 
-def cost_estimates(num_changes: int, num_edges: int, backend_name: str) -> dict[str, float]:
-    """Modelled seconds per outcome for a ``num_changes``-edge delta."""
-    region = estimated_region_arcs(num_edges)
+def cost_estimates(
+    num_changes: int, num_edges: int, backend_name: str, work: float | None = None
+) -> dict[str, float]:
+    """Modelled seconds per outcome for a ``num_changes``-edge delta of
+    ``work`` units (:func:`delta_work`; one per change when omitted)."""
     arcs = 2 * num_edges
-    batched_per_arc = _BATCHED_SECONDS_PER_ARC.get(backend_name, _BATCHED_SECONDS_PER_ARC["numpy"])
+    work = num_changes if work is None else min(work, num_changes * arcs / _ARCS_PER_UNIT)
+    batched_per_unit = _BATCHED_SECONDS_PER_UNIT.get(backend_name, _BATCHED_SECONDS_PER_UNIT["numpy"])
     rebuild_per_arc = _REBUILD_SECONDS_PER_ARC.get(backend_name, _REBUILD_SECONDS_PER_ARC["numpy"])
     return {
         "batched": (
             _BATCHED_FIXED_SECONDS
             + arcs * _BATCHED_SETUP_SECONDS_PER_ARC
-            + num_changes * region * batched_per_arc
+            + work * batched_per_unit
         ),
         "rebuild": _REBUILD_FIXED_SECONDS + arcs * rebuild_per_arc,
     }
@@ -116,14 +134,16 @@ def plan_maintenance(
     backend_name: str = "numpy",
     override: str | None = None,
     has_baseline: bool = True,
+    work: float | None = None,
 ) -> MaintenancePlan:
     """Choose the maintenance outcome for one delta.
 
     ``num_edges`` is the *new* snapshot's edge count (the quantity the
-    rebuild pays for); ``override`` is a pre-resolved plan name from
-    :func:`resolve_plan_override` or ``None`` for the cost model.
+    rebuild pays for); ``work`` the delta's :func:`delta_work` (one unit
+    per change when omitted); ``override`` is a pre-resolved plan name
+    from :func:`resolve_plan_override` or ``None`` for the cost model.
     """
-    estimates = cost_estimates(num_changes, num_edges, backend_name)
+    estimates = cost_estimates(num_changes, num_edges, backend_name, work)
     if not has_baseline:
         return MaintenancePlan("rebuild", "no_baseline", estimates)
     if override is not None:

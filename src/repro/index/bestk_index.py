@@ -186,10 +186,10 @@ class BestKIndex:
             self._versioned = None
             self.graph = graph
         self.backend = backend
-        #: Resolved kernel-backend name; part of every store bundle key so
-        #: artifacts built by different backends never alias on disk.
-        #: Backends are bit-identical (``native`` fallback included), so
-        #: the name is the whole identity.
+        #: Resolved kernel-backend name, handed to worker processes and
+        #: recorded in the store manifests it writes.  Backends are
+        #: bit-identical (``native`` fallback included), so it is not part
+        #: of any store key.
         self.backend_name = get_backend(backend).name
         self.jobs = _positive_jobs(jobs)
         self.store = resolve_store(store)
@@ -302,7 +302,7 @@ class BestKIndex:
         with obs.span("index:hydrate", family=fam.name, phase="hydrate") as sp:
             start = time.perf_counter()
             try:
-                loaded = self.store.load_bundle(self.graph, fam, params, self.backend_name)
+                loaded = self.store.load_bundle(self.graph, fam, params)
             except OSError:
                 loaded = None
             seconds = time.perf_counter() - start

@@ -1,7 +1,7 @@
 """Persistent on-disk artifact cache — versioned raw-array bundles.
 
 A *bundle* is one directory holding every persisted artifact of one
-``(graph, family, parametrisation, backend)`` combination::
+``(graph, family, parametrisation)`` combination::
 
     <root>/<family>-<key>/
         meta.json          # format version, identity, per-field manifest
@@ -18,8 +18,11 @@ ends.
 The bundle key is a SHA-256 over the graph's content digest
 (:meth:`repro.graph.csr.Graph.content_digest`), the family name, the
 family's content-based :meth:`~repro.engine.HierarchyFamily.store_token`
-and the kernel-backend name — any of those changing routes to a different
-bundle, so a stale hit is structurally impossible.  A load reads
+— any of those changing routes to a different bundle, so a stale hit is
+structurally impossible.  The kernel backend is not part of the key:
+every backend builds bit-identical artifacts, so a bundle primed under
+one serves the others; ``meta.json`` records the writer's backend for
+information only.  A load reads
 ``meta.json`` once and maps each artifact file with one read-only
 ``mmap``, slicing its fields into ``np.frombuffer`` views (read-only by
 construction), so a warm :class:`~repro.index.BestKIndex` start maps
@@ -112,7 +115,9 @@ __all__ = [
 #: bundle key and every lineage an epoch record is filed under.
 #: Version 7: the digest hashes ``indices`` as uint16 when ``n <= 2**16``,
 #: under its own width tag, which changes those graphs' keys and lineages.
-FORMAT_VERSION = 7
+#: Version 8: the kernel-backend name leaves the bundle key (kept in
+#: ``meta.json`` as information), so one bundle serves every backend.
+FORMAT_VERSION = 8
 
 #: Alignment of every field's offset inside an artifact file.
 _ALIGN = 64
@@ -255,24 +260,19 @@ class ArtifactStore:
         self.root.mkdir(parents=True, exist_ok=True)
 
     # -- keys -----------------------------------------------------------
-    def bundle_key(
-        self, graph: Graph, fam: HierarchyFamily, params: dict, backend_name: str
-    ) -> str:
+    def bundle_key(self, graph: Graph, fam: HierarchyFamily, params: dict) -> str:
         token = fam.store_token(**params)
         ident = "|".join((
             f"v{FORMAT_VERSION}",
             graph.content_digest(),
             fam.name,
             "" if token is None else str(token),
-            backend_name,
         ))
         digest = hashlib.sha256(ident.encode()).hexdigest()
         return f"{fam.name}-{digest[:20]}"
 
-    def bundle_dir(
-        self, graph: Graph, fam: HierarchyFamily, params: dict, backend_name: str
-    ) -> Path:
-        return self.root / self.bundle_key(graph, fam, params, backend_name)
+    def bundle_dir(self, graph: Graph, fam: HierarchyFamily, params: dict) -> Path:
+        return self.root / self.bundle_key(graph, fam, params)
 
     # -- write ----------------------------------------------------------
     def save_artifact(
@@ -287,15 +287,17 @@ class ArtifactStore:
         """Persist one artifact into its bundle; returns whether written.
 
         The artifact file is written once (an existing one is kept:
-        identical content by construction — the key pins graph, token and
-        backend); the manifest is re-merged so concurrent writers converge.
+        identical content by construction — the key pins graph and token,
+        and every backend builds the same arrays); the manifest is
+        re-merged so concurrent writers converge.  ``backend_name`` is
+        recorded in a new manifest for information only.
         """
         if name not in persisted_names(fam):
             return False
         payload = dump_artifact(fam, name, value)
         if payload is None:
             return False
-        bundle = self.bundle_dir(graph, fam, params, backend_name)
+        bundle = self.bundle_dir(graph, fam, params)
         bundle.mkdir(parents=True, exist_ok=True)
         spec: dict[str, dict] = {}
         arrays = []
@@ -333,7 +335,7 @@ class ArtifactStore:
 
     # -- read -----------------------------------------------------------
     def load_bundle(
-        self, graph: Graph, fam: HierarchyFamily, params: dict, backend_name: str
+        self, graph: Graph, fam: HierarchyFamily, params: dict
     ) -> dict[str, object] | None:
         """All reconstructable artifacts of a bundle, or ``None`` on miss.
 
@@ -344,7 +346,7 @@ class ArtifactStore:
         absence counts as ``store.miss``; a successful load as
         ``store.hit``.
         """
-        bundle = self.bundle_dir(graph, fam, params, backend_name)
+        bundle = self.bundle_dir(graph, fam, params)
         try:
             try:
                 meta = json.loads((bundle / "meta.json").read_text(encoding="utf-8"))

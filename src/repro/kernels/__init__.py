@@ -16,14 +16,16 @@ those kernels:
 ``numpy``
     Whole-frontier array passes (repeated pruning, batched hash-table
     probes, vectorised union-find); ~5-30x faster on graphs with 10^5+ edges.
-``native``
+``native`` (the default)
     The same five loops compiled from C (:mod:`repro.kernels._native_cc`,
     each C function the statement-for-statement mirror of its twin),
     numpy for everything else.  Degrades *per kernel* to the numpy
-    implementation when no compiler is found or a kernel fails — see
-    :mod:`repro.kernels.native_backend`; every degradation is counted on
-    the ``kernel.native_fallback`` obs counter.  Kernels that are numpy by
-    design (``delegated``) are not degradations and are not counted.
+    implementation when no compiler is found, the build fails or a
+    kernel fails — see :mod:`repro.kernels.native_backend`; every
+    degradation is counted on the ``kernel.native_fallback{reason=}`` obs
+    counter (``disabled``, ``import``, ``compile``, ``runtime``).  Kernels
+    that are numpy by design (``delegated``) are not degradations and are
+    not counted.
 
 One adapter, :mod:`repro.kernels.loops`, marshals graphs and orderings
 into the loops' raw arrays for both the ``python`` and the ``native``
@@ -37,7 +39,13 @@ Selection, in precedence order:
    :func:`repro.graph.connected_components`, ...), accepting a name or a
    :class:`~repro.kernels.base.KernelBackend` instance;
 2. the ``REPRO_BACKEND`` environment variable;
-3. the default, ``numpy``.
+3. the default, ``native``: compiled C wherever the C unit builds, numpy
+   wherever it does not.
+
+When native is selected by the environment or the default, importing
+this package makes sure the compiled library exists on disk (one ``stat``
+once built, one compile per source revision otherwise; a failure is
+recorded, never raised), so no build lands inside a timed request.
 
 All three backends return exactly the same values
 (``tests/test_kernels.py`` enforces integer-for-integer equality), so
@@ -62,7 +70,7 @@ import time
 from .. import obs
 from ..errors import UnknownBackendError
 from .base import KernelBackend
-from .native_backend import NativeBackend
+from .native_backend import NativeBackend, ensure_library
 from .numpy_backend import NumpyBackend
 from .python_backend import PythonBackend
 
@@ -78,7 +86,7 @@ __all__ = [
 
 #: Name of the backend used when neither ``backend=`` nor ``REPRO_BACKEND``
 #: says otherwise.
-DEFAULT_BACKEND = "numpy"
+DEFAULT_BACKEND = "native"
 
 #: Environment variable consulted by :func:`get_backend`.
 BACKEND_ENV_VAR = "REPRO_BACKEND"
@@ -174,7 +182,9 @@ def get_backend(backend: str | KernelBackend | None = None) -> KernelBackend:
 
 register_backend(PythonBackend())
 register_backend(NumpyBackend())
-# Always registered: construction is free (nothing is compiled until a
+# Always registered: construction is free (nothing is loaded until a
 # kernel is dispatched) and an unusable toolchain degrades per kernel to
 # the numpy implementations, never to an import error.
 register_backend(NativeBackend())
+if (os.environ.get(BACKEND_ENV_VAR) or DEFAULT_BACKEND).lower() == "native":
+    ensure_library()

@@ -8,10 +8,14 @@ same arguments and runs the same loop; its comment names the twin, and
 the equivalence suite holds the two to identical arrays.
 
 The compiled library is keyed by a SHA-256 of the C source and stored
-under ``$REPRO_NATIVE_CACHE`` (default ``~/.cache/repro-native``), so the
-compile cost is paid once per source revision per machine, not once per
-process.  A failed compile raises :class:`NativeCompileError`; the backend
-catches it and degrades that machine to the numpy implementations.
+inside the package, in ``repro/kernels/_build/`` (ignored by git), so the
+compile cost is paid once per source revision per checkout or install, not
+once per process, and nothing is written outside it.  An install whose
+package directory is not writable builds into ``~/.cache/repro-native``,
+then into a temporary directory.  ``$REPRO_NATIVE_CACHE`` overrides the
+location.  A failed build raises :class:`NativeCompileError`, whose
+``reason`` is ``import`` (no compiler) or ``compile``; the backend catches
+it and degrades to the numpy implementations.
 
 Everything here is arrays-in/arrays-out — no Graph objects, no imports
 from the rest of ``repro`` (the layering contract pins this module inside
@@ -35,6 +39,7 @@ __all__ = [
     "NativeCompileError",
     "CcProvider",
     "compiler_path",
+    "library_path",
 ]
 
 #: Overrides the on-disk location of compiled kernel libraries.
@@ -42,7 +47,15 @@ CACHE_ENV_VAR = "REPRO_NATIVE_CACHE"
 
 
 class NativeCompileError(RuntimeError):
-    """The C toolchain is missing or the kernel library failed to build."""
+    """The C toolchain is missing or the kernel library failed to build.
+
+    ``reason`` is the ``kernel.native_fallback`` label it maps to:
+    ``import`` when no compiler was found, ``compile`` otherwise.
+    """
+
+    def __init__(self, message: str, reason: str = "compile") -> None:
+        super().__init__(message)
+        self.reason = reason
 
 
 _SOURCE = r"""
@@ -393,11 +406,66 @@ def source_digest() -> str:
     return hashlib.sha256(_SOURCE.encode()).hexdigest()[:16]
 
 
-def cache_dir() -> Path:
+def _build_dirs() -> list[Path]:
+    """Where the library may live, most preferred first: the override, or
+    the package's ``_build`` directory and then the user cache."""
     override = os.environ.get(CACHE_ENV_VAR, "").strip()
     if override:
-        return Path(override)
-    return Path(os.path.expanduser("~")) / ".cache" / "repro-native"
+        return [Path(override)]
+    return [Path(__file__).resolve().parent / "_build",
+            Path(os.path.expanduser("~")) / ".cache" / "repro-native"]
+
+
+def _writable(root: Path) -> bool:
+    try:
+        root.mkdir(parents=True, exist_ok=True)
+    except OSError:
+        return False
+    return os.access(root, os.W_OK)
+
+
+#: ``"cold"`` once this process has compiled the library, else ``"warm"``.
+_cache_state = "warm"
+
+
+def library_path() -> Path:
+    """The compiled library for this source revision, built when absent.
+
+    Costs one ``stat`` once built, and one compile (well under a second)
+    otherwise.  Raises :class:`NativeCompileError` when no compiler is
+    found or the build fails.
+    """
+    global _cache_state
+    name = f"kernels-{source_digest()}.so"
+    # A directory is consulted only when every one before it is unwritable.
+    for root in _build_dirs():
+        if (root / name).is_file():
+            return root / name
+        if _writable(root):
+            break
+    else:
+        root = None
+    cc = compiler_path()
+    if cc is None:
+        raise NativeCompileError(
+            "no C compiler found (checked $CC, cc, gcc, clang)", reason="import")
+    if root is None:
+        root = Path(tempfile.mkdtemp(prefix="repro-native-"))
+    lib_path = root / name
+    tmp_lib = root / f".{name}.{os.getpid()}.tmp"
+    cmd = [cc, "-O3", "-shared", "-fPIC", "-x", "c", "-o", str(tmp_lib), "-"]
+    try:
+        proc = subprocess.run(cmd, input=_SOURCE, capture_output=True, text=True)
+    except OSError as exc:
+        raise NativeCompileError(f"C kernel compile failed ({' '.join(cmd)}): {exc}") from exc
+    if proc.returncode != 0:
+        tmp_lib.unlink(missing_ok=True)
+        raise NativeCompileError(
+            f"C kernel compile failed ({' '.join(cmd)}): {proc.stderr.strip()[:500]}"
+        )
+    os.replace(tmp_lib, lib_path)  # atomic: concurrent builders converge
+    _cache_state = "cold"
+    return lib_path
 
 
 class CcProvider:
@@ -412,8 +480,8 @@ class CcProvider:
     """
 
     def __init__(self) -> None:
-        self.cache_state = "cold"
-        self._lib = self._build_or_load()
+        self._lib = ctypes.CDLL(str(library_path()))
+        self.cache_state = _cache_state
         for symbol, argtypes in _SIGNATURES.items():
             fn = getattr(self._lib, symbol)
             fn.argtypes = argtypes
@@ -421,36 +489,3 @@ class CcProvider:
             setattr(self, symbol.removeprefix("repro_"), fn)
         cc = compiler_path()
         self.name = f"cc-{Path(cc).name}" if cc else "cc"
-
-    # -- build ----------------------------------------------------------
-    def _build_or_load(self) -> ctypes.CDLL:
-        cc = compiler_path()
-        root = cache_dir()
-        lib_path = root / f"kernels-{source_digest()}.so"
-        if lib_path.exists():
-            self.cache_state = "warm"
-            try:
-                return ctypes.CDLL(str(lib_path))
-            except OSError:
-                # A stale/foreign-arch library: rebuild below.
-                self.cache_state = "cold"
-        if cc is None:
-            raise NativeCompileError("no C compiler found (checked $CC, cc, gcc, clang)")
-        try:
-            root.mkdir(parents=True, exist_ok=True)
-            workdir = root
-        except OSError:
-            workdir = Path(tempfile.mkdtemp(prefix="repro-native-"))
-            lib_path = workdir / lib_path.name
-        src_path = workdir / f"kernels-{source_digest()}.c"
-        src_path.write_text(_SOURCE, encoding="utf-8")
-        tmp_lib = workdir / f".{lib_path.name}.{os.getpid()}.tmp"
-        cmd = [cc, "-O3", "-shared", "-fPIC", "-o", str(tmp_lib), str(src_path)]
-        proc = subprocess.run(cmd, capture_output=True, text=True)
-        if proc.returncode != 0:
-            tmp_lib.unlink(missing_ok=True)
-            raise NativeCompileError(
-                f"C kernel compile failed ({' '.join(cmd)}): {proc.stderr.strip()[:500]}"
-            )
-        os.replace(tmp_lib, lib_path)  # atomic: concurrent builders converge
-        return ctypes.CDLL(str(lib_path))

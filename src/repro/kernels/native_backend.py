@@ -1,4 +1,4 @@
-"""The native-speed kernel backend (``REPRO_BACKEND=native``).
+"""The native-speed kernel backend, the default (``REPRO_BACKEND=native``).
 
 The five loop kernels — exact O(m) bucket peeling, the h-index fixpoint
 round, Algorithm 3's merge-intersection triangle charges and one-pass
@@ -15,7 +15,9 @@ dispatch that lands on numpy is counted per reason on the
 shows what actually ran native.
 
 The compiled code is one C translation unit, built once with the system
-compiler and bound through ctypes (:mod:`repro.kernels._native_cc`).
+compiler and bound through ctypes (:mod:`repro.kernels._native_cc`);
+:func:`ensure_library` builds it at package import, so the build never
+lands inside a request, and the first dispatch loads it.
 ``REPRO_NATIVE_DISABLE=1`` forces every kernel to the numpy fallback
 (useful for bit-identity A/B checks); it is consulted dynamically, so
 flipping it in a test takes effect on the registered singleton.
@@ -23,7 +25,7 @@ flipping it in a test takes effect on the registered singleton.
 Fallback reasons (the ``reason`` label):
 
 * ``disabled`` — ``REPRO_NATIVE_DISABLE`` is set;
-* ``import`` — no C compiler was found;
+* ``import`` — no library was built and no C compiler was found;
 * ``compile`` — the C library failed to build or a kernel failed its
   warm-up call;
 * ``runtime`` — the compiled kernel raised at call time (poisoned from
@@ -41,8 +43,7 @@ backends`` and :func:`native_runtime_metadata` report them as
 All answers are bit-identical to the other backends — each C function
 runs the loop of its ``_native_impl`` twin, and the equivalence suite
 (``tests/test_kernels.py``, ``tests/test_native.py``) enforces it — so
-artifact-store bundle keys and index identity tokens treat ``native`` as
-just another backend name.
+artifact-store bundle keys leave the backend out altogether.
 
 Layering: this module (and its provider modules) imports nothing from
 ``repro`` outside ``repro.kernels`` except the :mod:`repro.obs` leaf for
@@ -65,6 +66,7 @@ from .numpy_backend import NumpyBackend
 __all__ = [
     "DISABLE_ENV_VAR",
     "NativeBackend",
+    "ensure_library",
     "native_runtime_metadata",
 ]
 
@@ -91,20 +93,38 @@ def _disabled() -> bool:
     return bool(os.environ.get(DISABLE_ENV_VAR, "").strip())
 
 
+def _failure(exc: Exception) -> str:
+    return f"{getattr(exc, 'reason', 'compile')}: {exc}"
+
+
 def _get_provider():
     """``(provider, None)``, or ``(None, detail)`` when it cannot load."""
     global _PROVIDER
     if _PROVIDER is None:
-        if _native_cc.compiler_path() is None:
-            _PROVIDER = "import: no C compiler found (checked $CC, cc, gcc, clang)"
-        else:
-            try:
-                _PROVIDER = _native_cc.CcProvider()
-            except Exception as exc:
-                _PROVIDER = f"compile: {exc}"
+        try:
+            _PROVIDER = _native_cc.CcProvider()
+        except Exception as exc:
+            _PROVIDER = _failure(exc)
     if isinstance(_PROVIDER, str):
         return None, _PROVIDER
     return _PROVIDER, None
+
+
+def ensure_library() -> None:
+    """Build the C library now if it is not on disk, without loading it.
+
+    The import of :mod:`repro.kernels` calls this when native serves the
+    default, so the one build per checkout never lands inside a timed
+    request; the ``dlopen`` and the warm-up stay with the first dispatch.
+    A failed build is recorded for that dispatch to report.  Never raises.
+    """
+    global _PROVIDER
+    if _PROVIDER is not None or _disabled():
+        return
+    try:
+        _native_cc.library_path()
+    except Exception as exc:
+        _PROVIDER = _failure(exc)
 
 
 #: Tiny warm-up input (a triangle plus a pendant edge), shaped as both a
@@ -159,6 +179,13 @@ class NativeBackend(LoopKernels, NumpyBackend):
     def jit_cache_state(self) -> str | None:
         provider, _ = _get_provider()
         return None if provider is None else provider.cache_state
+
+    def unavailable_reason(self) -> str | None:
+        """Why no kernel can run compiled (``disabled: ...``, ``import:
+        ...`` or ``compile: ...``), or ``None`` when the library loads."""
+        if _disabled():
+            return f"disabled: {DISABLE_ENV_VAR} is set"
+        return _get_provider()[1]
 
     def kernel_status(self) -> dict[str, dict]:
         """Per-kernel ``{"mode": ..., "reason": ...}`` map (loads the C library).

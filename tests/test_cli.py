@@ -75,6 +75,17 @@ class TestCommands:
         assert "peel_coreness" in out
         assert "delegated" in out
 
+    def test_backends_marks_the_resolved_default(self, capsys, monkeypatch):
+        monkeypatch.delenv("REPRO_BACKEND", raising=False)
+        assert main(["backends"]) == 0
+        out = capsys.readouterr().out
+        assert "per-kernel numpy fallback (default)" in out
+        monkeypatch.setenv("REPRO_BACKEND", "numpy")
+        assert main(["backends"]) == 0
+        out = capsys.readouterr().out
+        assert "array passes (default)" in out
+        assert "fallback (default)" not in out
+
     def test_decompose_backend_flag(self, graph_file, capsys):
         assert main(["decompose", graph_file, "--backend", "native"]) == 0
         assert "kmax (degeneracy) = 3" in capsys.readouterr().out

@@ -28,7 +28,7 @@ from repro.dynamic import (
     plan_maintenance,
     resolve_plan_override,
 )
-from repro.dynamic.planner import cost_estimates
+from repro.dynamic.planner import cost_estimates, delta_work
 from repro.kernels import get_backend
 from repro.kernels.native_backend import DISABLE_ENV_VAR
 
@@ -203,6 +203,25 @@ class TestPlanner:
     def test_cost_model_picks_batched_for_medium_delta(self):
         plan = plan_maintenance(100, 500_000, backend_name="native")
         assert plan.choice == "batched" and plan.reason == "cost_model"
+
+    @pytest.mark.parametrize("size, work, choice", [
+        (1, 11, "batched"), (10, 128, "batched"),
+        (100, 1_811, "rebuild"), (1000, 18_575, "rebuild"),
+    ])
+    def test_native_choice_on_the_churn_graph(self, size, work, choice):
+        # The e2e churn graph (203,672 edges after the held-out pool) with
+        # size inserts of held-out edges plus size deletes; work is the
+        # median delta_work of that stream.  Measured there (apply plus
+        # five re-queries): batched wins at 1 and 10, and loses 1.3x at
+        # 100 and 2.8x at 1000.
+        plan = plan_maintenance(2 * size, 203_672, backend_name="native", work=work)
+        assert (plan.choice, plan.reason) == (choice, "cost_model")
+
+    def test_delta_work_weighs_inserts_by_their_lower_degree(self):
+        degrees = np.array([1, 5, 40, 3])
+        insert = np.array([[0, 2], [1, 2], [2, 9]])  # vertex 9 is new
+        assert delta_work(insert, 4, degrees) == 4 + 1 + 5 + 1
+        assert delta_work(np.empty((0, 2), dtype=np.int64), 3, degrees) == 3
 
     def test_estimates_cover_every_strategy(self):
         est = cost_estimates(10, 500_000, "numpy")

@@ -307,9 +307,9 @@ class TestEpochStore:
 
     # 3 is the format before the bump that dropped the core-only ordering
     # artifact, 4 the one before raw artifact files, 5 the one before the
-    # int32 content digest and 6 the one before its uint16 width: their
-    # records are stale too.
-    @pytest.mark.parametrize("format_number", [2, 3, 4, 5, 6, FORMAT_VERSION])
+    # int32 content digest, 6 the one before its uint16 width and 7 the one
+    # before the backend left the bundle key: their records are stale too.
+    @pytest.mark.parametrize("format_number", [2, 3, 4, 5, 6, 7, FORMAT_VERSION])
     def test_format_2_epoch_record_is_never_misread(
         self, figure2, tmp_path, format_number
     ):

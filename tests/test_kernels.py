@@ -30,6 +30,7 @@ from repro.graph import Graph, GraphBuilder, connected_components
 from repro.kernels import (
     BACKEND_ENV_VAR,
     DEFAULT_BACKEND,
+    NativeBackend,
     NumpyBackend,
     PythonBackend,
     available_backends,
@@ -85,10 +86,13 @@ class TestRegistry:
     def test_all_backends_registered(self):
         assert set(available_backends()) >= {"python", "numpy", "native"}
 
-    def test_default_is_numpy(self, monkeypatch):
+    def test_default_is_native_with_numpy_fallback(self, monkeypatch):
         monkeypatch.delenv(BACKEND_ENV_VAR, raising=False)
-        assert DEFAULT_BACKEND == "numpy"
-        assert isinstance(get_backend(), NumpyBackend)
+        assert DEFAULT_BACKEND == "native"
+        backend = get_backend()
+        assert isinstance(backend, NativeBackend)
+        # Whatever it does not run compiled, it runs as numpy.
+        assert isinstance(backend, NumpyBackend)
 
     def test_env_var_selects_backend(self, monkeypatch):
         monkeypatch.setenv(BACKEND_ENV_VAR, "python")

@@ -5,11 +5,13 @@ The equivalence of native *answers* with the python/numpy backends lives in
 what makes ``native`` different: per-kernel degradation to numpy, the
 ``kernel.native_fallback`` accounting, the kernel tables staying in step
 with the C provider, and the clean no-compiler degradation path (exercised
-in a subprocess whose ``$CC`` and ``PATH`` hold no compiler).
+in a subprocess whose ``$CC`` and ``PATH`` hold no compiler), and the
+default backend's answers when the library cannot be built at all.
 """
 
 from __future__ import annotations
 
+import json
 import os
 import subprocess
 import sys
@@ -96,7 +98,9 @@ class TestDisableSwitch:
         kernels = native_runtime_metadata(resolve=True)["kernels"]
         assert {kernels[k] for k in KERNEL_RAW} == {"fallback:disabled"}
         assert main(["backends"]) == 0
-        assert "numpy (fallback: disabled)" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "numpy (fallback: disabled)" in out
+        assert "runs numpy instead: disabled" in out
         assert main(["backends", "--check", "native"]) == 1
         assert "fall back to numpy (disabled)" in capsys.readouterr().err
 
@@ -315,6 +319,8 @@ def _no_compiler_env(tmp_path) -> dict:
     env["PATH"] = str(empty)
     env["CC"] = "/nonexistent"
     env["REPRO_BACKEND"] = "native"
+    # A library built earlier would serve without a compiler.
+    env[_native_cc.CACHE_ENV_VAR] = str(tmp_path / "empty-native-cache")
     env.pop(DISABLE_ENV_VAR, None)
     return env
 
@@ -340,3 +346,114 @@ class TestNoProviderDegradation:
         # The one-time degradation warning names the missing compiler.
         assert "native backend unavailable" in proc.stderr
         assert "no C compiler found" in proc.stderr
+
+
+#: Answers of every loop kernel's consumer on the zoo, as JSON-ready
+#: values: coreness, Problems 1 and 2 for the paper metrics (triangle and
+#: triplet charges), and a batched repair (subcore_repair).  Run in this
+#: process on native and in a subprocess on the default backend.
+ZOO_ANSWERS_SCRIPT = textwrap.dedent(
+    """
+    import numpy as np
+    from conftest import PATHOLOGICAL, random_graph, small_graph_zoo
+    from repro.core import PAPER_METRICS, core_decomposition
+    from repro.dynamic import GraphDelta, incremental_core_numbers
+    from repro.errors import ReproError
+    from repro.index import BestKIndex
+
+    def zoo_answers(backend=None):
+        graphs = small_graph_zoo() + list(PATHOLOGICAL.items()) + [
+            (f"random-{seed}", random_graph(40 + 30 * seed, 120 + 150 * seed, seed))
+            for seed in range(3)
+        ]
+        out = {}
+        for name, g in graphs:
+            core = core_decomposition(g, backend=backend).coreness
+            index = BestKIndex(g, backend=backend, store=False)
+            answers = [core.tolist()]
+            for metric in PAPER_METRICS:
+                for query in (lambda: index.best_level("core", metric),
+                              lambda: index.best_core(metric)):
+                    try:
+                        r = query()
+                    except ReproError as exc:  # the empty graph has no answer
+                        answers.append(type(exc).__name__)
+                        continue
+                    answers.append([r.k, r.score.hex(), r.node_id, r.vertices.tolist()])
+            edges = g.edge_array()
+            if len(edges) >= 2:
+                delta = GraphDelta.from_edges([], edges[::2])
+                repaired = incremental_core_numbers(g, core, delta, backend=backend, plan="batched")
+                answers.append([repaired.path, repaired.coreness.tolist()])
+            out[name] = answers
+        return out
+    """
+)
+
+
+def _zoo_answers_on_native() -> dict:
+    namespace: dict = {}
+    exec(ZOO_ANSWERS_SCRIPT, namespace)
+    return json.loads(json.dumps(namespace["zoo_answers"]("native")))
+
+
+def _unbuildable_env(tmp_path, failure: str) -> dict:
+    """Env, default backend, where the C library cannot be had: ``$CC``
+    exits 1 (``compile``) or no compiler is on ``PATH`` (``import``)."""
+    env = _no_compiler_env(tmp_path)
+    env.pop("REPRO_BACKEND")
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    env["PYTHONPATH"] += os.pathsep + tests_dir
+    if failure == "compile":
+        env["CC"] = "/bin/false"
+    return env
+
+
+class TestUnbuildableLibrary:
+    """The default backend when the C unit cannot be built: numpy answers,
+    bit-identical to native, each fallback counted with its reason."""
+
+    @needs_provider
+    @pytest.mark.parametrize("failure", ["compile", "import"])
+    def test_default_answers_like_native_and_counts_the_reason(self, tmp_path, failure):
+        script = ZOO_ANSWERS_SCRIPT + textwrap.dedent(
+            """
+            import json
+            from repro import obs
+            from repro.kernels import get_backend
+            print(json.dumps({
+                "backend": get_backend().name,
+                "answers": zoo_answers(),
+                "fallbacks": {
+                    key: value for key, value in obs.counters().items()
+                    if key.startswith("kernel.native_fallback")
+                },
+            }))
+            """
+        )
+        proc = subprocess.run(
+            [os.path.abspath(sys.executable), "-c", script],
+            env=_unbuildable_env(tmp_path, failure),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert out["backend"] == "native"
+        assert out["answers"] == _zoo_answers_on_native()
+        reasons = {obs.parse_counter_key(key)[1] for key in out["fallbacks"]}
+        assert {dict(labels)["reason"] for labels in reasons} == {failure}
+        kernels = {dict(labels)["kernel"] for labels in reasons}
+        assert {"peel_coreness", "triangle_charges", "triplet_charges",
+                "subcore_repair"} <= kernels
+        assert not list((tmp_path / "empty-native-cache").glob("*.so"))
+
+    def test_import_with_a_failing_compiler_does_not_raise(self, tmp_path):
+        proc = subprocess.run(
+            [os.path.abspath(sys.executable), "-c",
+             "import repro, repro.kernels; print(repro.kernels.DEFAULT_BACKEND)"],
+            env=_unbuildable_env(tmp_path, "compile"),
+            capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.strip() == "native"
+        assert "Traceback" not in proc.stderr

@@ -6,8 +6,8 @@ Three pillars:
   every query bit-identically *without running the builders* (counted via
   monkeypatched builders, same technique as ``test_index.py``).
 * **Invalidation** — anything that could change an answer routes to a
-  different bundle (weight contents, family params, kernel backend,
-  format version) and anything that could corrupt one (truncated or
+  different bundle (weight contents, family params, format version), and
+  what cannot (the kernel backend) shares one and anything that could corrupt one (truncated or
   over-long artifact file, mangled manifest, missing file, a format 4
   bundle) is discarded with its typed reason and rebuilt.  A cache can
   cost time, never correctness.
@@ -193,7 +193,7 @@ class TestWarmStart:
         with pytest.raises(ValueError):
             coreness[0] = 1
         # The raw field views themselves, not just flags an artifact sets.
-        loaded = store.load_bundle(graph, get_family("core"), {}, cold.backend_name)
+        loaded = store.load_bundle(graph, get_family("core"), {})
         for arr in (*loaded["level_totals"], *loaded["node_totals"]):
             assert not arr.flags.writeable
             with pytest.raises(ValueError):
@@ -213,22 +213,48 @@ class TestInvalidation:
         fam = get_family("core")
         a = random_graph(40, 120, seed=1)
         b = random_graph(40, 120, seed=2)
-        assert store.bundle_key(a, fam, {}, "numpy") != store.bundle_key(b, fam, {}, "numpy")
+        assert store.bundle_key(a, fam, {}) != store.bundle_key(b, fam, {})
 
-    def test_backend_changes_the_bundle(self, graph, store):
+    def test_one_bundle_serves_every_backend(self, graph, store, monkeypatch):
+        # Artifacts are bit-identical across backends, so a store primed
+        # under numpy restarts under native and python with no build.
         fam = get_family("core")
-        assert store.bundle_key(graph, fam, {}, "numpy") != store.bundle_key(
-            graph, fam, {}, "python"
-        )
+        primed = BestKIndex(graph, jobs=1, store=store, backend="numpy")
+        expected = _answers(primed)
+        fields = {
+            name: dump_artifact(fam, name, primed.artifact("core", name))
+            for name in persisted_names(fam)
+        }
+        counters = {
+            name: _count_calls(monkeypatch, name, module)
+            for module, name in (
+                (core_family, "order_vertices"), (chain, "shell_sweep"),
+                (chain, "triangles_by_min_rank_vertex"), (chain, "triplet_charges"),
+            )
+        }
+        for backend in ("native", "python"):
+            warm = BestKIndex(graph, jobs=1, store=store, backend=backend)
+            assert _answers(warm) == expected
+            for name, calls in counters.items():
+                assert calls == [], f"{name} ran on a {backend} restart"
+            for name, want in fields.items():
+                assert warm.build_seconds[f"core:{name}"] == 0.0
+                got = dump_artifact(fam, name, warm.artifact("core", name))
+                assert list(got) == list(want)
+                for field, arr in want.items():
+                    assert got[field].dtype == arr.dtype
+                    assert np.asarray(got[field]).tobytes() == np.asarray(arr).tobytes()
+        (info,) = store.bundles()
+        assert info.backend == "numpy"  # the writer, recorded for information
 
     def test_weighted_key_tracks_contents_not_identity(self, graph, store):
         fam = get_family("weighted")
         w = np.random.default_rng(9).lognormal(size=graph.num_edges)
-        same = store.bundle_key(graph, fam, {"edge_weights": w.copy()}, "numpy")
-        assert store.bundle_key(graph, fam, {"edge_weights": w}, "numpy") == same
+        same = store.bundle_key(graph, fam, {"edge_weights": w.copy()})
+        assert store.bundle_key(graph, fam, {"edge_weights": w}) == same
         mutated = w.copy()
         mutated[0] += 1.0
-        assert store.bundle_key(graph, fam, {"edge_weights": mutated}, "numpy") != same
+        assert store.bundle_key(graph, fam, {"edge_weights": mutated}) != same
 
     def test_mutated_weights_rebuild_not_stale(self, graph, store):
         w1 = np.random.default_rng(9).lognormal(size=graph.num_edges)
@@ -250,8 +276,8 @@ class TestInvalidation:
     def test_ecc_max_k_params_separate_bundles(self, store):
         g = random_graph(30, 80, seed=4)
         fam = get_family("ecc")
-        assert store.bundle_key(g, fam, {"max_k": 2}, "numpy") != store.bundle_key(
-            g, fam, {"max_k": None}, "numpy"
+        assert store.bundle_key(g, fam, {"max_k": 2}) != store.bundle_key(
+            g, fam, {"max_k": None}
         )
         cold = BestKIndex(g, jobs=1, store=store)
         r_cold = cold.best_level("ecc", "average_degree", max_k=2)
@@ -273,12 +299,11 @@ class TestInvalidation:
         fam = get_family("core")
         index = BestKIndex(graph, jobs=1, store=store)
         index.best_set("average_degree")
-        backend = index.backend_name
-        bundle = store.bundle_dir(graph, fam, {}, backend)
+        bundle = store.bundle_dir(graph, fam, {})
         meta = json.loads((bundle / "meta.json").read_text())
         meta["format"] = 999
         (bundle / "meta.json").write_text(json.dumps(meta))
-        assert store.load_bundle(graph, fam, {}, backend) is None
+        assert store.load_bundle(graph, fam, {}) is None
         assert not bundle.exists()  # discarded, not left to rot
 
 
@@ -350,7 +375,7 @@ class TestCorruption:
         fam = get_family("core")
         cold = BestKIndex(graph, jobs=1, store=False)
         expected = _answers(cold)
-        bundle = store.bundle_dir(graph, fam, {}, cold.backend_name)
+        bundle = store.bundle_dir(graph, fam, {})
         bundle.mkdir(parents=True)
         artifacts = {}
         for name in persisted_names(fam):
